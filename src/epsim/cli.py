@@ -161,6 +161,7 @@ def _run_dynamics(config: ExperimentConfig) -> dict:
         stderr = res.stderr
         extra["accepted"] = res.accepted
         extra["acceptance_rate"] = res.acceptance_rate
+        extra["clipped_mass"] = res.clipped_mass
     else:
         raise ConfigError(f"unknown evaluator {config.evaluator!r}")
     try:
@@ -377,6 +378,7 @@ def _cmd_verify(args) -> int:
                 "metric": r.metric,
                 "threshold": r.threshold,
                 "passed": r.passed,
+                "seconds": r.seconds,
                 "note": r.note,
             }
             for r in results

@@ -177,7 +177,3 @@ def embed_operator(op: np.ndarray, support, dims) -> np.ndarray:
     t = t.transpose(perm + [p + n for p in perm])
     full = int(np.prod(dims))
     return t.reshape(full, full)
-
-
-def frob_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(m)))

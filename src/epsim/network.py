@@ -18,6 +18,7 @@ indices.  Evaluation then happens entirely on the entanglement space:
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -371,20 +372,21 @@ def evaluate_exact(net: ChannelNetwork) -> complex:
     the size guard raise SizeGuardError with a cost report.
     """
     n = net.circuit.n_sites
-    env = np.ones((1, 1), dtype=complex)  # (ket-left, bra-left) blocks
+    # Cost precheck of every column from shapes alone, before the sweep.
     for c in range(n):
-        # Cost precheck from shapes alone, before any tensor is built.
-        d, chi_l, chi_r = net.psi.tensors[c].shape
-        size = d * chi_l * chi_r
+        d, dl, dr = net.psi.tensors[c].shape
         for l in range(net.circuit.n_layers):
             a, b = net.layer_mpos[l][c].shape[:2]
-            size *= a * b
-        _guard(size, f"column {c} half")
+            dl, dr = dl * a, dr * b
+        _guard(d * dl * dr, f"column {c} half")
+        _guard(dl * dl + dr * dr, f"column {c} environment")
+    env = np.ones((1, 1), dtype=complex)  # (ket-left, bra-left) blocks
+    for c in range(n):
         ket = _column_half(net, c, conj=False)
         bra = _column_half(net, c, conj=True)
         obs = net.observables.get(c, np.eye(net.d)).astype(complex)
         ket = np.tensordot(obs, ket, axes=([1], [0]))  # apply O to the ket top
-        env = _apply_column(env, ket, bra, c)
+        env = _apply_column(env, ket, bra)
     scalar = net.psi.boundary[0, 0]
     return complex(abs(scalar) ** 2 * env.reshape(()))
 
@@ -406,7 +408,7 @@ def _column_half(net: ChannelNetwork, c: int, conj: bool) -> np.ndarray:
     return acc
 
 
-def _apply_column(env, ket, bra, c):
+def _apply_column(env, ket, bra):
     """One sweep step: env[ketL, braL] -> env'[ketR, braR]."""
     n_rows = (ket.ndim - 1) // 2
     perm = [0] + [1 + 2 * i for i in range(n_rows)] + [2 + 2 * i for i in range(n_rows)]
@@ -414,11 +416,8 @@ def _apply_column(env, ket, bra, c):
     dr = int(np.prod([ket.shape[p] for p in perm[1 + n_rows :]]))
     kb = ket.transpose(perm).reshape(ket.shape[0], dl, dr)
     bb = bra.transpose(perm).reshape(bra.shape[0], dl, dr)
-    _guard(dl * dl + dr * dr, f"column {c} environment")
-    _guard(ket.shape[0] * dl * dr, f"column {c} environment")
     # bb already holds conjugated tensors.
-    out = np.einsum("pkr,kK,pKs->rs", kb, env, bb, optimize=True)
-    return out
+    return np.einsum("pkr,kK,pKs->rs", kb, env, bb, optimize=True)
 
 
 def _guard(size, label):
@@ -449,11 +448,12 @@ class NetworkPartition:
 
 
 def _node_axis_wires(net: ChannelNetwork):
-    axes = {node.nid: {} for node in net.nodes}
+    """Wire id on each axis of each node, indexed by node id."""
+    legs = [[None] * node.tensor.ndim for node in net.nodes]
     for w in net.wires:
         for nid, axis in w.ends:
-            axes[nid][axis] = w.wid
-    return axes
+            legs[nid][axis] = w.wid
+    return legs
 
 
 def _label_key(label):
@@ -463,35 +463,71 @@ def _label_key(label):
     return (0, label)
 
 
-def _contract_group(tensors_and_legs, order_key, guard_label):
-    """Pairwise contraction of (tensor, leg-wire-ids) items; legs sharing a
-    wire id are contracted, the rest stay open (sorted by wire id)."""
-    items = sorted(tensors_and_legs, key=order_key)
-    acc, acc_legs = None, None
-    for tensor, legs in items:
-        legs = list(legs)
-        if acc is None:
-            acc, acc_legs = tensor, legs
+def _contract_group(items, guard_label):
+    """Contract (tensor, leg labels) items into one tensor.
+
+    Legs sharing a label are contracted; legs that meet inside one tensor
+    are traced.  Each step contracts the pair of tensors that share a leg
+    and whose result, priced from shapes alone, grows least (result size
+    minus the two input sizes); ties go to the lowest item indices, so the
+    order is deterministic.  Every step is checked against the size guard
+    before it allocates.  Tensors that share no leg are joined last by outer
+    products, smallest first.  Returns (tensor, open legs) with the open
+    legs in canonical label order.
+    """
+    tensors, legs, holders, dims = {}, {}, {}, {}
+    for i, (tensor, labels) in enumerate(items):
+        labels = list(labels)
+        while (dup := _first_dup(labels)) is not None:
+            tensor = np.trace(tensor, axis1=dup[0], axis2=dup[1])
+            labels = [w for k, w in enumerate(labels) if k not in dup]
+        tensors[i], legs[i] = np.asarray(tensor), labels
+        for lab, dim in zip(labels, tensors[i].shape):
+            holders.setdefault(lab, []).append(i)
+            if dims.setdefault(lab, dim) != dim:
+                raise ShapeError(f"wire {lab!r} joins legs of dims {dims[lab]} and {dim}")
+    heap = []
+
+    def push(i, j):  # i < j
+        a, b = tensors[i].size, tensors[j].size
+        shared = math.prod(dims[lab] for lab in legs[i] if lab in legs[j])
+        heapq.heappush(heap, (a * b // shared**2 - a - b, i, j))
+
+    for pair in {tuple(h) for h in holders.values() if len(h) == 2}:
+        push(*pair)
+    next_id = len(items)
+    while len(tensors) > 1:
+        if heap:
+            _, i, j = heapq.heappop(heap)
+            if i not in tensors or j not in tensors:
+                continue
         else:
-            shared = sorted(set(acc_legs) & set(legs), key=_label_key)
-            ax_a = [acc_legs.index(w) for w in shared]
-            ax_b = [legs.index(w) for w in shared]
-            acc = np.tensordot(acc, tensor, axes=(ax_a, ax_b))
-            acc_legs = [w for i, w in enumerate(acc_legs) if i not in ax_a] + [
-                w for i, w in enumerate(legs) if i not in ax_b
-            ]
-        # Trace out leg pairs that met inside the accumulator.
-        while True:
-            dup = _first_dup(acc_legs)
-            if dup is None:
-                break
-            i, j = dup
-            acc = np.trace(acc, axis1=i, axis2=j)
-            acc_legs = [w for k, w in enumerate(acc_legs) if k not in (i, j)]
-        _guard(acc.size, guard_label)
-    # Canonical open-leg order.
-    perm = sorted(range(len(acc_legs)), key=lambda i: _label_key(acc_legs[i]))
-    return acc.transpose(perm), sorted(acc_legs, key=_label_key)
+            i, j = sorted(tensors, key=lambda k: (tensors[k].size, k))[:2]
+        shared = [lab for lab in legs[i] if lab in legs[j]]
+        out = [lab for lab in legs[i] + legs[j] if lab not in shared]
+        _guard(math.prod(dims[lab] for lab in out), guard_label)
+        # np.tensordot without its per-call overhead, which dominates on the
+        # many small tensors of a region.
+        a, b = tensors.pop(i), tensors.pop(j)
+        ax_a = [legs[i].index(lab) for lab in shared]
+        ax_b = [legs[j].index(lab) for lab in shared]
+        inner = math.prod(dims[lab] for lab in shared)
+        a = a.transpose([k for k in range(a.ndim) if k not in ax_a] + ax_a)
+        b = b.transpose(ax_b + [k for k in range(b.ndim) if k not in ax_b])
+        product = a.reshape(-1, inner) @ b.reshape(inner, -1)
+        tensors[next_id] = product.reshape([dims[lab] for lab in out])
+        legs[next_id] = out
+        del legs[i], legs[j]
+        for lab in shared:
+            del holders[lab]
+        for lab in out:
+            holders[lab] = [next_id if h in (i, j) else h for h in holders[lab]]
+        for h in {h for lab in out for h in holders[lab]} - {next_id}:
+            push(h, next_id)
+        next_id += 1
+    (tensor,), (labels,) = tensors.values(), legs.values()
+    perm = sorted(range(len(labels)), key=lambda i: _label_key(labels[i]))
+    return tensor.transpose(perm), [labels[i] for i in perm]
 
 
 def _first_dup(legs):
@@ -511,37 +547,20 @@ def evaluate_regions(net: ChannelNetwork, partition: NetworkPartition):
     branch mass each region carries.
     """
     partition.validate(net)
-    axes = _node_axis_wires(net)
-    by_id = {node.nid: node for node in net.nodes}
-
-    def node_item(nid):
-        node = by_id[nid]
-        legs = [axes[nid][a] for a in range(node.tensor.ndim)]
-        return node.tensor, legs
+    legs = _node_axis_wires(net)
 
     def contract_region(region):
-        # Row-major: each row is contracted through before moving on, so the
-        # frontier stays at the physical-row scale.
-        ordered = sorted(region, key=lambda nid: (by_id[nid].row, by_id[nid].col))
         return _contract_group(
-            [node_item(nid) for nid in ordered],
-            order_key=lambda item: 0,
-            guard_label="region contraction",
+            [(net.nodes[nid].tensor, legs[nid]) for nid in region],
+            "region contraction",
         )
 
     from .parallel import parallel_map
 
     region_tensors = parallel_map(contract_region, partition.regions)
     region_probs = [float(np.linalg.norm(t) ** 2) for t, _ in region_tensors]
-    region_order = [
-        min((by_id[n].row, by_id[n].col) for n in region)
-        for region in partition.regions
-    ]
-    joined = [t for _, t in sorted(zip(region_order, region_tensors))]
-    value, legs = _contract_group(
-        joined, order_key=lambda item: 0, guard_label="region join"
-    )
-    if legs:
+    value, open_legs = _contract_group(region_tensors, "region join")
+    if open_legs:
         raise ShapeError("region join left open legs; partition inconsistent")
     return complex(value.reshape(())), region_probs
 
@@ -583,80 +602,59 @@ def obs_eigenbasis(op: np.ndarray):
 def _ket_graph(net: ChannelNetwork):
     """Ket-side preparation graph for the heralded protocol.
 
-    Returns (nodes, sampled, finals): nodes as (tensor, axis->label) pairs,
+    Returns (nodes, sampled, finals): nodes as (tensor, leg labels) pairs,
     sampled wires as (label, dim, orientation) with identity passthroughs
     spliced out, and finals mapping each site to its dangling physical label.
+    The two endpoints of a sampled wire carry the labels (label, 0) and
+    (label, 1); an unsampled (dimension-1) wire carries one label on both.
     """
-    n, nl, d = net.circuit.n_sites, net.circuit.n_layers, net.d
-    nodes = []
+    n, d = net.circuit.n_sites, net.d
     labels = iter(range(10**6))
     sampled = []
-    finals = {}
 
-    state_axes = []
-    for c in range(n):
-        t = net.psi.tensors[c]
-        ax = {}
-        nodes.append([t, ax])
-        state_axes.append(ax)
-    # Bond labels (horizontal, state row).
+    def wire(dim, orientation):
+        lab = next(labels)
+        if dim == 1:
+            return lab, lab
+        sampled.append((lab, dim, orientation))
+        return (lab, 0), (lab, 1)
+
+    legs = [[None] * 3 for _ in range(n)]  # state axes (phys, chi_l, chi_r)
     for c in range(n - 1):
-        lab = next(labels)
-        chi = net.psi.tensors[c].shape[2]
-        state_axes[c][2] = lab
-        state_axes[c + 1][1] = lab
-        if chi > 1:
-            sampled.append((lab, chi, "h"))
+        legs[c][2], legs[c + 1][1] = wire(net.psi.tensors[c].shape[2], "h")
     # Dangling dimension-1 edge bonds get trivial caps.
+    caps = []
     for c, axis in ((0, 1), (n - 1, 2)):
-        lab = next(labels)
-        state_axes[c][axis] = lab
-        nodes.append([np.ones(1, dtype=complex), {0: lab}])
-
-    # Vertical chains with real gate halves only.
+        legs[c][axis] = next(labels)
+        caps.append((np.ones(1, dtype=complex), [legs[c][axis]]))
+    # Vertical chains with real gate halves only; each chain end is the
+    # first endpoint of the next vertical wire.
     chain = {}
     for c in range(n):
-        lab = next(labels)
-        state_axes[c][0] = lab
-        chain[c] = lab
-    for l in range(nl):
-        for site, _ in net.circuit.layers[l]:
+        legs[c][0] = chain[c] = (next(labels), 0)
+    nodes = list(zip(net.psi.tensors, legs)) + caps
+    for l, layer in enumerate(net.circuit.layers):
+        for site, _ in layer:
             pair = net.gate_pairs[(l, site)]
-            gl = next(labels)  # gate bond label
-            if pair.bond_dim > 1:
-                sampled.append((gl, pair.bond_dim, "h"))
-            for half, ops in (("L", pair.left_ops), ("R", pair.right_ops)):
-                c = site if half == "L" else site + 1
-                t = np.stack(ops)  # (g, out, in)
-                in_lab = chain[c]
-                sampled.append((in_lab, d, "v"))
-                out_lab = next(labels)
-                chain[c] = out_lab
-                nodes.append([t, {0: gl, 1: out_lab, 2: in_lab}])
-    for c in range(n):
-        finals[c] = chain[c]
-    return nodes, sampled, finals
-
-
-def _frobenius_contract(nodes, guard_label):
-    """Contract nodes over shared labels; returns squared Frobenius norm of
-    the remainder (open legs are summed over incoherently)."""
-    tensor, _ = _contract_group(
-        [(t, list(ax[a] for a in sorted(ax))) for t, ax in nodes],
-        order_key=lambda item: 0,
-        guard_label=guard_label,
-    )
-    return float(np.linalg.norm(tensor) ** 2)
+            bond = wire(pair.bond_dim, "h")
+            for side, ops in enumerate((pair.left_ops, pair.right_ops)):
+                c = site + side
+                lab = chain[c][0]
+                sampled.append((lab, d, "v"))
+                chain[c] = (next(labels), 0)
+                nodes.append((np.stack(ops), [bond[side], chain[c], (lab, 1)]))
+    return nodes, sampled, chain
 
 
 class BranchTable:
     """Exact joint distribution of wire outcomes and observable outcomes."""
 
-    def __init__(self, wires, lam, probs, outcome_index):
+    def __init__(self, wires, lam, probs, outcome_index, clipped_mass):
         self.wires = wires          # (label, dim, orientation) per wire
         self.lam = lam              # per-outcome product of eigenvalues
         self.probs = probs          # (2**W, n_out), rows indexed by outcome bits
         self.outcome_index = outcome_index
+        self.clipped_mass = clipped_mass  # negative rounding mass set to zero
 
     @property
     def n_wires(self):
@@ -666,11 +664,25 @@ class BranchTable:
         return float(np.sum(self.probs[0]))
 
 
-def branch_distribution(net: ChannelNetwork) -> BranchTable:
-    """Enumerate every heralded branch of the preparation exactly.
+def _doubled(tensor):
+    """T (x) T* with each leg fused to its conjugate, ket index first."""
+    n = tensor.ndim
+    pair = np.multiply.outer(tensor, tensor.conj())
+    perm = [a for k in range(n) for a in (k, k + n)]
+    return pair.transpose(perm).reshape([dim * dim for dim in tensor.shape])
 
-    Wire outcome bit 0 is the Bell outcome |w><w|, bit 1 its complement;
-    observable outcomes run over the eigenbases of the measured sites.
+
+def branch_distribution(net: ChannelNetwork) -> BranchTable:
+    """Every heralded branch of the preparation, from one contraction.
+
+    Wire outcome bit 0 is the Bell outcome Omega = |w><w|, bit 1 its
+    complement; observable outcomes run over the eigenbases of the measured
+    sites.  The branch weights <psi| (x)_k Pi_{b_k} (x) Pi_o |psi> are the
+    open legs of the doubled (ket (x) bra) preparation graph: every wire
+    carries one tensor stacking Omega and 1 - Omega over its two endpoints
+    with an open bit leg, every measured site its eigenprojectors with an
+    open outcome leg, and every other site a ket-to-bra trace.  Row bit k of
+    the table is wire k.
     """
     import itertools
 
@@ -689,50 +701,24 @@ def branch_distribution(net: ChannelNetwork) -> BranchTable:
         )
     outcomes = list(itertools.product(*[range(net.d) for _ in measured]))
 
-    # G[mask, o]: all wires in mask Bell-capped, others physically open.
-    g = np.zeros((2**w, len(outcomes)))
-    for mask in range(2**w):
-        base = []
-        for t, ax in nodes:
-            new_ax = {}
-            for a, lab in ax.items():
-                new_ax[a] = lab
-            base.append([t, new_ax])
-        # Bell-capped wires route both endpoints through a |w> cap node;
-        # open wires get distinct endpoint sublabels so nothing contracts
-        # and the Frobenius norm sums them incoherently.
-        for k, (lab, dim, _) in enumerate(sampled):
-            ends = [
-                (node, a)
-                for node in base
-                for a, l in node[1].items()
-                if l == lab
-            ]
-            capped = bool(mask >> k & 1)
-            if capped:
-                cap = np.eye(dim, dtype=complex) / np.sqrt(dim)
-                base.append([cap, {0: (lab, 0), 1: (lab, 1)}])
-            for i, (node, a) in enumerate(ends):
-                node[1][a] = (lab, i) if capped else (lab, "open", i)
-        for o_idx, o in enumerate(outcomes):
-            run = [[t, dict(ax)] for t, ax in base]
-            for c, oc in zip(measured, o):
-                vec = eig[c][1][:, oc].conj()
-                run.append([vec, {0: finals[c]}])
-            g[mask, o_idx] = _frobenius_contract(run, "branch enumeration")
-
-    # Moebius: P(b) = sum_{T subset of ones(b)} (-1)^|T| G(zeros(b) | T).
-    full = 2**w - 1
-    probs = np.zeros_like(g)
-    for b in range(2**w):
-        zeros = full & ~b
-        t = b
-        while True:
-            sign = (-1) ** bin(t).count("1")
-            probs[b] += sign * g[zeros | t]
-            if t == 0:
-                break
-            t = (t - 1) & b
+    items = [(_doubled(t), legs) for t, legs in nodes]
+    for k, (lab, dim, _) in enumerate(sampled):
+        bell = np.eye(dim * dim) / dim
+        ident = np.eye(dim).reshape(-1)
+        # Open leg ("b", w - 1 - k): the canonical leg order ("b" legs, then
+        # "out" legs by site) makes wire k row bit k.
+        items.append((np.stack([bell, np.outer(ident, ident) - bell]),
+                      [("b", w - 1 - k), (lab, 0), (lab, 1)]))
+    for c, final in finals.items():
+        if c in eig:
+            vecs = eig[c][1]
+            proj = np.einsum("fo,go->ofg", vecs.conj(), vecs).reshape(net.d, -1)
+            items.append((proj, [("out", c), final]))
+        else:
+            items.append((np.eye(net.d).reshape(-1), [final]))
+    table, _ = _contract_group(items, "branch enumeration")
+    probs = table.real.reshape(2**w, n_out)
+    clipped = float(np.maximum(-probs, 0.0).sum())
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
     if total <= 0:
@@ -741,7 +727,7 @@ def branch_distribution(net: ChannelNetwork) -> BranchTable:
     lam = np.array(
         [np.prod([eig[c][0][oc] for c, oc in zip(measured, o)]) for o in outcomes]
     ) if measured else np.ones(1)
-    return BranchTable(sampled, lam, probs, outcomes)
+    return BranchTable(sampled, lam, probs, outcomes, clipped / total)
 
 
 @dataclass(frozen=True)
@@ -752,6 +738,7 @@ class SampleResult:
     accepted: int
     acceptance_rate: float
     strategy: str
+    clipped_mass: float  # BranchTable.clipped_mass of the sampled table
 
 
 def evaluate_sampled(
@@ -796,7 +783,9 @@ def _postselect_estimate(table, counts, shots):
         stderr = float(np.sqrt(var / n_acc))
     else:
         stderr = float("inf")
-    return SampleResult(est, stderr, shots, n_acc, n_acc / shots, "postselect")
+    return SampleResult(
+        est, stderr, shots, n_acc, n_acc / shots, "postselect", table.clipped_mass
+    )
 
 
 def _corrected_estimate(table, counts, shots, rng, correct_vertical):
@@ -836,7 +825,9 @@ def _corrected_estimate(table, counts, shots, rng, correct_vertical):
             boots.append(bn / bd)
     stderr = float(np.std(boots)) if len(boots) > 1 else float("inf")
     n_acc = int(counts[0].sum())
-    return SampleResult(float(est), stderr, shots, n_acc, n_acc / shots, "corrected")
+    return SampleResult(
+        float(est), stderr, shots, n_acc, n_acc / shots, "corrected", table.clipped_mass
+    )
 
 
 def _row_set(w, corrected, s_bits, post):

@@ -12,13 +12,12 @@ import numpy as np
 
 from .errors import ShapeError, SizeGuardError
 from .hamiltonians import LocalHamiltonian
-from .linalg import embed_operator, matrix_exp
-from .network import BranchTable, BrickworkCircuit, ChannelNetwork, OqtPlan
-from .network import branch_distribution
+from .linalg import as_matrix, matrix_exp
+from .network import BRANCH_GUARD, BranchTable, BrickworkCircuit, ChannelNetwork
+from .network import OqtPlan, branch_distribution
 
 STATE_GUARD = 2**14
 UNITARY_GUARD = 2**12
-BRANCH_GUARD = 2**20
 
 
 @dataclass(frozen=True)
@@ -85,12 +84,20 @@ def apply_circuit(psi, circuit: BrickworkCircuit, dims=None) -> np.ndarray:
 
 
 def expectation(psi, ops, dims) -> complex:
-    """<psi| (x)_n O_n |psi> with identities at unlisted sites."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    full = np.eye(psi.size, dtype=complex)
+    """<psi| (x)_n O_n |psi> with identities at unlisted sites.
+
+    Each local operator acts on its site axis of the state tensor.
+    """
+    psi = np.asarray(psi, dtype=complex).reshape(dims)
+    out = psi
     for site, op in dict(ops).items():
-        full = full @ embed_operator(np.asarray(op, complex), [site], dims)
-    return complex(np.conj(psi) @ full @ psi)
+        op = as_matrix(op)
+        if op.shape != (dims[site], dims[site]):
+            raise ShapeError(
+                f"operator shape {op.shape} does not match site dim {dims[site]}"
+            )
+        out = np.moveaxis(np.tensordot(op, out, axes=([1], [site])), 0, site)
+    return complex(np.vdot(psi, out))
 
 
 def circuit_expectation(psi, circuit: BrickworkCircuit, ops, dims=None) -> complex:

@@ -164,6 +164,7 @@ def test_report_reproducibility(workdir, capsys):
         assert code == 0
         data = json.loads(out)
         data.pop("meta")
+        assert 0 <= data["clipped_mass"] <= 1e-12
         reports.append(json.dumps(data, sort_keys=True))
     assert reports[0] == reports[1]
 
@@ -235,5 +236,6 @@ def test_verify_command(workdir, capsys):
     assert "[PASS] oqt/mixing-identity" in out
     summary = json.loads(out_path.read_text())
     assert summary["passed"] is True
+    assert all(c["seconds"] >= 0 for c in summary["checks"])
     code, _ = run_cli(["verify", "--suite", "nonsense"], capsys)
     assert code == 2

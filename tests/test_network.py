@@ -209,6 +209,38 @@ def test_regions_match_exact():
         assert all(p >= 0 for p in probs)
 
 
+def test_regions_cli_default_split_wide_network():
+    # The CLI's default split [N/2] at N=10, L=3 once built a 2^26-entry
+    # intermediate and refused.
+    rng = np.random.default_rng(31)
+    net, psi, circ, obs = random_net(rng, 10, 3, obs_sites=(5,))
+    value, _ = network.evaluate_regions(net, network.column_partition(net, [5]))
+    assert abs(value - oracle_value(psi, circ, obs)) < 1e-8
+
+
+def test_contraction_guard_refuses_before_allocating():
+    import tracemalloc
+
+    rng = np.random.default_rng(32)
+    a = rng.normal(size=(4096, 2)) + 0j
+    b = rng.normal(size=(2, 8192)) + 0j
+    refused_bytes = 4096 * 8192 * 16
+    assert 4096 * 8192 > network.CONTRACTION_GUARD
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match="refusing"):
+            network._contract_group([(a, ["x", "s"]), (b, ["s", "y"])], "test")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < refused_bytes / 100
+
+
+def test_contract_group_rejects_mismatched_wire():
+    with pytest.raises(ShapeError, match="dims 2 and 3"):
+        network._contract_group([(np.ones(2), ["w"]), (np.ones(3), ["w"])], "test")
+
+
 def test_region_partition_validation():
     rng = np.random.default_rng(7)
     net, *_ = random_net(rng, 2, 1)
@@ -224,13 +256,88 @@ def test_region_partition_validation():
 
 def test_branch_distribution_is_consistent():
     rng = np.random.default_rng(8)
-    net, psi, circ, obs = random_net(rng, 2, 1)
+    # N=4, L=1 (W=9) and N=3, L=2 (W=8) once exceeded the contraction guard.
+    for n, l in ((2, 1), (4, 1), (3, 2)):
+        net, psi, circ, obs = random_net(rng, n, l)
+        table = network.branch_distribution(net)
+        assert abs(table.probs.sum() - 1) < 1e-10
+        assert 0 <= table.clipped_mass <= 1e-12
+        # Conditioning on the all-Bell branch reproduces the exact value.
+        cond = table.probs[0] / table.probs[0].sum()
+        value = float(np.dot(cond, table.lam))
+        assert abs(value - network.evaluate_exact(net).real) < 1e-10
+    res = network.evaluate_sampled(net, shots=10**4, seed=0, strategy="corrected")
+    assert np.isfinite(res.estimate)
+    assert res.clipped_mass == table.clipped_mass
+
+
+def dense_branch_table(net):
+    """Branch probabilities from the product vector of the node tensors with
+    every wire endpoint open: each wire's projector Omega = |w><w| (bit 0) or
+    1 - Omega (bit 1) acts on its two endpoints, then the observable
+    eigenprojectors on the final legs."""
+    import itertools
+
+    nodes, sampled, finals = network._ket_graph(net)
+    vec, labels = np.ones((), dtype=complex), []
+    for t, legs in nodes:
+        vec = np.multiply.outer(vec, t)
+        labels += legs
+
+    def apply(v, op, labs):
+        axes = [labels.index(lab) for lab in labs]
+        v = np.moveaxis(v, axes, range(len(axes)))
+        shape = v.shape
+        v = (op @ v.reshape(op.shape[1], -1)).reshape(shape)
+        return np.moveaxis(v, range(len(axes)), axes)
+
+    measured = sorted(net.observables)
+    vecs = {c: np.linalg.eigh(net.observables[c])[1] for c in measured}
+    outcomes = list(itertools.product(range(net.d), repeat=len(measured)))
+    probs = np.zeros((2 ** len(sampled), len(outcomes)))
+
+    def descend(v, k, row):
+        if k == len(sampled):
+            for i, o in enumerate(outcomes):
+                u = v
+                for c, oc in zip(measured, o):
+                    e = vecs[c][:, oc]
+                    u = apply(u, np.outer(e, e.conj()), [finals[c]])
+                probs[row, i] = np.vdot(u, u).real
+            return
+        lab, dim, _ = sampled[k]
+        w = np.eye(dim).reshape(-1) / np.sqrt(dim)
+        omega = np.outer(w, w.conj())
+        for bit, proj in enumerate((omega, np.eye(dim * dim) - omega)):
+            descend(apply(v, proj, [(lab, 0), (lab, 1)]), k + 1, row | bit << k)
+
+    descend(vec, 0, 0)
+    return probs / probs.sum()
+
+
+def rank_two_gate(rng):
+    """A random two-qubit gate of operator-Schmidt rank 2 (local unitaries
+    around a CNOT)."""
+    a, b, c, d = (haar_unitary(rng, 2) for _ in range(4))
+    return np.kron(a, b) @ CNOT @ np.kron(c, d)
+
+
+@pytest.mark.parametrize("n_wires", [4, 5, 7])
+def test_branch_table_matches_dense_reference(n_wires):
+    rng = np.random.default_rng(40 + n_wires)
+    if n_wires == 7:
+        # N=2, L=3; rank-2 gates keep the open product vector at 2^16 entries.
+        psi = mps.from_statevector(random_state(rng, 4), [2, 2])
+        circ = network.BrickworkCircuit(
+            2, (((0, rank_two_gate(rng)),), (), ((0, rank_two_gate(rng)),))
+        )
+        net = network.build_network(psi, circ, [(0, PAULI["X"])])
+    else:
+        n = n_wires - 2
+        net, *_ = random_net(rng, n, 1, obs_sites=(0, n - 1))
     table = network.branch_distribution(net)
-    assert abs(table.probs.sum() - 1) < 1e-10
-    # Conditioning on the all-Bell branch reproduces the exact value.
-    cond = table.probs[0] / table.probs[0].sum()
-    value = float(np.dot(cond, table.lam))
-    assert abs(value - network.evaluate_exact(net).real) < 1e-10
+    assert table.n_wires == n_wires
+    assert np.max(np.abs(table.probs - dense_branch_table(net))) < 1e-12
 
 
 def test_sampling_deterministic_network():

@@ -97,6 +97,20 @@ def test_amplitude_exact():
     )
 
 
+def test_expectation_matches_dense_embedding():
+    from conftest import dense_expectation
+
+    rng = np.random.default_rng(6)
+    for n in (1, 3, 8):
+        psi = random_state(rng, 2**n)
+        sites = rng.choice(n, size=min(n, 3), replace=False)
+        ops = {int(s): PAULI["XYZ"[k % 3]] for k, s in enumerate(sites)}
+        got = oracle.expectation(psi, ops, [2] * n)
+        assert abs(got - dense_expectation(psi, ops, [2] * n)) < 1e-12
+    with pytest.raises(ShapeError):
+        oracle.expectation(random_state(rng, 4), {0: np.eye(4)}, [2, 2])
+
+
 def test_size_guards():
     with pytest.raises(SizeGuardError):
         oracle.apply_circuit(
