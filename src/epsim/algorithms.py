@@ -23,12 +23,15 @@ from .errors import (
     ShapeError,
 )
 from .hamiltonians import LocalHamiltonian, exact_unitary, trotter_circuit
-from .linalg import as_matrix, dagger, is_unitary, matrix_exp
+from .linalg import PAULI, as_matrix, dagger, is_unitary, matrix_exp
 from .oracle import apply_circuit
 from .parallel import parallel_map
 
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+
+def _swap_matrix(d: int) -> np.ndarray:
+    """Exchange of two d-level systems: |i, j> -> |j, i>."""
+    swap = np.eye(d * d, dtype=complex).reshape(d, d, d, d)
+    return swap.transpose(1, 0, 2, 3).reshape(d * d, d * d)
 
 
 @dataclass(frozen=True)
@@ -66,8 +69,8 @@ def hadamard_test(
     d = a.size
     # |v> = ctrl-U (|+> (x) |a>)
     v = np.concatenate([a, u @ a]) / np.sqrt(2)
-    re = float(np.real(np.conj(v) @ np.kron(_SX, np.eye(d)) @ v))
-    im = float(np.real(np.conj(v) @ np.kron(_SY, np.eye(d)) @ v))
+    re = float(np.real(np.conj(v) @ np.kron(PAULI["X"], np.eye(d)) @ v))
+    im = float(np.real(np.conj(v) @ np.kron(PAULI["Y"], np.eye(d)) @ v))
     if shots is None:
         return AmplitudeEstimate(complex(re, im), 0.0, 0)
     rng = np.random.default_rng(seed)
@@ -94,10 +97,7 @@ def _cswap_probabilities(u, a, eigvec):
     estimator inverts.
     """
     d = a.size
-    swap = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            swap[j * d + i, i * d + j] = 1.0
+    swap = _swap_matrix(d)
     cswap = np.block(
         [[np.eye(d * d), np.zeros((d * d, d * d))], [np.zeros((d * d, d * d)), swap]]
     )
@@ -107,7 +107,7 @@ def _cswap_probabilities(u, a, eigvec):
     rho = np.outer(final, final.conj())
     proj_a = np.outer(a, a.conj())
     probs = []
-    for pauli in (_SX, _SY):
+    for pauli in (PAULI["X"], PAULI["Y"]):
         eff = np.kron((np.eye(2) + pauli) / 2, np.kron(proj_a, np.eye(d)))
         probs.append(float(np.real(np.trace(eff @ rho))))
     eff_a = np.kron(np.eye(2), np.kron(proj_a, np.eye(d)))
@@ -685,10 +685,7 @@ def encoded_cswap_defect(u, n_rep: int = 3) -> float:
     """
     u = as_matrix(u)
     d = u.shape[0]
-    swap = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            swap[j * d + i, i * d + j] = 1.0
+    swap = _swap_matrix(d)
 
     def cswap_on(controller_dim, control_state_mask):
         """Controlled swap with the control condition |mask bits all 1>."""

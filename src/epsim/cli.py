@@ -24,19 +24,12 @@ from . import network as net
 from . import oracle, serialize, verify
 from .errors import ConfigError, EpsimError, SizeGuardError
 from .hamiltonians import LocalHamiltonian
-from .linalg import embed_operator
+from .linalg import PAULI, embed_operator
 from .mps import MPS
 from .rand import random_density, random_kraus_set
 
 SCHEMA_VERSION = 1
 TASKS = ("dynamics", "thermal", "entropy", "amplitude", "duality-check")
-
-PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 class ExperimentConfig:
@@ -75,11 +68,21 @@ class ExperimentConfig:
             raise ConfigError(f"{key} file not found: {p}")
         return p
 
-    def load_json(self, key: str):
+    def parse(self, key: str, parser):
+        """``parser`` applied to the JSON of the ``key`` file; a missing
+        field or a value of the wrong type or form is a ConfigError."""
         try:
-            return json.loads(self.path(key).read_text())
+            data = json.loads(self.path(key).read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{key} file is not valid JSON: {exc}") from exc
+        try:
+            return parser(data)
+        except EpsimError:  # several are ValueErrors; they keep their own type
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"{key} file is malformed ({type(exc).__name__}: {exc})"
+            ) from exc
 
 
 def _observable_matrix(spec, phys_dim: int) -> np.ndarray:
@@ -93,11 +96,12 @@ def _observable_matrix(spec, phys_dim: int) -> np.ndarray:
     raise ConfigError("observable entries need a 'pauli' or 'matrix' field")
 
 
-def _load_vector(data: dict) -> np.ndarray:
-    if "vector" not in data:
-        raise ConfigError("state file needs a 'vector' field")
-    v = serialize.parse_cvec(data["vector"])
-    return v / np.linalg.norm(v)
+def _load_vector(config: ExperimentConfig, key: str) -> np.ndarray:
+    v = config.parse(key, lambda data: serialize.parse_cvec(data["vector"]))
+    norm = np.linalg.norm(v)
+    if not 0 < norm < np.inf:
+        raise ConfigError(f"{key} vector has norm {norm}; cannot normalize")
+    return v / norm
 
 
 def _complex_field(z: complex):
@@ -136,8 +140,8 @@ def run_task(config: ExperimentConfig) -> dict:
 
 
 def _run_dynamics(config: ExperimentConfig) -> dict:
-    psi = MPS.from_dict(config.load_json("state_file")).canonicalize("left")
-    circuit = net.BrickworkCircuit.from_dict(config.load_json("circuit_file"))
+    psi = config.parse("state_file", MPS.from_dict).canonicalize("left")
+    circuit = config.parse("circuit_file", net.BrickworkCircuit.from_dict)
     obs = [
         (int(entry["site"]), _observable_matrix(entry, circuit.phys_dim))
         for entry in config.raw["observables"]
@@ -190,7 +194,7 @@ def _run_dynamics(config: ExperimentConfig) -> dict:
 
 
 def _run_thermal(config: ExperimentConfig) -> dict:
-    ham = LocalHamiltonian.from_dict(config.load_json("model_file"))
+    ham = config.parse("model_file", LocalHamiltonian.from_dict)
     dims = [ham.phys_dim] * ham.n_sites
     spec = config.raw["observable"]
     local = _observable_matrix(spec, ham.phys_dim)
@@ -240,7 +244,7 @@ def _run_thermal(config: ExperimentConfig) -> dict:
 
 
 def _run_entropy(config: ExperimentConfig) -> dict:
-    ham = LocalHamiltonian.from_dict(config.load_json("model_file"))
+    ham = config.parse("model_file", LocalHamiltonian.from_dict)
     epsilon = float(config.raw["epsilon"])
     value = alg.entropy(ham, epsilon)
     try:
@@ -252,9 +256,11 @@ def _run_entropy(config: ExperimentConfig) -> dict:
 
 
 def _run_amplitude(config: ExperimentConfig) -> dict:
-    phi = _load_vector(config.load_json("phi_file"))
-    psi = _load_vector(config.load_json("psi_file"))
-    u = serialize.parse_cmat_nested(config.load_json("unitary_file")["matrix"])
+    phi = _load_vector(config, "phi_file")
+    psi = _load_vector(config, "psi_file")
+    u = config.parse(
+        "unitary_file", lambda data: serialize.parse_cmat_nested(data["matrix"])
+    )
     shots = config.raw.get("shots")
     est = alg.transition_amplitude(
         phi, u, psi, shots=int(shots) if shots else None, seed=config.seed

@@ -8,16 +8,12 @@ import numpy as np
 
 from . import serialize
 from .errors import ShapeError, SizeGuardError
-from .linalg import as_matrix, dagger, embed_operator, matrix_exp
+from .linalg import PAULI, as_matrix, dagger, embed_operator, matrix_exp
 from .network import BrickworkCircuit
 
 DENSE_DIM_GUARD = 2**12
 MAX_TERMS = 10**4
 MAX_SUPPORT = 4
-
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -94,9 +90,9 @@ def build_tfim(n_sites: int, j: float, h: float) -> LocalHamiltonian:
     """Transverse-field Ising chain H = -J sum Z Z - h sum X."""
     if n_sites < 2:
         raise ShapeError("need at least two sites")
-    terms = [((n, n + 1), -j * np.kron(_Z, _Z)) for n in range(n_sites - 1)]
+    terms = [((n, n + 1), -j * np.kron(PAULI["Z"], PAULI["Z"])) for n in range(n_sites - 1)]
     if h != 0:
-        terms += [((n,), -h * _X) for n in range(n_sites)]
+        terms += [((n,), -h * PAULI["X"]) for n in range(n_sites)]
     return LocalHamiltonian(n_sites, 2, tuple(terms))
 
 
@@ -104,7 +100,7 @@ def build_heisenberg(n_sites: int, j: float) -> LocalHamiltonian:
     """Heisenberg chain H = J sum (XX + YY + ZZ)."""
     if n_sites < 2:
         raise ShapeError("need at least two sites")
-    bond = j * (np.kron(_X, _X) + np.kron(_Y, _Y) + np.kron(_Z, _Z))
+    bond = j * sum(np.kron(PAULI[p], PAULI[p]) for p in "XYZ")
     return LocalHamiltonian(
         n_sites, 2, tuple(((n, n + 1), bond) for n in range(n_sites - 1))
     )

@@ -21,6 +21,13 @@ EQ_TOL = 1e-10        # generic equality / invariant checks
 PSD_CLAMP = 1e-10     # eigenvalues above -PSD_CLAMP are clamped to zero
 UNITARY_TOL = 1e-8    # unitarity validation
 
+PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
 
 def as_matrix(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)

@@ -8,7 +8,8 @@ the conjugation interface, and the mirrored conjugate rows.  Horizontal
 wires carry bond (entanglement) indices, vertical wires carry physical
 indices.  Evaluation then happens entirely on the entanglement space:
 
-* :func:`evaluate_exact` sweeps the lattice column by column,
+* :func:`evaluate_exact` contracts the whole lattice in one greedy
+  pairwise pass,
 * :func:`evaluate_regions` contracts disjoint node regions independently
   and joins them along the cut wires,
 * :func:`evaluate_sampled` simulates the heralded-measurement realization,
@@ -210,39 +211,27 @@ class ChannelNetwork:
         self.observables = {int(k): as_matrix(v) for k, v in observables.items()}
         self.d = circuit.phys_dim
         self.gate_pairs = {}  # (layer, site) -> GateChannelPair
-        self.layer_mpos = []  # [layer][site] -> (a, b, out, in)
-        self._compile()
         self.nodes: list[NetNode] = []
         self.wires: list[NetWire] = []
         self._build_graph()
 
-    # -- compilation of per-layer MPO rows
-
-    def _compile(self):
-        n, d = self.circuit.n_sites, self.d
-        ident = np.eye(d, dtype=complex).reshape(1, 1, d, d)
-        for l, layer in enumerate(self.circuit.layers):
-            row = [ident] * n
-            for site, gate in layer:
-                pair = compile_gate(gate)
-                self.gate_pairs[(l, site)] = pair
-                g = pair.bond_dim
-                left = np.zeros((1, g, d, d), dtype=complex)
-                right = np.zeros((g, 1, d, d), dtype=complex)
-                for m in range(g):
-                    left[0, m] = pair.left_ops[m]
-                    right[m, 0] = pair.right_ops[m]
-                row[site] = left
-                row[site + 1] = right
-            self.layer_mpos.append(row)
-
     # -- doubled node/wire graph
 
     def _build_graph(self):
-        n = self.circuit.n_sites
+        n, d = self.circuit.n_sites, self.d
         nl = self.circuit.n_layers
         obs_row = nl + 1
         last_row = 2 * nl + 2
+        # Per-layer MPO rows [layer][site] of (a, b, out, in) gate halves.
+        ident = np.eye(d, dtype=complex).reshape(1, 1, d, d)
+        mpos = []
+        for l, layer in enumerate(self.circuit.layers):
+            row = [ident] * n
+            for site, gate in layer:
+                pair = self.gate_pairs[(l, site)] = compile_gate(gate)
+                row[site] = np.stack(pair.left_ops)[None]
+                row[site + 1] = np.stack(pair.right_ops)[:, None]
+            mpos.append(row)
         grid = {}
 
         def add(kind, row, col, tensor):
@@ -256,13 +245,13 @@ class ChannelNetwork:
         add("boundary", 0, n, self.psi.boundary)
         for l in range(nl):
             for c in range(n):
-                add("gate", l + 1, c, self.layer_mpos[l][c])
+                add("gate", l + 1, c, mpos[l][c])
         for c in range(n):
             obs = self.observables.get(c, np.eye(self.d))
             add("obs", obs_row, c, obs.T)  # legs (ket, conj)
         for l in range(nl):
             for c in range(n):
-                add("gate*", last_row - 1 - l, c, self.layer_mpos[l][c].conj())
+                add("gate*", last_row - 1 - l, c, mpos[l][c].conj())
         for c in range(n):
             add("state*", last_row, c, self.psi.tensors[c].conj())
         add("boundary*", last_row, n, self.psi.boundary.conj())
@@ -361,63 +350,21 @@ def build_network(psi: MPS, circuit: BrickworkCircuit, observables) -> ChannelNe
 
 
 # ---------------------------------------------------------------------------
-# Exact evaluation: column sweep along the chain direction
+# Exact evaluation: the whole graph in one contraction
 
 
 def evaluate_exact(net: ChannelNetwork) -> complex:
-    """Contract the network exactly, column by column.
+    """Contract every node of the network in one call to the contraction core.
 
-    The running environment lives on the cut bond space (state bond, the
-    per-layer gate bonds, and their conjugates); intermediate tensors above
-    the size guard raise SizeGuardError with a cost report.
+    The boundary nodes are part of the graph, so the value carries the
+    boundary weight; a step whose result would exceed the size guard raises
+    SizeGuardError before it allocates.
     """
-    n = net.circuit.n_sites
-    # Cost precheck of every column from shapes alone, before the sweep.
-    for c in range(n):
-        d, dl, dr = net.psi.tensors[c].shape
-        for l in range(net.circuit.n_layers):
-            a, b = net.layer_mpos[l][c].shape[:2]
-            dl, dr = dl * a, dr * b
-        _guard(d * dl * dr, f"column {c} half")
-        _guard(dl * dl + dr * dr, f"column {c} environment")
-    env = np.ones((1, 1), dtype=complex)  # (ket-left, bra-left) blocks
-    for c in range(n):
-        ket = _column_half(net, c, conj=False)
-        bra = _column_half(net, c, conj=True)
-        obs = net.observables.get(c, np.eye(net.d)).astype(complex)
-        ket = np.tensordot(obs, ket, axes=([1], [0]))  # apply O to the ket top
-        env = _apply_column(env, ket, bra)
-    scalar = net.psi.boundary[0, 0]
-    return complex(abs(scalar) ** 2 * env.reshape(()))
-
-
-def _column_half(net: ChannelNetwork, c: int, conj: bool) -> np.ndarray:
-    """Vertical contraction of one column's state and gate tensors.
-
-    Returns legs (phys_top, chi_l, chi_r, a_1, b_1, ..., a_L, b_L).
-    """
-    t = net.psi.tensors[c]
-    if conj:
-        t = t.conj()
-    acc = t  # (phys, chi_l, chi_r)
-    for l in range(net.circuit.n_layers):
-        w = net.layer_mpos[l][c]
-        if conj:
-            w = w.conj()
-        acc = np.einsum("abop,p...->o...ab", w, acc)
-    return acc
-
-
-def _apply_column(env, ket, bra):
-    """One sweep step: env[ketL, braL] -> env'[ketR, braR]."""
-    n_rows = (ket.ndim - 1) // 2
-    perm = [0] + [1 + 2 * i for i in range(n_rows)] + [2 + 2 * i for i in range(n_rows)]
-    dl = int(np.prod([ket.shape[p] for p in perm[1 : 1 + n_rows]]))
-    dr = int(np.prod([ket.shape[p] for p in perm[1 + n_rows :]]))
-    kb = ket.transpose(perm).reshape(ket.shape[0], dl, dr)
-    bb = bra.transpose(perm).reshape(bra.shape[0], dl, dr)
-    # bb already holds conjugated tensors.
-    return np.einsum("pkr,kK,pKs->rs", kb, env, bb, optimize=True)
+    legs = _node_axis_wires(net)
+    value, _ = _contract_group(
+        [(node.tensor, legs[node.nid]) for node in net.nodes], "exact contraction"
+    )
+    return complex(value.reshape(()))
 
 
 def _guard(size, label):

@@ -19,14 +19,8 @@ from . import mps as mpsmod
 from . import network as net
 from . import oracle
 from .errors import ShapeError
-from .linalg import dagger, embed_operator
+from .linalg import PAULI, dagger, embed_operator
 from .rand import haar_unitary, random_density, random_kraus_set, random_state
-
-PAULI = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 @dataclass(frozen=True)

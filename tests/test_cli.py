@@ -209,6 +209,38 @@ def test_config_errors(workdir, capsys):
     assert "needs fields" in json.loads(out)["error"]["message"]
 
 
+def test_state_file_without_tensors_is_config_error(workdir, capsys):
+    (workdir / "notensors.json").write_text(json.dumps({"boundary": [[[1.0, 0.0]]]}))
+    config = {
+        "task": "dynamics",
+        "state_file": "notensors.json",
+        "circuit_file": "circuit.json",
+        "observables": [{"site": 1, "pauli": "Z"}],
+    }
+    (workdir / "job.json").write_text(json.dumps(config))
+    code, out = run_cli(["run", "--config", str(workdir / "job.json")], capsys)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ConfigError"
+    assert "state_file" in err["message"] and "tensors" in err["message"]
+
+
+def test_zero_vector_is_config_error(workdir, capsys):
+    (workdir / "zero.json").write_text(json.dumps({"vector": [[0.0, 0.0]] * 4}))
+    config = {
+        "task": "amplitude",
+        "phi_file": "zero.json",
+        "psi_file": "psi.json",
+        "unitary_file": "unitary.json",
+    }
+    (workdir / "job.json").write_text(json.dumps(config))
+    code, out = run_cli(["run", "--config", str(workdir / "job.json")], capsys)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ConfigError"
+    assert "phi_file" in err["message"]
+
+
 def test_budget_error_surfaces(workdir, capsys):
     config = {
         "task": "thermal",

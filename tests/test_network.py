@@ -133,10 +133,17 @@ def test_exact_norm_preservation():
     assert abs(network.evaluate_exact(net) - 1) < 1e-10
 
 
-@pytest.mark.parametrize("n,l", [(2, 1), (3, 2), (4, 2), (6, 3)])
-def test_exact_matches_oracle(n, l):
+EXACT_CASES = [(2, 1, 1), (3, 2, 1), (4, 2, 1), (6, 3, 1), (12, 6, 6)]
+
+
+@pytest.mark.parametrize(
+    "n,l,site", EXACT_CASES, ids=[f"{n}-{l}" for n, l, _ in EXACT_CASES]
+)
+def test_exact_matches_oracle(n, l, site):
+    # (12, 6): its column cuts exceed the size guard, which the greedy
+    # whole-network order never builds.
     rng = np.random.default_rng(10 * n + l)
-    net, psi, circ, obs = random_net(rng, n, l, obs_sites=(1,))
+    net, psi, circ, obs = random_net(rng, n, l, obs_sites=(site,))
     got = network.evaluate_exact(net)
     want = oracle_value(psi, circ, obs)
     assert abs(got - want) < 1e-8
@@ -167,13 +174,26 @@ def test_exact_gauge_invariance():
     assert abs(values[0] - values[1]) < 1e-10
 
 
-def test_exact_contraction_size_guard():
+def test_exact_contraction_size_guard(monkeypatch):
+    import re
+    import tracemalloc
+
+    # A full-rank N=16 state: the first greedy step joins the two middle
+    # state tensors into a 2^16-entry result, far above the lowered guard.
     rng = np.random.default_rng(99)
-    psi = mps.from_statevector(random_state(rng, 2**12), [2] * 12)
-    circ = random_brickwork(rng, 12, 6)
-    net_big = network.build_network(psi, circ, [(5, PAULI["Z"])])
-    with pytest.raises(SizeGuardError, match="refusing"):
-        network.evaluate_exact(net_big)
+    net, *_ = random_net(rng, 16, 1, obs_sites=(8,))
+    monkeypatch.setattr(network, "CONTRACTION_GUARD", 2**10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match="exact contraction") as err:
+            network.evaluate_exact(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "refusing" in str(err.value)
+    refused_bytes = int(re.search(r"has (\d+) entries", str(err.value))[1]) * 16
+    assert refused_bytes >= 2**16 * 16
+    assert peak < refused_bytes / 10
 
 
 def test_region_results_independent_of_thread_cap(monkeypatch):
