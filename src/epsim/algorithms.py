@@ -22,10 +22,9 @@ from .errors import (
     ReferenceStateError,
     ShapeError,
 )
-from .hamiltonians import LocalHamiltonian, exact_unitary, trotter_circuit
+from .hamiltonians import LocalHamiltonian, trotter_circuit
 from .linalg import PAULI, as_matrix, dagger, is_unitary, matrix_exp
 from .oracle import apply_circuit
-from .parallel import parallel_map
 
 
 def _swap_matrix(d: int) -> np.ndarray:
@@ -239,20 +238,28 @@ def extract_moments(
     mode: str = "exact",
     solver_tol: float = 1e-10,
     trotter_step: float | None = None,
-    amplitude=None,
 ) -> MomentSet:
     """Moments <a|H^n|a> from short-time amplitudes f(t) = <a|e^{-itH}|a>.
 
     Fits the degree s-1 Taylor polynomial through the amplitude samples by a
     column-scaled least squares solve; small orders use the monomial columns
     (-i t)^n / n! directly, large orders the equivalent Chebyshev columns,
-    whose conditioning stays flat.  Amplitudes come from hadamard_test on
-    the exact evolution, or from fixed-step Trotter powers.
+    whose conditioning stays flat.  The amplitudes are those of the exact
+    evolution, or of fixed-step Trotter powers, evaluated on the spectrum
+    of their generator.
     """
+    grid = _moment_grid(h.norm_bound(), order, grid, solver_tol)
+    a = _check_state(a)
+    f = _amplitudes(h, mode, grid, trotter_step, a[:, None])
+    return _fit_moments(grid, order, f)[0]
+
+
+def _moment_grid(h_norm: float, order: int, grid, solver_tol: float) -> tuple:
+    """The sample times (``default_grid`` when None), refused unless there
+    are ``order`` distinct ones and the order-s Taylor remainder at the
+    largest stays within ``solver_tol``."""
     if order < 1:
         raise ShapeError("order must be >= 1")
-    a = _check_state(a)
-    h_norm = h.norm_bound()
     grid = tuple(float(t) for t in (grid if grid is not None else
                                     default_grid(order, h_norm, solver_tol)))
     if len(set(grid)) < order:
@@ -265,54 +272,18 @@ def extract_moments(
             f"solver tolerance {solver_tol:.1e}; shrink the grid times "
             f"below {order}*({solver_tol:.1e}*{order}!)^(1/{order})/||H||"
         )
-    if amplitude is None:
-        amplitude = _amplitude_fn(h, a, mode, grid, trotter_step)
-
-    f = np.array([amplitude(t) for t in grid])
-    basis = "monomial" if order <= _MONOMIAL_MAX_ORDER else "chebyshev"
-    if basis == "monomial":
-        v = np.array(
-            [[(-1j * t) ** n / math.factorial(n) for n in range(order)] for t in grid]
-        )
-    else:
-        v = np.polynomial.chebyshev.chebvander(np.array(grid) / t_max, order - 1)
-    col_scale = np.linalg.norm(v, axis=0)
-    col_scale[col_scale == 0] = 1.0
-    vs = v / col_scale
-    condition = float(np.linalg.cond(vs))
-    if condition > 1e12:
-        raise IllConditionedError(
-            f"moment solve condition {condition:.2e} > 1e12; use a wider "
-            "spread of grid times or a lower order"
-        )
-    y, *_ = np.linalg.lstsq(vs, f, rcond=None)
-    coeffs = y / col_scale
-    residual = float(np.linalg.norm(v @ coeffs - f))
-    if basis == "monomial":
-        moments = coeffs
-        cheb = None
-    else:
-        poly = np.polynomial.chebyshev.cheb2poly(coeffs)
-        moments = np.array(
-            [
-                poly[n] * math.factorial(n) / ((-1j * t_max) ** n)
-                if n < len(poly)
-                else 0.0
-                for n in range(order)
-            ]
-        )
-        cheb = coeffs
-    return MomentSet(moments, condition, residual, grid, basis, cheb)
+    return grid
 
 
-def _amplitude_fn(h: LocalHamiltonian, a, mode: str, grid, trotter_step):
-    """f(t) = <a|U(t)|a> with U exact or a fixed-step Trotter product."""
+def _amplitudes(h: LocalHamiltonian, mode: str, grid, trotter_step, states):
+    """F[t, a] = <a|e^{-itG}|a> = sum_k |<k|a>|^2 e^{-itE_k} for every grid
+    time t and every column a of ``states``, as one matrix product over one
+    eigendecomposition G = sum_k E_k |k><k| of the generator: H itself in
+    exact mode, the effective Hamiltonian of one fixed-step Trotter step in
+    trotter mode."""
     if mode == "exact":
-        def amplitude(t):
-            return hadamard_test(exact_unitary(h, t), a).value
-
-        return amplitude
-    if mode == "trotter":
+        gen = h.dense()
+    elif mode == "trotter":
         import scipy.linalg
 
         t_max = max(abs(t) for t in grid)
@@ -333,13 +304,55 @@ def _amplitude_fn(h: LocalHamiltonian, a, mode: str, grid, trotter_step):
         # self-consistent, so the imaginary-time continuation does not
         # amplify floating-point noise from repeated matrix powers.
         h_eff = 1j * scipy.linalg.logm(step_u) / step
-        h_eff = (h_eff + dagger(h_eff)) / 2
+        gen = (h_eff + dagger(h_eff)) / 2
+    else:
+        raise ShapeError(f"unknown moment-extraction mode {mode!r}")
+    if states.shape[0] != gen.shape[0]:
+        raise ShapeError(f"state dim {states.shape[0]} != operator dim {gen.shape[0]}")
+    energies, eigvecs = np.linalg.eigh(gen)
+    weights = np.abs(dagger(eigvecs) @ states) ** 2
+    return np.exp(-1j * np.outer(grid, energies)) @ weights
 
-        def amplitude(t):
-            return hadamard_test(matrix_exp(h_eff, -1j * t), a).value
 
-        return amplitude
-    raise ShapeError(f"unknown moment-extraction mode {mode!r}")
+def _fit_moments(grid: tuple, order: int, f: np.ndarray) -> list:
+    """One MomentSet per column of ``f`` (grid times x states), all from a
+    single column-scaled least squares solve."""
+    t_max = max(abs(t) for t in grid)
+    basis = "monomial" if order <= _MONOMIAL_MAX_ORDER else "chebyshev"
+    if basis == "monomial":
+        v = np.array(
+            [[(-1j * t) ** n / math.factorial(n) for n in range(order)] for t in grid]
+        )
+    else:
+        v = np.polynomial.chebyshev.chebvander(np.array(grid) / t_max, order - 1)
+    col_scale = np.linalg.norm(v, axis=0)
+    col_scale[col_scale == 0] = 1.0
+    vs = v / col_scale
+    condition = float(np.linalg.cond(vs))
+    if condition > 1e12:
+        raise IllConditionedError(
+            f"moment solve condition {condition:.2e} > 1e12; use a wider "
+            "spread of grid times or a lower order"
+        )
+    y, *_ = np.linalg.lstsq(vs, f, rcond=None)
+    coeffs = y / col_scale[:, None]
+    residuals = np.linalg.norm(v @ coeffs - f, axis=0)
+    sets = []
+    for c, residual in zip(coeffs.T, residuals):
+        moments, cheb = c, None
+        if basis == "chebyshev":
+            poly = np.polynomial.chebyshev.cheb2poly(c)
+            moments = np.array(
+                [
+                    poly[n] * math.factorial(n) / ((-1j * t_max) ** n)
+                    if n < len(poly)
+                    else 0.0
+                    for n in range(order)
+                ]
+            )
+            cheb = c
+        sets.append(MomentSet(moments, condition, float(residual), grid, basis, cheb))
+    return sets
 
 
 def choose_truncation(beta: float, h_norm_bound: float, eps: float) -> int:
@@ -429,13 +442,16 @@ class ThermalResult:
 
 
 def thermal_value(job: ThermalJob, normalized: bool = False) -> ThermalResult:
-    """Tr(A e^{-beta H}) via per-eigenstate moment extraction.
+    """Tr(A e^{-beta H}) via Hamiltonian moments of A's eigenstates.
 
-    A is eigendecomposed; each eigenstate's Hamiltonian moments come from
-    short-time amplitude estimates, Wick-rotated into the imaginary-time
-    Taylor series.  The returned budget splits the error bound into the
-    Taylor tail, the Trotter contribution, and the solver residual; the
-    job is rejected up front if the requested epsilon is out of reach.
+    A and the centered H (or the Trotter step's effective Hamiltonian) are
+    each diagonalized once; the short-time amplitudes of every eigenstate
+    of A at every grid time are one matrix product, and one least squares
+    solve fits all of their moments, which are Wick-rotated into the
+    imaginary-time Taylor series.  The returned budget splits the error
+    bound into the Taylor tail, the Trotter contribution, and the solver
+    residual; the job is rejected up front if the requested epsilon is out
+    of reach.
     ``normalized`` divides by the partition function computed the same way
     (the plain thermal value is unnormalized).
     """
@@ -467,24 +483,14 @@ def thermal_value(job: ThermalJob, normalized: bool = False) -> ThermalResult:
         comm_scale = 2 * h_norm**2 * math.exp(x)
         trotter_step = trotter_alloc / max(alpha_sum * job.beta * comm_scale, 1e-12)
 
-    def one_eigenstate(idx):
-        vec = vecs[:, idx]
-        ms = extract_moments(
-            h,
-            vec,
-            job.order,
-            grid=job.grid,
-            mode=job.mode,
-            solver_tol=solver_tol,
-            trotter_step=trotter_step,
-        )
-        return ms.series_value(job.beta), ms
-
-    results = parallel_map(one_eigenstate, range(len(alphas)))
-    total = scale_mu * sum(alpha * val for alpha, (val, _) in zip(alphas, results))
-    condition = max(ms.condition for _, ms in results)
-    solver_bound = scale_mu * alpha_sum * max(
-        ms.residual * ms.amplification(job.beta) for _, ms in results
+    grid = _moment_grid(h_norm, job.order, job.grid, solver_tol)
+    f = _amplitudes(h, job.mode, grid, trotter_step, vecs)
+    fits = _fit_moments(grid, job.order, f)
+    total = scale_mu * sum(a * ms.series_value(job.beta) for a, ms in zip(alphas, fits))
+    condition = fits[0].condition
+    # amplification depends only on the shared grid, beta and order.
+    solver_bound = scale_mu * alpha_sum * fits[0].amplification(job.beta) * max(
+        ms.residual for ms in fits
     )
     trotter_bound = 0.0
     if job.mode == "trotter":

@@ -43,7 +43,7 @@ class ExperimentConfig:
         self.task = raw.get("task")
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
-        self.seed = int(raw.get("seed", 0))
+        self.seed = _field(raw, "seed", int, 0)
         self.evaluator = raw.get("evaluator", "exact")
         self.out = raw.get("out")
         self._require_fields()
@@ -85,14 +85,37 @@ class ExperimentConfig:
             ) from exc
 
 
-def _observable_matrix(spec, phys_dim: int) -> np.ndarray:
+_REQUIRED = object()
+
+
+def _field(data: dict, key: str, kind, default=_REQUIRED, where: str = ""):
+    """``kind(data[key])``, or ``default`` when the field is absent or null.
+    A missing required field, or a value ``kind`` rejects, is a ConfigError
+    naming the field."""
+    if data.get(key) is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"config field {where}{key} is required")
+        return default
+    try:
+        return kind(data[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field {where}{key} is malformed ({exc})") from exc
+
+
+def _observable(spec, where: str, n_sites: int, site_required: bool):
+    """(site, matrix) of one observable entry; site None if it names none."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"config field {where} must be a JSON object")
+    site = _field(spec, "site", int, _REQUIRED if site_required else None, where + ".")
+    if site is not None and not 0 <= site < n_sites:
+        raise ConfigError(f"config field {where}.site = {site} is not in 0..{n_sites - 1}")
     if "pauli" in spec:
-        name = spec["pauli"].upper()
+        name = _field(spec, "pauli", str, where=where + ".").upper()
         if name not in PAULI:
             raise ConfigError(f"unknown Pauli name {spec['pauli']!r}")
-        return PAULI[name]
+        return site, PAULI[name]
     if "matrix" in spec:
-        return serialize.parse_cmat_nested(spec["matrix"])
+        return site, _field(spec, "matrix", serialize.parse_cmat_nested, where=where + ".")
     raise ConfigError("observable entries need a 'pauli' or 'matrix' field")
 
 
@@ -143,8 +166,8 @@ def _run_dynamics(config: ExperimentConfig) -> dict:
     psi = config.parse("state_file", MPS.from_dict).canonicalize("left")
     circuit = config.parse("circuit_file", net.BrickworkCircuit.from_dict)
     obs = [
-        (int(entry["site"]), _observable_matrix(entry, circuit.phys_dim))
-        for entry in config.raw["observables"]
+        _observable(entry, f"observables[{k}]", circuit.n_sites, True)
+        for k, entry in enumerate(_field(config.raw, "observables", list))
     ]
     network = net.build_network(psi, circuit, obs)
     stderr = None
@@ -152,13 +175,14 @@ def _run_dynamics(config: ExperimentConfig) -> dict:
     if config.evaluator == "exact":
         value = net.evaluate_exact(network)
     elif config.evaluator == "regions":
-        splits = config.raw.get("partition_splits", [max(1, circuit.n_sites // 2)])
+        splits = _field(config.raw, "partition_splits", lambda v: [int(s) for s in v],
+                        [max(1, circuit.n_sites // 2)])
         value, probs = net.evaluate_regions(
             network, net.column_partition(network, splits)
         )
         extra["region_probs"] = [float(p) for p in probs]
     elif config.evaluator == "sampled":
-        shots = int(config.raw.get("shots", 10**5))
+        shots = _field(config.raw, "shots", int, 10**5)
         strategy = config.raw.get("strategy", "postselect")
         res = net.evaluate_sampled(network, shots, config.seed, strategy)
         value = res.estimate
@@ -195,16 +219,12 @@ def _run_dynamics(config: ExperimentConfig) -> dict:
 
 def _run_thermal(config: ExperimentConfig) -> dict:
     ham = config.parse("model_file", LocalHamiltonian.from_dict)
-    dims = [ham.phys_dim] * ham.n_sites
-    spec = config.raw["observable"]
-    local = _observable_matrix(spec, ham.phys_dim)
-    if "site" in spec:
-        obs = embed_operator(local, [int(spec["site"])], dims)
-    else:
-        obs = local
-    beta = float(config.raw["beta"])
-    epsilon = float(config.raw["epsilon"])
-    order = config.raw.get("order")
+    site, obs = _observable(config.raw["observable"], "observable", ham.n_sites, False)
+    if site is not None:
+        obs = embed_operator(obs, [site], [ham.phys_dim] * ham.n_sites)
+    beta = _field(config.raw, "beta", float)
+    epsilon = _field(config.raw, "epsilon", float)
+    order = _field(config.raw, "order", int, None)
     if order is None:
         from .hamiltonians import centered
 
@@ -219,16 +239,17 @@ def _run_thermal(config: ExperimentConfig) -> dict:
         hamiltonian=ham,
         beta=beta,
         epsilon=epsilon,
-        order=int(order),
+        order=order,
         mode=config.raw.get("mode", "exact"),
-        tau=config.raw.get("tau"),
-        reps=config.raw.get("R"),
-        grid=tuple(config.raw["grid"]) if config.raw.get("grid") else None,
+        tau=_field(config.raw, "tau", float, None),
+        reps=_field(config.raw, "R", int, None),
+        grid=_field(config.raw, "grid", lambda g: tuple(float(t) for t in g), None) or None,
     )
-    res = alg.thermal_value(job, normalized=bool(config.raw.get("normalized", False)))
+    normalized = _field(config.raw, "normalized", bool, False)
+    res = alg.thermal_value(job, normalized=normalized)
     try:
         want = oracle.thermal_exact(obs, ham, beta)
-        if config.raw.get("normalized"):
+        if normalized:
             want /= oracle.thermal_exact(np.eye(obs.shape[0]), ham, beta)
     except SizeGuardError:
         want = None
@@ -238,14 +259,14 @@ def _run_thermal(config: ExperimentConfig) -> dict:
         "oracle": want,
         "budget": res.budget,
         "moments_condition": res.moments_condition,
-        "order": int(order),
+        "order": order,
         "resources": None,
     }
 
 
 def _run_entropy(config: ExperimentConfig) -> dict:
     ham = config.parse("model_file", LocalHamiltonian.from_dict)
-    epsilon = float(config.raw["epsilon"])
+    epsilon = _field(config.raw, "epsilon", float)
     value = alg.entropy(ham, epsilon)
     try:
         rho = scipy.linalg.expm(-ham.dense())
@@ -261,10 +282,8 @@ def _run_amplitude(config: ExperimentConfig) -> dict:
     u = config.parse(
         "unitary_file", lambda data: serialize.parse_cmat_nested(data["matrix"])
     )
-    shots = config.raw.get("shots")
-    est = alg.transition_amplitude(
-        phi, u, psi, shots=int(shots) if shots else None, seed=config.seed
-    )
+    shots = _field(config.raw, "shots", int, None) or None
+    est = alg.transition_amplitude(phi, u, psi, shots=shots, seed=config.seed)
     want = oracle.amplitude_exact(phi, u, psi)
     return {
         "value": _complex_field(est.value),
@@ -276,9 +295,9 @@ def _run_amplitude(config: ExperimentConfig) -> dict:
 
 
 def _run_duality_check(config: ExperimentConfig) -> dict:
-    n_cases = int(config.raw.get("n_cases", 100))
-    max_dim = int(config.raw.get("max_dim", 4))
-    tol = float(config.raw.get("tolerance", 1e-10))
+    n_cases = _field(config.raw, "n_cases", int, 100)
+    max_dim = _field(config.raw, "max_dim", int, 4)
+    tol = _field(config.raw, "tolerance", float, 1e-10)
     rng = np.random.default_rng(config.seed)
     worst = 0.0
     from .channels import Channel

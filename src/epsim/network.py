@@ -496,15 +496,13 @@ def evaluate_regions(net: ChannelNetwork, partition: NetworkPartition):
     partition.validate(net)
     legs = _node_axis_wires(net)
 
-    def contract_region(region):
-        return _contract_group(
+    region_tensors = [
+        _contract_group(
             [(net.nodes[nid].tensor, legs[nid]) for nid in region],
             "region contraction",
         )
-
-    from .parallel import parallel_map
-
-    region_tensors = parallel_map(contract_region, partition.regions)
+        for region in partition.regions
+    ]
     region_probs = [float(np.linalg.norm(t) ** 2) for t, _ in region_tensors]
     value, open_legs = _contract_group(region_tensors, "region join")
     if open_legs:

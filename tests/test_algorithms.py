@@ -195,6 +195,8 @@ def test_moments_reject_bad_grid():
         alg.extract_moments(h, a, 4, grid=[0.1, 0.1, 0.1, 0.1])
     with pytest.raises(BudgetError, match="remainder"):
         alg.extract_moments(h, a, 3, grid=[1.0, 2.0, 3.0])
+    with pytest.raises(ShapeError, match="state dim"):
+        alg.extract_moments(h, random_state(3, 2), 2)
 
 
 # --- truncation order
@@ -249,6 +251,23 @@ def test_thermal_observable(mode, tol):
     assert res.budget["taylor"] < 0.5 * 1e-3
     assert res.budget["trotter"] <= 0.3 * 1e-3
     assert res.budget["solver"] < 0.2 * 1e-3
+
+
+def test_thermal_builds_and_diagonalizes_h_once(monkeypatch):
+    calls = []
+    dense = ham.LocalHamiltonian.dense
+
+    def counted(self):
+        calls.append(1)
+        return dense(self)
+
+    monkeypatch.setattr(ham.LocalHamiltonian, "dense", counted)
+    h = ham.build_tfim(4, 1.0, 1.0)
+    a = embed_operator(PAULI["Z"], [0], [2] * 4)
+    s = alg.choose_truncation(0.5, h.norm_bound(), 0.5 * 1e-3 / 16)
+    job = alg.ThermalJob(observable=a, hamiltonian=h, beta=0.5, epsilon=1e-3, order=s)
+    alg.thermal_value(job)
+    assert len(calls) == 1
 
 
 def test_thermal_budget_infeasible():

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from epsim import cli, mps, network, serialize
+from conftest import PAULI
+from epsim import cli, mps, network, oracle, serialize
 from epsim.hamiltonians import build_tfim
+from epsim.linalg import embed_operator
 from epsim.rand import haar_unitary, random_state
 
 
@@ -239,6 +241,53 @@ def test_zero_vector_is_config_error(workdir, capsys):
     err = json.loads(out)["error"]
     assert err["type"] == "ConfigError"
     assert "phi_file" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "task,fields",
+    [
+        ("thermal", {"beta": "abc"}),
+        ("thermal", {"order": "x"}),
+        ("thermal", {"observable": {"site": 7, "pauli": "Z"}}),
+        ("entropy", {"epsilon": "x"}),
+        ("dynamics", {"observables": [{"pauli": "Z"}]}),
+    ],
+    ids=["beta", "order", "site-range", "epsilon", "no-site"],
+)
+def test_malformed_config_field_is_config_error(workdir, capsys, task, fields):
+    base = {
+        "thermal": {"model_file": "tfim.json", "beta": 0.5, "epsilon": 1e-3,
+                    "observable": {"site": 0, "pauli": "Z"}},
+        "entropy": {"model_file": "tfim.json", "epsilon": 1e-3},
+        "dynamics": {"state_file": "state.json", "circuit_file": "circuit.json"},
+    }[task]
+    (workdir / "job.json").write_text(json.dumps({"task": task, **base, **fields}))
+    code, out = run_cli(["run", "--config", str(workdir / "job.json")], capsys)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ConfigError"
+    assert next(iter(fields)) in err["message"]
+
+
+@pytest.mark.parametrize("mode", ["exact", "trotter"])
+def test_thermal_tfim6_at_cli_order(tmp_path, capsys, mode):
+    (tmp_path / "tfim6.json").write_text(json.dumps(build_tfim(6, 1.0, 1.0).to_dict()))
+    config = {
+        "task": "thermal",
+        "model_file": "tfim6.json",
+        "observable": {"site": 0, "pauli": "Z"},
+        "beta": 0.5,
+        "epsilon": 1e-3,
+        "mode": mode,
+    }
+    (tmp_path / "job.json").write_text(json.dumps(config))
+    code, out = run_cli(["run", "--config", str(tmp_path / "job.json")], capsys)
+    assert code == 0
+    report = json.loads(out)
+    want = oracle.thermal_exact(
+        embed_operator(PAULI["Z"], [0], [2] * 6), build_tfim(6, 1.0, 1.0), 0.5
+    )
+    assert abs(report["value"] - want) < 1e-3
 
 
 def test_budget_error_surfaces(workdir, capsys):

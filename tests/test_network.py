@@ -196,17 +196,6 @@ def test_exact_contraction_size_guard(monkeypatch):
     assert peak < refused_bytes / 10
 
 
-def test_region_results_independent_of_thread_cap(monkeypatch):
-    rng = np.random.default_rng(100)
-    net_small, *_ = random_net(rng, 4, 2, obs_sites=(1,))
-    part = network.column_partition(net_small, [2])
-    value_serial, probs_serial = network.evaluate_regions(net_small, part)
-    monkeypatch.setenv("EPSIM_MAX_THREADS", "4")
-    value_par, probs_par = network.evaluate_regions(net_small, part)
-    assert value_serial == value_par
-    assert probs_serial == probs_par
-
-
 # --- region evaluation
 
 
