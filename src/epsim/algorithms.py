@@ -676,39 +676,3 @@ def general_matrix_element(
     ).value
     return complex(scale * (parts[0] + parts[1]) + shift * overlap)
 
-
-# ---------------------------------------------------------------------------
-# Repetition-encoded controller sanity check
-
-
-def encoded_cswap_defect(u, n_rep: int = 3) -> float:
-    """Max deviation between the repetition-encoded controlled-swap circuit
-    and the plain one on the logical controller subspace.
-
-    The encoded controller is a GHZ state; the first physical qubit controls
-    the swap before U, the last the swap after it, so each qubit touches two
-    controlled-swaps at most.
-    """
-    u = as_matrix(u)
-    d = u.shape[0]
-    swap = _swap_matrix(d)
-
-    def cswap_on(controller_dim, control_state_mask):
-        """Controlled swap with the control condition |mask bits all 1>."""
-        out = np.zeros((controller_dim * d * d, controller_dim * d * d), dtype=complex)
-        for c in range(controller_dim):
-            block = swap if (c & control_state_mask) == control_state_mask else np.eye(d * d)
-            out[c * d * d : (c + 1) * d * d, c * d * d : (c + 1) * d * d] = block
-        return out
-
-    plain = cswap_on(2, 1) @ np.kron(np.eye(2 * d), u) @ cswap_on(2, 1)
-    ctrl_dim = 2**n_rep
-    first = cswap_on(ctrl_dim, 1 << (n_rep - 1))  # controlled by qubit 0
-    last = cswap_on(ctrl_dim, 1)  # controlled by qubit n-1
-    encoded = last @ np.kron(np.eye(ctrl_dim * d), u) @ first
-    # Logical embedding |0> -> |0...0>, |1> -> |1...1>.
-    iso = np.zeros((ctrl_dim, 2), dtype=complex)
-    iso[0, 0] = 1.0
-    iso[ctrl_dim - 1, 1] = 1.0
-    big_iso = np.kron(iso, np.eye(d * d))
-    return float(np.max(np.abs(encoded @ big_iso - big_iso @ plain)))

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import serialize
 from .errors import InvalidChoiError, ShapeError
@@ -130,6 +129,8 @@ class Channel:
         cols = [j * m_in for j in range(d1)]
         u[:, cols] = iso
         # Fill the free columns with an orthonormal basis of the complement.
+        import scipy.linalg
+
         comp = scipy.linalg.null_space(dagger(iso))
         free = [c for c in range(dim) if c not in cols]
         u[:, free] = comp
@@ -347,13 +348,6 @@ class OqtChannel:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return self.choi.apply(rho)
-
-    def apply_direct(self, rho: np.ndarray) -> np.ndarray:
-        """Closed form, used to cross-check the readout path."""
-        rho = as_matrix(rho)
-        d = self.dim
-        delta = np.trace(rho) * np.eye(d) / d
-        return (d * d * delta - rho) / (d * d - 1)
 
 
 def oqt_channel(d: int) -> OqtChannel:

@@ -17,14 +17,13 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from . import algorithms as alg
 from . import network as net
 from . import oracle, serialize, verify
 from .errors import ConfigError, EpsimError, SizeGuardError
 from .hamiltonians import LocalHamiltonian
-from .linalg import PAULI, embed_operator
+from .linalg import PAULI, embed_operator, matrix_exp
 from .mps import MPS
 from .rand import random_density, random_kraus_set
 
@@ -100,6 +99,13 @@ def _field(data: dict, key: str, kind, default=_REQUIRED, where: str = ""):
         return kind(data[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config field {where}{key} is malformed ({exc})") from exc
+
+
+def _json_bool(value):
+    """A boolean field takes only JSON true or false: bool("false") is True."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected JSON true or false, got {value!r}")
+    return value
 
 
 def _observable(spec, where: str, n_sites: int, site_required: bool):
@@ -245,7 +251,7 @@ def _run_thermal(config: ExperimentConfig) -> dict:
         reps=_field(config.raw, "R", int, None),
         grid=_field(config.raw, "grid", lambda g: tuple(float(t) for t in g), None) or None,
     )
-    normalized = _field(config.raw, "normalized", bool, False)
+    normalized = _field(config.raw, "normalized", _json_bool, False)
     res = alg.thermal_value(job, normalized=normalized)
     try:
         want = oracle.thermal_exact(obs, ham, beta)
@@ -269,7 +275,7 @@ def _run_entropy(config: ExperimentConfig) -> dict:
     epsilon = _field(config.raw, "epsilon", float)
     value = alg.entropy(ham, epsilon)
     try:
-        rho = scipy.linalg.expm(-ham.dense())
+        rho = matrix_exp(ham.dense(), -1.0)
         want = oracle.entropy_exact(rho / np.trace(rho))
     except SizeGuardError:
         want = None

@@ -12,7 +12,6 @@ matrix of a Kraus set ``{A_i}`` is ``sum_i kron(A_i, A_i.conj())``.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, PositivityError, ShapeError
 
@@ -111,6 +110,8 @@ def matrix_exp(m: np.ndarray, scalar: complex = 1.0) -> np.ndarray:
         w, v = np.linalg.eigh(m)
         out = (v * np.exp(scalar * w)) @ dagger(v)
     else:
+        import scipy.linalg
+
         out = scipy.linalg.expm(scalar * m)
     if not np.all(np.isfinite(out)):
         raise NumericalError(

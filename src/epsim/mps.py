@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import serialize
 from .channels import Channel
@@ -120,44 +119,6 @@ class MPS:
             x = x @ _site_transfer(t, np.asarray(ops[n], dtype=complex) if n in ops else None)
         return complex(np.trace(x))
 
-    def two_point_correlator(self, op_x: np.ndarray, x: int, op_y: np.ndarray, y: int) -> complex:
-        """<O_x O_y> evaluated as an ordered product of site transfer
-        operators (free-evolution powers between the insertions)."""
-        if x >= y:
-            raise ShapeError(f"need x < y, got x={x}, y={y}")
-        return self.expectation_product({x: op_x, y: op_y})
-
-    def two_point_branch_diagnostic(
-        self, op_x: np.ndarray, x: int, op_y: np.ndarray, y: int
-    ) -> complex:
-        """Channel-measurement decomposition of the two-point function.
-
-        Valid for observables diagonal in the computational basis: the value
-        is assembled as sum_ij o_x[i] o_y[j] p(i at x, j at y), with each
-        joint probability obtained by running the bond-space channel
-        evolution and heralding physical outcomes i, j at the two sites.
-        """
-        if x >= y:
-            raise ShapeError(f"need x < y, got x={x}, y={y}")
-        op_x = np.asarray(op_x, dtype=complex)
-        op_y = np.asarray(op_y, dtype=complex)
-        for op in (op_x, op_y):
-            if np.max(np.abs(op - np.diag(np.diag(op)))) > 1e-12:
-                raise ShapeError("branch diagnostic needs diagonal observables")
-        dx, dy = self.tensors[x].shape[0], self.tensors[y].shape[0]
-        total = 0.0 + 0.0j
-        for i in range(dx):
-            for j in range(dy):
-                if op_x[i, i] == 0 or op_y[j, j] == 0:
-                    continue
-                proj_x = np.zeros((dx, dx), dtype=complex)
-                proj_x[i, i] = 1.0
-                proj_y = np.zeros((dy, dy), dtype=complex)
-                proj_y[j, j] = 1.0
-                p = self.expectation_product({x: proj_x, y: proj_y})
-                total += op_x[i, i] * op_y[j, j] * p
-        return complex(total)
-
     def canonicalize(self, direction: str = "left") -> "MPS":
         if direction == "left":
             tensors = []
@@ -174,6 +135,8 @@ class MPS:
             return MPS(tuple(tensors), boundary, canonical="left",
                        discarded_weight=self.discarded_weight)
         if direction == "right":
+            import scipy.linalg
+
             tensors = []
             carry = None
             for t in reversed(self.tensors):

@@ -19,9 +19,11 @@ indices.  Evaluation then happens entirely on the entanglement space:
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,13 +150,6 @@ class GateChannelPair:
         d = self.left_ops[0].shape[0]
         u4 = np.einsum("mik,mjl->ijkl", np.stack(self.left_ops), np.stack(self.right_ops))
         return u4.reshape(d * d, d * d)
-
-    def weighted_half(self, side: str):
-        """(normalized_ops, weight): ops scaled so sum K^dag K <= 1."""
-        ops = self.left_ops if side == "left" else self.right_ops
-        gram = sum(dagger(k) @ k for k in ops)
-        weight = float(np.sqrt(np.max(np.linalg.eigvalsh(gram))))
-        return tuple(k / weight for k in ops), weight
 
 
 def compile_gate(u: np.ndarray) -> GateChannelPair:
@@ -357,8 +352,8 @@ def evaluate_exact(net: ChannelNetwork) -> complex:
     """Contract every node of the network in one call to the contraction core.
 
     The boundary nodes are part of the graph, so the value carries the
-    boundary weight; a step whose result would exceed the size guard raises
-    SizeGuardError before it allocates.
+    boundary weight; a plan with a step whose result would exceed the size
+    guard raises SizeGuardError before the first step runs.
     """
     legs = _node_axis_wires(net)
     value, _ = _contract_group(
@@ -414,55 +409,90 @@ def _contract_group(items, guard_label):
     """Contract (tensor, leg labels) items into one tensor.
 
     Legs sharing a label are contracted; legs that meet inside one tensor
-    are traced.  Each step contracts the pair of tensors that share a leg
-    and whose result, priced from shapes alone, grows least (result size
-    minus the two input sizes); ties go to the lowest item indices, so the
-    order is deterministic.  Every step is checked against the size guard
-    before it allocates.  Tensors that share no leg are joined last by outer
-    products, smallest first.  Returns (tensor, open legs) with the open
-    legs in canonical label order.
+    are traced first.  The pair order comes from :func:`_plan`, which sees
+    only shapes and labels, so networks of the same shape share one plan.
+    The size guard is checked against the plan's largest step before any
+    step runs.  Returns (tensor, open legs) with the open legs in canonical
+    label order.
     """
-    tensors, legs, holders, dims = {}, {}, {}, {}
-    for i, (tensor, labels) in enumerate(items):
+    arrays, signature = [], []
+    for tensor, labels in items:
         labels = list(labels)
         while (dup := _first_dup(labels)) is not None:
             tensor = np.trace(tensor, axis1=dup[0], axis2=dup[1])
             labels = [w for k, w in enumerate(labels) if k not in dup]
-        tensors[i], legs[i] = np.asarray(tensor), labels
-        for lab, dim in zip(labels, tensors[i].shape):
+        tensor = np.asarray(tensor)
+        arrays.append(tensor)
+        signature.append((tensor.shape, tuple(labels)))
+    if len(arrays) == 1:
+        (tensor,), ((_, labels),) = arrays, signature
+        perm = _canonical_perm(labels)
+        return tensor.transpose(perm), [labels[k] for k in perm]
+    plan = _plan(tuple(signature))
+    _guard(plan.peak, guard_label)
+    tensors = dict(enumerate(arrays))
+    for i, j, perm_a, perm_b, inner, out_shape, new_id in plan.steps:
+        # np.tensordot without its per-call overhead, which dominates on the
+        # many small tensors of a region.
+        a, b = tensors.pop(i).transpose(perm_a), tensors.pop(j).transpose(perm_b)
+        tensors[new_id] = (a.reshape(-1, inner) @ b.reshape(inner, -1)).reshape(out_shape)
+    (tensor,) = tensors.values()
+    return tensor.transpose(plan.perm), list(plan.labels)
+
+
+class _Plan(NamedTuple):
+    steps: tuple  # (i, j, perm_a, perm_b, inner, out_shape, new_id) per step
+    perm: tuple  # final transpose into canonical label order
+    labels: tuple  # open labels in canonical order
+    peak: int  # largest step result, in entries
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(signature):
+    """Pair order for a tuple of (shape, leg labels), from shapes alone.
+
+    Each step contracts the pair of tensors that share a leg and whose
+    result grows least (result size minus the two input sizes); ties go to
+    the lowest item indices, so the order is deterministic.  Tensors that
+    share no leg are joined last by outer products, smallest first.  A wire
+    joining legs of different sizes raises ShapeError.  The plan holds no
+    guard: callers check its ``peak`` against the guard in force.
+    """
+    sizes, legs, holders, dims = {}, {}, {}, {}
+    for i, (shape, labels) in enumerate(signature):
+        sizes[i], legs[i] = math.prod(shape), list(labels)
+        for lab, dim in zip(labels, shape):
             holders.setdefault(lab, []).append(i)
             if dims.setdefault(lab, dim) != dim:
                 raise ShapeError(f"wire {lab!r} joins legs of dims {dims[lab]} and {dim}")
     heap = []
 
     def push(i, j):  # i < j
-        a, b = tensors[i].size, tensors[j].size
         shared = math.prod(dims[lab] for lab in legs[i] if lab in legs[j])
-        heapq.heappush(heap, (a * b // shared**2 - a - b, i, j))
+        heapq.heappush(heap, (sizes[i] * sizes[j] // shared**2 - sizes[i] - sizes[j], i, j))
 
     for pair in {tuple(h) for h in holders.values() if len(h) == 2}:
         push(*pair)
-    next_id = len(items)
-    while len(tensors) > 1:
+    steps, peak = [], 0
+    next_id = len(signature)
+    while len(legs) > 1:
         if heap:
             _, i, j = heapq.heappop(heap)
-            if i not in tensors or j not in tensors:
+            if i not in legs or j not in legs:
                 continue
         else:
-            i, j = sorted(tensors, key=lambda k: (tensors[k].size, k))[:2]
+            i, j = sorted(legs, key=lambda k: (sizes[k], k))[:2]
         shared = [lab for lab in legs[i] if lab in legs[j]]
         out = [lab for lab in legs[i] + legs[j] if lab not in shared]
-        _guard(math.prod(dims[lab] for lab in out), guard_label)
-        # np.tensordot without its per-call overhead, which dominates on the
-        # many small tensors of a region.
-        a, b = tensors.pop(i), tensors.pop(j)
         ax_a = [legs[i].index(lab) for lab in shared]
         ax_b = [legs[j].index(lab) for lab in shared]
+        perm_a = tuple([k for k in range(len(legs[i])) if k not in ax_a] + ax_a)
+        perm_b = tuple(ax_b + [k for k in range(len(legs[j])) if k not in ax_b])
+        out_shape = tuple(dims[lab] for lab in out)
+        sizes[next_id] = math.prod(out_shape)
+        peak = max(peak, sizes[next_id])
         inner = math.prod(dims[lab] for lab in shared)
-        a = a.transpose([k for k in range(a.ndim) if k not in ax_a] + ax_a)
-        b = b.transpose(ax_b + [k for k in range(b.ndim) if k not in ax_b])
-        product = a.reshape(-1, inner) @ b.reshape(inner, -1)
-        tensors[next_id] = product.reshape([dims[lab] for lab in out])
+        steps.append((i, j, perm_a, perm_b, inner, out_shape, next_id))
         legs[next_id] = out
         del legs[i], legs[j]
         for lab in shared:
@@ -472,9 +502,13 @@ def _contract_group(items, guard_label):
         for h in {h for lab in out for h in holders[lab]} - {next_id}:
             push(h, next_id)
         next_id += 1
-    (tensor,), (labels,) = tensors.values(), legs.values()
-    perm = sorted(range(len(labels)), key=lambda i: _label_key(labels[i]))
-    return tensor.transpose(perm), [labels[i] for i in perm]
+    (labels,) = legs.values()
+    perm = _canonical_perm(labels)
+    return _Plan(tuple(steps), perm, tuple(labels[k] for k in perm), peak)
+
+
+def _canonical_perm(labels):
+    return tuple(sorted(range(len(labels)), key=lambda k: _label_key(labels[k])))
 
 
 def _first_dup(legs):

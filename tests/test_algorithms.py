@@ -115,12 +115,6 @@ def test_cswap_shot_mode():
     assert abs(est.value - want) < 5 * est.stderr + 1e-12
 
 
-def test_encoded_cswap_logical_equivalence():
-    rng = np.random.default_rng(7)
-    for d in (2, 3):
-        assert alg.encoded_cswap_defect(haar_unitary(rng, d), n_rep=3) < 1e-12
-
-
 # --- moment extraction
 
 

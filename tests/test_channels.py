@@ -200,7 +200,9 @@ def test_oqt_mixing_identity_is_exact():
         rho = random_density(rng, d)
         mixed = rho / d**2 + (d**2 - 1) / d**2 * p.apply(rho)
         assert np.max(np.abs(mixed - np.eye(d) / d)) < 1e-14
-        assert np.max(np.abs(p.apply(rho) - p.apply_direct(rho))) < 1e-12
+        # Closed form (d^2 Tr(rho) 1/d - rho) / (d^2 - 1), independent of the readout.
+        direct = (d * np.trace(rho) * np.eye(d) - rho) / (d * d - 1)
+        assert np.max(np.abs(p.apply(rho) - direct)) < 1e-12
 
 
 def test_oqt_choi_is_psd():

@@ -45,6 +45,36 @@ def run_cli(args, capsys):
     return code, out
 
 
+def test_cli_dynamics_run_does_not_load_scipy(workdir):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import epsim
+
+    config = {
+        "task": "dynamics",
+        "state_file": "state.json",
+        "circuit_file": "circuit.json",
+        "observables": [{"site": 1, "pauli": "Z"}],
+        "out": str(workdir / "report.json"),
+    }
+    (workdir / "job.json").write_text(json.dumps(config))
+    script = (
+        "import sys, epsim.cli\n"
+        f"code = epsim.cli.main(['run', '--config', {str(workdir / 'job.json')!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, 'scipy was loaded'\n"
+    )
+    src = str(Path(epsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((workdir / "report.json").read_text())["abs_error"] < 1e-8
+
+
 def test_dynamics_exact_report(workdir, capsys):
     config = {
         "task": "dynamics",
@@ -251,8 +281,10 @@ def test_zero_vector_is_config_error(workdir, capsys):
         ("thermal", {"observable": {"site": 7, "pauli": "Z"}}),
         ("entropy", {"epsilon": "x"}),
         ("dynamics", {"observables": [{"pauli": "Z"}]}),
+        ("thermal", {"normalized": "false"}),
+        ("thermal", {"normalized": 1}),
     ],
-    ids=["beta", "order", "site-range", "epsilon", "no-site"],
+    ids=["beta", "order", "site-range", "epsilon", "no-site", "normalized-str", "normalized-int"],
 )
 def test_malformed_config_field_is_config_error(workdir, capsys, task, fields):
     base = {

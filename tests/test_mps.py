@@ -135,33 +135,10 @@ def test_expectation_two_site_hermitian_oracle():
         assert abs(m.expectation_product(ops) - want) < 1e-10
 
 
-def test_two_point_correlator():
-    rng = np.random.default_rng(7)
-    m = random_mps(rng, 6, chi=4)
-    psi = m.to_statevector()
-    zz = m.two_point_correlator(PAULI["Z"], 1, PAULI["Z"], 4)
-    want = dense_expectation(psi, {1: PAULI["Z"], 4: PAULI["Z"]}, [2] * 6)
-    assert abs(zz - want) < 1e-10
-    assert abs(m.two_point_correlator(np.eye(2), 0, np.eye(2), 5) - m.norm_sq()) < 1e-12
-    with pytest.raises(ShapeError):
-        m.two_point_correlator(PAULI["Z"], 3, PAULI["Z"], 3)
-
-
-def test_two_point_branch_diagnostic_diagonal():
-    rng = np.random.default_rng(8)
-    m = random_mps(rng, 5, chi=3)
-    dz = PAULI["Z"]
-    full = m.two_point_correlator(dz, 1, dz, 3)
-    branch = m.two_point_branch_diagnostic(dz, 1, dz, 3)
-    assert abs(full - branch) < 1e-10
-    with pytest.raises(ShapeError):
-        m.two_point_branch_diagnostic(PAULI["X"], 1, dz, 3)
-
-
 def test_zz_on_zero_product_state():
     zero = np.array([1, 0], dtype=complex)
     m = mps.product_mps([zero] * 4)
-    assert abs(m.two_point_correlator(PAULI["Z"], 0, PAULI["Z"], 3) - 1) < 1e-12
+    assert abs(m.expectation_product({0: PAULI["Z"], 3: PAULI["Z"]}) - 1) < 1e-12
 
 
 def test_canonicalize_preserves_amplitudes():
