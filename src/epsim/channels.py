@@ -128,9 +128,9 @@ class Channel:
         u = np.zeros((dim, dim), dtype=complex)
         cols = [j * m_in for j in range(d1)]
         u[:, cols] = iso
-        # Fill the free columns with an orthonormal basis of the complement.
         import scipy.linalg
 
+        # Fill the free columns with an orthonormal basis of the complement.
         comp = scipy.linalg.null_space(dagger(iso))
         free = [c for c in range(dim) if c not in cols]
         u[:, free] = comp
