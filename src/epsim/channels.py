@@ -36,6 +36,25 @@ def bell_vector(d: int) -> np.ndarray:
     return v
 
 
+def transfer_matrix(kraus, op=None) -> np.ndarray:
+    """sum_ij <i|op|j> K_j (x) K_i* over a Kraus set K_i, weighted by an
+    operator on the Kraus (physical) index; op = None is the identity,
+    giving M with M @ vec(rho) = vec(Phi(rho)).  The set need not be trace
+    preserving: MPS site tensors use it too."""
+    if op is None:
+        return sum(np.kron(a, a.conj()) for a in kraus)
+    op = as_matrix(op)
+    k = len(kraus)
+    if op.shape != (k, k):
+        raise ShapeError(f"operator shape {op.shape} != Kraus count {k}")
+    out = np.zeros((kraus[0].shape[0] ** 2, kraus[0].shape[1] ** 2), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            if op[i, j] != 0:
+                out += op[i, j] * np.kron(kraus[j], kraus[i].conj())
+    return out
+
+
 @dataclass(frozen=True)
 class Channel:
     """A completely positive trace-preserving map in Kraus form."""
@@ -92,21 +111,12 @@ class Channel:
 
     def transfer(self) -> np.ndarray:
         """Matrix M with M @ vec(rho) = vec(Phi(rho))."""
-        return sum(np.kron(a, a.conj()) for a in self.kraus)
+        return transfer_matrix(self.kraus)
 
     def transfer_obs(self, obs: np.ndarray) -> np.ndarray:
         """Transfer matrix of the channel weighted by an operator on the
         Kraus (physical) index; reduces to :meth:`transfer` for obs = 1."""
-        obs = as_matrix(obs)
-        k = len(self.kraus)
-        if obs.shape != (k, k):
-            raise ShapeError(f"observable shape {obs.shape} != Kraus count {k}")
-        out = np.zeros((self.out_dim**2, self.in_dim**2), dtype=complex)
-        for i in range(k):
-            for j in range(k):
-                if obs[i, j] != 0:
-                    out += obs[i, j] * np.kron(self.kraus[j], self.kraus[i].conj())
-        return out
+        return transfer_matrix(self.kraus, obs)
 
     def stinespring(self):
         """Unitary dilation (U, ancilla_dim).

@@ -19,27 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import serialize
-from .channels import Channel
+from .channels import Channel, transfer_matrix
 from .errors import CanonicalFormError, ShapeError, SizeGuardError
 from .linalg import svd
 
 STATEVECTOR_GUARD = 2**20
-
-
-def _site_transfer(t: np.ndarray, op: np.ndarray | None = None) -> np.ndarray:
-    """Transfer matrix of one site, optionally weighted by an operator on
-    the physical index: sum_ij <i|op|j> T[j] (x) T[i]*."""
-    d = t.shape[0]
-    if op is None:
-        return sum(np.kron(t[i], t[i].conj()) for i in range(d))
-    if op.shape != (d, d):
-        raise ShapeError(f"operator shape {op.shape} != physical dim {d}")
-    out = np.zeros((t.shape[1] ** 2, t.shape[2] ** 2), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            if op[i, j] != 0:
-                out += op[i, j] * np.kron(t[j], t[i].conj())
-    return out
 
 
 @dataclass(frozen=True)
@@ -104,7 +88,7 @@ class MPS:
         """<psi|psi> from transfer-matrix products on the bond space only."""
         x = np.kron(self.boundary, self.boundary.conj())
         for t in self.tensors:
-            x = x @ _site_transfer(t)
+            x = x @ transfer_matrix(t)
         return float(np.real(np.trace(x)))
 
     def expectation_product(self, ops) -> complex:
@@ -116,7 +100,7 @@ class MPS:
                 raise ShapeError(f"site {site} out of range")
         x = np.kron(self.boundary, self.boundary.conj())
         for n, t in enumerate(self.tensors):
-            x = x @ _site_transfer(t, np.asarray(ops[n], dtype=complex) if n in ops else None)
+            x = x @ transfer_matrix(t, ops.get(n))
         return complex(np.trace(x))
 
     def canonicalize(self, direction: str = "left") -> "MPS":

@@ -28,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import serialize
-from .channels import bell_vector
 from .errors import (
     CanonicalFormError,
     SamplingError,
@@ -419,6 +418,11 @@ def _contract_group(items, guard_label):
     for tensor, labels in items:
         labels = list(labels)
         while (dup := _first_dup(labels)) is not None:
+            dim_a, dim_b = (tensor.shape[k] for k in dup)
+            if dim_a != dim_b:
+                raise ShapeError(
+                    f"wire {labels[dup[0]]!r} joins legs of dims {dim_a} and {dim_b}"
+                )
             tensor = np.trace(tensor, axis1=dup[0], axis2=dup[1])
             labels = [w for k, w in enumerate(labels) if k not in dup]
         tensor = np.asarray(tensor)
@@ -651,6 +655,14 @@ def _doubled(tensor):
     return pair.transpose(perm).reshape([dim * dim for dim in tensor.shape])
 
 
+def _bell_branches(dim):
+    """Doubled Omega = |w><w| and 1 - Omega on a wire's two endpoints,
+    stacked along a leading outcome leg."""
+    bell = np.eye(dim * dim) / dim
+    ident = np.eye(dim).reshape(-1)
+    return np.stack([bell, np.outer(ident, ident) - bell])
+
+
 def branch_distribution(net: ChannelNetwork) -> BranchTable:
     """Every heralded branch of the preparation, from one contraction.
 
@@ -682,12 +694,9 @@ def branch_distribution(net: ChannelNetwork) -> BranchTable:
 
     items = [(_doubled(t), legs) for t, legs in nodes]
     for k, (lab, dim, _) in enumerate(sampled):
-        bell = np.eye(dim * dim) / dim
-        ident = np.eye(dim).reshape(-1)
         # Open leg ("b", w - 1 - k): the canonical leg order ("b" legs, then
         # "out" legs by site) makes wire k row bit k.
-        items.append((np.stack([bell, np.outer(ident, ident) - bell]),
-                      [("b", w - 1 - k), (lab, 0), (lab, 1)]))
+        items.append((_bell_branches(dim), [("b", w - 1 - k), (lab, 0), (lab, 1)]))
     for c, final in finals.items():
         if c in eig:
             vecs = eig[c][1]
@@ -862,81 +871,38 @@ def oqt_prepare_plan(psi: MPS) -> OqtPlan:
     return OqtPlan(psi, segments, join_dims)
 
 
-def _segment_tensor(psi: MPS, first: int) -> np.ndarray:
-    """G[out, i, j, ref] = (T_first[i] @ T_{first+1}[j])[out, ref]."""
-    a, b = psi.tensors[first], psi.tensors[first + 1]
-    return np.einsum("iax,jxb->ijab", a, b).transpose(2, 0, 1, 3)
-
-
 def simulate_oqt_plan(plan: OqtPlan, observables, mode: str = "corrected") -> complex:
-    """Exact density-matrix simulation of the preparation plan.
+    """Exact value of the preparation plan as one doubled (ket (x) bra) contraction.
 
-    Each segment is prepared as the purified Choi state of its two site
-    channels; consecutive segments are joined by the binary Bell measurement.
+    Each segment is the purified Choi state of its two site channels; each
+    join between segments is the binary Bell measurement {Omega, 1 - Omega},
+    one tensor stacking two branches over a bit leg and weighted by chi,
+    which undoes both the 1/chi of Omega and the chi of a raw segment's norm.
     ``postselect`` keeps the all-Bell branch (teleportation identity);
-    ``corrected`` reconstructs the same value from all branches through the
-    depolarizing mixing identity of the failure outcome.
+    ``corrected`` stacks the traced join with 1 - Omega and closes the bit
+    with (1, -1): the alternating sum of the depolarizing mixing identity.
+    Refuses with SizeGuardError from the site shapes before building anything.
     """
-    psi = plan.psi
+    bit_close = {"postselect": [1, 0], "corrected": [1, -1]}
+    if mode not in bit_close:
+        raise ShapeError(f"unknown oqt simulation mode {mode!r}")
+    psi, label = plan.psi, f"oqt preparation plan ({mode})"
+    # Every step of the plan stays below the largest doubled site (256
+    # against 1024 entries at chi = 4), so the sites are what the guard prices.
+    _guard(sum(t.size**2 for t in psi.tensors), label)
     obs = {int(site): as_matrix(op) for site, op in observables}
-    segs = [_segment_tensor(psi, first) for first, _ in plan.segments]
-    joint = segs[0]
-    for g in segs[1:]:
-        joint = np.tensordot(joint, g, axes=0)
-    if joint.size > BRANCH_GUARD:
-        raise SizeGuardError(
-            f"oqt joint state needs {joint.size} entries (> {BRANCH_GUARD})"
-        )
-    dims = list(joint.shape)
-    vec = joint.reshape(-1)
-
-    # Leg layout per segment k: [out_k, phys, phys, ref_k]; observable blocks
-    # sit on the physical legs, junction blocks on (ref_k, out_{k+1}) pairs.
-    obs_blocks = []
-    join_legs = []
-    for k, (first, _) in enumerate(plan.segments):
-        base = 4 * k
-        for off, site in ((1, first), (2, first + 1)):
-            if site in obs:
-                obs_blocks.append((base + off, 1, obs[site]))
-        if k < len(segs) - 1:
-            join_legs.append((base + 3, plan.join_dims[k]))
-
-    def apply_block(w, pos, span, op):
-        left = int(np.prod(dims[:pos])) or 1
-        mid = int(np.prod(dims[pos : pos + span]))
-        right = int(np.prod(dims[pos + span :])) or 1
-        w = w.reshape(left, mid, right)
-        return np.einsum("ab,xby->xay", op, w).reshape(-1)
-
-    def branch_value(bits, traced):
-        """<Psi| (x)_j Pi_{b_j} (x) O |Psi> with selected joins traced out."""
-        w = vec
-        for pos, span, op in obs_blocks:
-            w = apply_block(w, pos, span, op)
-        for j, (pos, chi) in enumerate(join_legs):
-            if j in traced:
-                continue
-            omega = np.outer(bell_vector(chi), bell_vector(chi).conj())
-            junction = omega if bits[j] == 0 else np.eye(chi * chi) - omega
-            w = apply_block(w, pos, 2, junction)
-        return complex(np.vdot(vec, w))
-
-    n_j = plan.n_joins
-    scalar = abs(psi.boundary[0, 0]) ** 2
-    # Raw segment tensors have squared norm chi_in, which equals the join
-    # dimension, so one chi per join both normalizes the preparations and
-    # undoes the Bell-projection weight.
-    weight = scalar * float(np.prod(plan.join_dims))
-    if mode == "postselect":
-        return weight * branch_value([0] * n_j, traced=set())
-    if mode == "corrected":
-        # contraction_j = chi_j * (traced_j - branch1_j), expanded over joins.
-        total = 0.0 + 0.0j
-        for t_bits in range(2**n_j):
-            traced = {j for j in range(n_j) if not t_bits >> j & 1}
-            bits = [1] * n_j
-            sign = (-1) ** bin(t_bits).count("1")
-            total += sign * branch_value(bits, traced)
-        return weight * total
-    raise ShapeError(f"unknown oqt simulation mode {mode!r}")
+    # Bond b joins sites b - 1 and b; a join splits its bond label in two.
+    joins = [first for first, _ in plan.segments[1:]]
+    items = [(np.ones(1), [0]), (np.ones(1), [psi.n_sites])]
+    for c, t in enumerate(psi.tensors):
+        bonds = [(c, 1) if c in joins else c, (c + 1, 0) if c + 1 in joins else c + 1]
+        items.append((_doubled(t), [("p", c)] + bonds))
+        items.append((obs.get(c, np.eye(t.shape[0])).T.reshape(-1), [("p", c)]))
+    for b, chi in zip(joins, plan.join_dims):
+        branches = _bell_branches(chi)
+        if mode == "corrected":  # summing both outcomes traces the join
+            branches = np.stack([branches.sum(axis=0), branches[1]])
+        items.append((chi * branches, [("bit", b), (b, 0), (b, 1)]))
+        items.append((np.array(bit_close[mode]), [("bit", b)]))
+    value, _ = _contract_group(items, label)
+    return abs(psi.boundary[0, 0]) ** 2 * complex(value.reshape(()))

@@ -6,10 +6,12 @@ guards; these are the ground truths the acceptance suites compare against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channels import bell_vector
 from .errors import ShapeError, SizeGuardError
 from .hamiltonians import LocalHamiltonian
 from .linalg import as_matrix, matrix_exp
@@ -127,18 +129,24 @@ def amplitude_exact(phi, u, psi) -> complex:
     return complex(np.conj(np.asarray(phi)) @ np.asarray(u) @ np.asarray(psi))
 
 
-def channel_branch_simulate(plan, observables=None) -> BranchTable | list:
+def channel_branch_simulate(plan) -> BranchTable | list:
     """Exhaustive enumeration of heralded-measurement branches.
 
     For a ChannelNetwork, returns the exact BranchTable of wire and
     observable outcomes.  For an OqtPlan, returns per-branch rows
-    (bits, probability, postselect-corrected value contribution).
+    (bits, probability); a joint segment state above STATE_GUARD is refused
+    from the segment shapes before anything is built.
     """
     if isinstance(plan, ChannelNetwork):
         return branch_distribution(plan)
     if isinstance(plan, OqtPlan):
         if 2**plan.n_joins > BRANCH_GUARD:
             raise SizeGuardError("too many OQT branches")
+        bonds = plan.psi.bond_dims  # segment f has legs (chi_f, d_f, d_f+1, chi_f+2)
+        dim = math.prod(plan.psi.phys_dims)
+        dim *= math.prod(bonds[f] * bonds[f + 2] for f, _ in plan.segments)
+        if dim > STATE_GUARD:
+            raise SizeGuardError(f"oqt joint state needs {dim} entries (> {STATE_GUARD})")
         rows = []
         for bits_int in range(2**plan.n_joins):
             bits = [(bits_int >> j) & 1 for j in range(plan.n_joins)]
@@ -150,8 +158,6 @@ def channel_branch_simulate(plan, observables=None) -> BranchTable | list:
 
 def _oqt_branch_probability(plan: OqtPlan, bits) -> float:
     """Probability of a join-outcome pattern on normalized segment states."""
-    from .network import _segment_tensor, bell_vector
-
     psi = plan.psi
     segs = [_segment_tensor(psi, first) for first, _ in plan.segments]
     joint = segs[0]
@@ -172,3 +178,9 @@ def _oqt_branch_probability(plan: OqtPlan, bits) -> float:
             "ab,xby->xay", junction, w.reshape(left, chi * chi, right)
         ).reshape(-1)
     return float(np.real(np.vdot(vec, w)) / norm_sq)
+
+
+def _segment_tensor(psi, first: int) -> np.ndarray:
+    """G[out, i, j, ref] = (T_first[i] @ T_{first+1}[j])[out, ref]."""
+    a, b = psi.tensors[first], psi.tensors[first + 1]
+    return np.einsum("iax,jxb->ijab", a, b).transpose(2, 0, 1, 3)

@@ -20,7 +20,7 @@ from . import network as net
 from . import oracle
 from .errors import ShapeError
 from .linalg import PAULI, dagger, embed_operator
-from .rand import haar_unitary, random_density, random_kraus_set, random_state
+from .rand import haar_unitary, random_density, random_kraus_set, random_mps, random_state
 
 
 @dataclass(frozen=True)
@@ -223,17 +223,21 @@ def suite_oqt(seed: int = 2027) -> list:
 
     t0 = time.perf_counter()
     worst = 0.0
+    cases = []
     for _ in range(5):
         psi = mpsmod.from_statevector(random_state(rng, 2**4), [2] * 4)
+        cases.append((psi, int(rng.integers(4))))
+    cases.append((random_mps(rng, 32, 4), int(rng.integers(32))))
+    for psi, site in cases:
         plan = net.oqt_prepare_plan(psi)
-        site = int(rng.integers(4))
         obs = [(site, PAULI["Z"])]
         want = psi.expectation_product(dict(obs))
         for mode in ("postselect", "corrected"):
             got = net.simulate_oqt_plan(plan, obs, mode=mode)
             worst = max(worst, abs(got - want))
     out.append(_check("oqt", "prepare-plan-expectations", worst, 1e-8, t0,
-                      note="N=4 MPS, both join reconstructions"))
+                      note="five N=4 MPS and one N=32, chi=4 MPS, both join "
+                           "reconstructions"))
     return out
 
 

@@ -4,7 +4,7 @@ import pytest
 from conftest import PAULI
 from epsim import mps, network, oracle
 from epsim.errors import CanonicalFormError, SamplingError, ShapeError, SizeGuardError
-from epsim.rand import haar_unitary, random_state
+from epsim.rand import haar_unitary, random_mps, random_state
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -284,6 +284,9 @@ def test_contract_group_rejects_mismatched_wire():
     for _ in range(2):
         with pytest.raises(ShapeError, match="dims 2 and 3"):
             network._contract_group([(np.ones(2), ["w"]), (np.ones(3), ["w"])], "test")
+    # Two legs of one tensor are traced; their sizes are checked first.
+    with pytest.raises(ShapeError, match="dims 2 and 3"):
+        network._contract_group([(np.ones((2, 3)), ["w", "w"]), (np.ones(4), ["x"])], "test")
 
 
 def test_region_partition_validation():
@@ -487,6 +490,44 @@ def test_oqt_plan_multi_join_and_padding():
     for mode in ("postselect", "corrected"):
         got = network.simulate_oqt_plan(plan, obs, mode=mode)
         assert abs(got - want) < 1e-8
+
+
+@pytest.mark.parametrize("n, chi", [(32, 4), (64, 8)])
+@pytest.mark.parametrize("mode", ["postselect", "corrected"])
+def test_oqt_plan_long_chains(n, chi, mode):
+    # At N=64, chi=8 the product of the join dimensions, 8^31, wraps to 0 in
+    # int64, so a global weight computed with np.prod fails here.
+    psi = random_mps(np.random.default_rng(n), n, chi)
+    plan = network.oqt_prepare_plan(psi)
+    assert max(plan.join_dims) == chi
+    for obs in ([], [(1, PAULI["X"]), (n - 2, PAULI["Z"])]):
+        want = psi.expectation_product(dict(obs))
+        got = network.simulate_oqt_plan(plan, obs, mode=mode)
+        assert abs(got - want) < 1e-10
+
+
+def test_oqt_plan_guard_refuses_from_shapes(monkeypatch):
+    import re
+    import tracemalloc
+
+    psi = random_mps(np.random.default_rng(36), 32, 4)
+    plan = network.oqt_prepare_plan(psi)
+    monkeypatch.setattr(network, "CONTRACTION_GUARD", 2**12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match=r"oqt preparation plan \(corrected\)") as err:
+            network.simulate_oqt_plan(plan, [(3, PAULI["Z"])])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    refused_bytes = int(re.search(r"has (\d+) entries", str(err.value))[1]) * 16
+    assert peak < refused_bytes / 10
+
+
+def test_oqt_plan_unknown_mode():
+    plan = network.oqt_prepare_plan(mps.product_mps([np.array([1, 0])] * 2))
+    with pytest.raises(ShapeError, match="unknown oqt simulation mode"):
+        network.simulate_oqt_plan(plan, [], mode="both")
 
 
 def test_oqt_branch_probabilities():

@@ -7,7 +7,7 @@ from conftest import PAULI
 from epsim import network, oracle
 from epsim.errors import ShapeError, SizeGuardError
 from epsim.hamiltonians import build_tfim, exact_unitary
-from epsim.rand import haar_unitary, random_density, random_state
+from epsim.rand import haar_unitary, random_density, random_mps, random_state
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -133,3 +133,21 @@ def test_branch_simulate_dispatch():
     assert abs(table.probs.sum() - 1) < 1e-10
     with pytest.raises(ShapeError):
         oracle.channel_branch_simulate(object())
+
+
+def test_oqt_reference_refuses_from_segment_shapes():
+    import re
+    import tracemalloc
+
+    # 2^15 branches pass BRANCH_GUARD; the joint segment state does not.
+    plan = network.oqt_prepare_plan(random_mps(np.random.default_rng(37), 32, 4))
+    assert 2**plan.n_joins <= network.BRANCH_GUARD
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match="oqt joint state") as err:
+            oracle.channel_branch_simulate(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    refused_bytes = int(re.search(r"needs (\d+) entries", str(err.value))[1]) * 16
+    assert peak < 2**20 < refused_bytes
