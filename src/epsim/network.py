@@ -889,7 +889,12 @@ def simulate_oqt_plan(plan: OqtPlan, observables, mode: str = "corrected") -> co
     psi, label = plan.psi, f"oqt preparation plan ({mode})"
     # Every step of the plan stays below the largest doubled site (256
     # against 1024 entries at chi = 4), so the sites are what the guard prices.
-    _guard(sum(t.size**2 for t in psi.tensors), label)
+    sites = sum(t.size**2 for t in psi.tensors)
+    if sites > CONTRACTION_GUARD:
+        raise SizeGuardError(
+            f"doubled site tensors of {label} hold {sites} entries together "
+            f"(> {CONTRACTION_GUARD}); refusing"
+        )
     obs = {int(site): as_matrix(op) for site, op in observables}
     # Bond b joins sites b - 1 and b; a join splits its bond label in two.
     joins = [first for first, _ in plan.segments[1:]]

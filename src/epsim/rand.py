@@ -55,11 +55,11 @@ def random_kraus_set(rng, d_in: int, d_out: int, n_kraus: int) -> list[np.ndarra
     return [iso[k * d_out:(k + 1) * d_out, :].copy() for k in range(n_kraus)]
 
 
-def random_mps(rng, n_sites: int, chi: int, d: int = 2):
+def random_canonical_mps(rng, n_sites: int, chi: int):
     """Normalized left-canonical MPS of Gaussian tensors, bonds capped at ``chi``."""
     from .mps import MPS
 
     bonds = [1] + [chi] * (n_sites - 1) + [1]
-    shapes = [(d, a, b) for a, b in zip(bonds, bonds[1:])]
+    shapes = [(2, a, b) for a, b in zip(bonds, bonds[1:])]
     psi = MPS(tuple(random_state(rng, np.prod(s)).reshape(s) for s in shapes), np.eye(1))
     return MPS(psi.canonicalize("left").tensors, np.eye(1), canonical="left")

@@ -20,7 +20,7 @@ from . import network as net
 from . import oracle
 from .errors import ShapeError
 from .linalg import PAULI, dagger, embed_operator
-from .rand import haar_unitary, random_density, random_kraus_set, random_mps, random_state
+from .rand import haar_unitary, random_density, random_kraus_set, random_canonical_mps, random_state
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def suite_oqt(seed: int = 2027) -> list:
     for _ in range(5):
         psi = mpsmod.from_statevector(random_state(rng, 2**4), [2] * 4)
         cases.append((psi, int(rng.integers(4))))
-    cases.append((random_mps(rng, 32, 4), int(rng.integers(32))))
+    cases.append((random_canonical_mps(rng, 32, 4), int(rng.integers(32))))
     for psi, site in cases:
         plan = net.oqt_prepare_plan(psi)
         obs = [(site, PAULI["Z"])]

@@ -7,7 +7,7 @@ from conftest import PAULI
 from epsim import network, oracle
 from epsim.errors import ShapeError, SizeGuardError
 from epsim.hamiltonians import build_tfim, exact_unitary
-from epsim.rand import haar_unitary, random_density, random_mps, random_state
+from epsim.rand import haar_unitary, random_density, random_canonical_mps, random_state
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -140,7 +140,7 @@ def test_oqt_reference_refuses_from_segment_shapes():
     import tracemalloc
 
     # 2^15 branches pass BRANCH_GUARD; the joint segment state does not.
-    plan = network.oqt_prepare_plan(random_mps(np.random.default_rng(37), 32, 4))
+    plan = network.oqt_prepare_plan(random_canonical_mps(np.random.default_rng(37), 32, 4))
     assert 2**plan.n_joins <= network.BRANCH_GUARD
     tracemalloc.start()
     try:
