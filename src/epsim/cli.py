@@ -108,6 +108,15 @@ def _json_bool(value):
     return value
 
 
+def _choice(*options):
+    """A ``_field`` kind that accepts only one of ``options``."""
+    def kind(value):
+        if value not in options:
+            raise ValueError(f"expected one of {options}, got {value!r}")
+        return value
+    return kind
+
+
 def _observable(spec, where: str, n_sites: int, site_required: bool):
     """(site, matrix) of one observable entry; site None if it names none."""
     if not isinstance(spec, dict):
@@ -189,7 +198,8 @@ def _run_dynamics(config: ExperimentConfig) -> dict:
         extra["region_probs"] = [float(p) for p in probs]
     elif config.evaluator == "sampled":
         shots = _field(config.raw, "shots", int, 10**5)
-        strategy = config.raw.get("strategy", "postselect")
+        strategy = _field(config.raw, "strategy", _choice("postselect", "corrected"),
+                          "postselect")
         res = net.evaluate_sampled(network, shots, config.seed, strategy)
         value = res.estimate
         stderr = res.stderr
@@ -231,6 +241,7 @@ def _run_thermal(config: ExperimentConfig) -> dict:
     beta = _field(config.raw, "beta", float)
     epsilon = _field(config.raw, "epsilon", float)
     order = _field(config.raw, "order", int, None)
+    mode = _field(config.raw, "mode", _choice("exact", "trotter"), "exact")
     if order is None:
         from .hamiltonians import centered
 
@@ -246,7 +257,7 @@ def _run_thermal(config: ExperimentConfig) -> dict:
         beta=beta,
         epsilon=epsilon,
         order=order,
-        mode=config.raw.get("mode", "exact"),
+        mode=mode,
         tau=_field(config.raw, "tau", float, None),
         reps=_field(config.raw, "R", int, None),
         grid=_field(config.raw, "grid", lambda g: tuple(float(t) for t in g), None) or None,

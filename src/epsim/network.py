@@ -14,13 +14,15 @@ indices.  Evaluation then happens entirely on the entanglement space:
   and joins them along the cut wires,
 * :func:`evaluate_sampled` simulates the heralded-measurement realization,
   where every wire is a binary Bell measurement {|w><w|, 1 - |w><w|} on a
-  pair of prepared qudits and only the observable outcome is kept.
+  pair of prepared qudits, and shots are drawn over only the heralded cells
+  its estimator reads.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -38,7 +40,6 @@ from .linalg import as_matrix, dagger, is_unitary, svd
 from .mps import MPS
 
 CONTRACTION_GUARD = 2**24
-BRANCH_GUARD = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -629,30 +630,23 @@ def _ket_graph(net: ChannelNetwork):
     return nodes, sampled, chain
 
 
-class BranchTable:
-    """Exact joint distribution of wire outcomes and observable outcomes."""
-
-    def __init__(self, wires, lam, probs, outcome_index, clipped_mass):
-        self.wires = wires          # (label, dim, orientation) per wire
-        self.lam = lam              # per-outcome product of eigenvalues
-        self.probs = probs          # (2**W, n_out), rows indexed by outcome bits
-        self.outcome_index = outcome_index
-        self.clipped_mass = clipped_mass  # negative rounding mass set to zero
-
-    @property
-    def n_wires(self):
-        return len(self.wires)
-
-    def acceptance(self) -> float:
-        return float(np.sum(self.probs[0]))
-
-
 def _doubled(tensor):
     """T (x) T* with each leg fused to its conjugate, ket index first."""
     n = tensor.ndim
     pair = np.multiply.outer(tensor, tensor.conj())
     perm = [a for k in range(n) for a in (k, k + n)]
     return pair.transpose(perm).reshape([dim * dim for dim in tensor.shape])
+
+
+def _guard_doubled(tensors, label):
+    """Refuse from shapes, before any is built, when the doubled copies of
+    ``tensors`` together exceed the contraction guard."""
+    size = sum(t.size**2 for t in tensors)
+    if size > CONTRACTION_GUARD:
+        raise SizeGuardError(
+            f"doubled site tensors of {label} hold {size} entries together "
+            f"(> {CONTRACTION_GUARD}); refusing"
+        )
 
 
 def _bell_branches(dim):
@@ -663,40 +657,29 @@ def _bell_branches(dim):
     return np.stack([bell, np.outer(ident, ident) - bell])
 
 
-def branch_distribution(net: ChannelNetwork) -> BranchTable:
-    """Every heralded branch of the preparation, from one contraction.
+def branch_distribution(net: ChannelNetwork, strategy: str = "postselect"):
+    """Exact probabilities of the heralded cells that ``strategy`` reads.
 
-    Wire outcome bit 0 is the Bell outcome Omega = |w><w|, bit 1 its
-    complement; observable outcomes run over the eigenbases of the measured
-    sites.  The branch weights <psi| (x)_k Pi_{b_k} (x) Pi_o |psi> are the
-    open legs of the doubled (ket (x) bra) preparation graph: every wire
-    carries one tensor stacking Omega and 1 - Omega over its two endpoints
-    with an open bit leg, every measured site its eigenprojectors with an
-    open outcome leg, and every other site a ket-to-bra trace.  Row bit k of
-    the table is wire k.
+    Row 0 is the all-Bell branch (every wire at Omega = |w><w|); for
+    ``corrected``, row 1 holds the branches with every vertical wire at Omega
+    and at least one horizontal wire failed.  Each row is one contraction of
+    the doubled (ket (x) bra) preparation graph with the observable outcome
+    legs open, relative to the product of the node norms, so one minus the
+    rows' sum is the reject cell.  Returns (probs of shape (rows, n_out),
+    per-outcome eigenvalue products, clipped_mass: the rounding mass below
+    zero cut from the cells, reject cell included).
     """
-    import itertools
-
+    if strategy not in ("postselect", "corrected"):
+        raise ShapeError(f"unknown sampling strategy {strategy!r}")
     for site, op in net.observables.items():
         if np.max(np.abs(op - dagger(op))) > 1e-10:
             raise ShapeError(f"observable at site {site} is not Hermitian")
     nodes, sampled, finals = _ket_graph(net)
-    w = len(sampled)
+    label = "branch distribution"
+    _guard_doubled([t for t, _ in nodes], label)
     measured = sorted(net.observables)
     eig = {c: obs_eigenbasis(net.observables[c]) for c in measured}
-    n_out = int(np.prod([net.d] * len(measured))) if measured else 1
-    if (2**w) * n_out > BRANCH_GUARD:
-        raise SizeGuardError(
-            f"branch enumeration needs {(2**w) * n_out} entries "
-            f"(> {BRANCH_GUARD}); refusing"
-        )
-    outcomes = list(itertools.product(*[range(net.d) for _ in measured]))
-
     items = [(_doubled(t), legs) for t, legs in nodes]
-    for k, (lab, dim, _) in enumerate(sampled):
-        # Open leg ("b", w - 1 - k): the canonical leg order ("b" legs, then
-        # "out" legs by site) makes wire k row bit k.
-        items.append((_bell_branches(dim), [("b", w - 1 - k), (lab, 0), (lab, 1)]))
     for c, final in finals.items():
         if c in eig:
             vecs = eig[c][1]
@@ -704,18 +687,23 @@ def branch_distribution(net: ChannelNetwork) -> BranchTable:
             items.append((proj, [("out", c), final]))
         else:
             items.append((np.eye(net.d).reshape(-1), [final]))
-    table, _ = _contract_group(items, "branch enumeration")
-    probs = table.real.reshape(2**w, n_out)
-    clipped = float(np.maximum(-probs, 0.0).sum())
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if total <= 0:
-        raise SamplingError("branch distribution has no mass")
-    probs /= total
-    lam = np.array(
-        [np.prod([eig[c][0][oc] for c, oc in zip(measured, o)]) for o in outcomes]
-    ) if measured else np.ones(1)
-    return BranchTable(sampled, lam, probs, outcomes, clipped / total)
+
+    def row(trace_horizontal):
+        wires = []
+        for lab, dim, orientation in sampled:
+            branches = _bell_branches(dim)
+            traced = trace_horizontal and orientation == "h"
+            wires.append((branches.sum(0) if traced else branches[0], [(lab, 0), (lab, 1)]))
+        table, _ = _contract_group(items + wires, label)
+        return table.real.reshape(-1)
+
+    rows = [row(False)]
+    if strategy == "corrected":
+        rows.append(row(True) - rows[0])
+    probs = np.array(rows) / math.prod(np.vdot(t, t).real for t, _ in nodes)
+    clipped = float(np.maximum(-probs, 0.0).sum() + max(probs.sum() - 1.0, 0.0))
+    lam = np.array([math.prod(o) for o in itertools.product(*(eig[c][0] for c in measured))])
+    return np.clip(probs, 0.0, None), lam, clipped
 
 
 @dataclass(frozen=True)
@@ -726,113 +714,56 @@ class SampleResult:
     accepted: int
     acceptance_rate: float
     strategy: str
-    clipped_mass: float  # BranchTable.clipped_mass of the sampled table
+    clipped_mass: float  # rounding mass below zero cut from the sampled cells
 
 
 def evaluate_sampled(
-    net: ChannelNetwork,
-    shots: int,
-    seed: int,
-    strategy: str = "postselect",
-    correct_vertical: bool = False,
+    net: ChannelNetwork, shots: int, seed: int, strategy: str = "postselect"
 ) -> SampleResult:
     """Monte-Carlo estimate from the heralded-measurement realization.
 
-    ``postselect`` keeps only the all-Bell branch (unbiased, exponential
-    acceptance in the wire count); ``corrected`` removes the depolarizing
-    offset of horizontal wires with an exactly computed baseline so their
-    failure branches contribute too.  Vertical-wire correction is gated
-    behind ``correct_vertical``.
+    Shots are drawn over the cells of :func:`branch_distribution` plus the
+    reject cell.  ``postselect`` averages the observable over row 0.
+    ``corrected`` postselects only the vertical wires: with m the exact rows
+    summed and f the sampled frequencies of row 1, the estimate is
+    (m - f).lam / (sum m - sum f), with a delta-method stderr.  SamplingError
+    when the estimator's row expects under one sample, or draws none.
     """
     if shots < 1:
         raise ShapeError("need at least one shot")
-    table = branch_distribution(net)
-    rng = np.random.default_rng(seed)
-    flat = table.probs.reshape(-1)
-    counts = rng.multinomial(shots, flat / flat.sum()).reshape(table.probs.shape)
-    if strategy == "postselect":
-        return _postselect_estimate(table, counts, shots)
-    if strategy == "corrected":
-        return _corrected_estimate(table, counts, shots, rng, correct_vertical)
-    raise ShapeError(f"unknown sampling strategy {strategy!r}")
-
-
-def _postselect_estimate(table, counts, shots):
-    acc = counts[0]
-    n_acc = int(acc.sum())
-    if n_acc == 0:
+    probs, lam, clipped = branch_distribution(net, strategy)
+    # The estimator reads the last row: row 0 (postselect) or row 1 (corrected).
+    rate = float(probs[-1].sum())
+    if shots * rate < 1:
         raise SamplingError(
-            f"no accepted samples in {shots} shots "
-            f"(expected acceptance rate {table.acceptance():.3e})"
+            f"{strategy} cells have expected acceptance rate {rate:.3e}: "
+            f"under one sample expected in {shots} shots; refusing before sampling"
         )
-    est = float(np.dot(acc, table.lam) / n_acc)
-    if n_acc > 1:
-        var = float(np.dot(acc, (table.lam - est) ** 2) / (n_acc - 1))
-        stderr = float(np.sqrt(var / n_acc))
-    else:
-        stderr = float("inf")
-    return SampleResult(
-        est, stderr, shots, n_acc, n_acc / shots, "postselect", table.clipped_mass
-    )
-
-
-def _corrected_estimate(table, counts, shots, rng, correct_vertical):
-    w = table.n_wires
-    corrected = [
-        k for k, (_, _, orient) in enumerate(table.wires)
-        if orient == "h" or correct_vertical
-    ]
-    post = [k for k in range(w) if k not in corrected]
-
-    def assemble(freq):
-        """sum_S (-1)^|S| T(S): S=empty from the exact table, else freq."""
-        num = 0.0
-        den = 0.0
-        for s_bits in range(2 ** len(corrected)):
-            rows = _row_set(w, corrected, s_bits, post)
-            src = table.probs if s_bits == 0 else freq
-            mass = src[rows].sum(axis=0)
-            sign = (-1) ** bin(s_bits).count("1")
-            num += sign * float(np.dot(mass, table.lam))
-            den += sign * float(mass.sum())
-        return num, den
-
-    freq = counts / shots
-    num, den = assemble(freq)
-    if abs(den) < 1e-12:
-        raise SamplingError("corrected estimator lost all mass")
-    est = num / den
-    # Bootstrap over the multinomial tally for the uncertainty.
-    boots = []
-    p_hat = freq.reshape(-1)
-    p_hat = p_hat / p_hat.sum() if p_hat.sum() > 0 else p_hat
-    for _ in range(64):
-        resample = rng.multinomial(shots, p_hat).reshape(counts.shape) / shots
-        bn, bd = assemble(resample)
-        if abs(bd) > 1e-12:
-            boots.append(bn / bd)
-    stderr = float(np.std(boots)) if len(boots) > 1 else float("inf")
+    rng = np.random.default_rng(seed)
+    pvals = [*probs.reshape(-1), max(1.0 - probs.sum(), 0.0)]
+    counts = rng.multinomial(shots, pvals)[:-1].reshape(probs.shape)
+    if counts[-1].sum() == 0:
+        raise SamplingError(
+            f"no samples in the {strategy} cells in {shots} shots "
+            f"(expected acceptance rate {rate:.3e})"
+        )
     n_acc = int(counts[0].sum())
-    return SampleResult(
-        float(est), stderr, shots, n_acc, n_acc / shots, "corrected", table.clipped_mass
-    )
-
-
-def _row_set(w, corrected, s_bits, post):
-    """Branch-row indices with b=1 on the chosen corrected wires, b=0 on the
-    postselected wires, and both values on the remaining corrected wires."""
-    fixed_one = [corrected[i] for i in range(len(corrected)) if s_bits >> i & 1]
-    free = [k for k in corrected if k not in fixed_one]
-    rows = []
-    for bits in range(2 ** len(free)):
-        row = 0
-        for k in fixed_one:
-            row |= 1 << k
-        for i, k in enumerate(free):
-            if bits >> i & 1:
-                row |= 1 << k
-        rows.append(row)
-    return rows
+    if strategy == "postselect":
+        est = float(np.dot(counts[0], lam) / n_acc)
+        if n_acc > 1:
+            var = float(np.dot(counts[0], (lam - est) ** 2) / (n_acc - 1))
+            stderr = float(np.sqrt(var / n_acc))
+        else:
+            stderr = float("inf")
+    else:
+        m, f = probs.sum(axis=0), counts[1] / shots
+        den = float(m.sum() - f.sum())
+        if abs(den) < 1e-12:
+            raise SamplingError("corrected estimator lost all mass")
+        est = float(np.dot(m - f, lam)) / den
+        g = (est - lam) / den
+        stderr = float(np.sqrt(max(np.dot(f, g**2) - np.dot(f, g) ** 2, 0.0) / shots))
+    return SampleResult(est, stderr, shots, n_acc, n_acc / shots, strategy, clipped)
 
 
 # ---------------------------------------------------------------------------
@@ -889,12 +820,7 @@ def simulate_oqt_plan(plan: OqtPlan, observables, mode: str = "corrected") -> co
     psi, label = plan.psi, f"oqt preparation plan ({mode})"
     # Every step of the plan stays below the largest doubled site (256
     # against 1024 entries at chi = 4), so the sites are what the guard prices.
-    sites = sum(t.size**2 for t in psi.tensors)
-    if sites > CONTRACTION_GUARD:
-        raise SizeGuardError(
-            f"doubled site tensors of {label} hold {sites} entries together "
-            f"(> {CONTRACTION_GUARD}); refusing"
-        )
+    _guard_doubled(psi.tensors, label)
     obs = {int(site): as_matrix(op) for site, op in observables}
     # Bond b joins sites b - 1 and b; a join splits its bond label in two.
     joins = [first for first, _ in plan.segments[1:]]

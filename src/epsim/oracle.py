@@ -15,11 +15,11 @@ from .channels import bell_vector
 from .errors import ShapeError, SizeGuardError
 from .hamiltonians import LocalHamiltonian
 from .linalg import as_matrix, matrix_exp
-from .network import BRANCH_GUARD, BranchTable, BrickworkCircuit, ChannelNetwork
-from .network import OqtPlan, branch_distribution
+from .network import BrickworkCircuit, OqtPlan
 
 STATE_GUARD = 2**14
 UNITARY_GUARD = 2**12
+BRANCH_GUARD = 2**20
 
 
 @dataclass(frozen=True)
@@ -129,16 +129,13 @@ def amplitude_exact(phi, u, psi) -> complex:
     return complex(np.conj(np.asarray(phi)) @ np.asarray(u) @ np.asarray(psi))
 
 
-def channel_branch_simulate(plan) -> BranchTable | list:
-    """Exhaustive enumeration of heralded-measurement branches.
+def channel_branch_simulate(plan) -> list:
+    """Exhaustive enumeration of the join outcomes of an OqtPlan.
 
-    For a ChannelNetwork, returns the exact BranchTable of wire and
-    observable outcomes.  For an OqtPlan, returns per-branch rows
-    (bits, probability); a joint segment state above STATE_GUARD is refused
-    from the segment shapes before anything is built.
+    Returns per-branch rows (bits, probability); more than BRANCH_GUARD
+    branches, or a joint segment state above STATE_GUARD, is refused from
+    the segment shapes before anything is built.
     """
-    if isinstance(plan, ChannelNetwork):
-        return branch_distribution(plan)
     if isinstance(plan, OqtPlan):
         if 2**plan.n_joins > BRANCH_GUARD:
             raise SizeGuardError("too many OQT branches")

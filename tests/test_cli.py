@@ -283,8 +283,14 @@ def test_zero_vector_is_config_error(workdir, capsys):
         ("dynamics", {"observables": [{"pauli": "Z"}]}),
         ("thermal", {"normalized": "false"}),
         ("thermal", {"normalized": 1}),
+        ("dynamics", {"strategy": "both", "evaluator": "sampled",
+                      "observables": [{"site": 1, "pauli": "Z"}]}),
+        ("dynamics", {"strategy": ["x"], "evaluator": "sampled",
+                      "observables": [{"site": 1, "pauli": "Z"}]}),
+        ("thermal", {"mode": 5}),
     ],
-    ids=["beta", "order", "site-range", "epsilon", "no-site", "normalized-str", "normalized-int"],
+    ids=["beta", "order", "site-range", "epsilon", "no-site", "normalized-str", "normalized-int",
+         "strategy-str", "strategy-list", "mode-int"],
 )
 def test_malformed_config_field_is_config_error(workdir, capsys, task, fields):
     base = {

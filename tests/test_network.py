@@ -307,16 +307,18 @@ def test_branch_distribution_is_consistent():
     # N=4, L=1 (W=9) and N=3, L=2 (W=8) once exceeded the contraction guard.
     for n, l in ((2, 1), (4, 1), (3, 2)):
         net, psi, circ, obs = random_net(rng, n, l)
-        table = network.branch_distribution(net)
-        assert abs(table.probs.sum() - 1) < 1e-10
-        assert 0 <= table.clipped_mass <= 1e-12
+        probs, lam, clipped = network.branch_distribution(net, "corrected")
+        assert probs.shape == (2, 2)
+        assert 0 < probs.sum() <= 1 + 1e-12
+        assert 0 <= clipped <= 1e-12
         # Conditioning on the all-Bell branch reproduces the exact value.
-        cond = table.probs[0] / table.probs[0].sum()
-        value = float(np.dot(cond, table.lam))
+        cond = probs[0] / probs[0].sum()
+        value = float(np.dot(cond, lam))
         assert abs(value - network.evaluate_exact(net).real) < 1e-10
+        assert np.array_equal(network.branch_distribution(net)[0], probs[:1])
     res = network.evaluate_sampled(net, shots=10**4, seed=0, strategy="corrected")
     assert np.isfinite(res.estimate)
-    assert res.clipped_mass == table.clipped_mass
+    assert res.clipped_mass == clipped
 
 
 def dense_branch_table(net):
@@ -383,9 +385,16 @@ def test_branch_table_matches_dense_reference(n_wires):
     else:
         n = n_wires - 2
         net, *_ = random_net(rng, n, 1, obs_sites=(0, n - 1))
-    table = network.branch_distribution(net)
-    assert table.n_wires == n_wires
-    assert np.max(np.abs(table.probs - dense_branch_table(net))) < 1e-12
+    dense = dense_branch_table(net)
+    sampled = network._ket_graph(net)[1]
+    assert len(sampled) == n_wires
+    vertical = sum(1 << k for k, (_, _, orient) in enumerate(sampled) if orient == "v")
+    failed = [row for row in range(1, len(dense)) if not row & vertical]
+    postselect, _, _ = network.branch_distribution(net, "postselect")
+    corrected, _, _ = network.branch_distribution(net, "corrected")
+    assert np.max(np.abs(postselect[0] - dense[0])) < 1e-12
+    assert np.max(np.abs(corrected[0] - dense[0])) < 1e-12
+    assert np.max(np.abs(corrected[1] - dense[failed].sum(axis=0))) < 1e-12
 
 
 def test_sampling_deterministic_network():
@@ -414,9 +423,9 @@ def test_sampling_acceptance_rate_bell_pair():
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     psi = mps.from_statevector(bell, [2, 2])
     net = network.build_network(psi, network.BrickworkCircuit(2, ()), [])
-    table = network.branch_distribution(net)
-    assert table.n_wires == 1
-    assert abs(table.acceptance() - 0.25) < 1e-10
+    assert len(network._ket_graph(net)[1]) == 1
+    probs, _, _ = network.branch_distribution(net)
+    assert abs(probs[0].sum() - 0.25) < 1e-10
     res = network.evaluate_sampled(net, shots=10**4, seed=3)
     assert abs(res.acceptance_rate - 0.25) < 0.02
 
@@ -426,6 +435,12 @@ def test_sampling_zero_acceptance_raises():
     net, *_ = random_net(rng, 3, 1)
     with pytest.raises(SamplingError, match="acceptance"):
         network.evaluate_sampled(net, shots=2, seed=0)
+    # One accepted sample expected (a Bell pair accepts 1/4), none drawn.
+    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    psi = mps.from_statevector(bell, [2, 2])
+    net = network.build_network(psi, network.BrickworkCircuit(2, ()), [])
+    with pytest.raises(SamplingError, match="no samples"):
+        network.evaluate_sampled(net, shots=4, seed=2)
 
 
 def test_sampling_corrected_strategy():
@@ -435,10 +450,46 @@ def test_sampling_corrected_strategy():
     res = network.evaluate_sampled(net, shots=10**5, seed=5, strategy="corrected")
     assert res.strategy == "corrected"
     assert abs(res.estimate - exact) < 5 * res.stderr + 1e-12
-    res_all = network.evaluate_sampled(
-        net, shots=10**5, seed=5, strategy="corrected", correct_vertical=True
-    )
-    assert abs(res_all.estimate - exact) < 5 * res_all.stderr + 1e-12
+
+
+def test_sampling_corrected_stderr_is_calibrated():
+    # A bootstrap stderr misses this instance by 14 sigma.
+    net, *_ = random_net(np.random.default_rng(1009), 4, 2)
+    exact = network.evaluate_exact(net).real
+    res = network.evaluate_sampled(net, shots=10**6, seed=9, strategy="corrected")
+    assert abs(res.estimate - exact) < 5 * res.stderr
+
+
+def test_sampling_refuses_before_drawing(monkeypatch):
+    # At N=8, L=2 the corrected row holds 3.7e-9 of the mass: 10^6 shots
+    # expect no sample there.
+    net, *_ = random_net(np.random.default_rng(19), 8, 2)
+
+    def no_draws(seed):
+        raise AssertionError("shots were drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(SamplingError, match="refusing before sampling"):
+        network.evaluate_sampled(net, shots=10**6, seed=0, strategy="corrected")
+
+
+def test_branch_distribution_guard_refuses_from_shapes(monkeypatch):
+    import tracemalloc
+
+    # Full-rank N=8 state, no gates: the largest doubled site has 2^16 entries.
+    psi = mps.from_statevector(random_state(np.random.default_rng(20), 2**8), [2] * 8)
+    net = network.build_network(psi, network.BrickworkCircuit(8, ()), [(3, PAULI["Z"])])
+    largest = max(t.size for t in psi.tensors) ** 2
+    monkeypatch.setattr(network, "CONTRACTION_GUARD", 2**12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match="doubled site tensors of branch distribution"):
+            network.evaluate_sampled(net, shots=10**4, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert largest == 2**16
+    assert peak < largest * 16
 
 
 def test_sampling_unbiasedness_over_seeds():
