@@ -10,7 +10,7 @@ observables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -171,33 +171,52 @@ def dqc1_cswap_estimate(
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Fitted short-time expansion of f(t) = <a|e^{-itH}|a>.
-
-    ``moments`` are m_n = <a|H^n|a>; internally the same polynomial is kept
-    in the basis the solve used, which :meth:`series_value` evaluates at
-    imaginary time (the Wick-rotated thermal weight).
+    """Fitted short-time expansion of f(t) = <a|e^{-itH}|a>, or of
+    sum_a alpha_a f_a(t) when :func:`thermal_value` combines the fits of A's
+    eigenstates with A's eigenvalues.  ``coeffs`` stay in the basis the solve
+    used, which :meth:`series_value` evaluates at imaginary time (the
+    Wick-rotated thermal weight); only :attr:`moments`, which
+    :func:`extract_moments` reports, converts them to m_n = <a|H^n|a>.
     """
 
-    moments: np.ndarray
+    coeffs: np.ndarray
     condition: float
     residual: float
     grid: tuple
-    basis: str = "monomial"
-    coeffs: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def order(self) -> int:
-        return len(self.moments)
+        return len(self.coeffs)
+
+    @property
+    def basis(self) -> str:
+        return "monomial" if self.order <= _MONOMIAL_MAX_ORDER else "chebyshev"
+
+    @property
+    def moments(self) -> np.ndarray:
+        """m_n = <a|H^n|a>, n < order, converted from the fitted basis."""
+        if self.basis == "monomial":
+            return self.coeffs
+        t_max = max(abs(t) for t in self.grid)
+        poly = np.polynomial.chebyshev.cheb2poly(self.coeffs)
+        return np.array(
+            [
+                poly[n] * math.factorial(n) / ((-1j * t_max) ** n)
+                if n < len(poly)
+                else 0.0
+                for n in range(self.order)
+            ]
+        )
 
     def series_value(self, beta: float) -> complex:
         """sum_n m_n (-beta)^n / n!, i.e. the fit continued to t = -i beta."""
-        if self.basis == "chebyshev" and self.coeffs is not None:
+        if self.basis == "chebyshev":
             z = -1j * beta / max(abs(t) for t in self.grid)
             return complex(np.polynomial.chebyshev.chebval(z, self.coeffs))
         weights = np.array(
             [(-beta) ** n / math.factorial(n) for n in range(self.order)]
         )
-        return complex(np.dot(weights, self.moments))
+        return complex(np.dot(weights, self.coeffs))
 
     def amplification(self, beta: float) -> float:
         """How much per-sample amplitude noise can grow in series_value."""
@@ -251,7 +270,8 @@ def extract_moments(
     grid = _moment_grid(h.norm_bound(), order, grid, solver_tol)
     a = _check_state(a)
     f = _amplitudes(h, mode, grid, trotter_step, a[:, None])
-    return _fit_moments(grid, order, f)[0]
+    coeffs, condition, residuals = _fit_moments(grid, order, f)
+    return MomentSet(coeffs[:, 0], condition, float(residuals[0]), grid)
 
 
 def _moment_grid(h_norm: float, order: int, grid, solver_tol: float) -> tuple:
@@ -314,16 +334,16 @@ def _amplitudes(h: LocalHamiltonian, mode: str, grid, trotter_step, states):
     return np.exp(-1j * np.outer(grid, energies)) @ weights
 
 
-def _fit_moments(grid: tuple, order: int, f: np.ndarray) -> list:
-    """One MomentSet per column of ``f`` (grid times x states), all from a
-    single column-scaled least squares solve."""
-    t_max = max(abs(t) for t in grid)
-    basis = "monomial" if order <= _MONOMIAL_MAX_ORDER else "chebyshev"
-    if basis == "monomial":
+def _fit_moments(grid: tuple, order: int, f: np.ndarray) -> tuple:
+    """(coeffs, condition, residuals): the MomentSet-basis fit of every
+    column of ``f`` (grid times x states) from one column-scaled least
+    squares solve, and each column's misfit on the grid."""
+    if order <= _MONOMIAL_MAX_ORDER:
         v = np.array(
             [[(-1j * t) ** n / math.factorial(n) for n in range(order)] for t in grid]
         )
     else:
+        t_max = max(abs(t) for t in grid)
         v = np.polynomial.chebyshev.chebvander(np.array(grid) / t_max, order - 1)
     col_scale = np.linalg.norm(v, axis=0)
     col_scale[col_scale == 0] = 1.0
@@ -337,22 +357,7 @@ def _fit_moments(grid: tuple, order: int, f: np.ndarray) -> list:
     y, *_ = np.linalg.lstsq(vs, f, rcond=None)
     coeffs = y / col_scale[:, None]
     residuals = np.linalg.norm(v @ coeffs - f, axis=0)
-    sets = []
-    for c, residual in zip(coeffs.T, residuals):
-        moments, cheb = c, None
-        if basis == "chebyshev":
-            poly = np.polynomial.chebyshev.cheb2poly(c)
-            moments = np.array(
-                [
-                    poly[n] * math.factorial(n) / ((-1j * t_max) ** n)
-                    if n < len(poly)
-                    else 0.0
-                    for n in range(order)
-                ]
-            )
-            cheb = c
-        sets.append(MomentSet(moments, condition, float(residual), grid, basis, cheb))
-    return sets
+    return coeffs, condition, residuals
 
 
 def choose_truncation(beta: float, h_norm_bound: float, eps: float) -> int:
@@ -447,11 +452,11 @@ def thermal_value(job: ThermalJob, normalized: bool = False) -> ThermalResult:
     A and the centered H (or the Trotter step's effective Hamiltonian) are
     each diagonalized once; the short-time amplitudes of every eigenstate
     of A at every grid time are one matrix product, and one least squares
-    solve fits all of their moments, which are Wick-rotated into the
-    imaginary-time Taylor series.  The returned budget splits the error
-    bound into the Taylor tail, the Trotter contribution, and the solver
-    residual; the job is rejected up front if the requested epsilon is out
-    of reach.
+    solve fits them all.  The fit's coefficients, combined with A's
+    eigenvalues, give one series that is Wick-rotated to imaginary time;
+    no monomial moments are formed.  The budget splits the error bound into
+    the Taylor tail, the Trotter contribution, and the solver residual; an
+    out-of-reach epsilon, or an imaginary part beyond it, is a BudgetError.
     ``normalized`` divides by the partition function computed the same way
     (the plain thermal value is unnormalized).
     """
@@ -485,13 +490,11 @@ def thermal_value(job: ThermalJob, normalized: bool = False) -> ThermalResult:
 
     grid = _moment_grid(h_norm, job.order, job.grid, solver_tol)
     f = _amplitudes(h, job.mode, grid, trotter_step, vecs)
-    fits = _fit_moments(grid, job.order, f)
-    total = scale_mu * sum(a * ms.series_value(job.beta) for a, ms in zip(alphas, fits))
-    condition = fits[0].condition
-    # amplification depends only on the shared grid, beta and order.
-    solver_bound = scale_mu * alpha_sum * fits[0].amplification(job.beta) * max(
-        ms.residual for ms in fits
-    )
+    coeffs, condition, residuals = _fit_moments(grid, job.order, f)
+    # The solver bound keeps the largest per-eigenstate residual.
+    fit = MomentSet(coeffs @ alphas, condition, float(np.max(residuals)), grid)
+    total = scale_mu * fit.series_value(job.beta)
+    solver_bound = scale_mu * alpha_sum * fit.amplification(job.beta) * fit.residual
     trotter_bound = 0.0
     if job.mode == "trotter":
         trotter_bound = (
@@ -503,25 +506,14 @@ def thermal_value(job: ThermalJob, normalized: bool = False) -> ThermalResult:
         "solver": solver_bound,
     }
     if abs(total.imag) > job.epsilon:
-        raise ShapeError(
+        raise BudgetError(
             f"thermal value has imaginary part {total.imag:.2e} beyond the "
             f"accuracy budget; the moment fit is unreliable"
         )
     value = float(total.real)
     if normalized:
-        ident_job = ThermalJob(
-            observable=np.eye(job.observable.shape[0]),
-            hamiltonian=job.hamiltonian,
-            beta=job.beta,
-            epsilon=job.epsilon,
-            order=job.order,
-            mode=job.mode,
-            tau=job.tau,
-            reps=job.reps,
-            grid=job.grid,
-        )
-        z = thermal_value(ident_job).value
-        value /= z
+        ident_job = replace(job, observable=np.eye(job.observable.shape[0]))
+        value /= thermal_value(ident_job).value
     return ThermalResult(value, budget, condition)
 
 

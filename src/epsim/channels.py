@@ -222,8 +222,8 @@ class ChoiState:
             raise ShapeError(
                 f"state shape {rho.shape} != Choi input dim {self.in_dim}"
             )
-        sandwich = self.matrix @ np.kron(np.eye(self.out_dim), rho.T)
-        return self.in_dim * partial_trace(sandwich, [self.out_dim, self.in_dim], [0])
+        omega = self.matrix.reshape((self.out_dim, self.in_dim) * 2)
+        return self.in_dim * np.einsum("aibk,ik->ab", omega, rho)
 
     def to_dict(self) -> dict:
         return {

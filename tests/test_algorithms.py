@@ -174,6 +174,21 @@ def test_moments_default_grid_accuracy():
     assert np.max(np.abs(ms.moments.imag)) < 1e-4 * max(1.0, hn**s)
 
 
+def test_moments_chebyshev_order_accuracy():
+    # s = 16 > _MONOMIAL_MAX_ORDER: the fit runs in the Chebyshev basis and
+    # MomentSet.moments converts it to monomial moments.
+    rng = np.random.default_rng(80)
+    h = ham.build_tfim(3, 1.0, 0.7)
+    a = random_state(rng, 8)
+    ms = alg.extract_moments(h, a, 16)
+    assert ms.basis == "chebyshev"
+    hd = h.dense()
+    hn = h.norm_bound()
+    for n in range(6):
+        want = np.vdot(a, np.linalg.matrix_power(hd, n) @ a)
+        assert abs(ms.moments[n] - want) < 1e-8 * max(1.0, hn**n)
+
+
 def test_moments_trotter_mode():
     h = ham.build_tfim(2, 1.0, 0.5)
     a = random_state(1, 4)
@@ -247,6 +262,30 @@ def test_thermal_observable(mode, tol):
     assert res.budget["solver"] < 0.2 * 1e-3
 
 
+def test_thermal_chebyshev_order_forms_no_monomials(monkeypatch):
+    def refuse(c):
+        raise AssertionError("thermal_value converted a fit to monomials")
+
+    monkeypatch.setattr(np.polynomial.chebyshev, "cheb2poly", refuse)
+    h = ham.build_tfim(3, 1.0, 1.0)
+    a = embed_operator(PAULI["Z"], [0], [2, 2, 2])
+    job = alg.ThermalJob(observable=a, hamiltonian=h, beta=0.5, epsilon=1e-3, order=16)
+    assert job.order > alg._MONOMIAL_MAX_ORDER
+    res = alg.thermal_value(job)
+    assert abs(res.value - oracle.thermal_exact(a, h, 0.5)) < 1e-3
+
+
+def test_thermal_imaginary_part_is_budget_error(monkeypatch):
+    amplitudes = alg._amplitudes
+    monkeypatch.setattr(alg, "_amplitudes", lambda *args: amplitudes(*args) + 0.1j)
+    h = ham.build_tfim(2, 1.0, 1.0)
+    job = alg.ThermalJob(
+        observable=np.eye(4), hamiltonian=h, beta=0.5, epsilon=1e-3, order=12
+    )
+    with pytest.raises(BudgetError, match="imaginary part"):
+        alg.thermal_value(job)
+
+
 def test_thermal_builds_and_diagonalizes_h_once(monkeypatch):
     calls = []
     dense = ham.LocalHamiltonian.dense
@@ -272,15 +311,19 @@ def test_thermal_budget_infeasible():
         alg.thermal_value(job)
 
 
-def test_thermal_normalized_flag():
+@pytest.mark.parametrize("mode,tol", [("exact", 1e-3), ("trotter", 5e-3)])
+def test_thermal_normalized_flag(mode, tol):
+    # Z0 Z1: a single Z has a zero thermal value under the Heisenberg model.
     h = ham.build_heisenberg(2, 1.0)
-    a = embed_operator(PAULI["Z"], [0], [2, 2])
+    a = embed_operator(np.kron(PAULI["Z"], PAULI["Z"]), [0, 1], [2, 2])
     s = alg.choose_truncation(0.5, h.norm_bound(), 1e-4 / 4)
-    job = alg.ThermalJob(observable=a, hamiltonian=h, beta=0.5, epsilon=1e-3, order=s)
+    job = alg.ThermalJob(
+        observable=a, hamiltonian=h, beta=0.5, epsilon=1e-3, order=s, mode=mode
+    )
     res = alg.thermal_value(job, normalized=True)
     z = oracle.thermal_exact(np.eye(4), h, 0.5)
     want = oracle.thermal_exact(a, h, 0.5) / z
-    assert abs(res.value - want) < 1e-3
+    assert abs(res.value - want) < tol
 
 
 def test_thermal_job_json_roundtrip():

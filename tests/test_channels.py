@@ -93,6 +93,9 @@ def test_readout_identity():
         omega = phi.to_choi()
         rho = random_density(rng, d_in)
         assert np.max(np.abs(omega.apply(rho) - phi.apply(rho))) < 1e-12
+        sandwich = omega.matrix @ np.kron(np.eye(d_out), rho.T)
+        by_kron = d_in * partial_trace(sandwich, [d_out, d_in], keep=[0])
+        assert np.max(np.abs(omega.apply(rho) - by_kron)) < 1e-14
 
 
 def test_readout_on_plus_state():
