@@ -301,14 +301,16 @@ def _amplitudes(h: LocalHamiltonian, mode: str, grid, trotter_step, states):
     eigendecomposition G = sum_k E_k |k><k| of the generator: H itself in
     exact mode, the effective Hamiltonian of one fixed-step Trotter step in
     trotter mode."""
+    dim = h.phys_dim**h.n_sites
+    if states.shape[0] != dim:
+        raise ShapeError(f"state dim {states.shape[0]} != operator dim {dim}")
     if mode == "exact":
-        gen = h.dense()
+        energies, eigvecs = np.linalg.eigh(h.dense())
     elif mode == "trotter":
         import scipy.linalg
 
         t_max = max(abs(t) for t in grid)
         step = trotter_step if trotter_step else t_max / 64
-        dim = h.phys_dim**h.n_sites
         circ = trotter_circuit(h, step, 1)
         eye = np.eye(dim, dtype=complex)
         step_u = np.stack(
@@ -322,14 +324,13 @@ def _amplitudes(h: LocalHamiltonian, mode: str, grid, trotter_step, states):
         # evolution under its effective (Floquet) Hamiltonian.  Extracting
         # that generator once and evolving with it keeps the dataset exactly
         # self-consistent, so the imaginary-time continuation does not
-        # amplify floating-point noise from repeated matrix powers.
-        h_eff = 1j * scipy.linalg.logm(step_u) / step
-        gen = (h_eff + dagger(h_eff)) / 2
+        # amplify floating-point noise from repeated matrix powers.  A unitary
+        # step is normal, so its complex Schur form is diagonal: the Schur
+        # vectors are eigenvectors with eigenphases e^{-i E step}.
+        tri, eigvecs = scipy.linalg.schur(step_u, output="complex")
+        energies = -np.angle(np.diag(tri)) / step
     else:
         raise ShapeError(f"unknown moment-extraction mode {mode!r}")
-    if states.shape[0] != gen.shape[0]:
-        raise ShapeError(f"state dim {states.shape[0]} != operator dim {gen.shape[0]}")
-    energies, eigvecs = np.linalg.eigh(gen)
     weights = np.abs(dagger(eigvecs) @ states) ** 2
     return np.exp(-1j * np.outer(grid, energies)) @ weights
 

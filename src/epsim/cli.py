@@ -42,7 +42,7 @@ class ExperimentConfig:
         self.task = raw.get("task")
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
-        self.seed = _field(raw, "seed", int, 0)
+        self.seed = _field(raw, "seed", _json_int, 0)
         self.evaluator = raw.get("evaluator", "exact")
         self.out = raw.get("out")
         self._require_fields()
@@ -108,6 +108,14 @@ def _json_bool(value):
     return value
 
 
+def _json_int(value):
+    """An integer field takes only JSON integers: int(1000.9) is 1000 and
+    int(True) is 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def _choice(*options):
     """A ``_field`` kind that accepts only one of ``options``."""
     def kind(value):
@@ -121,7 +129,7 @@ def _observable(spec, where: str, n_sites: int, site_required: bool):
     """(site, matrix) of one observable entry; site None if it names none."""
     if not isinstance(spec, dict):
         raise ConfigError(f"config field {where} must be a JSON object")
-    site = _field(spec, "site", int, _REQUIRED if site_required else None, where + ".")
+    site = _field(spec, "site", _json_int, _REQUIRED if site_required else None, where + ".")
     if site is not None and not 0 <= site < n_sites:
         raise ConfigError(f"config field {where}.site = {site} is not in 0..{n_sites - 1}")
     if "pauli" in spec:
@@ -190,14 +198,14 @@ def _run_dynamics(config: ExperimentConfig) -> dict:
     if config.evaluator == "exact":
         value = net.evaluate_exact(network)
     elif config.evaluator == "regions":
-        splits = _field(config.raw, "partition_splits", lambda v: [int(s) for s in v],
+        splits = _field(config.raw, "partition_splits", lambda v: [_json_int(s) for s in v],
                         [max(1, circuit.n_sites // 2)])
         value, probs = net.evaluate_regions(
             network, net.column_partition(network, splits)
         )
         extra["region_probs"] = [float(p) for p in probs]
     elif config.evaluator == "sampled":
-        shots = _field(config.raw, "shots", int, 10**5)
+        shots = _field(config.raw, "shots", _json_int, 10**5)
         strategy = _field(config.raw, "strategy", _choice("postselect", "corrected"),
                           "postselect")
         res = net.evaluate_sampled(network, shots, config.seed, strategy)
@@ -206,6 +214,8 @@ def _run_dynamics(config: ExperimentConfig) -> dict:
         extra["accepted"] = res.accepted
         extra["acceptance_rate"] = res.acceptance_rate
         extra["clipped_mass"] = res.clipped_mass
+        extra["expected_accepted"] = res.expected_accepted
+        extra["expected_stderr"] = res.expected_stderr
     else:
         raise ConfigError(f"unknown evaluator {config.evaluator!r}")
     try:
@@ -240,7 +250,7 @@ def _run_thermal(config: ExperimentConfig) -> dict:
         obs = embed_operator(obs, [site], [ham.phys_dim] * ham.n_sites)
     beta = _field(config.raw, "beta", float)
     epsilon = _field(config.raw, "epsilon", float)
-    order = _field(config.raw, "order", int, None)
+    order = _field(config.raw, "order", _json_int, None)
     mode = _field(config.raw, "mode", _choice("exact", "trotter"), "exact")
     if order is None:
         from .hamiltonians import centered
@@ -259,7 +269,7 @@ def _run_thermal(config: ExperimentConfig) -> dict:
         order=order,
         mode=mode,
         tau=_field(config.raw, "tau", float, None),
-        reps=_field(config.raw, "R", int, None),
+        reps=_field(config.raw, "R", _json_int, None),
         grid=_field(config.raw, "grid", lambda g: tuple(float(t) for t in g), None) or None,
     )
     normalized = _field(config.raw, "normalized", _json_bool, False)
@@ -299,7 +309,7 @@ def _run_amplitude(config: ExperimentConfig) -> dict:
     u = config.parse(
         "unitary_file", lambda data: serialize.parse_cmat_nested(data["matrix"])
     )
-    shots = _field(config.raw, "shots", int, None) or None
+    shots = _field(config.raw, "shots", _json_int, None) or None
     est = alg.transition_amplitude(phi, u, psi, shots=shots, seed=config.seed)
     want = oracle.amplitude_exact(phi, u, psi)
     return {
@@ -312,8 +322,8 @@ def _run_amplitude(config: ExperimentConfig) -> dict:
 
 
 def _run_duality_check(config: ExperimentConfig) -> dict:
-    n_cases = _field(config.raw, "n_cases", int, 100)
-    max_dim = _field(config.raw, "max_dim", int, 4)
+    n_cases = _field(config.raw, "n_cases", _json_int, 100)
+    max_dim = _field(config.raw, "max_dim", _json_int, 4)
     tol = _field(config.raw, "tolerance", float, 1e-10)
     rng = np.random.default_rng(config.seed)
     worst = 0.0

@@ -15,7 +15,11 @@ indices.  Evaluation then happens entirely on the entanglement space:
 * :func:`evaluate_sampled` simulates the heralded-measurement realization,
   where every wire is a binary Bell measurement {|w><w|, 1 - |w><w|} on a
   pair of prepared qudits, and shots are drawn over only the heralded cells
-  its estimator reads.
+  its estimator reads.  Those cells are identities of the protocol: the
+  all-Bell cells are the exact outcome distribution of this same network
+  (teleportation), and the cells with every horizontal wire traced factor
+  into one chain of d x d channels per site (a traced wire is
+  Omega + (1 - Omega) = I, which cuts it).
 """
 
 from __future__ import annotations
@@ -583,53 +587,6 @@ def obs_eigenbasis(op: np.ndarray):
     return vals, vecs
 
 
-def _ket_graph(net: ChannelNetwork):
-    """Ket-side preparation graph for the heralded protocol.
-
-    Returns (nodes, sampled, finals): nodes as (tensor, leg labels) pairs,
-    sampled wires as (label, dim, orientation) with identity passthroughs
-    spliced out, and finals mapping each site to its dangling physical label.
-    The two endpoints of a sampled wire carry the labels (label, 0) and
-    (label, 1); an unsampled (dimension-1) wire carries one label on both.
-    """
-    n, d = net.circuit.n_sites, net.d
-    labels = iter(range(10**6))
-    sampled = []
-
-    def wire(dim, orientation):
-        lab = next(labels)
-        if dim == 1:
-            return lab, lab
-        sampled.append((lab, dim, orientation))
-        return (lab, 0), (lab, 1)
-
-    legs = [[None] * 3 for _ in range(n)]  # state axes (phys, chi_l, chi_r)
-    for c in range(n - 1):
-        legs[c][2], legs[c + 1][1] = wire(net.psi.tensors[c].shape[2], "h")
-    # Dangling dimension-1 edge bonds get trivial caps.
-    caps = []
-    for c, axis in ((0, 1), (n - 1, 2)):
-        legs[c][axis] = next(labels)
-        caps.append((np.ones(1, dtype=complex), [legs[c][axis]]))
-    # Vertical chains with real gate halves only; each chain end is the
-    # first endpoint of the next vertical wire.
-    chain = {}
-    for c in range(n):
-        legs[c][0] = chain[c] = (next(labels), 0)
-    nodes = list(zip(net.psi.tensors, legs)) + caps
-    for l, layer in enumerate(net.circuit.layers):
-        for site, _ in layer:
-            pair = net.gate_pairs[(l, site)]
-            bond = wire(pair.bond_dim, "h")
-            for side, ops in enumerate((pair.left_ops, pair.right_ops)):
-                c = site + side
-                lab = chain[c][0]
-                sampled.append((lab, d, "v"))
-                chain[c] = (next(labels), 0)
-                nodes.append((np.stack(ops), [bond[side], chain[c], (lab, 1)]))
-    return nodes, sampled, chain
-
-
 def _doubled(tensor):
     """T (x) T* with each leg fused to its conjugate, ket index first."""
     n = tensor.ndim
@@ -660,47 +617,60 @@ def _bell_branches(dim):
 def branch_distribution(net: ChannelNetwork, strategy: str = "postselect"):
     """Exact probabilities of the heralded cells that ``strategy`` reads.
 
-    Row 0 is the all-Bell branch (every wire at Omega = |w><w|); for
-    ``corrected``, row 1 holds the branches with every vertical wire at Omega
-    and at least one horizontal wire failed.  Each row is one contraction of
-    the doubled (ket (x) bra) preparation graph with the observable outcome
-    legs open, relative to the product of the node norms, so one minus the
-    rows' sum is the reject cell.  Returns (probs of shape (rows, n_out),
-    per-outcome eigenvalue products, clipped_mass: the rounding mass below
-    zero cut from the cells, reject cell included).
+    Row 0 is the all-Bell branch (every wire at Omega = |w><w|).  By the
+    teleportation identity each wire at Omega rejoins its two ends, so row 0
+    is the exact outcome distribution, one contraction of the network with
+    the observable's eigenprojectors in its place, times 1/dim per wire.  For
+    ``corrected``, row 1 holds the branches with every vertical wire at
+    Omega and at least one horizontal wire failed.  Rows 0 and 1 together
+    trace every horizontal wire, and a traced wire is Omega + (1 - Omega) =
+    I, which cuts it: each site becomes a chain of d x d channels, its MPS
+    tensor with both bonds traced and then its gate halves as Kraus sets,
+    1/d per vertical wire.  Both rows are relative to the product of the node
+    norms, so one minus their sum is the reject cell.  Returns (probs of
+    shape (rows, n_out), per-outcome eigenvalue products, clipped_mass: the
+    rounding mass below zero cut from the cells, reject cell included).
     """
     if strategy not in ("postselect", "corrected"):
         raise ShapeError(f"unknown sampling strategy {strategy!r}")
     for site, op in net.observables.items():
         if np.max(np.abs(op - dagger(op))) > 1e-10:
             raise ShapeError(f"observable at site {site} is not Hermitian")
-    nodes, sampled, finals = _ket_graph(net)
-    label = "branch distribution"
-    _guard_doubled([t for t, _ in nodes], label)
+    d, tensors = net.d, net.psi.tensors
     measured = sorted(net.observables)
     eig = {c: obs_eigenbasis(net.observables[c]) for c in measured}
-    items = [(_doubled(t), legs) for t, legs in nodes]
-    for c, final in finals.items():
-        if c in eig:
-            vecs = eig[c][1]
-            proj = np.einsum("fo,go->ofg", vecs.conj(), vecs).reshape(net.d, -1)
-            items.append((proj, [("out", c), final]))
+    legs = _node_axis_wires(net)
+    items = []
+    for node in net.nodes:
+        if node.kind == "obs" and node.col in eig:
+            # Eigenprojectors stacked as (outcome, ket, conj), transposed like op.T.
+            vecs = eig[node.col][1]
+            items.append((np.einsum("ko,co->okc", vecs.conj(), vecs),
+                          [("out", node.col)] + legs[node.nid]))
         else:
-            items.append((np.eye(net.d).reshape(-1), [final]))
-
-    def row(trace_horizontal):
-        wires = []
-        for lab, dim, orientation in sampled:
-            branches = _bell_branches(dim)
-            traced = trace_horizontal and orientation == "h"
-            wires.append((branches.sum(0) if traced else branches[0], [(lab, 0), (lab, 1)]))
-        table, _ = _contract_group(items + wires, label)
-        return table.real.reshape(-1)
-
-    rows = [row(False)]
+            items.append((node.tensor, legs[node.nid]))
+    exact, _ = _contract_group(items, "branch distribution")
+    scale = abs(net.psi.boundary[0, 0]) ** 2 * math.prod(t.shape[2] for t in tensors[:-1])
+    scale *= math.prod(pair.bond_dim * d * d for pair in net.gate_pairs.values())
+    rows = [exact.real.reshape(-1) / scale]
+    # Gate halves as (site, stacked Kraus set), in layer order.
+    halves = [(site + side, np.stack(ops)) for (_, site), pair in net.gate_pairs.items()
+              for side, ops in enumerate((pair.left_ops, pair.right_ops))]
     if strategy == "corrected":
-        rows.append(row(True) - rows[0])
-    probs = np.array(rows) / math.prod(np.vdot(t, t).real for t, _ in nodes)
+        rhos = [np.einsum("alr,blr->ab", t, t.conj()) for t in tensors]
+        for c, k in halves:
+            rhos[c] = (k @ rhos[c] @ k.conj().transpose(0, 2, 1)).sum(0) / d
+        cut = np.ones(1)
+        for c, rho in enumerate(rhos):
+            if c in eig:
+                vecs = eig[c][1]
+                cell = np.einsum("ao,ab,bo->o", vecs.conj(), rho, vecs)
+            else:
+                cell = np.trace(rho)
+            cut = np.multiply.outer(cut, cell.real).reshape(-1)
+        rows.append(cut - rows[0])
+    norms = math.prod(np.vdot(t, t).real for t in [*tensors, *(k for _, k in halves)])
+    probs = np.array(rows) / norms
     clipped = float(np.maximum(-probs, 0.0).sum() + max(probs.sum() - 1.0, 0.0))
     lam = np.array([math.prod(o) for o in itertools.product(*(eig[c][0] for c in measured))])
     return np.clip(probs, 0.0, None), lam, clipped
@@ -715,6 +685,16 @@ class SampleResult:
     acceptance_rate: float
     strategy: str
     clipped_mass: float  # rounding mass below zero cut from the sampled cells
+    expected_accepted: float  # shots x the exact mass of the estimator's row
+    expected_stderr: float  # the stderr formula at the exact cells
+
+
+def _corrected(m, f, lam, shots):
+    """(m - f).lam / (sum m - sum f) and its delta-method stderr."""
+    den = float(m.sum() - f.sum())
+    est = float(np.dot(m - f, lam)) / den
+    g = (est - lam) / den
+    return est, float(np.sqrt(max(np.dot(f, g**2) - np.dot(f, g) ** 2, 0.0) / shots))
 
 
 def evaluate_sampled(
@@ -727,7 +707,9 @@ def evaluate_sampled(
     ``corrected`` postselects only the vertical wires: with m the exact rows
     summed and f the sampled frequencies of row 1, the estimate is
     (m - f).lam / (sum m - sum f), with a delta-method stderr.  SamplingError
-    when the estimator's row expects under one sample, or draws none.
+    when the estimator's row expects under one sample, or draws none.  The
+    expected accepted count and stderr are the same formulas at the exact
+    cells: a trust diagnostic that needs no sample.
     """
     if shots < 1:
         raise ShapeError("need at least one shot")
@@ -755,15 +737,17 @@ def evaluate_sampled(
             stderr = float(np.sqrt(var / n_acc))
         else:
             stderr = float("inf")
+        mean = np.dot(probs[0], lam) / rate
+        spread = np.sqrt(np.dot(probs[0], (lam - mean) ** 2) / rate)
+        expected_stderr = float(spread / np.sqrt(shots * rate))
     else:
         m, f = probs.sum(axis=0), counts[1] / shots
-        den = float(m.sum() - f.sum())
-        if abs(den) < 1e-12:
+        if abs(m.sum() - f.sum()) < 1e-12:
             raise SamplingError("corrected estimator lost all mass")
-        est = float(np.dot(m - f, lam)) / den
-        g = (est - lam) / den
-        stderr = float(np.sqrt(max(np.dot(f, g**2) - np.dot(f, g) ** 2, 0.0) / shots))
-    return SampleResult(est, stderr, shots, n_acc, n_acc / shots, strategy, clipped)
+        est, stderr = _corrected(m, f, lam, shots)
+        expected_stderr = _corrected(m, probs[1], lam, shots)[1]
+    return SampleResult(est, stderr, shots, n_acc, n_acc / shots, strategy, clipped,
+                        shots * rate, expected_stderr)
 
 
 # ---------------------------------------------------------------------------

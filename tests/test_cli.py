@@ -197,6 +197,7 @@ def test_report_reproducibility(workdir, capsys):
         data = json.loads(out)
         data.pop("meta")
         assert 0 <= data["clipped_mass"] <= 1e-12
+        assert data["expected_accepted"] > 1 and data["expected_stderr"] > 0
         reports.append(json.dumps(data, sort_keys=True))
     assert reports[0] == reports[1]
 
@@ -288,9 +289,12 @@ def test_zero_vector_is_config_error(workdir, capsys):
         ("dynamics", {"strategy": ["x"], "evaluator": "sampled",
                       "observables": [{"site": 1, "pauli": "Z"}]}),
         ("thermal", {"mode": 5}),
+        ("dynamics", {"shots": 1000.9, "evaluator": "sampled",
+                      "observables": [{"site": 1, "pauli": "Z"}]}),
+        ("thermal", {"observable": {"site": True, "pauli": "Z"}}),
     ],
     ids=["beta", "order", "site-range", "epsilon", "no-site", "normalized-str", "normalized-int",
-         "strategy-str", "strategy-list", "mode-int"],
+         "strategy-str", "strategy-list", "mode-int", "shots-float", "site-bool"],
 )
 def test_malformed_config_field_is_config_error(workdir, capsys, task, fields):
     base = {

@@ -1,3 +1,5 @@
+from __future__ import annotations
+
 import numpy as np
 import pytest
 
@@ -321,6 +323,53 @@ def test_branch_distribution_is_consistent():
     assert res.clipped_mass == clipped
 
 
+def _ket_graph(net: ChannelNetwork):
+    """Ket-side preparation graph for the heralded protocol.
+
+    Returns (nodes, sampled, finals): nodes as (tensor, leg labels) pairs,
+    sampled wires as (label, dim, orientation) with identity passthroughs
+    spliced out, and finals mapping each site to its dangling physical label.
+    The two endpoints of a sampled wire carry the labels (label, 0) and
+    (label, 1); an unsampled (dimension-1) wire carries one label on both.
+    """
+    n, d = net.circuit.n_sites, net.d
+    labels = iter(range(10**6))
+    sampled = []
+
+    def wire(dim, orientation):
+        lab = next(labels)
+        if dim == 1:
+            return lab, lab
+        sampled.append((lab, dim, orientation))
+        return (lab, 0), (lab, 1)
+
+    legs = [[None] * 3 for _ in range(n)]  # state axes (phys, chi_l, chi_r)
+    for c in range(n - 1):
+        legs[c][2], legs[c + 1][1] = wire(net.psi.tensors[c].shape[2], "h")
+    # Dangling dimension-1 edge bonds get trivial caps.
+    caps = []
+    for c, axis in ((0, 1), (n - 1, 2)):
+        legs[c][axis] = next(labels)
+        caps.append((np.ones(1, dtype=complex), [legs[c][axis]]))
+    # Vertical chains with real gate halves only; each chain end is the
+    # first endpoint of the next vertical wire.
+    chain = {}
+    for c in range(n):
+        legs[c][0] = chain[c] = (next(labels), 0)
+    nodes = list(zip(net.psi.tensors, legs)) + caps
+    for l, layer in enumerate(net.circuit.layers):
+        for site, _ in layer:
+            pair = net.gate_pairs[(l, site)]
+            bond = wire(pair.bond_dim, "h")
+            for side, ops in enumerate((pair.left_ops, pair.right_ops)):
+                c = site + side
+                lab = chain[c][0]
+                sampled.append((lab, d, "v"))
+                chain[c] = (next(labels), 0)
+                nodes.append((np.stack(ops), [bond[side], chain[c], (lab, 1)]))
+    return nodes, sampled, chain
+
+
 def dense_branch_table(net):
     """Branch probabilities from the product vector of the node tensors with
     every wire endpoint open: each wire's projector Omega = |w><w| (bit 0) or
@@ -328,7 +377,7 @@ def dense_branch_table(net):
     eigenprojectors on the final legs."""
     import itertools
 
-    nodes, sampled, finals = network._ket_graph(net)
+    nodes, sampled, finals = _ket_graph(net)
     vec, labels = np.ones((), dtype=complex), []
     for t, legs in nodes:
         vec = np.multiply.outer(vec, t)
@@ -386,7 +435,7 @@ def test_branch_table_matches_dense_reference(n_wires):
         n = n_wires - 2
         net, *_ = random_net(rng, n, 1, obs_sites=(0, n - 1))
     dense = dense_branch_table(net)
-    sampled = network._ket_graph(net)[1]
+    sampled = _ket_graph(net)[1]
     assert len(sampled) == n_wires
     vertical = sum(1 << k for k, (_, _, orient) in enumerate(sampled) if orient == "v")
     failed = [row for row in range(1, len(dense)) if not row & vertical]
@@ -423,7 +472,7 @@ def test_sampling_acceptance_rate_bell_pair():
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     psi = mps.from_statevector(bell, [2, 2])
     net = network.build_network(psi, network.BrickworkCircuit(2, ()), [])
-    assert len(network._ket_graph(net)[1]) == 1
+    assert len(_ket_graph(net)[1]) == 1
     probs, _, _ = network.branch_distribution(net)
     assert abs(probs[0].sum() - 0.25) < 1e-10
     res = network.evaluate_sampled(net, shots=10**4, seed=3)
@@ -460,6 +509,16 @@ def test_sampling_corrected_stderr_is_calibrated():
     assert abs(res.estimate - exact) < 5 * res.stderr
 
 
+@pytest.mark.parametrize("strategy", ["postselect", "corrected"])
+def test_sampling_expected_diagnostics(strategy):
+    net, *_ = random_net(np.random.default_rng(1000), 3, 1)
+    probs, _, _ = network.branch_distribution(net, strategy)
+    results = [network.evaluate_sampled(net, 10**6, seed, strategy) for seed in range(10)]
+    assert {r.expected_accepted for r in results} == {10**6 * probs[-1].sum()}
+    ratio = np.median([r.stderr for r in results]) / results[0].expected_stderr
+    assert 0.5 < ratio < 2
+
+
 def test_sampling_refuses_before_drawing(monkeypatch):
     # At N=8, L=2 the corrected row holds 3.7e-9 of the mass: 10^6 shots
     # expect no sample there.
@@ -474,22 +533,40 @@ def test_sampling_refuses_before_drawing(monkeypatch):
 
 
 def test_branch_distribution_guard_refuses_from_shapes(monkeypatch):
+    import re
     import tracemalloc
 
-    # Full-rank N=8 state, no gates: the largest doubled site has 2^16 entries.
-    psi = mps.from_statevector(random_state(np.random.default_rng(20), 2**8), [2] * 8)
-    net = network.build_network(psi, network.BrickworkCircuit(8, ()), [(3, PAULI["Z"])])
-    largest = max(t.size for t in psi.tensors) ** 2
+    # Full-rank N=14 state, no gates: the row-0 plan peaks at the middle
+    # bond's chi^2 = 2^14 entries.
+    psi = mps.from_statevector(random_state(np.random.default_rng(20), 2**14), [2] * 14)
+    net = network.build_network(psi, network.BrickworkCircuit(14, ()), [(6, PAULI["Z"])])
     monkeypatch.setattr(network, "CONTRACTION_GUARD", 2**12)
     tracemalloc.start()
     try:
-        with pytest.raises(SizeGuardError, match="doubled site tensors of branch distribution"):
+        with pytest.raises(SizeGuardError, match="branch distribution") as exc:
             network.evaluate_sampled(net, shots=10**4, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert largest == 2**16
+    largest = int(re.search(r"has (\d+) entries", str(exc.value)).group(1))
+    assert largest == 2**14
     assert peak < largest * 16
+
+
+@pytest.mark.parametrize("strategy", ["postselect", "corrected"])
+def test_branch_distribution_full_rank_without_doubling(monkeypatch, strategy):
+    # A doubled preparation graph of this network holds 3.6e7 entries.
+    net, *_ = random_net(np.random.default_rng(21), 12, 4, obs_sites=(5, 6))
+
+    def no_doubling(tensor):
+        raise AssertionError("a doubled tensor was built")
+
+    monkeypatch.setattr(network, "_doubled", no_doubling)
+    probs, lam, clipped = network.branch_distribution(net, strategy)
+    assert probs.shape == ((1, 4) if strategy == "postselect" else (2, 4))
+    assert 0 < probs.sum() <= 1 + 1e-12 and clipped <= 1e-12
+    cond = probs[0] / probs[0].sum()
+    assert abs(float(np.dot(cond, lam)) - network.evaluate_exact(net).real) < 1e-10
 
 
 def test_sampling_unbiasedness_over_seeds():
