@@ -220,18 +220,15 @@ class MomentSet:
 
     def amplification(self, beta: float) -> float:
         """How much per-sample amplitude noise can grow in series_value."""
-        if self.basis == "chebyshev":
-            z = -1j * beta / max(abs(t) for t in self.grid)
-            t_prev, t_cur = np.ones_like(z), z
-            total = abs(t_prev)
+        ratio = beta / max(abs(t) for t in self.grid)
+        if self.basis == "chebyshev":  # sum_n |T_n(z)|, in Python complex arithmetic
+            z = -1j * ratio
+            t_prev, t_cur, total = 1.0, z, 1.0
             for _ in range(1, self.order):
                 total += abs(t_cur)
                 t_prev, t_cur = t_cur, 2 * z * t_cur - t_prev
-            return float(total)
-        t_max = max(abs(t) for t in self.grid)
-        return float(
-            sum((beta / t_max) ** n for n in range(self.order))
-        )
+            return total
+        return float(sum(ratio**n for n in range(self.order)))
 
 
 _MONOMIAL_MAX_ORDER = 12  # plain scaled monomials stay well conditioned here
@@ -264,13 +261,16 @@ def extract_moments(
     column-scaled least squares solve; small orders use the monomial columns
     (-i t)^n / n! directly, large orders the equivalent Chebyshev columns,
     whose conditioning stays flat.  The amplitudes are those of the exact
-    evolution, or of fixed-step Trotter powers, evaluated on the spectrum
-    of their generator.
+    evolution, or of fixed-step Trotter powers (step ``t_max / 64`` unless
+    given), evaluated on the spectrum of their generator.
     """
     grid = _moment_grid(h.norm_bound(), order, grid, solver_tol)
     a = _check_state(a)
-    f = _amplitudes(h, mode, grid, trotter_step, a[:, None])
-    coeffs, condition, residuals = _fit_moments(grid, order, f)
+    step = trotter_step if trotter_step else max(abs(t) for t in grid) / 64
+    energies, weights = _spectrum(h, mode, step, a[:, None])
+    coeffs, condition, residuals = _fit_moments(
+        grid, order, _amplitudes(grid, energies, weights)
+    )
     return MomentSet(coeffs[:, 0], condition, float(residuals[0]), grid)
 
 
@@ -295,12 +295,12 @@ def _moment_grid(h_norm: float, order: int, grid, solver_tol: float) -> tuple:
     return grid
 
 
-def _amplitudes(h: LocalHamiltonian, mode: str, grid, trotter_step, states):
-    """F[t, a] = <a|e^{-itG}|a> = sum_k |<k|a>|^2 e^{-itE_k} for every grid
-    time t and every column a of ``states``, as one matrix product over one
-    eigendecomposition G = sum_k E_k |k><k| of the generator: H itself in
-    exact mode, the effective Hamiltonian of one fixed-step Trotter step in
-    trotter mode."""
+def _spectrum(h: LocalHamiltonian, mode: str, trotter_step, states) -> tuple:
+    """(E, W) from one eigendecomposition G = sum_k E_k |k><k| of the
+    generator, H itself in exact mode, the effective Hamiltonian of one
+    Trotter step of length ``trotter_step`` in trotter mode: the energies
+    E_k and the weights W[k, a] = |<k|a>|^2 of every column a of
+    ``states``.  Every grid and every order reuse them."""
     dim = h.phys_dim**h.n_sites
     if states.shape[0] != dim:
         raise ShapeError(f"state dim {states.shape[0]} != operator dim {dim}")
@@ -309,17 +309,8 @@ def _amplitudes(h: LocalHamiltonian, mode: str, grid, trotter_step, states):
     elif mode == "trotter":
         import scipy.linalg
 
-        t_max = max(abs(t) for t in grid)
-        step = trotter_step if trotter_step else t_max / 64
-        circ = trotter_circuit(h, step, 1)
-        eye = np.eye(dim, dtype=complex)
-        step_u = np.stack(
-            [
-                apply_circuit(eye[:, k], circ, [h.phys_dim] * h.n_sites)
-                for k in range(dim)
-            ],
-            axis=1,
-        )
+        circ = trotter_circuit(h, trotter_step, 1)
+        step_u = np.stack([apply_circuit(col, circ) for col in np.eye(dim)], axis=1)
         # All grid samples are powers of the same step circuit, i.e. exact
         # evolution under its effective (Floquet) Hamiltonian.  Extracting
         # that generator once and evolving with it keeps the dataset exactly
@@ -328,10 +319,15 @@ def _amplitudes(h: LocalHamiltonian, mode: str, grid, trotter_step, states):
         # step is normal, so its complex Schur form is diagonal: the Schur
         # vectors are eigenvectors with eigenphases e^{-i E step}.
         tri, eigvecs = scipy.linalg.schur(step_u, output="complex")
-        energies = -np.angle(np.diag(tri)) / step
+        energies = -np.angle(np.diag(tri)) / trotter_step
     else:
         raise ShapeError(f"unknown moment-extraction mode {mode!r}")
-    weights = np.abs(dagger(eigvecs) @ states) ** 2
+    return energies, np.abs(dagger(eigvecs) @ states) ** 2
+
+
+def _amplitudes(grid, energies: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """F[t, a] = <a|e^{-itG}|a> = sum_k W[k, a] e^{-itE_k} for every grid
+    time t and every weight column a, as one matrix product."""
     return np.exp(-1j * np.outer(grid, energies)) @ weights
 
 
@@ -349,59 +345,63 @@ def _fit_moments(grid: tuple, order: int, f: np.ndarray) -> tuple:
     col_scale = np.linalg.norm(v, axis=0)
     col_scale[col_scale == 0] = 1.0
     vs = v / col_scale
-    condition = float(np.linalg.cond(vs))
+    if np.iscomplexobj(vs):
+        y, _, _, sv = np.linalg.lstsq(vs, f, rcond=None)
+    else:  # a real basis fits the real and imaginary parts in one real solve
+        y, _, _, sv = np.linalg.lstsq(vs, np.hstack([f.real, f.imag]), rcond=None)
+        y = y[:, : f.shape[1]] + 1j * y[:, f.shape[1]:]
+    condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
     if condition > 1e12:
         raise IllConditionedError(
             f"moment solve condition {condition:.2e} > 1e12; use a wider "
             "spread of grid times or a lower order"
         )
-    y, *_ = np.linalg.lstsq(vs, f, rcond=None)
     coeffs = y / col_scale[:, None]
     residuals = np.linalg.norm(v @ coeffs - f, axis=0)
     return coeffs, condition, residuals
 
 
+# The highest Taylor order thermal_value tries (default_grid needs s! as a
+# float, which overflows past s = 170).
+_MAX_ORDER = 64
+
+
 def choose_truncation(beta: float, h_norm_bound: float, eps: float) -> int:
-    """Smallest Taylor order s with (beta ||H||)^s / s! * e^{beta ||H||} <= eps."""
+    """Smallest Taylor order s with (beta ||H||)^s / s! * e^{beta ||H||} <= eps,
+    compared in logarithms so that a large beta ||H|| is refused, not
+    overflowed."""
     if eps <= 0:
         raise ShapeError("eps must be positive")
     x = beta * h_norm_bound
     s = 1
-    while (x**s) / math.factorial(s) * math.exp(x) > eps:
+    while x > 0 and s * math.log(x) - math.lgamma(s + 1) + x > math.log(eps):
         s += 1
-        if s > 500:
-            raise BudgetError("Taylor order exceeds 500; lower beta or eps")
+        if s > _MAX_ORDER:
+            raise BudgetError(f"Taylor order exceeds {_MAX_ORDER}; lower beta or eps")
     return s
 
 
 @dataclass(frozen=True)
 class ThermalJob:
-    """Parameters of one thermal-value computation Tr(A e^{-beta H})."""
+    """Parameters of one thermal-value computation Tr(A e^{-beta H}).  The
+    Taylor order and the grid are not parameters: :func:`thermal_value`
+    derives them from epsilon."""
 
     observable: np.ndarray = field(repr=False)
     hamiltonian: LocalHamiltonian = field(repr=False)
     beta: float
     epsilon: float
-    order: int
     mode: str = "exact"  # exact | trotter
-    tau: float | None = None
-    reps: int | None = None
-    grid: tuple | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ShapeError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ShapeError(f"beta must be finite and >= 0, got {self.beta}")
         obs = as_matrix(self.observable)
         if np.max(np.abs(obs - dagger(obs))) > 1e-10:
             raise ShapeError("thermal observable must be Hermitian")
-        if self.beta < 0:
-            raise ShapeError("beta must be >= 0")
-        if self.order < 1:
-            raise ShapeError("Taylor order must be >= 1")
         object.__setattr__(self, "observable", obs)
-        if self.grid is not None:
-            object.__setattr__(self, "grid", tuple(float(t) for t in self.grid))
-            if self.tau is not None and self.reps is not None:
-                if abs(self.reps * self.tau - max(self.grid)) > 1e-12:
-                    raise ShapeError("reps * tau must match the largest grid time")
 
     def to_dict(self) -> dict:
         return {
@@ -409,10 +409,6 @@ class ThermalJob:
             "hamiltonian": self.hamiltonian.to_dict(),
             "beta": self.beta,
             "epsilon": self.epsilon,
-            "s": self.order,
-            "tau": self.tau,
-            "R": self.reps,
-            "grid": list(self.grid) if self.grid is not None else None,
             "mode": self.mode,
         }
 
@@ -425,11 +421,7 @@ class ThermalJob:
             hamiltonian=ham,
             beta=float(data["beta"]),
             epsilon=float(data["epsilon"]),
-            order=int(data["s"]),
             mode=data.get("mode", "exact"),
-            tau=data.get("tau"),
-            reps=data.get("R"),
-            grid=tuple(data["grid"]) if data.get("grid") else None,
         )
 
 
@@ -438,12 +430,14 @@ class ThermalResult:
     value: float
     budget: dict
     moments_condition: float
+    order: int
 
     def to_dict(self) -> dict:
         return {
             "value": self.value,
             "budget": dict(self.budget),
             "moments_condition": self.moments_condition,
+            "order": self.order,
         }
 
 
@@ -453,13 +447,18 @@ def thermal_value(job: ThermalJob, normalized: bool = False) -> ThermalResult:
     A and the centered H (or the Trotter step's effective Hamiltonian) are
     each diagonalized once; the short-time amplitudes of every eigenstate
     of A at every grid time are one matrix product, and one least squares
-    solve fits them all.  The fit's coefficients, combined with A's
-    eigenvalues, give one series that is Wick-rotated to imaginary time;
-    no monomial moments are formed.  The budget splits the error bound into
-    the Taylor tail, the Trotter contribution, and the solver residual; an
-    out-of-reach epsilon, or an imaginary part beyond it, is a BudgetError.
-    ``normalized`` divides by the partition function computed the same way
-    (the plain thermal value is unnormalized).
+    solve per order fits them all.  The fit's coefficients, combined with
+    A's eigenvalues, give one series that is Wick-rotated to imaginary
+    time; no monomial moments are formed.
+
+    The error bound splits into the Taylor tail, the Trotter contribution
+    and the solver residual.  The order starts where the tail fits half of
+    epsilon and rises until the three sum to at most epsilon; when no order
+    up to ``_MAX_ORDER`` gets there, or the imaginary part exceeds epsilon,
+    the call is a BudgetError.  ``normalized`` divides by the partition
+    function read from the same fit (A's eigenstates span the space, so
+    their amplitudes sum to Tr e^{-itH}); the budget then weighs
+    max(sum |alpha|, dim), which bounds the partition function's share too.
     """
     from .hamiltonians import centered
 
@@ -467,59 +466,63 @@ def thermal_value(job: ThermalJob, normalized: bool = False) -> ThermalResult:
     scale_mu = math.exp(-job.beta * mu)
     h_norm = h.norm_bound()
     x = job.beta * h_norm
-    tail = (x**job.order) / math.factorial(job.order) * math.exp(x) * scale_mu
+    eps = job.epsilon
     alphas, vecs = np.linalg.eigh(job.observable)
     alpha_sum = float(np.sum(np.abs(alphas)))
-    taylor_alloc = 0.5 * job.epsilon
-    if tail * max(alpha_sum, 1.0) > taylor_alloc:
-        need = choose_truncation(
-            job.beta, h_norm, taylor_alloc / (scale_mu * max(alpha_sum, 1.0))
-        )
-        raise BudgetError(
-            f"Taylor tail bound {tail * max(alpha_sum, 1.0):.2e} exceeds its "
-            f"allocation {taylor_alloc:.2e}; raise the order to >= {need}"
-        )
+    a_norm = max(alpha_sum, len(alphas)) if normalized else alpha_sum
+    start = choose_truncation(job.beta, h_norm, 0.5 * eps / (scale_mu * max(a_norm, 1.0)))
     # The grid length sets how far the fit must continue towards imaginary
     # time; tying the solver tolerance to the job budget keeps the grid as
     # long (and the continuation as tame) as the accuracy target allows.
-    solver_tol = min(1e-6, 0.2 * job.epsilon / max(alpha_sum, 1.0))
-    trotter_alloc = 0.3 * job.epsilon
-    trotter_step = job.tau
-    if job.mode == "trotter" and trotter_step is None:
-        comm_scale = 2 * h_norm**2 * math.exp(x)
-        trotter_step = trotter_alloc / max(alpha_sum * job.beta * comm_scale, 1e-12)
-
-    grid = _moment_grid(h_norm, job.order, job.grid, solver_tol)
-    f = _amplitudes(h, job.mode, grid, trotter_step, vecs)
-    coeffs, condition, residuals = _fit_moments(grid, job.order, f)
-    # The solver bound keeps the largest per-eigenstate residual.
-    fit = MomentSet(coeffs @ alphas, condition, float(np.max(residuals)), grid)
-    total = scale_mu * fit.series_value(job.beta)
-    solver_bound = scale_mu * alpha_sum * fit.amplification(job.beta) * fit.residual
-    trotter_bound = 0.0
+    solver_tol = min(1e-6, 0.2 * eps / max(a_norm, 1.0))
+    trotter_step, trotter_bound = None, 0.0
     if job.mode == "trotter":
-        trotter_bound = (
-            scale_mu * alpha_sum * job.beta * trotter_step * 2 * h_norm**2 * math.exp(x)
+        comm_scale = 2 * h_norm**2 * math.exp(x)
+        trotter_step = 0.3 * eps / max(a_norm * job.beta * comm_scale, 1e-12)
+        trotter_bound = scale_mu * a_norm * job.beta * trotter_step * comm_scale
+    energies, weights = _spectrum(h, job.mode, trotter_step, vecs)
+
+    best = (math.inf, start, {})  # the smallest budget sum seen, if none meets eps
+    for order in range(start, _MAX_ORDER + 1):
+        grid = _moment_grid(h_norm, order, None, solver_tol)
+        coeffs, condition, residuals = _fit_moments(
+            grid, order, _amplitudes(grid, energies, weights)
         )
-    budget = {
-        "taylor": tail * alpha_sum,
-        "trotter": trotter_bound,
-        "solver": solver_bound,
-    }
-    if abs(total.imag) > job.epsilon:
+        # The solver bound keeps the largest per-eigenstate residual.
+        fit = MomentSet(coeffs @ alphas, condition, float(np.max(residuals)), grid)
+        budget = {
+            "taylor": x**order / math.factorial(order) * math.exp(x) * scale_mu * a_norm,
+            "trotter": trotter_bound,
+            "solver": scale_mu * a_norm * fit.amplification(job.beta) * fit.residual,
+        }
+        spent = sum(budget.values())
+        if spent <= eps:
+            break
+        best = min(best, (spent, order, budget))
+    else:
+        spent, order, budget = best
+        split = ", ".join(f"{k} {v:.2e}" for k, v in budget.items())
         raise BudgetError(
-            f"thermal value has imaginary part {total.imag:.2e} beyond the "
-            f"accuracy budget; the moment fit is unreliable"
+            f"no Taylor order up to {_MAX_ORDER} meets epsilon {eps:.1e}; the "
+            f"best, order {order}, has a budget sum {spent:.2e} ({split}); "
+            "lower beta or raise epsilon"
         )
-    value = float(total.real)
+    total = scale_mu * fit.series_value(job.beta)
+    z = 1.0
     if normalized:
-        ident_job = replace(job, observable=np.eye(job.observable.shape[0]))
-        value /= thermal_value(ident_job).value
-    return ThermalResult(value, budget, condition)
+        z = scale_mu * replace(fit, coeffs=coeffs.sum(axis=1)).series_value(job.beta)
+    imag = max(abs(total.imag), abs(z.imag))
+    if imag > eps:
+        raise BudgetError(
+            f"thermal value has imaginary part {imag:.2e} beyond the accuracy "
+            "budget; the moment fit is unreliable"
+        )
+    return ThermalResult(float(total.real / z.real), budget, fit.condition, order)
 
 
-def entropy(h_mod: LocalHamiltonian, eps: float) -> float:
-    """S(rho) = Tr(H e^{-H}) for rho = e^{-H}, summed term by term.
+def entropy(h_mod: LocalHamiltonian, eps: float) -> ThermalResult:
+    """S(rho) = Tr(H e^{-H}) for rho = e^{-H}: one thermal value of A = H
+    at beta = 1.
 
     ``h_mod`` must normalize: Tr(e^{-H}) = 1 within 1e-6 (the temperature is
     absorbed into H).
@@ -530,30 +533,9 @@ def entropy(h_mod: LocalHamiltonian, eps: float) -> float:
         raise PositivityError(
             f"Tr(e^-H) = {z:.8f} != 1: not a modular Hamiltonian"
         )
-    from .hamiltonians import centered
-    from .linalg import embed_operator
-
-    dims = [h_mod.phys_dim] * h_mod.n_sites
-    per_term = eps / max(len(h_mod.terms), 1)
-    h_centered, mu = centered(h_mod)
-    h_norm = h_centered.norm_bound()
-    tail_scale = math.exp(-mu)
-    total = 0.0
-    for support, mat in h_mod.terms:
-        obs = embed_operator(mat, list(support), dims)
-        alpha_sum = float(np.sum(np.abs(np.linalg.eigvalsh(obs))))
-        order = choose_truncation(
-            1.0, h_norm, 0.4 * per_term / (tail_scale * max(alpha_sum, 1.0))
-        )
-        job = ThermalJob(
-            observable=obs,
-            hamiltonian=h_mod,
-            beta=1.0,
-            epsilon=per_term,
-            order=order,
-        )
-        total += thermal_value(job).value
-    return total
+    return thermal_value(
+        ThermalJob(observable=dense, hamiltonian=h_mod, beta=1.0, epsilon=eps)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -114,6 +115,20 @@ def _json_int(value):
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected a JSON integer, got {value!r}")
     return value
+
+
+def _positive(value):
+    """A finite number > 0: float() alone takes "inf", "nan", Infinity and NaN."""
+    if not 0 < float(value) < math.inf:
+        raise ValueError(f"expected a finite number > 0, got {value!r}")
+    return float(value)
+
+
+def _nonnegative(value):
+    """A finite number >= 0."""
+    if not 0 <= float(value) < math.inf:
+        raise ValueError(f"expected a finite number >= 0, got {value!r}")
+    return float(value)
 
 
 def _choice(*options):
@@ -244,40 +259,27 @@ def _run_dynamics(config: ExperimentConfig) -> dict:
 
 
 def _run_thermal(config: ExperimentConfig) -> dict:
+    for key in ("order", "tau", "R", "grid"):  # fields of earlier schemas
+        if key in config.raw:
+            raise ConfigError(f"config field {key} is not accepted: the Taylor "
+                              "order and the grid follow from epsilon")
     ham = config.parse("model_file", LocalHamiltonian.from_dict)
     site, obs = _observable(config.raw["observable"], "observable", ham.n_sites, False)
     if site is not None:
         obs = embed_operator(obs, [site], [ham.phys_dim] * ham.n_sites)
-    beta = _field(config.raw, "beta", float)
-    epsilon = _field(config.raw, "epsilon", float)
-    order = _field(config.raw, "order", _json_int, None)
-    mode = _field(config.raw, "mode", _choice("exact", "trotter"), "exact")
-    if order is None:
-        from .hamiltonians import centered
-
-        h_c, mu = centered(ham)
-        alpha = float(np.sum(np.abs(np.linalg.eigvalsh(obs))))
-        order = alg.choose_truncation(
-            beta, h_c.norm_bound(),
-            0.4 * epsilon / (np.exp(-beta * mu) * max(alpha, 1.0)),
-        )
     job = alg.ThermalJob(
         observable=obs,
         hamiltonian=ham,
-        beta=beta,
-        epsilon=epsilon,
-        order=order,
-        mode=mode,
-        tau=_field(config.raw, "tau", float, None),
-        reps=_field(config.raw, "R", _json_int, None),
-        grid=_field(config.raw, "grid", lambda g: tuple(float(t) for t in g), None) or None,
+        beta=_field(config.raw, "beta", _nonnegative),
+        epsilon=_field(config.raw, "epsilon", _positive),
+        mode=_field(config.raw, "mode", _choice("exact", "trotter"), "exact"),
     )
     normalized = _field(config.raw, "normalized", _json_bool, False)
     res = alg.thermal_value(job, normalized=normalized)
     try:
-        want = oracle.thermal_exact(obs, ham, beta)
+        want = oracle.thermal_exact(obs, ham, job.beta)
         if normalized:
-            want /= oracle.thermal_exact(np.eye(obs.shape[0]), ham, beta)
+            want /= oracle.thermal_exact(np.eye(obs.shape[0]), ham, job.beta)
     except SizeGuardError:
         want = None
     return {
@@ -286,21 +288,21 @@ def _run_thermal(config: ExperimentConfig) -> dict:
         "oracle": want,
         "budget": res.budget,
         "moments_condition": res.moments_condition,
-        "order": order,
+        "order": res.order,
         "resources": None,
     }
 
 
 def _run_entropy(config: ExperimentConfig) -> dict:
     ham = config.parse("model_file", LocalHamiltonian.from_dict)
-    epsilon = _field(config.raw, "epsilon", float)
-    value = alg.entropy(ham, epsilon)
+    res = alg.entropy(ham, _field(config.raw, "epsilon", _positive))
     try:
         rho = matrix_exp(ham.dense(), -1.0)
         want = oracle.entropy_exact(rho / np.trace(rho))
     except SizeGuardError:
         want = None
-    return {"value": value, "stderr": None, "oracle": want, "resources": None}
+    return {"value": res.value, "stderr": None, "oracle": want, "budget": res.budget,
+            "order": res.order, "resources": None}
 
 
 def _run_amplitude(config: ExperimentConfig) -> dict:

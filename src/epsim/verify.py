@@ -252,18 +252,14 @@ def suite_thermal(seed: int = 2028) -> list:
             h = build(n)
             a = embed_operator(PAULI["Z"], [0], [2] * n)
             for beta in (0.25, 0.5, 1.0):
-                order = alg.choose_truncation(
-                    beta, h.norm_bound(), 0.5 * 1e-3 / 2**n
-                )
                 want = oracle.thermal_exact(a, h, beta)
                 res = alg.thermal_value(alg.ThermalJob(
-                    observable=a, hamiltonian=h, beta=beta,
-                    epsilon=1e-3, order=order,
+                    observable=a, hamiltonian=h, beta=beta, epsilon=1e-3,
                 ))
                 worst_exact = max(worst_exact, abs(res.value - want))
                 res_t = alg.thermal_value(alg.ThermalJob(
-                    observable=a, hamiltonian=h, beta=beta,
-                    epsilon=1e-3, order=order, mode="trotter",
+                    observable=a, hamiltonian=h, beta=beta, epsilon=1e-3,
+                    mode="trotter",
                 ))
                 worst_trotter = max(worst_trotter, abs(res_t.value - want))
     out.append(_check("thermal", "exact-mode-accuracy", worst_exact, 1e-3, t0,
@@ -286,7 +282,7 @@ def suite_thermal(seed: int = 2028) -> list:
         hm = -scipy.linalg.logm(rho)
         hm = (hm + dagger(hm)) / 2
         h = ham.LocalHamiltonian(2, 2, (((0, 1), hm),))
-        got = alg.entropy(h, 1e-2)
+        got = alg.entropy(h, 1e-2).value
         worst = max(worst, abs(got - oracle.entropy_exact(rho)))
     out.append(_check("thermal", "modular-entropy", worst, 1e-2, t0,
                       note="20 random two-qubit states"))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -232,16 +234,16 @@ def test_thermal_beta_zero_is_trace():
     h = ham.build_tfim(2, 1.0, 1.0)
     a = random_density(0, 4) * 4  # any Hermitian works
     a = (a + dagger(a)) / 2
-    job = alg.ThermalJob(observable=a, hamiltonian=h, beta=0.0, epsilon=1e-6, order=1)
+    job = alg.ThermalJob(observable=a, hamiltonian=h, beta=0.0, epsilon=1e-6)
     res = alg.thermal_value(job)
     assert abs(res.value - np.trace(a).real) < 1e-12
+    assert res.order == 1
 
 
 def test_thermal_partition_function():
     h = ham.build_tfim(2, 1.0, 1.0)
     eye = np.eye(4, dtype=complex)
-    s = alg.choose_truncation(1.0, h.norm_bound(), 0.5 * 1e-3 / 4)
-    job = alg.ThermalJob(observable=eye, hamiltonian=h, beta=1.0, epsilon=1e-3, order=s)
+    job = alg.ThermalJob(observable=eye, hamiltonian=h, beta=1.0, epsilon=1e-3)
     res = alg.thermal_value(job)
     assert abs(res.value - oracle.thermal_exact(eye, h, 1.0)) < 1e-3
 
@@ -250,10 +252,7 @@ def test_thermal_partition_function():
 def test_thermal_observable(mode, tol):
     h = ham.build_tfim(3, 1.0, 1.0)
     a = embed_operator(PAULI["Z"], [0], [2, 2, 2])
-    s = alg.choose_truncation(0.5, h.norm_bound(), 0.5 * 1e-3 / 8)
-    job = alg.ThermalJob(
-        observable=a, hamiltonian=h, beta=0.5, epsilon=1e-3, order=s, mode=mode
-    )
+    job = alg.ThermalJob(observable=a, hamiltonian=h, beta=0.5, epsilon=1e-3, mode=mode)
     res = alg.thermal_value(job)
     want = oracle.thermal_exact(a, h, 0.5)
     assert abs(res.value - want) < tol
@@ -269,9 +268,9 @@ def test_thermal_chebyshev_order_forms_no_monomials(monkeypatch):
     monkeypatch.setattr(np.polynomial.chebyshev, "cheb2poly", refuse)
     h = ham.build_tfim(3, 1.0, 1.0)
     a = embed_operator(PAULI["Z"], [0], [2, 2, 2])
-    job = alg.ThermalJob(observable=a, hamiltonian=h, beta=0.5, epsilon=1e-3, order=16)
-    assert job.order > alg._MONOMIAL_MAX_ORDER
+    job = alg.ThermalJob(observable=a, hamiltonian=h, beta=0.5, epsilon=1e-3)
     res = alg.thermal_value(job)
+    assert res.order > alg._MONOMIAL_MAX_ORDER
     assert abs(res.value - oracle.thermal_exact(a, h, 0.5)) < 1e-3
 
 
@@ -279,9 +278,7 @@ def test_thermal_imaginary_part_is_budget_error(monkeypatch):
     amplitudes = alg._amplitudes
     monkeypatch.setattr(alg, "_amplitudes", lambda *args: amplitudes(*args) + 0.1j)
     h = ham.build_tfim(2, 1.0, 1.0)
-    job = alg.ThermalJob(
-        observable=np.eye(4), hamiltonian=h, beta=0.5, epsilon=1e-3, order=12
-    )
+    job = alg.ThermalJob(observable=np.eye(4), hamiltonian=h, beta=0.5, epsilon=1e-3)
     with pytest.raises(BudgetError, match="imaginary part"):
         alg.thermal_value(job)
 
@@ -297,18 +294,66 @@ def test_thermal_builds_and_diagonalizes_h_once(monkeypatch):
     monkeypatch.setattr(ham.LocalHamiltonian, "dense", counted)
     h = ham.build_tfim(4, 1.0, 1.0)
     a = embed_operator(PAULI["Z"], [0], [2] * 4)
-    s = alg.choose_truncation(0.5, h.norm_bound(), 0.5 * 1e-3 / 16)
-    job = alg.ThermalJob(observable=a, hamiltonian=h, beta=0.5, epsilon=1e-3, order=s)
-    alg.thermal_value(job)
-    assert len(calls) == 1
+    job = alg.ThermalJob(observable=a, hamiltonian=h, beta=0.5, epsilon=1e-3)
+    for normalized in (False, True):
+        calls.clear()
+        alg.thermal_value(job, normalized=normalized)
+        assert len(calls) == 1
 
 
 def test_thermal_budget_infeasible():
-    h = ham.build_tfim(2, 1.0, 1.0)
-    a = embed_operator(PAULI["Z"], [0], [2, 2])
-    job = alg.ThermalJob(observable=a, hamiltonian=h, beta=1.0, epsilon=1e-4, order=2)
+    # No order up to the cap brings the solver bound within 1e-5 here.
+    h = ham.build_heisenberg(3, 1.0)
+    a = embed_operator(PAULI["Z"], [0], [2] * 3)
+    job = alg.ThermalJob(observable=a, hamiltonian=h, beta=1.0, epsilon=1e-5)
+    start = time.perf_counter()
     with pytest.raises(BudgetError, match="order"):
         alg.thermal_value(job)
+    assert time.perf_counter() - start < 1.0
+    # Here the Taylor tail alone needs an order past the cap.
+    job = alg.ThermalJob(observable=a, hamiltonian=h, beta=20.0, epsilon=1e-3)
+    with pytest.raises(BudgetError, match="order"):
+        alg.thermal_value(job)
+
+
+# Cases where the Taylor-tail order leaves the budget sum above epsilon, so
+# the order search has to rise: (sites, beta, site, Pauli, mode).
+OVER_EPSILON_AT_TAIL_ORDER = [
+    (5, 0.5, 0, "X", "exact"),
+    (5, 0.5, 0, "Y", "exact"),
+    (5, 0.5, 0, "Z", "exact"),
+    (3, 1.0, 1, "X", "trotter"),
+    (3, 1.0, 1, "Y", "trotter"),
+    (3, 1.0, 1, "Z", "trotter"),
+    (3, 1.0, 0, "Z", "trotter"),
+    (3, 1.0, 0, "Z", "exact"),
+]
+
+
+@pytest.mark.parametrize("n,beta,site,pauli,mode", OVER_EPSILON_AT_TAIL_ORDER)
+def test_thermal_budget_sum_within_epsilon(n, beta, site, pauli, mode):
+    h = ham.build_heisenberg(n, 1.0)
+    a = embed_operator(PAULI[pauli], [site], [2] * n)
+    res = alg.thermal_value(
+        alg.ThermalJob(observable=a, hamiltonian=h, beta=beta, epsilon=1e-3, mode=mode)
+    )
+    assert sum(res.budget.values()) <= 1e-3
+    assert abs(res.value - oracle.thermal_exact(a, h, beta)) < 1e-3
+
+
+@pytest.mark.parametrize(
+    "beta,epsilon",
+    [(0.5, 0.0), (0.5, -1e-3), (0.5, float("inf")), (0.5, float("nan")),
+     (-0.5, 1e-3), (float("inf"), 1e-3), (float("nan"), 1e-3)],
+)
+def test_thermal_job_refuses_nonfinite_or_out_of_range(monkeypatch, beta, epsilon):
+    def refuse(*args):
+        raise AssertionError("decomposed before validating the job")
+
+    h = ham.build_tfim(2, 1.0, 1.0)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    with pytest.raises(ShapeError, match="beta|epsilon"):
+        alg.ThermalJob(observable=np.eye(4), hamiltonian=h, beta=beta, epsilon=epsilon)
 
 
 @pytest.mark.parametrize("mode,tol", [("exact", 1e-3), ("trotter", 5e-3)])
@@ -316,10 +361,7 @@ def test_thermal_normalized_flag(mode, tol):
     # Z0 Z1: a single Z has a zero thermal value under the Heisenberg model.
     h = ham.build_heisenberg(2, 1.0)
     a = embed_operator(np.kron(PAULI["Z"], PAULI["Z"]), [0, 1], [2, 2])
-    s = alg.choose_truncation(0.5, h.norm_bound(), 1e-4 / 4)
-    job = alg.ThermalJob(
-        observable=a, hamiltonian=h, beta=0.5, epsilon=1e-3, order=s, mode=mode
-    )
+    job = alg.ThermalJob(observable=a, hamiltonian=h, beta=0.5, epsilon=1e-3, mode=mode)
     res = alg.thermal_value(job, normalized=True)
     z = oracle.thermal_exact(np.eye(4), h, 0.5)
     want = oracle.thermal_exact(a, h, 0.5) / z
@@ -329,13 +371,13 @@ def test_thermal_normalized_flag(mode, tol):
 def test_thermal_job_json_roundtrip():
     h = ham.build_tfim(2, 1.0, 0.3)
     a = embed_operator(PAULI["X"], [1], [2, 2])
-    job = alg.ThermalJob(observable=a, hamiltonian=h, beta=0.7, epsilon=1e-3, order=9)
+    job = alg.ThermalJob(observable=a, hamiltonian=h, beta=0.7, epsilon=1e-3)
     back = alg.ThermalJob.from_dict(job.to_dict())
-    assert back.beta == job.beta and back.order == job.order
+    assert back.beta == job.beta and back.epsilon == job.epsilon
     assert np.allclose(back.observable, job.observable)
     res = alg.thermal_value(back)
     data = res.to_dict()
-    assert set(data) == {"value", "budget", "moments_condition"}
+    assert set(data) == {"value", "budget", "moments_condition", "order"}
     assert set(data["budget"]) == {"taylor", "trotter", "solver"}
 
 
@@ -346,7 +388,7 @@ def test_entropy_maximally_mixed():
     h = ham.LocalHamiltonian(
         1, 2, (((0,), np.log(2) * np.eye(2, dtype=complex)),)
     )
-    assert abs(alg.entropy(h, 1e-3) - np.log(2)) < 1e-3
+    assert abs(alg.entropy(h, 1e-3).value - np.log(2)) < 1e-3
 
 
 def test_entropy_near_pure():
@@ -354,7 +396,7 @@ def test_entropy_near_pure():
     e = np.diag([0.01, 6.0]).astype(complex)
     z = np.trace(np.diag(np.exp([-0.01, -6.0])))
     h = ham.LocalHamiltonian(1, 2, (((0,), e + np.log(z) * np.eye(2)),))
-    val = alg.entropy(h, 1e-2)
+    val = alg.entropy(h, 1e-2).value
     rho = np.diag(np.exp([-0.01, -6.0])) / z
     assert abs(val - oracle.entropy_exact(rho)) < 1e-2
     assert val < 0.05
@@ -369,7 +411,9 @@ def test_entropy_random_two_qubit():
         hm = -scipy.linalg.logm(rho)
         hm = (hm + dagger(hm)) / 2
         h = ham.LocalHamiltonian(2, 2, (((0, 1), hm),))
-        val = alg.entropy(h, 1e-2)
+        res = alg.entropy(h, 1e-2)
+        assert sum(res.budget.values()) <= 1e-2
+        val = res.value
         assert abs(val - oracle.entropy_exact(rho)) < 1e-2
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import PAULI
 from epsim import cli, mps, network, oracle, serialize
-from epsim.hamiltonians import build_tfim
+from epsim.hamiltonians import build_heisenberg, build_tfim
 from epsim.linalg import embed_operator
 from epsim.rand import haar_unitary, random_state
 
@@ -120,7 +120,6 @@ def test_thermal_beta_zero(workdir, capsys):
         "observable": {"site": 0, "pauli": "Z"},
         "beta": 0.0,
         "epsilon": 1e-6,
-        "order": 1,
         "seed": 1,
     }
     (workdir / "job.json").write_text(json.dumps(config))
@@ -130,6 +129,7 @@ def test_thermal_beta_zero(workdir, capsys):
     assert abs(report["value"] - 0.0) < 1e-10  # Tr(Z (x) 1) = 0
     assert report["abs_error"] < 1e-10
     assert set(report["budget"]) == {"taylor", "trotter", "solver"}
+    assert report["order"] == 1
 
 
 def test_thermal_auto_order(workdir, capsys):
@@ -292,9 +292,22 @@ def test_zero_vector_is_config_error(workdir, capsys):
         ("dynamics", {"shots": 1000.9, "evaluator": "sampled",
                       "observables": [{"site": 1, "pauli": "Z"}]}),
         ("thermal", {"observable": {"site": True, "pauli": "Z"}}),
+        ("thermal", {"epsilon": float("inf")}),
+        ("thermal", {"epsilon": float("nan")}),
+        ("thermal", {"epsilon": 0}),
+        ("thermal", {"beta": float("inf")}),
+        ("entropy", {"epsilon": float("inf")}),
+        ("entropy", {"epsilon": float("nan")}),
+        ("entropy", {"epsilon": 0}),
+        ("thermal", {"tau": 0.01}),
+        ("thermal", {"R": 4}),
+        ("thermal", {"grid": [0.1, 0.2]}),
     ],
     ids=["beta", "order", "site-range", "epsilon", "no-site", "normalized-str", "normalized-int",
-         "strategy-str", "strategy-list", "mode-int", "shots-float", "site-bool"],
+         "strategy-str", "strategy-list", "mode-int", "shots-float", "site-bool",
+         "epsilon-inf", "epsilon-nan", "epsilon-zero", "beta-inf",
+         "entropy-epsilon-inf", "entropy-epsilon-nan", "entropy-epsilon-zero",
+         "tau", "R", "grid"],
 )
 def test_malformed_config_field_is_config_error(workdir, capsys, task, fields):
     base = {
@@ -333,13 +346,14 @@ def test_thermal_tfim6_at_cli_order(tmp_path, capsys, mode):
 
 
 def test_budget_error_surfaces(workdir, capsys):
+    # No order up to the cap brings the solver bound within 1e-5 here.
+    (workdir / "heis3.json").write_text(json.dumps(build_heisenberg(3, 1.0).to_dict()))
     config = {
         "task": "thermal",
-        "model_file": "tfim.json",
+        "model_file": "heis3.json",
         "observable": {"site": 0, "pauli": "Z"},
         "beta": 1.0,
-        "epsilon": 1e-6,
-        "order": 2,
+        "epsilon": 1e-5,
         "seed": 1,
     }
     (workdir / "job.json").write_text(json.dumps(config))
@@ -362,3 +376,20 @@ def test_verify_command(workdir, capsys):
     assert all(c["seconds"] >= 0 for c in summary["checks"])
     code, _ = run_cli(["verify", "--suite", "nonsense"], capsys)
     assert code == 2
+
+
+def test_entropy_report_carries_budget_and_order(tmp_path, capsys):
+    # rho = diag(0.75, 0.25) (x) 1/2: H = -log rho is a modular Hamiltonian.
+    h = {"n_sites": 2, "phys_dim": 2, "terms": [
+        {"support": [0], "matrix": serialize.cmat_flat(np.diag(-np.log([0.75, 0.25])))},
+        {"support": [1], "matrix": serialize.cmat_flat(np.log(2) * np.eye(2))},
+    ]}
+    (tmp_path / "mod.json").write_text(json.dumps(h))
+    config = {"task": "entropy", "model_file": "mod.json", "epsilon": 1e-3}
+    (tmp_path / "job.json").write_text(json.dumps(config))
+    code, out = run_cli(["run", "--config", str(tmp_path / "job.json")], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["abs_error"] < 1e-3
+    assert sum(report["budget"].values()) <= 1e-3
+    assert report["order"] >= 1
