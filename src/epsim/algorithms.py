@@ -68,8 +68,10 @@ def hadamard_test(
     d = a.size
     # |v> = ctrl-U (|+> (x) |a>)
     v = np.concatenate([a, u @ a]) / np.sqrt(2)
-    re = float(np.real(np.conj(v) @ np.kron(PAULI["X"], np.eye(d)) @ v))
-    im = float(np.real(np.conj(v) @ np.kron(PAULI["Y"], np.eye(d)) @ v))
+    # The Paulis act on the control axis of v = (control, register).
+    v = v.reshape(2, d)
+    re = float(np.real(np.vdot(v, PAULI["X"] @ v)))
+    im = float(np.real(np.vdot(v, PAULI["Y"] @ v)))
     if shots is None:
         return AmplitudeEstimate(complex(re, im), 0.0, 0)
     rng = np.random.default_rng(seed)
@@ -310,7 +312,7 @@ def _spectrum(h: LocalHamiltonian, mode: str, trotter_step, states) -> tuple:
         import scipy.linalg
 
         circ = trotter_circuit(h, trotter_step, 1)
-        step_u = np.stack([apply_circuit(col, circ) for col in np.eye(dim)], axis=1)
+        step_u = apply_circuit(np.eye(dim), circ)
         # All grid samples are powers of the same step circuit, i.e. exact
         # evolution under its effective (Floquet) Hamiltonian.  Extracting
         # that generator once and evolving with it keeps the dataset exactly

@@ -37,22 +37,132 @@ def bell_vector(d: int) -> np.ndarray:
 
 
 def transfer_matrix(kraus, op=None) -> np.ndarray:
-    """sum_ij <i|op|j> K_j (x) K_i* over a Kraus set K_i, weighted by an
-    operator on the Kraus (physical) index; op = None is the identity,
-    giving M with M @ vec(rho) = vec(Phi(rho)).  The set need not be trace
-    preserving: MPS site tensors use it too."""
-    if op is None:
-        return sum(np.kron(a, a.conj()) for a in kraus)
-    op = as_matrix(op)
-    k = len(kraus)
-    if op.shape != (k, k):
-        raise ShapeError(f"operator shape {op.shape} != Kraus count {k}")
-    out = np.zeros((kraus[0].shape[0] ** 2, kraus[0].shape[1] ** 2), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            if op[i, j] != 0:
-                out += op[i, j] * np.kron(kraus[j], kraus[i].conj())
-    return out
+    """sum_ij <i|op|j> K_j (x) K_i* over a Kraus set K_i (a sequence or a
+    stack (k, m, n)), weighted by an operator on the Kraus (physical) index;
+    op = None is the identity, giving M with M @ vec(rho) = vec(Phi(rho)).
+    The set need not be trace preserving: MPS site tensors use it too."""
+    kraus = np.asarray(kraus)
+    k, m, n = kraus.shape
+    weighted = kraus
+    if op is not None:
+        op = as_matrix(op)
+        if op.shape != (k, k):
+            raise ShapeError(f"operator shape {op.shape} != Kraus count {k}")
+        weighted = np.tensordot(op, kraus, axes=1)
+    return np.einsum("iab,icd->acbd", weighted, kraus.conj()).reshape(m * m, n * n)
+
+
+# Duality kernels.  Each acts on a stack of channels or Choi matrices with
+# any number of leading (batch) axes; Channel and ChoiState call them with
+# none.  A failed check names the offending case, counted in row-major order
+# over the batch axes, or taken from ``cases`` when given.
+
+
+def _raise_first(bad, error, message, cases=None):
+    """Raise ``error`` for the first True entry of ``bad``; ``message`` maps
+    its index tuple to the text."""
+    if not bad.any():
+        return
+    flat = int(np.argmax(bad.reshape(-1)))
+    text = message(np.unravel_index(flat, bad.shape))
+    if bad.ndim:
+        text = f"case {flat if cases is None else cases[flat]}: {text}"
+    raise error(text)
+
+
+def kraus_tp_check(kraus: np.ndarray, cases=None, tol: float = 1e-10) -> None:
+    """Raise ShapeError unless each Kraus set (..., k, d_out, d_in) obeys
+    sum_i A_i^dag A_i = 1 to within ``tol``."""
+    tp = (np.conj(np.swapaxes(kraus, -1, -2)) @ kraus).sum(axis=-3)
+    err = np.max(np.abs(tp - np.eye(kraus.shape[-1])), axis=(-2, -1))
+    _raise_first(
+        err > tol, ShapeError,
+        lambda i: f"Kraus operators are not trace preserving: max |sum A^dag A - 1| = {err[i]:.3e}",
+        cases,
+    )
+
+
+def kraus_to_choi(kraus: np.ndarray) -> np.ndarray:
+    """omega = (1/d_in) sum_i vec(A_i) vec(A_i)^dag for Kraus sets
+    (..., k, d_out, d_in)."""
+    *lead, k, d_out, d_in = kraus.shape
+    w = kraus.reshape(*lead, k, d_out * d_in)
+    return (np.swapaxes(w, -1, -2) @ w.conj()) / d_in
+
+
+def choi_eigh(matrix: np.ndarray, d_in: int, d_out: int, tol: float = EQ_TOL,
+              cases=None) -> tuple:
+    """Validate Choi matrices (..., D, D) and return ``eigh`` of their
+    Hermitian parts.  Raises InvalidChoiError unless each is Hermitian,
+    PSD, of unit trace and maximally mixed on the input reference, all to
+    within ``tol``."""
+    adj = np.conj(np.swapaxes(matrix, -1, -2))
+    herm = np.max(np.abs(matrix - adj), axis=(-2, -1))
+    _raise_first(herm > tol, InvalidChoiError, lambda i: "Choi matrix is not Hermitian", cases)
+    w, v = np.linalg.eigh((matrix + adj) / 2)
+    smallest = w[..., 0]
+    _raise_first(
+        smallest < -tol, InvalidChoiError,
+        lambda i: f"Choi matrix is not PSD: smallest eigenvalue {smallest[i]:.3e}", cases,
+    )
+    trace = np.trace(matrix, axis1=-2, axis2=-1)
+    _raise_first(
+        np.abs(trace - 1.0) > tol, InvalidChoiError,
+        lambda i: f"Choi trace {trace[i]:.12f} != 1", cases,
+    )
+    marg = np.trace(matrix.reshape(matrix.shape[:-2] + (d_out, d_in) * 2), axis1=-4, axis2=-2)
+    err = np.max(np.abs(marg - np.eye(d_in) / d_in), axis=(-2, -1))
+    _raise_first(
+        err > tol, InvalidChoiError,
+        lambda i: "input marginal of the Choi state is not maximally mixed", cases,
+    )
+    return w, v
+
+
+def choi_kraus(w: np.ndarray, v: np.ndarray, d_in: int, d_out: int,
+               tol: float = 1e-12) -> np.ndarray:
+    """Kraus sets (..., k, d_out, d_in) from the ``eigh`` of Choi matrices:
+    sqrt(d_in * lam) times the reshaped eigenvector, for each eigenvalue
+    lam > tol, in ascending order.  k is the largest kept count in the
+    stack; a case keeping fewer is padded with zero operators."""
+    keep = int(np.max(np.sum(w > tol, axis=-1)))
+    w, v = w[..., w.shape[-1] - keep:], v[..., v.shape[-1] - keep:]
+    kraus = np.swapaxes(v * np.sqrt(d_in * np.where(w > tol, w, 0.0))[..., None, :], -1, -2)
+    return kraus.reshape(kraus.shape[:-1] + (d_out, d_in))
+
+
+def kraus_apply(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_i A_i rho A_i^dag for Kraus sets (..., k, d_out, d_in) and
+    operators (..., d_in, d_in); the leading axes broadcast."""
+    out = kraus @ rho[..., None, :, :] @ np.conj(np.swapaxes(kraus, -1, -2))
+    return out.sum(axis=-3)
+
+
+def choi_apply(matrix: np.ndarray, rho: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """Readout identity Phi(rho) = d_in * tr_ref[omega (1 (x) rho^T)] for
+    Choi matrices (..., D, D) and states (..., d_in, d_in); the leading
+    axes broadcast."""
+    omega = matrix.reshape(matrix.shape[:-2] + (d_out, d_in) * 2)
+    return d_in * np.einsum("...aibk,...ik->...ab", omega, rho)
+
+
+def duality_residuals(kraus: np.ndarray, states: np.ndarray, cases=None) -> tuple:
+    """Check the channel-state duality on B channels (B, k, d_out, d_in),
+    each on S states (B, S, d_in, d_in).  Returns the (B, S) readout
+    residuals max |d_in tr_ref[omega (1 (x) rho^T)] - Phi(rho)| and
+    round-trip residuals max |Phi'(rho) - Phi(rho)|, where Phi' has the
+    Kraus operators recovered from omega.  Applies the checks of
+    Channel(kraus).to_choi().to_channel() to every case."""
+    d_out, d_in = kraus.shape[-2:]
+    kraus_tp_check(kraus, cases)
+    omega = kraus_to_choi(kraus)
+    back = choi_kraus(*choi_eigh(omega, d_in, d_out, tol=1e-8, cases=cases), d_in, d_out)
+    kraus_tp_check(back, cases)
+    direct = kraus_apply(kraus[:, None], states)
+    readout = choi_apply(omega[:, None], states, d_in, d_out) - direct
+    roundtrip = kraus_apply(back[:, None], states) - direct
+    return (np.max(np.abs(readout), axis=(-2, -1)),
+            np.max(np.abs(roundtrip), axis=(-2, -1)))
 
 
 @dataclass(frozen=True)
@@ -60,6 +170,7 @@ class Channel:
     """A completely positive trace-preserving map in Kraus form."""
 
     kraus: tuple
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mats = tuple(as_matrix(a) for a in self.kraus)
@@ -68,13 +179,10 @@ class Channel:
         shape = mats[0].shape
         if any(a.shape != shape for a in mats):
             raise ShapeError("all Kraus operators must share one shape")
-        object.__setattr__(self, "kraus", mats)
-        tp = sum(dagger(a) @ a for a in mats)
-        if np.max(np.abs(tp - np.eye(self.in_dim))) > 1e-10:
-            raise ShapeError(
-                "Kraus operators are not trace preserving: "
-                f"max |sum A^dag A - 1| = {np.max(np.abs(tp - np.eye(self.in_dim))):.3e}"
-            )
+        stack = np.stack(mats)
+        object.__setattr__(self, "kraus", tuple(stack))
+        object.__setattr__(self, "stack", stack)
+        kraus_tp_check(stack)
 
     @property
     def in_dim(self) -> int:
@@ -90,11 +198,11 @@ class Channel:
             raise ShapeError(
                 f"state shape {rho.shape} != channel input dim {self.in_dim}"
             )
-        return sum(a @ rho @ dagger(a) for a in self.kraus)
+        return kraus_apply(self.stack, rho)
 
     def apply_to_identity(self) -> np.ndarray:
         """Phi(1); separate from apply() since 1 is not a density matrix."""
-        return sum(a @ dagger(a) for a in self.kraus)
+        return kraus_apply(self.stack, np.eye(self.in_dim))
 
     def compose(self, inner: "Channel") -> "Channel":
         """self after inner: (self . inner)(rho) = self(inner(rho))."""
@@ -105,18 +213,16 @@ class Channel:
         return Channel(tuple(a @ b for a in self.kraus for b in inner.kraus))
 
     def to_choi(self) -> "ChoiState":
-        d1 = self.in_dim
-        w = np.stack([a.reshape(-1) for a in self.kraus], axis=1) / np.sqrt(d1)
-        return ChoiState(self.in_dim, self.out_dim, w @ dagger(w))
+        return ChoiState(self.in_dim, self.out_dim, kraus_to_choi(self.stack))
 
     def transfer(self) -> np.ndarray:
         """Matrix M with M @ vec(rho) = vec(Phi(rho))."""
-        return transfer_matrix(self.kraus)
+        return transfer_matrix(self.stack)
 
     def transfer_obs(self, obs: np.ndarray) -> np.ndarray:
         """Transfer matrix of the channel weighted by an operator on the
         Kraus (physical) index; reduces to :meth:`transfer` for obs = 1."""
-        return transfer_matrix(self.kraus, obs)
+        return transfer_matrix(self.stack, obs)
 
     def stinespring(self):
         """Unitary dilation (U, ancilla_dim).
@@ -130,10 +236,9 @@ class Channel:
         while (d2 * n_anc) % d1 != 0:
             n_anc += 1
         dim = d2 * n_anc
-        iso = np.zeros((dim, d1), dtype=complex)
-        for k, a in enumerate(self.kraus):
-            block = iso.reshape(d2, n_anc, d1)
-            block[:, k, :] = a
+        iso = np.zeros((d2, n_anc, d1), dtype=complex)
+        iso[:, : len(self.kraus)] = self.stack.transpose(1, 0, 2)
+        iso = iso.reshape(dim, d1)
         m_in = dim // d1
         u = np.zeros((dim, dim), dtype=complex)
         cols = [j * m_in for j in range(d1)]
@@ -149,13 +254,9 @@ class Channel:
     def purified_choi(self) -> "PurifiedChoiState":
         """Pure state on output (x) ancilla (x) input-reference whose
         ancilla trace is the Choi state."""
-        d1, d2 = self.in_dim, self.out_dim
-        k = len(self.kraus)
-        t = np.empty((d2, k, d1), dtype=complex)
-        for idx, a in enumerate(self.kraus):
-            t[:, idx, :] = a
+        k, d2, d1 = self.stack.shape
         return PurifiedChoiState(
-            vector=t.reshape(-1) / np.sqrt(d1), dims=(d2, k, d1)
+            vector=self.stack.transpose(1, 0, 2).reshape(-1) / np.sqrt(d1), dims=(d2, k, d1)
         )
 
     def to_dict(self) -> dict:
@@ -187,33 +288,12 @@ class ChoiState:
         object.__setattr__(self, "matrix", m)
 
     def validate(self, tol: float = EQ_TOL) -> None:
-        m = self.matrix
-        if np.max(np.abs(m - dagger(m))) > tol:
-            raise InvalidChoiError("Choi matrix is not Hermitian")
-        w = np.linalg.eigvalsh((m + dagger(m)) / 2)
-        if w[0] < -tol:
-            raise InvalidChoiError(
-                f"Choi matrix is not PSD: smallest eigenvalue {w[0]:.3e}"
-            )
-        if abs(np.trace(m) - 1.0) > tol:
-            raise InvalidChoiError(f"Choi trace {np.trace(m):.12f} != 1")
-        marg = partial_trace(m, [self.out_dim, self.in_dim], keep=[1])
-        if np.max(np.abs(marg - np.eye(self.in_dim) / self.in_dim)) > tol:
-            raise InvalidChoiError(
-                "input marginal of the Choi state is not maximally mixed"
-            )
+        choi_eigh(self.matrix, self.in_dim, self.out_dim, tol)
 
     def to_channel(self, tol: float = 1e-12) -> Channel:
         """Recover Kraus operators; eigenvalues below ``tol`` are dropped."""
-        self.validate(tol=1e-8)
-        w, v = np.linalg.eigh((self.matrix + dagger(self.matrix)) / 2)
-        kraus = []
-        for lam, vec in zip(w, v.T):
-            if lam > tol:
-                kraus.append(
-                    np.sqrt(self.in_dim * lam) * vec.reshape(self.out_dim, self.in_dim)
-                )
-        return Channel(tuple(kraus))
+        w, v = choi_eigh(self.matrix, self.in_dim, self.out_dim, tol=1e-8)
+        return Channel(tuple(choi_kraus(w, v, self.in_dim, self.out_dim, tol)))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Readout identity: Phi(rho) = d * tr_ref[omega (1 (x) rho^T)]."""
@@ -222,8 +302,7 @@ class ChoiState:
             raise ShapeError(
                 f"state shape {rho.shape} != Choi input dim {self.in_dim}"
             )
-        omega = self.matrix.reshape((self.out_dim, self.in_dim) * 2)
-        return self.in_dim * np.einsum("aibk,ik->ab", omega, rho)
+        return choi_apply(self.matrix, rho, self.in_dim, self.out_dim)
 
     def to_dict(self) -> dict:
         return {

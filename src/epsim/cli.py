@@ -26,7 +26,7 @@ from .errors import ConfigError, EpsimError, SizeGuardError
 from .hamiltonians import LocalHamiltonian
 from .linalg import PAULI, embed_operator, matrix_exp
 from .mps import MPS
-from .rand import random_density, random_kraus_set
+from .rand import random_duality_groups
 
 SCHEMA_VERSION = 1
 TASKS = ("dynamics", "thermal", "entropy", "amplitude", "duality-check")
@@ -327,22 +327,12 @@ def _run_duality_check(config: ExperimentConfig) -> dict:
     n_cases = _field(config.raw, "n_cases", _json_int, 100)
     max_dim = _field(config.raw, "max_dim", _json_int, 4)
     tol = _field(config.raw, "tolerance", float, 1e-10)
-    rng = np.random.default_rng(config.seed)
     worst = 0.0
-    from .channels import Channel
+    from .channels import duality_residuals
 
-    for _ in range(n_cases):
-        d_in = int(rng.integers(2, max_dim + 1))
-        d_out = int(rng.integers(2, max_dim + 1))
-        phi = Channel(tuple(random_kraus_set(rng, d_in, d_out, int(rng.integers(1, 4)))))
-        omega = phi.to_choi()
-        back = omega.to_channel()
-        rho = random_density(rng, d_in)
-        worst = max(
-            worst,
-            float(np.max(np.abs(omega.apply(rho) - phi.apply(rho)))),
-            float(np.max(np.abs(back.apply(rho) - phi.apply(rho)))),
-        )
+    for cases, kraus, states in random_duality_groups(config.seed, n_cases, max_dim, 1):
+        readout, roundtrip = duality_residuals(kraus, states, cases)
+        worst = max(worst, float(readout.max()), float(roundtrip.max()))
     return {
         "value": worst,
         "stderr": None,

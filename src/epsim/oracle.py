@@ -57,26 +57,29 @@ class DenseState:
 
 
 def apply_gate(psi: np.ndarray, gate: np.ndarray, site: int, dims) -> np.ndarray:
-    """Apply a two-site gate on (site, site+1) to a statevector."""
+    """Apply a two-site gate on (site, site+1) to a statevector, or to each
+    column of a (dim, B) stack of them."""
     dims = list(dims)
     d1, d2 = dims[site], dims[site + 1]
     left = int(np.prod(dims[:site])) or 1
-    right = int(np.prod(dims[site + 2 :])) or 1
-    t = psi.reshape(left, d1 * d2, right)
+    t = psi.reshape(left, d1 * d2, -1)
     t = np.einsum("gp,apb->agb", gate.reshape(d1 * d2, d1 * d2), t)
-    return t.reshape(-1)
+    return t.reshape(psi.shape)
 
 
 def apply_circuit(psi, circuit: BrickworkCircuit, dims=None) -> np.ndarray:
-    """Exact gate-by-gate application of a brickwork circuit."""
+    """Exact gate-by-gate application of a brickwork circuit to a
+    statevector, or to each column of a (dim, B) stack of them."""
     if isinstance(psi, DenseState):
         dims = list(psi.phys_dims)
         psi = psi.vector
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim != 2:
+        psi = psi.reshape(-1)
     dims = list(dims) if dims is not None else [circuit.phys_dim] * circuit.n_sites
-    if psi.size > STATE_GUARD:
-        raise SizeGuardError(f"statevector length {psi.size} exceeds {STATE_GUARD}")
-    if int(np.prod(dims)) != psi.size:
+    if psi.shape[0] > STATE_GUARD:
+        raise SizeGuardError(f"statevector length {psi.shape[0]} exceeds {STATE_GUARD}")
+    if int(np.prod(dims)) != psi.shape[0]:
         raise ShapeError("state length does not match site dimensions")
     out = psi.copy()
     for layer in circuit.layers:

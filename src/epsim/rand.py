@@ -15,44 +15,90 @@ def rng_from(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
-def random_state(rng, dim: int) -> np.ndarray:
+def gaussian(rng, shape) -> np.ndarray:
+    """Complex Gaussian array, real parts drawn first: the draw step of the
+    generators below, whose finish steps act on stacks."""
     rng = rng_from(rng)
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def random_state(rng, dim: int) -> np.ndarray:
+    v = gaussian(rng, dim)
     return v / np.linalg.norm(v)
 
 
 def haar_unitary(rng, dim: int) -> np.ndarray:
-    rng = rng_from(rng)
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return unitary_from_gaussian(gaussian(rng, (dim, dim)))
+
+
+def unitary_from_gaussian(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from Gaussian matrices (..., d, d): Q of the QR with
+    the phases of R's diagonal moved into it."""
     q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def random_hermitian(rng, dim: int) -> np.ndarray:
-    rng = rng_from(rng)
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a = gaussian(rng, (dim, dim))
     return (a + dagger(a)) / 2
 
 
 def random_density(rng, dim: int, rank: int | None = None) -> np.ndarray:
-    rng = rng_from(rng)
-    rank = rank or dim
-    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    rho = a @ dagger(a)
-    return rho / np.trace(rho)
+    return density_from_gaussian(gaussian(rng, (dim, rank or dim)))
+
+
+def density_from_gaussian(a: np.ndarray) -> np.ndarray:
+    """Density matrices a a^dag / tr(a a^dag) from Gaussian (..., d, rank)."""
+    rho = a @ np.conj(np.swapaxes(a, -1, -2))
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+
+
+def kraus_count(d_in: int, d_out: int, n_kraus: int) -> int:
+    """``n_kraus`` raised so an isometry C^{d_in} -> C^{d_out * n_kraus}
+    can exist."""
+    return max(n_kraus, -(-d_in // d_out))
 
 
 def random_kraus_set(rng, d_in: int, d_out: int, n_kraus: int) -> list[np.ndarray]:
-    """Kraus operators of a random channel via a Haar isometry slice.
+    """Kraus operators of a random channel via a Haar isometry slice;
+    ``n_kraus`` is raised by :func:`kraus_count`."""
+    u = haar_unitary(rng, d_out * kraus_count(d_in, d_out, n_kraus))
+    return list(kraus_from_unitary(u, d_in, d_out))
 
-    ``n_kraus`` is raised if needed so an isometry into
-    C^{d_out * n_kraus} can exist.
-    """
+
+def kraus_from_unitary(u: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """Kraus sets (..., k, d_out, d_in) from unitaries (..., d_out k, d_out k):
+    the first d_in columns, an isometry, cut into k row blocks."""
+    iso = u[..., :d_in]
+    return iso.reshape(iso.shape[:-2] + (-1, d_out, d_in))
+
+
+# Cases drawn before their groups are finished and handed out.
+_GROUP_CHUNK = 512
+
+
+def random_duality_groups(rng, n_cases: int, max_dim: int, n_states: int):
+    """Random channels, each with ``n_states`` random density matrices,
+    drawn case by case as random_kraus_set and random_density would draw
+    them, then finished as stacks grouped by (d_in, d_out, raised n_kraus).
+    Yields (case indices, Kraus sets (B, k, d_out, d_in), states
+    (B, n_states, d_in, d_in)) per group; cases are grouped within
+    consecutive chunks of ``_GROUP_CHUNK``, so memory stays bounded."""
     rng = rng_from(rng)
-    n_kraus = max(n_kraus, -(-d_in // d_out))
-    u = haar_unitary(rng, d_out * n_kraus)
-    iso = u[:, :d_in]  # isometry C^{d_in} -> C^{d_out * n_kraus}
-    return [iso[k * d_out:(k + 1) * d_out, :].copy() for k in range(n_kraus)]
+    for start in range(0, n_cases, _GROUP_CHUNK):
+        groups = {}
+        for case in range(start, min(start + _GROUP_CHUNK, n_cases)):
+            d_in = int(rng.integers(2, max_dim + 1))
+            d_out = int(rng.integers(2, max_dim + 1))
+            n_kraus = kraus_count(d_in, d_out, int(rng.integers(1, 4)))
+            z = gaussian(rng, (d_out * n_kraus,) * 2)
+            a = np.stack([gaussian(rng, (d_in, d_in)) for _ in range(n_states)])
+            groups.setdefault((d_in, d_out, n_kraus), []).append((case, z, a))
+        for (d_in, d_out, _), members in groups.items():
+            cases, z, a = zip(*members)
+            kraus = kraus_from_unitary(unitary_from_gaussian(np.stack(z)), d_in, d_out)
+            yield list(cases), kraus, density_from_gaussian(np.stack(a))
 
 
 def random_canonical_mps(rng, n_sites: int, chi: int):

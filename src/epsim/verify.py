@@ -20,7 +20,14 @@ from . import network as net
 from . import oracle
 from .errors import ShapeError
 from .linalg import PAULI, dagger, embed_operator
-from .rand import haar_unitary, random_density, random_kraus_set, random_canonical_mps, random_state
+from .rand import (
+    haar_unitary,
+    random_canonical_mps,
+    random_density,
+    random_duality_groups,
+    random_kraus_set,
+    random_state,
+)
 
 
 @dataclass(frozen=True)
@@ -62,22 +69,10 @@ def suite_duality(seed: int = 2024) -> list:
     t0 = time.perf_counter()
     worst_readout = 0.0
     worst_roundtrip = 0.0
-    for _ in range(100):
-        d_in = int(rng.integers(2, 5))
-        d_out = int(rng.integers(2, 5))
-        phi = _random_channel(rng, d_in, d_out, int(rng.integers(1, 4)))
-        omega = phi.to_choi()
-        back = omega.to_channel()
-        for _ in range(10):
-            rho = random_density(rng, d_in)
-            worst_readout = max(
-                worst_readout,
-                float(np.max(np.abs(omega.apply(rho) - phi.apply(rho)))),
-            )
-            worst_roundtrip = max(
-                worst_roundtrip,
-                float(np.max(np.abs(back.apply(rho) - phi.apply(rho)))),
-            )
+    for cases, kraus, states in random_duality_groups(rng, 100, 4, 10):
+        readout, roundtrip = ch.duality_residuals(kraus, states, cases)
+        worst_readout = max(worst_readout, float(readout.max()))
+        worst_roundtrip = max(worst_roundtrip, float(roundtrip.max()))
     out.append(_check("duality", "choi-readout-identity", worst_readout, 1e-12, t0,
                       note="100 channels x 10 states"))
     out.append(_check("duality", "choi-roundtrip-action", worst_roundtrip, 1e-10, t0))
@@ -184,9 +179,8 @@ def suite_network(seed: int = 2026) -> list:
     errors = []
     for reps in (4, 8, 16):
         circ = ham.trotter_circuit(h, 1.0, reps)
-        u = np.eye(16, dtype=complex)
-        cols = [oracle.apply_circuit(u[:, k], circ, [2] * 4) for k in range(16)]
-        errors.append(np.linalg.norm(np.stack(cols, axis=1) - target, ord=2))
+        evolved = oracle.apply_circuit(np.eye(16), circ, [2] * 4)
+        errors.append(np.linalg.norm(evolved - target, ord=2))
     ratios = [a / b for a, b in zip(errors, errors[1:])]
     ok = all(1.6 <= r <= 2.4 for r in ratios)
     out.append(_check("network", "trotter-first-order-scaling",
@@ -274,13 +268,11 @@ def suite_thermal(seed: int = 2028) -> list:
 
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    import scipy.linalg
-
     worst = 0.0
     for _ in range(20):
         rho = random_density(rng, 4)
-        hm = -scipy.linalg.logm(rho)
-        hm = (hm + dagger(hm)) / 2
+        w, v = np.linalg.eigh(rho)  # full rank, so -log rho is finite
+        hm = (v * -np.log(w)) @ dagger(v)
         h = ham.LocalHamiltonian(2, 2, (((0, 1), hm),))
         got = alg.entropy(h, 1e-2).value
         worst = max(worst, abs(got - oracle.entropy_exact(rho)))

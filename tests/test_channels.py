@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from epsim import channels as ch
+from epsim import rand
 from epsim.errors import InvalidChoiError, ShapeError
 from epsim.linalg import dagger, devectorize, partial_trace, vectorize
-from epsim.rand import haar_unitary, random_density, random_kraus_set
+from epsim.rand import (
+    haar_unitary,
+    kraus_count,
+    random_density,
+    random_duality_groups,
+    random_kraus_set,
+)
 
 
 def random_channel(rng, d_in, d_out, n_kraus):
@@ -270,3 +277,112 @@ def test_channel_json_roundtrip():
     omega = phi.to_choi()
     omega2 = ch.ChoiState.from_dict(omega.to_dict())
     assert np.allclose(omega2.matrix, omega.matrix)
+
+
+def random_stack(rng, batch, d_in, d_out, n_kraus):
+    return np.stack([np.stack(random_kraus_set(rng, d_in, d_out, n_kraus))
+                     for _ in range(batch)])
+
+
+# (d_in, d_out, n_kraus, batch); (3, 2, 1) and (4, 2, 1) raise the Kraus count.
+@pytest.mark.parametrize("d_in,d_out,n_kraus,batch", [
+    (2, 2, 1, 1), (3, 2, 1, 4), (4, 2, 1, 1), (2, 4, 2, 3), (4, 3, 3, 5), (3, 4, 2, 2),
+])
+def test_kernels_match_per_object_formulas(d_in, d_out, n_kraus, batch):
+    rng = np.random.default_rng(100 * d_in + 10 * d_out + n_kraus)
+    kraus = random_stack(rng, batch, d_in, d_out, n_kraus)
+    assert kraus.shape == (batch, kraus_count(d_in, d_out, n_kraus), d_out, d_in)
+    states = np.stack([random_density(rng, d_in) for _ in range(batch)])
+    choi = ch.kraus_to_choi(kraus)
+    back = ch.choi_kraus(*ch.choi_eigh(choi, d_in, d_out, tol=1e-8), d_in, d_out)
+    applied = ch.kraus_apply(kraus, states)
+    readout = ch.choi_apply(choi, states, d_in, d_out)
+    recovered = ch.kraus_apply(back, states)
+    for b in range(batch):
+        mats, rho = list(kraus[b]), states[b]
+        direct = sum(a @ rho @ dagger(a) for a in mats)
+        assert np.max(np.abs(applied[b] - direct)) < 1e-12
+        vecs = np.stack([a.reshape(-1) for a in mats], axis=1) / np.sqrt(d_in)
+        omega = vecs @ dagger(vecs)
+        assert np.max(np.abs(choi[b] - omega)) < 1e-12
+        sandwich = omega @ np.kron(np.eye(d_out), rho.T)
+        by_kron = d_in * partial_trace(sandwich, [d_out, d_in], keep=[0])
+        assert np.max(np.abs(readout[b] - by_kron)) < 1e-12
+        lam, vec = np.linalg.eigh(omega)
+        ref = [np.sqrt(d_in * x) * v.reshape(d_out, d_in) for x, v in zip(lam, vec.T) if x > 1e-12]
+        assert len(ref) == kraus.shape[1]
+        assert np.max(np.abs(recovered[b] - sum(a @ rho @ dagger(a) for a in ref))) < 1e-12
+    worst_readout, worst_roundtrip = ch.duality_residuals(kraus, states[:, None])
+    assert worst_readout.shape == worst_roundtrip.shape == (batch, 1)
+    assert np.max(worst_readout) < 1e-12 and np.max(worst_roundtrip) < 1e-12
+
+
+def test_choi_kraus_pads_cases_of_lower_rank_with_zeros():
+    rng = np.random.default_rng(31)
+    full = np.stack(random_kraus_set(rng, 2, 2, 3))
+    unitary = np.stack([haar_unitary(rng, 2), np.zeros((2, 2)), np.zeros((2, 2))])
+    kraus = np.stack([full, unitary])
+    choi = ch.kraus_to_choi(kraus)
+    back = ch.choi_kraus(*ch.choi_eigh(choi, 2, 2), 2, 2)
+    assert back.shape == (2, 3, 2, 2)
+    assert np.all(back[1, :2] == 0)
+    assert len(ch.ChoiState(2, 2, choi[1]).to_channel().kraus) == 1
+    rho = random_density(rng, 2)
+    assert np.max(np.abs(ch.kraus_apply(back, rho) - ch.kraus_apply(kraus, rho))) < 1e-12
+
+
+def test_batched_checks_name_the_failing_case():
+    rng = np.random.default_rng(32)
+    kraus = random_stack(rng, 3, 2, 2, 2)
+    states = np.stack([random_density(rng, 2) for _ in range(3)])[:, None]
+    bad = kraus.copy()
+    bad[1] *= 1.1
+    with pytest.raises(ShapeError, match="^case 1: Kraus operators are not trace preserving"):
+        ch.kraus_tp_check(bad)
+    with pytest.raises(ShapeError, match="^case 8: Kraus operators are not trace preserving"):
+        ch.duality_residuals(bad, states, cases=[7, 8, 9])
+    with pytest.raises(ShapeError, match="^Kraus operators are not trace preserving"):
+        ch.Channel(tuple(bad[1]))
+    # Same trace and input marginal, but the rank-two Choi matrix's zero
+    # eigenvalues move to -0.025.
+    choi = ch.kraus_to_choi(kraus)
+    choi[2] = 1.1 * choi[2] - 0.1 * np.eye(4) / 4
+    with pytest.raises(InvalidChoiError, match="^case 2: Choi matrix is not PSD"):
+        ch.choi_eigh(choi, 2, 2)
+    with pytest.raises(InvalidChoiError, match="^case 9: Choi matrix is not PSD"):
+        ch.choi_eigh(choi, 2, 2, cases=[7, 8, 9])
+    with pytest.raises(InvalidChoiError, match="^Choi matrix is not PSD"):
+        ch.ChoiState(2, 2, choi[2]).to_channel()
+
+
+def test_transfer_matrix_matches_kron_sum():
+    rng = np.random.default_rng(33)
+    t = rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5))
+    op = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    plain = sum(np.kron(a, a.conj()) for a in t)
+    weighted = sum(op[i, j] * np.kron(t[j], t[i].conj()) for i in range(3) for j in range(3))
+    assert np.max(np.abs(ch.transfer_matrix(t) - plain)) < 1e-12
+    assert np.max(np.abs(ch.transfer_matrix(t, op) - weighted)) < 1e-12
+    assert np.max(np.abs(ch.transfer_matrix(list(t), op) - weighted)) < 1e-12
+    with pytest.raises(ShapeError):
+        ch.transfer_matrix(t, np.eye(2))
+
+
+@pytest.mark.parametrize("chunk", [7, 512])
+def test_duality_groups_draw_in_per_case_order(monkeypatch, chunk):
+    monkeypatch.setattr(rand, "_GROUP_CHUNK", chunk)
+    seed = 34
+    rng = np.random.default_rng(seed)
+    want = []
+    for _ in range(40):
+        d_in, d_out = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        kraus = random_kraus_set(rng, d_in, d_out, int(rng.integers(1, 4)))
+        want.append((kraus, [random_density(rng, d_in) for _ in range(3)]))
+    seen = []
+    for cases, kraus, states in random_duality_groups(seed, 40, 4, 3):
+        for b, case in enumerate(cases):
+            ref_kraus, ref_states = want[case]
+            np.testing.assert_allclose(kraus[b], np.stack(ref_kraus), rtol=0, atol=1e-13)
+            np.testing.assert_allclose(states[b], np.stack(ref_states), rtol=0, atol=1e-13)
+            seen.append(case)
+    assert sorted(seen) == list(range(40))

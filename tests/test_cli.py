@@ -7,7 +7,8 @@ from conftest import PAULI
 from epsim import cli, mps, network, oracle, serialize
 from epsim.hamiltonians import build_heisenberg, build_tfim
 from epsim.linalg import embed_operator
-from epsim.rand import haar_unitary, random_state
+from epsim.channels import Channel
+from epsim.rand import haar_unitary, random_density, random_kraus_set, random_state
 
 
 @pytest.fixture
@@ -45,7 +46,7 @@ def run_cli(args, capsys):
     return code, out
 
 
-def test_cli_dynamics_run_does_not_load_scipy(workdir):
+def _assert_runs_without_scipy(argv):
     import os
     import subprocess
     import sys
@@ -53,17 +54,9 @@ def test_cli_dynamics_run_does_not_load_scipy(workdir):
 
     import epsim
 
-    config = {
-        "task": "dynamics",
-        "state_file": "state.json",
-        "circuit_file": "circuit.json",
-        "observables": [{"site": 1, "pauli": "Z"}],
-        "out": str(workdir / "report.json"),
-    }
-    (workdir / "job.json").write_text(json.dumps(config))
     script = (
         "import sys, epsim.cli\n"
-        f"code = epsim.cli.main(['run', '--config', {str(workdir / 'job.json')!r}])\n"
+        f"code = epsim.cli.main({argv!r})\n"
         "assert code == 0, code\n"
         "assert 'scipy' not in sys.modules, 'scipy was loaded'\n"
     )
@@ -72,7 +65,33 @@ def test_cli_dynamics_run_does_not_load_scipy(workdir):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_dynamics_run_does_not_load_scipy(workdir):
+    config = {
+        "task": "dynamics",
+        "state_file": "state.json",
+        "circuit_file": "circuit.json",
+        "observables": [{"site": 1, "pauli": "Z"}],
+        "out": str(workdir / "report.json"),
+    }
+    (workdir / "job.json").write_text(json.dumps(config))
+    _assert_runs_without_scipy(["run", "--config", str(workdir / "job.json")])
     assert json.loads((workdir / "report.json").read_text())["abs_error"] < 1e-8
+
+
+@pytest.mark.parametrize("config", [
+    {"task": "duality-check", "n_cases": 20, "seed": 3},
+    {"task": "amplitude", "phi_file": "phi.json", "psi_file": "psi.json",
+     "unitary_file": "unitary.json", "seed": 0},
+], ids=["duality-check", "amplitude"])
+def test_cli_channel_tasks_do_not_load_scipy(workdir, config):
+    (workdir / "job.json").write_text(json.dumps(config))
+    _assert_runs_without_scipy(["run", "--config", str(workdir / "job.json")])
+
+
+def test_verify_duality_does_not_load_scipy():
+    _assert_runs_without_scipy(["verify", "--suite", "duality"])
 
 
 def test_dynamics_exact_report(workdir, capsys):
@@ -177,6 +196,37 @@ def test_duality_check_task(workdir, capsys):
     report = json.loads(out)
     assert report["passed"] is True
     assert report["value"] <= report["tolerance"]
+
+
+def _duality_check_per_case(seed, n_cases=100, max_dim=4):
+    """The duality check one channel at a time through Channel / ChoiState."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_cases):
+        d_in = int(rng.integers(2, max_dim + 1))
+        d_out = int(rng.integers(2, max_dim + 1))
+        phi = Channel(tuple(random_kraus_set(rng, d_in, d_out, int(rng.integers(1, 4)))))
+        omega = phi.to_choi()
+        back = omega.to_channel()
+        rho = random_density(rng, d_in)
+        worst = max(
+            worst,
+            float(np.max(np.abs(omega.apply(rho) - phi.apply(rho)))),
+            float(np.max(np.abs(back.apply(rho) - phi.apply(rho)))),
+        )
+    return worst
+
+
+def test_duality_check_matches_per_case_reference(workdir, capsys):
+    for seed in range(10):
+        config = {"task": "duality-check", "seed": seed}
+        (workdir / "job.json").write_text(json.dumps(config))
+        code, out = run_cli(["run", "--config", str(workdir / "job.json")], capsys)
+        assert code == 0
+        report = json.loads(out)
+        want = _duality_check_per_case(seed)
+        assert abs(report["value"] - want) < 1e-14
+        assert report["passed"] is (want <= report["tolerance"])
 
 
 def test_report_reproducibility(workdir, capsys):

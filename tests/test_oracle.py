@@ -46,6 +46,24 @@ def test_apply_circuit_norm_preserved():
     assert abs(np.linalg.norm(out) - 1) < 1e-12
 
 
+def test_apply_circuit_stack_matches_columns():
+    rng = np.random.default_rng(3)
+    layers = tuple(
+        tuple((s, haar_unitary(rng, 4)) for s in range(l % 2, 3, 2))
+        for l in range(3)
+    )
+    circ = network.BrickworkCircuit(4, layers)
+    states = rng.normal(size=(16, 5)) + 1j * rng.normal(size=(16, 5))
+    got = oracle.apply_circuit(states, circ)
+    assert got.shape == (16, 5)
+    for b in range(5):
+        assert np.max(np.abs(got[:, b] - oracle.apply_circuit(states[:, b], circ))) < 1e-14
+    one = oracle.apply_circuit(states[:, :1], circ)
+    assert one.shape == (16, 1) and np.max(np.abs(one[:, 0] - got[:, 0])) < 1e-14
+    with pytest.raises(ShapeError):
+        oracle.apply_circuit(states[:8], circ)
+
+
 def test_apply_circuit_matches_exact_unitary():
     # The circuit of a one-step splitting equals the product of its layer
     # exponentials applied gate by gate.
