@@ -70,13 +70,13 @@ def _raise_first(bad, error, message, cases=None):
     raise error(text)
 
 
-def kraus_tp_check(kraus: np.ndarray, cases=None, tol: float = 1e-10) -> None:
+def kraus_tp_check(kraus: np.ndarray, cases=None) -> None:
     """Raise ShapeError unless each Kraus set (..., k, d_out, d_in) obeys
-    sum_i A_i^dag A_i = 1 to within ``tol``."""
+    sum_i A_i^dag A_i = 1 to within 1e-10."""
     tp = (np.conj(np.swapaxes(kraus, -1, -2)) @ kraus).sum(axis=-3)
     err = np.max(np.abs(tp - np.eye(kraus.shape[-1])), axis=(-2, -1))
     _raise_first(
-        err > tol, ShapeError,
+        err > 1e-10, ShapeError,
         lambda i: f"Kraus operators are not trace preserving: max |sum A^dag A - 1| = {err[i]:.3e}",
         cases,
     )

@@ -69,14 +69,19 @@ def apply_gate(psi: np.ndarray, gate: np.ndarray, site: int, dims) -> np.ndarray
 
 def apply_circuit(psi, circuit: BrickworkCircuit, dims=None) -> np.ndarray:
     """Exact gate-by-gate application of a brickwork circuit to a
-    statevector, or to each column of a (dim, B) stack of them."""
+    statevector, or to each column of a (dim, B) stack of them.
+
+    A 2-D array whose first axis has length dim = prod(dims) is a stack
+    and keeps its shape; any other input is flattened to one statevector,
+    so a state in tensor shape such as (2, 2) still works.  STATE_GUARD
+    bounds the statevector length dim, column by column."""
     if isinstance(psi, DenseState):
         dims = list(psi.phys_dims)
         psi = psi.vector
     psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 2:
-        psi = psi.reshape(-1)
     dims = list(dims) if dims is not None else [circuit.phys_dim] * circuit.n_sites
+    if psi.ndim != 2 or psi.shape[0] != int(np.prod(dims)):
+        psi = psi.reshape(-1)
     if psi.shape[0] > STATE_GUARD:
         raise SizeGuardError(f"statevector length {psi.shape[0]} exceeds {STATE_GUARD}")
     if int(np.prod(dims)) != psi.shape[0]:

@@ -16,14 +16,15 @@ def rng_from(seed) -> np.random.Generator:
 
 
 def gaussian(rng, shape) -> np.ndarray:
-    """Complex Gaussian array, real parts drawn first: the draw step of the
-    generators below, whose finish steps act on stacks."""
+    """Complex Gaussian array, real parts drawn first: the draw step of
+    haar_unitary and random_density, whose finish steps act on stacks."""
     rng = rng_from(rng)
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 def random_state(rng, dim: int) -> np.ndarray:
-    v = gaussian(rng, dim)
+    rng = rng_from(rng)
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
 
 
@@ -40,7 +41,8 @@ def unitary_from_gaussian(z: np.ndarray) -> np.ndarray:
 
 
 def random_hermitian(rng, dim: int) -> np.ndarray:
-    a = gaussian(rng, (dim, dim))
+    rng = rng_from(rng)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (a + dagger(a)) / 2
 
 

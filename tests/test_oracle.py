@@ -64,6 +64,12 @@ def test_apply_circuit_stack_matches_columns():
         oracle.apply_circuit(states[:8], circ)
 
 
+def test_apply_circuit_flattens_tensor_shaped_state():
+    circ = network.BrickworkCircuit(2, (((0, CNOT),),))
+    got = oracle.apply_circuit(np.array([[0, 0], [1, 0]]), circ)  # |10> as (2, 2)
+    assert got.shape == (4,) and np.allclose(got, [0, 0, 0, 1])
+
+
 def test_apply_circuit_matches_exact_unitary():
     # The circuit of a one-step splitting equals the product of its layer
     # exponentials applied gate by gate.
