@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import serialize
-from .errors import InvalidChoiError, ShapeError
+from .errors import InvalidChoiError, PositivityError, ShapeError
 from .linalg import (
     EQ_TOL,
+    PSD_CLAMP,
     as_matrix,
     dagger,
-    is_density_matrix,
     partial_trace,
-    psd_sqrt,
 )
 
 
@@ -373,14 +372,35 @@ def _basis(d: int, i: int) -> np.ndarray:
     return v
 
 
+def measurement_roots(rho: np.ndarray) -> tuple:
+    """(sqrt(rho^T), sqrt(1 - rho^T)) for density matrices (..., d, d),
+    from one ``eigh``: the binary measurement that realizes each state on a
+    Choi input reference.  ShapeError unless each state is a density matrix
+    to within 1e-8; PositivityError when a root's argument is not Hermitian
+    or has an eigenvalue below -PSD_CLAMP."""
+    rho_t = np.swapaxes(rho, -1, -2)
+    herm = np.max(np.abs(rho_t - np.conj(rho)), axis=(-2, -1))
+    w, v = np.linalg.eigh(rho_t)
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    not_density = (herm > 1e-8) | (w[..., 0] < -1e-8) | (np.abs(trace - 1.0) > 1e-8)
+    _raise_first(not_density, ShapeError, lambda i: "state_measurement needs a density matrix")
+    _raise_first(herm > PSD_CLAMP, PositivityError, lambda i: "matrix is not Hermitian")
+    v_h = np.conj(np.swapaxes(v, -1, -2))
+    roots = []
+    for lam in (w, 1.0 - w):  # 1 - rho^T shares the eigenvectors of rho^T
+        low = lam.min(axis=-1)
+        _raise_first(
+            low < -PSD_CLAMP, PositivityError,
+            lambda i: f"matrix is not PSD: smallest eigenvalue {low[i]:.3e} < -{PSD_CLAMP:.1e}",
+        )
+        roots.append((v * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]) @ v_h)
+    return tuple(roots)
+
+
 def state_measurement(rho: np.ndarray) -> BinaryMeasurement:
     """Binary measurement {sqrt(rho^T), sqrt(1 - rho^T)} realizing a state
     as a measurement on the Choi input reference."""
-    rho = as_matrix(rho)
-    if not is_density_matrix(rho, tol=1e-8):
-        raise ShapeError("state_measurement needs a density matrix")
-    d = rho.shape[0]
-    return BinaryMeasurement(psd_sqrt(rho.T), psd_sqrt(np.eye(d) - rho.T))
+    return BinaryMeasurement(*measurement_roots(as_matrix(rho)))
 
 
 def bell_binary_measurement(d: int) -> BinaryMeasurement:
@@ -389,36 +409,52 @@ def bell_binary_measurement(d: int) -> BinaryMeasurement:
     return BinaryMeasurement(p, np.eye(d * d) - p)
 
 
-def measured_expectation(phi: Channel, rho: np.ndarray, obs: np.ndarray):
-    """tr(obs * Phi(rho)) reconstructed from the dual measurement protocol.
+def measured_branches(kraus: np.ndarray, rho: np.ndarray, obs: np.ndarray) -> tuple:
+    """The dual measurement protocol for Kraus sets (..., k, d_out, d_in),
+    states (..., d_in, d_in) and observables (..., d_out, d_out); the
+    leading axes broadcast.
 
-    Prepares the Choi state of ``phi``, measures {sqrt(rho^T), sqrt(1-rho^T)}
-    on the input reference, and reads ``obs`` out of each conditional output
-    state.  Branch 0 heralds the exact value; branch 1 is corrected by the
+    Prepares each Choi state, measures {sqrt(rho^T), sqrt(1 - rho^T)} on its
+    input reference and reads ``obs`` out of each conditional output.
+    Returns (probs, conds, values), each (..., 2) over the two branches:
+    the branch probability, the conditional expectation (0 where the
+    probability is at most 1e-14) and the reconstructed value, d_in
+    tr(obs sigma_0) on branch 0 and tr(obs Phi(1)) - d_in tr(obs sigma_1) on
+    branch 1, with sigma the unnormalized conditional output.
+    """
+    d_out, d_in = kraus.shape[-2:]
+    roots = np.stack(measurement_roots(rho), axis=-3)
+    effects = np.conj(np.swapaxes(roots, -1, -2)) @ roots
+    err = np.max(np.abs(effects.sum(axis=-3) - np.eye(d_in)), axis=(-2, -1))
+    _raise_first(err > 1e-10, ShapeError,
+                 lambda i: "measurement operators do not resolve the identity")
+    # tr_ref[(1 (x) M) omega (1 (x) M^dag)] is the readout of omega at (M^dag M)^T.
+    sigma = choi_apply(kraus_to_choi(kraus)[..., None, :, :],
+                       np.swapaxes(effects, -1, -2), d_in, d_out) / d_in
+    probs = np.trace(sigma, axis1=-2, axis2=-1).real
+    read = np.einsum("...ab,...kba->...k", obs, sigma)
+    offset = np.einsum("...ab,...ba->...", obs, kraus_apply(kraus, np.eye(d_in)))
+    values = np.stack([d_in * read[..., 0], offset - d_in * read[..., 1]], axis=-1)
+    conds = np.where(probs > 1e-14, read / np.where(probs > 1e-14, probs, 1.0), 0.0)
+    return probs, conds, values
+
+
+def measured_expectation(phi: Channel, rho: np.ndarray, obs: np.ndarray):
+    """tr(obs * Phi(rho)) reconstructed from the dual measurement protocol:
+    the no-batch call of :func:`measured_branches`.
+
+    Branch 0 heralds the exact value; branch 1 is corrected by the
     tr(obs * Phi(1))/d offset.  Returns ``(value, branches)`` where branches
     lists ``(probability, conditional_expectation, reconstructed_value)``.
     """
-    obs = as_matrix(obs)
-    d1, d2 = phi.in_dim, phi.out_dim
-    if obs.shape != (d2, d2):
-        raise ShapeError(f"observable shape {obs.shape} != output dim {d2}")
-    omega = phi.to_choi().matrix
-    meas = state_measurement(rho)
-    offset_full = np.trace(obs @ phi.apply_to_identity())
-    branches = []
-    for idx, m in enumerate((meas.m0, meas.m1)):
-        big = np.kron(np.eye(d2), m)
-        post = big @ omega @ dagger(big)
-        p = float(np.real(np.trace(post)))
-        sigma_un = partial_trace(post, [d2, d1], keep=[0])
-        if idx == 0:
-            value = d1 * np.trace(obs @ sigma_un)
-        else:
-            value = offset_full - d1 * np.trace(obs @ sigma_un)
-        cond = np.trace(obs @ sigma_un) / p if p > 1e-14 else 0.0
-        branches.append((p, complex(cond), complex(value)))
-    total = sum(p * v for p, _, v in branches)
-    return complex(total), branches
+    obs, rho = as_matrix(obs), as_matrix(rho)
+    if obs.shape != (phi.out_dim, phi.out_dim):
+        raise ShapeError(f"observable shape {obs.shape} != output dim {phi.out_dim}")
+    if rho.shape != (phi.in_dim, phi.in_dim):
+        raise ShapeError(f"state shape {rho.shape} != channel input dim {phi.in_dim}")
+    probs, conds, values = measured_branches(phi.stack, rho, obs)
+    branches = [(float(p), complex(c), complex(v)) for p, c, v in zip(probs, conds, values)]
+    return complex(np.dot(probs, values)), branches
 
 
 class OqtChannel:

@@ -63,19 +63,22 @@ def is_density_matrix(m: np.ndarray, tol: float = EQ_TOL) -> bool:
 
 
 def svd(m: np.ndarray):
-    """SVD ``m = u @ diag(s) @ vh`` with singular values sorted descending.
+    """SVD ``m = u @ diag(s) @ vh`` of a matrix, or of each matrix of a
+    stack (..., rows, cols), with singular values sorted descending.
 
     Raises:
         NumericalError: if the underlying solver fails to converge.
     """
-    m = as_matrix(m)
-    if m.size == 0:
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2:
+        raise ShapeError(f"expected a matrix, got array of shape {m.shape}")
+    if 0 in m.shape[-2:]:
         raise ShapeError("cannot decompose an empty matrix")
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"SVD failed to converge for a {m.shape[0]}x{m.shape[1]} matrix"
+            f"SVD failed to converge for a {m.shape[-2]}x{m.shape[-1]} matrix"
         ) from exc
     return u, s, vh
 

@@ -20,6 +20,23 @@ indices.  Evaluation then happens entirely on the entanglement space:
   (teleportation), and the cells with every horizontal wire traced factor
   into one chain of d x d channels per site (a traced wire is
   Omega + (1 - Omega) = I, which cuts it).
+
+The circuit's gates are split by :func:`split_gates`, one stacked SVD per
+network; :func:`compile_gate` is its call for one gate.  Everything about a
+network but its tensors (node kinds, grid positions, trailing shapes and the
+wire id on each node axis) depends only on its layout key: N, d, the state's
+bond dimensions and each gate's site and operator-Schmidt rank.  It is built
+once per key by the cached :func:`_layout` and shared by every network with
+that key.
+
+:func:`evaluate_exact` and :func:`evaluate_regions` take one network or a
+sequence of networks that share a layout.  A sequence runs through the same
+plans and the same step loop with one leading batch axis on every tensor;
+with no batch axis each step is one 2-D matmul.  A plan is keyed by the
+trailing shapes and leg labels alone, and the size guard prices batch x the
+plan's largest step from shapes before anything is stacked.  A sequence is
+cut into chunks so that batch x that peak stays within ``STACK_BUDGET``
+entries, so stacking bounds memory the way one network does.
 """
 
 from __future__ import annotations
@@ -40,28 +57,43 @@ from .errors import (
     ShapeError,
     SizeGuardError,
 )
-from .linalg import as_matrix, dagger, is_unitary, svd
+from .linalg import as_matrix, dagger, svd
 from .mps import MPS
 
 CONTRACTION_GUARD = 2**24
+# Entries one stacked contraction may reach: a stack of networks is split
+# into chunks so that batch x the plan's largest step stays within this.
+STACK_BUDGET = 2**14
 
 
 # ---------------------------------------------------------------------------
 # Brickwork circuits
 
 
+def _unitarity_error(gates: np.ndarray) -> np.ndarray:
+    """max |U^dag U - 1| of each of the stacked gates (..., D, D)."""
+    gram = np.conj(np.swapaxes(gates, -1, -2)) @ gates
+    return np.max(np.abs(gram - np.eye(gates.shape[-1])), axis=(-2, -1))
+
+
 @dataclass(frozen=True)
 class BrickworkCircuit:
-    """Layers of non-overlapping nearest-neighbor two-site gates."""
+    """Layers of non-overlapping nearest-neighbor two-site gates.
+
+    ``gates`` stacks every gate, (n_gates, d^2, d^2), in layer order with
+    sites ascending within a layer; the layers hold views into it.
+    Unitarity is checked once over that stack.
+    """
 
     n_sites: int
     layers: tuple  # per layer: tuple of (site, gate) with gate on (site, site+1)
     phys_dim: int = 2
+    gates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.phys_dim
-        layers = []
-        for layer in self.layers:
+        layers, where = [], []
+        for l, layer in enumerate(self.layers):
             entries = []
             used = set()
             for site, gate in layer:
@@ -72,14 +104,23 @@ class BrickworkCircuit:
                     raise ShapeError(
                         f"gate shape {gate.shape} != ({d * d}, {d * d})"
                     )
-                if not is_unitary(gate, tol=1e-10):
-                    raise ShapeError(f"gate at site {site} is not unitary")
                 if site in used or site + 1 in used:
                     raise ShapeError(f"overlapping gates in a layer at site {site}")
                 used.update((site, site + 1))
                 entries.append((site, gate))
-            layers.append(tuple(sorted(entries, key=lambda e: e[0])))
-        object.__setattr__(self, "layers", tuple(layers))
+            entries.sort(key=lambda e: e[0])
+            where.extend((l, site) for site, _ in entries)
+            layers.append(entries)
+        mats = [gate for entries in layers for _, gate in entries]
+        gates = np.stack(mats) if mats else np.empty((0, d * d, d * d), complex)
+        bad = np.flatnonzero(_unitarity_error(gates) > 1e-10)
+        if bad.size:
+            l, site = where[bad[0]]
+            raise ShapeError(f"layer {l}: gate at site {site} is not unitary")
+        views = iter(gates)
+        layers = tuple(tuple((site, next(views)) for site, _ in entries) for entries in layers)
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "gates", gates)
 
     @property
     def n_layers(self) -> int:
@@ -87,7 +128,7 @@ class BrickworkCircuit:
 
     @property
     def n_gates(self) -> int:
-        return sum(len(layer) for layer in self.layers)
+        return len(self.gates)
 
     def to_dict(self) -> dict:
         return {
@@ -145,8 +186,8 @@ class GateChannelPair:
     of the recorded weights restores the exact gate.
     """
 
-    left_ops: tuple
-    right_ops: tuple
+    left_ops: np.ndarray  # (bond_dim, d, d)
+    right_ops: np.ndarray  # (bond_dim, d, d)
     bond_dim: int
     gate: np.ndarray = field(repr=False)
 
@@ -156,28 +197,45 @@ class GateChannelPair:
         return u4.reshape(d * d, d * d)
 
 
+def split_gates(gates: np.ndarray, names=None) -> tuple:
+    """Operator-Schmidt split of stacked two-site gates (..., d^2, d^2)
+    through one stacked SVD of their Choi vectors.
+
+    Returns (left, right, ranks): the halves (..., d^2, d, d), each term
+    scaled by sqrt(s_m) and zero beyond its gate's rank, and the ranks, the
+    count of s_m > 1e-12.  Raises ShapeError when a split does not recombine
+    to within 1e-10; inside a stack the message starts with the gate's entry
+    of ``names`` (its index when not given).
+    """
+    lead, dd = gates.shape[:-2], gates.shape[-1]
+    d = math.isqrt(dd)
+    # Group (out_1, in_1) rows vs (out_2, in_2) columns of each gate tensor.
+    r = gates.reshape(lead + (d,) * 4).swapaxes(-3, -2).reshape(gates.shape)
+    x, s, yh = svd(r)
+    kept = s > 1e-12
+    root = np.sqrt(np.where(kept, s, 0.0))[..., None]
+    left, right = np.swapaxes(x, -1, -2) * root, yh * root
+    err = np.max(np.abs(np.swapaxes(left, -1, -2) @ right - r), axis=(-2, -1))
+    bad = np.flatnonzero(err > 1e-10)
+    if bad.size:
+        text = "gate split failed to recombine"
+        if lead:
+            text = f"{names[bad[0]] if names else f'gate {bad[0]}'}: {text}"
+        raise ShapeError(text)
+    shape = lead + (dd, d, d)
+    return left.reshape(shape), right.reshape(shape), kept.sum(axis=-1)
+
+
 def compile_gate(u: np.ndarray) -> GateChannelPair:
-    """Split a two-site gate through the SVD of its Choi vector."""
+    """Split one two-site gate: the no-batch call of :func:`split_gates`."""
     u = as_matrix(u)
     d = math.isqrt(u.shape[0])
     if d * d != u.shape[0] or u.shape[0] != u.shape[1]:
         raise ShapeError(f"expected a d^2 x d^2 gate, got {u.shape}")
-    if not is_unitary(u, tol=1e-10):
+    if _unitarity_error(u) > 1e-10:
         raise ShapeError("gate is not unitary")
-    # Group (out_1, in_1) rows vs (out_2, in_2) columns of the gate tensor.
-    r = u.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    x, s, yh = svd(r)
-    keep = int(np.sum(s > 1e-12))
-    left = tuple(
-        np.sqrt(s[m]) * x[:, m].reshape(d, d) for m in range(keep)
-    )
-    right = tuple(
-        np.sqrt(s[m]) * yh[m, :].reshape(d, d) for m in range(keep)
-    )
-    pair = GateChannelPair(left, right, keep, u)
-    if np.max(np.abs(pair.recombined() - u)) > 1e-10:
-        raise ShapeError("gate split failed to recombine")
-    return pair
+    left, right, rank = split_gates(u)
+    return GateChannelPair(left[:rank], right[:rank], int(rank), u)
 
 
 # ---------------------------------------------------------------------------
@@ -201,102 +259,161 @@ class NetWire:
     dim: int
 
 
+class NetLayout(NamedTuple):
+    """What evaluation needs of a network but its tensors, per node id."""
+
+    key: tuple  # (n_sites, d, state bond dims, per layer ((site, gate rank), ...))
+    kinds: tuple
+    rows: tuple
+    cols: tuple
+    legs: tuple  # per node: the wire id on each axis
+    signature: tuple  # (shape, legs) per node: the exact contraction's plan key
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(key) -> NetLayout:
+    """The cached layout of one key; the wires are left out (see
+    :func:`_lattice`), so a cached layout holds only flat tuples."""
+    kinds, rows, cols, shapes, wires = _lattice(key)
+    legs = [[None] * len(shape) for shape in shapes]
+    for w in wires:
+        for nid, axis in w.ends:
+            legs[nid][axis] = w.wid
+    legs = tuple(map(tuple, legs))
+    return NetLayout(key, kinds, rows, cols, legs, tuple(zip(shapes, legs)))
+
+
+def _lattice(key) -> tuple:
+    """(kinds, rows, cols, shapes, wires) of one layout key.  Node ids run:
+    state row (then its boundary), gate rows by layer, the observable row,
+    conjugate gate rows by layer, conjugate state row (then its boundary)."""
+    n, d, bonds, gate_ranks = key
+    nl = len(gate_ranks)
+    obs_row = nl + 1
+    last_row = 2 * nl + 2
+    state = [(d, bonds[c], bonds[c + 1]) for c in range(n)]
+    # Gate tensors have axes (bond_l, bond_r, out, in).
+    gate_rows = []
+    for layer in gate_ranks:
+        row = [(1, 1, d, d)] * n
+        for site, rank in layer:
+            row[site], row[site + 1] = (1, rank, d, d), (rank, 1, d, d)
+        gate_rows.append(row)
+    kinds, rows, cols, shapes, grid = [], [], [], [], {}
+
+    def add(kind, row, col, shape):
+        grid[(row, col)] = len(kinds)
+        kinds.append(kind)
+        rows.append(row)
+        cols.append(col)
+        shapes.append(shape)
+
+    for c in range(n):
+        add("state", 0, c, state[c])
+    add("boundary", 0, n, (1, 1))
+    for l in range(nl):
+        for c in range(n):
+            add("gate", l + 1, c, gate_rows[l][c])
+    for c in range(n):
+        add("obs", obs_row, c, (d, d))  # legs (ket, conj)
+    for l in range(nl):
+        for c in range(n):
+            add("gate*", last_row - 1 - l, c, gate_rows[l][c])
+    for c in range(n):
+        add("state*", last_row, c, state[c])
+    add("boundary*", last_row, n, (1, 1))
+
+    wires = []
+
+    def wire(end_a, end_b, orientation, dim):
+        wires.append(NetWire(len(wires), (end_a, end_b), orientation, dim))
+
+    # Horizontal wires: state rows close through the boundary node,
+    # gate rows wrap their (dimension-1) outer edges.
+    for row in (0, last_row):
+        bnd = grid[(row, n)]
+        for c in range(n - 1):
+            a, b = grid[(row, c)], grid[(row, c + 1)]
+            wire((a, 2), (b, 1), "h", shapes[a][2])
+        wire((grid[(row, n - 1)], 2), (bnd, 0), "h", shapes[grid[(row, n - 1)]][2])
+        wire((bnd, 1), (grid[(row, 0)], 1), "h", shapes[grid[(row, 0)]][1])
+    for row in list(range(1, nl + 1)) + list(range(obs_row + 1, last_row)):
+        for c in range(n - 1):
+            a, b = grid[(row, c)], grid[(row, c + 1)]
+            wire((a, 1), (b, 0), "h", shapes[a][1])
+        wire((grid[(row, n - 1)], 1), (grid[(row, 0)], 0), "h", 1)
+
+    # Vertical wires: physical index chains through the rows.  State axis 0
+    # and obs axes 0/1 carry the physical legs.
+    for c in range(n):
+        ket_chain = [(grid[(0, c)], 0)]  # state phys
+        for l in range(nl):
+            nid = grid[(l + 1, c)]
+            ket_chain += [(nid, 3), (nid, 2)]  # in, out
+        ket_chain.append((grid[(obs_row, c)], 0))
+        for i in range(0, len(ket_chain) - 1, 2):
+            wire(ket_chain[i], ket_chain[i + 1], "v", d)
+        conj_chain = [(grid[(last_row, c)], 0)]
+        for l in range(nl):
+            nid = grid[(last_row - 1 - l, c)]
+            conj_chain += [(nid, 3), (nid, 2)]
+        conj_chain.append((grid[(obs_row, c)], 1))
+        for i in range(0, len(conj_chain) - 1, 2):
+            wire(conj_chain[i], conj_chain[i + 1], "v", d)
+
+    return tuple(kinds), tuple(rows), tuple(cols), tuple(shapes), wires
+
+
 class ChannelNetwork:
-    """The compiled lattice; see the module docstring for the layout."""
+    """The compiled lattice; see the module docstring for the layout.
+
+    ``tensors`` holds one array per node id.  Kinds, positions, shapes and
+    the leg table live in ``layout`` (shapes in its ``signature``), which
+    every network of the same layout key shares.
+    """
 
     def __init__(self, psi: MPS, circuit: BrickworkCircuit, observables: dict):
         self.psi = psi
         self.circuit = circuit
         self.observables = {int(k): as_matrix(v) for k, v in observables.items()}
-        self.d = circuit.phys_dim
+        self.d = d = circuit.phys_dim
+        n = circuit.n_sites
         self.gate_pairs = {}  # (layer, site) -> GateChannelPair
-        self.nodes: list[NetNode] = []
-        self.wires: list[NetWire] = []
-        self._build_graph()
-
-    # -- doubled node/wire graph
-
-    def _build_graph(self):
-        n, d = self.circuit.n_sites, self.d
-        nl = self.circuit.n_layers
-        obs_row = nl + 1
-        last_row = 2 * nl + 2
-        # Per-layer MPO rows [layer][site] of (a, b, out, in) gate halves.
         ident = np.eye(d, dtype=complex).reshape(1, 1, d, d)
-        mpos = []
-        for l, layer in enumerate(self.circuit.layers):
-            row = [ident] * n
-            for site, gate in layer:
-                pair = self.gate_pairs[(l, site)] = compile_gate(gate)
-                row[site] = np.stack(pair.left_ops)[None]
-                row[site + 1] = np.stack(pair.right_ops)[:, None]
-            mpos.append(row)
-        grid = {}
-
-        def add(kind, row, col, tensor):
-            node = NetNode(len(self.nodes), kind, row, col, np.asarray(tensor, complex))
-            self.nodes.append(node)
-            grid[(row, col)] = node
-            return node
-
-        for c in range(n):
-            add("state", 0, c, self.psi.tensors[c])
-        add("boundary", 0, n, self.psi.boundary)
-        for l in range(nl):
-            for c in range(n):
-                add("gate", l + 1, c, mpos[l][c])
-        for c in range(n):
-            obs = self.observables.get(c, np.eye(self.d))
-            add("obs", obs_row, c, obs.T)  # legs (ket, conj)
-        for l in range(nl):
-            for c in range(n):
-                add("gate*", last_row - 1 - l, c, mpos[l][c].conj())
-        for c in range(n):
-            add("state*", last_row, c, self.psi.tensors[c].conj())
-        add("boundary*", last_row, n, self.psi.boundary.conj())
-
-        def wire(end_a, end_b, orientation, dim):
-            self.wires.append(
-                NetWire(len(self.wires), (end_a, end_b), orientation, dim)
+        rows = [[ident] * n for _ in circuit.layers]
+        where = [(l, site) for l, layer in enumerate(circuit.layers) for site, _ in layer]
+        if where:
+            left, right, ranks = split_gates(
+                circuit.gates, [f"layer {l}, site {site}" for l, site in where]
             )
+            for g, ((l, site), rank) in enumerate(zip(where, ranks.tolist())):
+                pair = GateChannelPair(left[g, :rank], right[g, :rank], rank, circuit.gates[g])
+                self.gate_pairs[(l, site)] = pair
+                rows[l][site] = pair.left_ops[None]
+                rows[l][site + 1] = pair.right_ops[:, None]
+        self.layout = _layout((
+            n, d, tuple(t.shape[1] for t in psi.tensors) + (psi.tensors[-1].shape[2],),
+            tuple(tuple((site, self.gate_pairs[(l, site)].bond_dim) for site, _ in layer)
+                  for l, layer in enumerate(circuit.layers)),
+        ))
+        # In node-id order; see _lattice.
+        gates = [t for row in rows for t in row]
+        self.tensors = [
+            *psi.tensors, psi.boundary, *gates,
+            *(self.observables.get(c, ident[0, 0]).T for c in range(n)),
+            *(t if t is ident else t.conj() for t in gates),
+            *(t.conj() for t in psi.tensors), psi.boundary.conj(),
+        ]
 
-        # Horizontal wires: state rows close through the boundary node,
-        # gate rows wrap their (dimension-1) outer edges.
-        for row in (0, last_row):
-            bnd = grid[(row, n)]
-            for c in range(n - 1):
-                a, b = grid[(row, c)], grid[(row, c + 1)]
-                wire((a.nid, 2), (b.nid, 1), "h", a.tensor.shape[2])
-            wire((grid[(row, n - 1)].nid, 2), (bnd.nid, 0), "h",
-                 grid[(row, n - 1)].tensor.shape[2])
-            wire((bnd.nid, 1), (grid[(row, 0)].nid, 1), "h",
-                 grid[(row, 0)].tensor.shape[1])
-        for row in list(range(1, nl + 1)) + list(range(obs_row + 1, last_row)):
-            for c in range(n - 1):
-                a, b = grid[(row, c)], grid[(row, c + 1)]
-                wire((a.nid, 1), (b.nid, 0), "h", a.tensor.shape[1])
-            wire((grid[(row, n - 1)].nid, 1), (grid[(row, 0)].nid, 0), "h", 1)
+    @functools.cached_property
+    def nodes(self) -> list:
+        lay = self.layout
+        return [NetNode(nid, *node) for nid, node in
+                enumerate(zip(lay.kinds, lay.rows, lay.cols, self.tensors))]
 
-        # Vertical wires: physical index chains through the rows.
-        # Gate tensors have axes (bond_l, bond_r, out, in); state axis 0 and
-        # obs axes 0/1 carry the physical legs.
-        for c in range(n):
-            ket_chain = [(grid[(0, c)].nid, 0)]  # state phys
-            for l in range(nl):
-                node = grid[(l + 1, c)]
-                ket_chain.append((node.nid, 3))  # in
-                ket_chain.append((node.nid, 2))  # out
-            ket_chain.append((grid[(obs_row, c)].nid, 0))
-            for i in range(0, len(ket_chain) - 1, 2):
-                wire(ket_chain[i], ket_chain[i + 1], "v", self.d)
-            conj_chain = [(grid[(last_row, c)].nid, 0)]
-            for l in range(nl):
-                node = grid[(last_row - 1 - l, c)]
-                conj_chain.append((node.nid, 3))
-                conj_chain.append((node.nid, 2))
-            conj_chain.append((grid[(obs_row, c)].nid, 1))
-            for i in range(0, len(conj_chain) - 1, 2):
-                wire(conj_chain[i], conj_chain[i + 1], "v", self.d)
+    @property
+    def wires(self) -> list:
+        return _lattice(self.layout.key)[4]
 
     def to_dict(self) -> dict:
         return {
@@ -349,21 +466,65 @@ def build_network(psi: MPS, circuit: BrickworkCircuit, observables) -> ChannelNe
 
 
 # ---------------------------------------------------------------------------
+# Stacks of networks
+
+
+def _as_stack(net):
+    """(networks, stacked) for one network or a non-empty sequence of
+    networks that share one layout."""
+    if isinstance(net, ChannelNetwork):
+        return [net], False
+    nets = list(net)
+    if not nets:
+        raise ShapeError("a stack needs at least one network")
+    key = nets[0].layout.key
+    if any(other.layout.key != key for other in nets[1:]):
+        raise ShapeError("stacked networks must share one layout")
+    return nets, True
+
+
+def _chunks(nets, stacked, peak):
+    """(networks, batch shape) per chunk of a stack, each at most
+    STACK_BUDGET // peak cases (at least one); one network is one chunk
+    with no batch axis."""
+    if not stacked:
+        return [(nets, ())]
+    size = max(1, STACK_BUDGET // max(peak, 1))
+    return [(nets[k:k + size], (len(nets[k:k + size]),)) for k in range(0, len(nets), size)]
+
+
+def _node_stack(nets, nids, batch):
+    """Tensors of the nodes ``nids``, stacked along a leading axis over the
+    networks when there is a batch axis (a shared layout gives every
+    network's node the same shape)."""
+    if not batch:
+        return [nets[0].tensors[nid] for nid in nids]
+    return [np.array([net.tensors[nid] for net in nets]) for nid in nids]
+
+
+# ---------------------------------------------------------------------------
 # Exact evaluation: the whole graph in one contraction
 
 
-def evaluate_exact(net: ChannelNetwork) -> complex:
+def evaluate_exact(net):
     """Contract every node of the network in one call to the contraction core.
 
+    Takes one network, giving a complex, or a sequence of networks sharing
+    one layout, giving an array of their values from stacked contractions.
     The boundary nodes are part of the graph, so the value carries the
-    boundary weight; a plan with a step whose result would exceed the size
-    guard raises SizeGuardError before the first step runs.
+    boundary weight; when batch x the plan's largest step would exceed the
+    size guard, SizeGuardError is raised before anything is stacked.
     """
-    legs = _node_axis_wires(net)
-    value, _ = _contract_group(
-        [(node.tensor, legs[node.nid]) for node in net.nodes], "exact contraction"
-    )
-    return complex(value.reshape(()))
+    nets, stacked = _as_stack(net)
+    layout = nets[0].layout
+    plan = _plan(layout.signature)
+    chunks = _chunks(nets, stacked, plan.peak)
+    _guard(math.prod(chunks[0][1]) * plan.peak, "exact contraction")
+    nids = range(len(layout.kinds))
+    values = [_execute(plan, _node_stack(chunk, nids, batch), batch) for chunk, batch in chunks]
+    if not stacked:
+        return complex(values[0].reshape(()))
+    return np.concatenate([v.reshape(-1) for v in values])
 
 
 def _guard(size, label):
@@ -389,17 +550,8 @@ class NetworkPartition:
                 if nid in seen:
                     raise ShapeError(f"node {nid} appears in two regions")
                 seen.add(nid)
-        if seen != {node.nid for node in net.nodes}:
+        if seen != set(range(len(net.tensors))):
             raise ShapeError("partition does not cover the network")
-
-
-def _node_axis_wires(net: ChannelNetwork):
-    """Wire id on each axis of each node, indexed by node id."""
-    legs = [[None] * node.tensor.ndim for node in net.nodes]
-    for w in net.wires:
-        for nid, axis in w.ends:
-            legs[nid][axis] = w.wid
-    return legs
 
 
 def _label_key(label):
@@ -412,64 +564,92 @@ def _label_key(label):
 def _contract_group(items, guard_label):
     """Contract (tensor, leg labels) items into one tensor.
 
-    Legs sharing a label are contracted; legs that meet inside one tensor
-    are traced first.  The pair order comes from :func:`_plan`, which sees
-    only shapes and labels, so networks of the same shape share one plan.
-    The size guard is checked against the plan's largest step before any
-    step runs.  Returns (tensor, open legs) with the open legs in canonical
-    label order.
+    The labels name each tensor's trailing axes; any axes before them are
+    batch axes, which every item must share, and every step runs once over
+    the whole batch.  Legs sharing a label are contracted; legs that meet
+    inside one tensor are traced first.  The pair order comes from
+    :func:`_plan`, which sees only trailing shapes and labels, so networks
+    of the same shape share one plan.  The size guard is checked against
+    batch x the plan's largest step before any step runs.  Returns (tensor,
+    open legs) with the open legs in canonical label order after the batch
+    axes.
     """
-    arrays, signature = [], []
+    arrays, signature, batch = [], [], None
     for tensor, labels in items:
-        labels = list(labels)
-        while (dup := _first_dup(labels)) is not None:
-            dim_a, dim_b = (tensor.shape[k] for k in dup)
-            if dim_a != dim_b:
-                raise ShapeError(
-                    f"wire {labels[dup[0]]!r} joins legs of dims {dim_a} and {dim_b}"
-                )
-            tensor = np.trace(tensor, axis1=dup[0], axis2=dup[1])
-            labels = [w for k, w in enumerate(labels) if k not in dup]
-        tensor = np.asarray(tensor)
+        tensor, labels = np.asarray(tensor), tuple(labels)
+        nb = tensor.ndim - len(labels)
+        if nb < 0:
+            raise ShapeError(f"{len(labels)} leg labels for a {tensor.ndim}-axis tensor")
+        if batch is None:
+            batch = tensor.shape[:nb]
+        elif tensor.shape[:nb] != batch:
+            raise ShapeError(
+                f"batch axes {tensor.shape[:nb]} differ from the first item's {batch}"
+            )
         arrays.append(tensor)
-        signature.append((tensor.shape, tuple(labels)))
-    if len(arrays) == 1:
-        (tensor,), ((_, labels),) = arrays, signature
-        perm = _canonical_perm(labels)
-        return tensor.transpose(perm), [labels[k] for k in perm]
+        signature.append((tensor.shape[nb:], labels))
     plan = _plan(tuple(signature))
-    _guard(plan.peak, guard_label)
+    _guard(math.prod(batch) * plan.peak, guard_label)
+    return _execute(plan, arrays, batch), list(plan.labels)
+
+
+def _execute(plan, arrays, batch):
+    """Run ``plan`` on its items' arrays, which share the leading axes
+    ``batch``; with no batch axis each step is one 2-D matmul."""
+    nb = len(batch)
+    lead = tuple(range(nb))
     tensors = dict(enumerate(arrays))
+    for i, pairs in plan.traces:
+        for a, b in pairs:
+            tensors[i] = np.trace(tensors[i], axis1=a + nb, axis2=b + nb)
     for i, j, perm_a, perm_b, inner, out_shape, new_id in plan.steps:
+        if nb:
+            perm_a = lead + tuple(k + nb for k in perm_a)
+            perm_b = lead + tuple(k + nb for k in perm_b)
         # np.tensordot without its per-call overhead, which dominates on the
         # many small tensors of a region.
         a, b = tensors.pop(i).transpose(perm_a), tensors.pop(j).transpose(perm_b)
-        tensors[new_id] = (a.reshape(-1, inner) @ b.reshape(inner, -1)).reshape(out_shape)
+        product = a.reshape(batch + (-1, inner)) @ b.reshape(batch + (inner, -1))
+        tensors[new_id] = product.reshape(batch + out_shape)
     (tensor,) = tensors.values()
-    return tensor.transpose(plan.perm), list(plan.labels)
+    return tensor.transpose(lead + tuple(k + nb for k in plan.perm))
 
 
 class _Plan(NamedTuple):
+    traces: tuple  # (item, ((axis, axis), ...)) per item with a self-joined leg
     steps: tuple  # (i, j, perm_a, perm_b, inner, out_shape, new_id) per step
     perm: tuple  # final transpose into canonical label order
     labels: tuple  # open labels in canonical order
+    shape: tuple  # open leg dims in canonical order
     peak: int  # largest step result, in entries
 
 
-@functools.lru_cache(maxsize=256)
-def _plan(signature):
+def _make_plan(signature):
     """Pair order for a tuple of (shape, leg labels), from shapes alone.
 
-    Each step contracts the pair of tensors that share a leg and whose
-    result grows least (result size minus the two input sizes); ties go to
-    the lowest item indices, so the order is deterministic.  Tensors that
-    share no leg are joined last by outer products, smallest first.  A wire
-    joining legs of different sizes raises ShapeError.  The plan holds no
-    guard: callers check its ``peak`` against the guard in force.
+    Legs of one item that share a label are traced first.  Each step then
+    contracts the pair of tensors that share a leg and whose result grows
+    least (result size minus the two input sizes); ties go to the lowest
+    item indices, so the order is deterministic.  Tensors that share no leg
+    are joined last by outer products, smallest first.  A wire joining legs
+    of different sizes raises ShapeError.  The plan holds no guard: callers
+    check its ``peak`` against the guard in force.
     """
-    sizes, legs, holders, dims = {}, {}, {}, {}
+    traces, sizes, legs, holders, dims = [], {}, {}, {}, {}
     for i, (shape, labels) in enumerate(signature):
-        sizes[i], legs[i] = math.prod(shape), list(labels)
+        shape, labels, pairs = list(shape), list(labels), []
+        while (dup := _first_dup(labels)) is not None:
+            if shape[dup[0]] != shape[dup[1]]:
+                raise ShapeError(
+                    f"wire {labels[dup[0]]!r} joins legs of dims "
+                    f"{shape[dup[0]]} and {shape[dup[1]]}"
+                )
+            pairs.append(dup)
+            shape = [dim for k, dim in enumerate(shape) if k not in dup]
+            labels = [lab for k, lab in enumerate(labels) if k not in dup]
+        if pairs:
+            traces.append((i, tuple(pairs)))
+        sizes[i], legs[i] = math.prod(shape), labels
         for lab, dim in zip(labels, shape):
             holders.setdefault(lab, []).append(i)
             if dims.setdefault(lab, dim) != dim:
@@ -513,7 +693,12 @@ def _plan(signature):
         next_id += 1
     (labels,) = legs.values()
     perm = _canonical_perm(labels)
-    return _Plan(tuple(steps), perm, tuple(labels[k] for k in perm), peak)
+    labels = tuple(labels[k] for k in perm)
+    return _Plan(tuple(traces), tuple(steps), perm, labels,
+                 tuple(dims[lab] for lab in labels), peak)
+
+
+_plan = functools.lru_cache(maxsize=256)(_make_plan)
 
 
 def _canonical_perm(labels):
@@ -529,44 +714,71 @@ def _first_dup(legs):
     return None
 
 
-def evaluate_regions(net: ChannelNetwork, partition: NetworkPartition):
+def evaluate_regions(net, partition: NetworkPartition):
     """Contract each region independently, then join along cut wires.
 
     Returns (value, region_probs): the joined value is partition independent;
     the per-region Frobenius weights are diagnostics of the heralded
-    branch mass each region carries.
+    branch mass each region carries.  Takes one network, giving a complex
+    and a list, or a sequence of networks sharing one layout, giving an
+    array of values and a (networks, regions) array of weights.  Every
+    region and the join are planned, and batch x each plan's largest step
+    checked against the size guard, before the first step runs.
     """
-    partition.validate(net)
-    legs = _node_axis_wires(net)
-
-    region_tensors = [
-        _contract_group(
-            [(net.nodes[nid].tensor, legs[nid]) for nid in region],
-            "region contraction",
-        )
-        for region in partition.regions
-    ]
-    region_probs = [float(np.linalg.norm(t) ** 2) for t, _ in region_tensors]
-    value, open_legs = _contract_group(region_tensors, "region join")
-    if open_legs:
+    nets, stacked = _as_stack(net)
+    partition.validate(nets[0])
+    signature = nets[0].layout.signature
+    # A one-node region's plan is a transpose at most; planned uncached, the
+    # many of a singleton partition leave the cache to the plans worth keeping.
+    plans = [(_plan if len(region) > 1 else _make_plan)(tuple(signature[nid] for nid in region))
+             for region in partition.regions]
+    join = _plan(tuple((p.shape, p.labels) for p in plans))
+    if join.labels:
         raise ShapeError("region join left open legs; partition inconsistent")
-    return complex(value.reshape(())), region_probs
+    chunks = _chunks(nets, stacked, max(p.peak for p in (*plans, join)))
+    size = math.prod(chunks[0][1])
+    for p in plans:
+        _guard(size * p.peak, "region contraction")
+    _guard(size * join.peak, "region join")
+    values, probs = zip(*(_join_regions(chunk, batch, partition.regions, plans, join)
+                          for chunk, batch in chunks))
+    if not stacked:
+        return complex(values[0].reshape(())), probs[0].tolist()
+    return np.concatenate([v.reshape(-1) for v in values]), np.concatenate(probs)
+
+
+def _join_regions(nets, batch, regions, plans, join):
+    """(joined value, region weights) of one chunk; its region tensors are
+    freed on return, before the next chunk's are built."""
+    tensors = [_execute(p, _node_stack(nets, region, batch), batch)
+               for p, region in zip(plans, regions)]
+    weights = np.stack([_weight(t, batch) for t in tensors], -1)
+    return _execute(join, tensors, batch), weights
+
+
+def _weight(tensor, batch):
+    """Squared Frobenius norm of each case of ``tensor`` (batch axes
+    first): one dot per case on its memory-order flat view, which the
+    executor's permuted results give without a copy."""
+    cases = tensor.reshape((-1,) + tensor.shape[len(batch):])
+    flat = (case.ravel(order="K") for case in cases)
+    return np.array([np.vdot(x, x).real for x in flat]).reshape(batch)
 
 
 def singleton_partition(net: ChannelNetwork) -> NetworkPartition:
-    order = sorted(net.nodes, key=lambda node: (node.row, node.col))
-    return NetworkPartition(tuple((node.nid,) for node in order))
+    lay = net.layout
+    order = sorted(range(len(lay.kinds)), key=lambda nid: (lay.rows[nid], lay.cols[nid]))
+    return NetworkPartition(tuple((nid,) for nid in order))
 
 
 def column_partition(net: ChannelNetwork, splits) -> NetworkPartition:
     """Partition into vertical strips; ``splits`` lists the first column of
     each strip after the first (boundary nodes join the last strip)."""
     edges = [0] + sorted(splits) + [net.circuit.n_sites + 1]
+    cols = net.layout.cols
     regions = []
     for lo, hi in zip(edges, edges[1:]):
-        region = tuple(
-            node.nid for node in net.nodes if lo <= node.col < hi
-        )
+        region = tuple(nid for nid, col in enumerate(cols) if lo <= col < hi)
         if region:
             regions.append(region)
     return NetworkPartition(tuple(regions))
@@ -639,22 +851,20 @@ def branch_distribution(net: ChannelNetwork, strategy: str = "postselect"):
     d, tensors = net.d, net.psi.tensors
     measured = sorted(net.observables)
     eig = {c: obs_eigenbasis(net.observables[c]) for c in measured}
-    legs = _node_axis_wires(net)
-    items = []
-    for node in net.nodes:
-        if node.kind == "obs" and node.col in eig:
+    layout = net.layout
+    items = list(zip(net.tensors, layout.legs))
+    for nid, (kind, col) in enumerate(zip(layout.kinds, layout.cols)):
+        if kind == "obs" and col in eig:
             # Eigenprojectors stacked as (outcome, ket, conj), transposed like op.T.
-            vecs = eig[node.col][1]
-            items.append((np.einsum("ko,co->okc", vecs.conj(), vecs),
-                          [("out", node.col)] + legs[node.nid]))
-        else:
-            items.append((node.tensor, legs[node.nid]))
+            vecs = eig[col][1]
+            items[nid] = (np.einsum("ko,co->okc", vecs.conj(), vecs),
+                          (("out", col), *layout.legs[nid]))
     exact, _ = _contract_group(items, "branch distribution")
     scale = abs(net.psi.boundary[0, 0]) ** 2 * math.prod(t.shape[2] for t in tensors[:-1])
     scale *= math.prod(pair.bond_dim * d * d for pair in net.gate_pairs.values())
     rows = [exact.real.reshape(-1) / scale]
     # Gate halves as (site, stacked Kraus set), in layer order.
-    halves = [(site + side, np.stack(ops)) for (_, site), pair in net.gate_pairs.items()
+    halves = [(site + side, ops) for (_, site), pair in net.gate_pairs.items()
               for side, ops in enumerate((pair.left_ops, pair.right_ops))]
     if strategy == "corrected":
         rhos = [np.einsum("alr,blr->ab", t, t.conj()) for t in tensors]

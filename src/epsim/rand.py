@@ -80,27 +80,44 @@ def kraus_from_unitary(u: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
 _GROUP_CHUNK = 512
 
 
-def random_duality_groups(rng, n_cases: int, max_dim: int, n_states: int):
-    """Random channels, each with ``n_states`` random density matrices,
-    drawn case by case as random_kraus_set and random_density would draw
-    them, then finished as stacks grouped by (d_in, d_out, raised n_kraus).
-    Yields (case indices, Kraus sets (B, k, d_out, d_in), states
-    (B, n_states, d_in, d_in)) per group; cases are grouped within
-    consecutive chunks of ``_GROUP_CHUNK``, so memory stays bounded."""
+def draw_groups(rng, n_cases: int, draw):
+    """Call ``draw(rng)``, which returns (key, value), once per case in case
+    order, and group the values by key.  Yields (key, case indices, values)
+    per group, in order of each group's first case.  Cases are grouped
+    within consecutive chunks of ``_GROUP_CHUNK``, so memory stays bounded."""
     rng = rng_from(rng)
     for start in range(0, n_cases, _GROUP_CHUNK):
         groups = {}
         for case in range(start, min(start + _GROUP_CHUNK, n_cases)):
-            d_in = int(rng.integers(2, max_dim + 1))
-            d_out = int(rng.integers(2, max_dim + 1))
-            n_kraus = kraus_count(d_in, d_out, int(rng.integers(1, 4)))
-            z = gaussian(rng, (d_out * n_kraus,) * 2)
-            a = np.stack([gaussian(rng, (d_in, d_in)) for _ in range(n_states)])
-            groups.setdefault((d_in, d_out, n_kraus), []).append((case, z, a))
-        for (d_in, d_out, _), members in groups.items():
-            cases, z, a = zip(*members)
-            kraus = kraus_from_unitary(unitary_from_gaussian(np.stack(z)), d_in, d_out)
-            yield list(cases), kraus, density_from_gaussian(np.stack(a))
+            key, value = draw(rng)
+            cases, values = groups.setdefault(key, ([], []))
+            cases.append(case)
+            values.append(value)
+        while groups:  # handed out one by one, so a finished group can be freed
+            key = next(iter(groups))
+            cases, values = groups.pop(key)
+            yield key, cases, values
+
+
+def random_duality_groups(rng, n_cases: int, max_dim: int, n_states: int):
+    """Random channels, each with ``n_states`` random density matrices,
+    drawn case by case as random_kraus_set and random_density would draw
+    them, then finished as stacks grouped by (d_in, d_out, raised n_kraus)
+    (see :func:`draw_groups`).  Yields (case indices, Kraus sets
+    (B, k, d_out, d_in), states (B, n_states, d_in, d_in)) per group."""
+
+    def draw(rng):
+        d_in = int(rng.integers(2, max_dim + 1))
+        d_out = int(rng.integers(2, max_dim + 1))
+        n_kraus = kraus_count(d_in, d_out, int(rng.integers(1, 4)))
+        z = gaussian(rng, (d_out * n_kraus,) * 2)
+        a = np.stack([gaussian(rng, (d_in, d_in)) for _ in range(n_states)])
+        return (d_in, d_out, n_kraus), (z, a)
+
+    for (d_in, d_out, _), cases, draws in draw_groups(rng, n_cases, draw):
+        z, a = map(np.stack, zip(*draws))
+        kraus = kraus_from_unitary(unitary_from_gaussian(z), d_in, d_out)
+        yield cases, kraus, density_from_gaussian(a)
 
 
 def random_canonical_mps(rng, n_sites: int, chi: int):

@@ -21,12 +21,17 @@ from . import oracle
 from .errors import ShapeError
 from .linalg import PAULI, dagger, embed_operator
 from .rand import (
+    density_from_gaussian,
+    draw_groups,
+    gaussian,
     haar_unitary,
+    kraus_count,
+    kraus_from_unitary,
     random_canonical_mps,
     random_density,
     random_duality_groups,
-    random_kraus_set,
     random_state,
+    unitary_from_gaussian,
 )
 
 
@@ -58,10 +63,6 @@ def _check(suite, name, metric, threshold, t0, note="", ok=None):
     )
 
 
-def _random_channel(rng, d_in, d_out, n_kraus):
-    return ch.Channel(tuple(random_kraus_set(rng, d_in, d_out, n_kraus)))
-
-
 def suite_duality(seed: int = 2024) -> list:
     rng = np.random.default_rng(seed)
     out = []
@@ -79,19 +80,36 @@ def suite_duality(seed: int = 2024) -> list:
 
     t0 = time.perf_counter()
     worst = 0.0
-    for _ in range(50):
-        d_in = int(rng.integers(2, 4))
-        d_out = int(rng.integers(2, 4))
-        phi = _random_channel(rng, d_in, d_out, int(rng.integers(1, 4)))
-        rho = random_density(rng, d_in)
-        m = rng.normal(size=(d_out, d_out)) + 1j * rng.normal(size=(d_out, d_out))
-        obs = (m + dagger(m)) / 2
-        value, _ = ch.measured_expectation(phi, rho, obs)
-        target = np.trace(obs @ phi.apply(rho))
-        worst = max(worst, abs(value - target))
+    for cases, kraus, rho, obs in _measurement_groups(rng, 50):
+        ch.kraus_tp_check(kraus, cases)
+        probs, _, values = ch.measured_branches(kraus, rho, obs)
+        target = np.trace(obs @ ch.kraus_apply(kraus, rho), axis1=-2, axis2=-1)
+        worst = max(worst, float(np.max(np.abs(np.sum(probs * values, axis=-1) - target))))
     out.append(_check("duality", "binary-measurement-reconstruction", worst, 1e-10, t0,
                       note="50 (channel, state, observable) triples"))
     return out
+
+
+def _measurement_draw(rng):
+    """One (channel, state, observable) case, in the order of a per-case
+    loop of random_kraus_set, random_density and a Gaussian observable."""
+    d_in = int(rng.integers(2, 4))
+    d_out = int(rng.integers(2, 4))
+    n_kraus = kraus_count(d_in, d_out, int(rng.integers(1, 4)))
+    z = gaussian(rng, (d_out * n_kraus,) * 2)
+    a = gaussian(rng, (d_in, d_in))
+    return (d_in, d_out, n_kraus), (z, a, gaussian(rng, (d_out, d_out)))
+
+
+def _measurement_groups(rng, n_cases):
+    """Random (channel, state, observable) cases grouped by (d_in, d_out,
+    raised n_kraus), each group finished as stacks.  Yields (case indices,
+    Kraus sets, states, Hermitian observables) per group."""
+    for (d_in, d_out, _), cases, draws in draw_groups(rng, n_cases, _measurement_draw):
+        z, a, m = map(np.stack, zip(*draws))
+        kraus = kraus_from_unitary(unitary_from_gaussian(z), d_in, d_out)
+        obs = (m + np.conj(np.swapaxes(m, -1, -2))) / 2
+        yield cases, kraus, density_from_gaussian(a), obs
 
 
 def suite_mps(seed: int = 2025) -> list:
@@ -117,47 +135,90 @@ def suite_mps(seed: int = 2025) -> list:
     return out
 
 
+def _gate_sites(n, layers):
+    """(layer, site) of each gate of a full brickwork, in layer order."""
+    return [(l, s) for l in range(layers) for s in range(l % 2, n - 1, 2)]
+
+
+def _brickwork(n, layers, gates):
+    rows = [[] for _ in range(layers)]
+    for (l, site), gate in zip(_gate_sites(n, layers), gates):
+        rows[l].append((site, gate))
+    return net.BrickworkCircuit(n, tuple(map(tuple, rows)))
+
+
 def _random_brickwork(rng, n, layers):
-    circ = []
-    for l in range(layers):
-        start = l % 2
-        circ.append(tuple((s, haar_unitary(rng, 4)) for s in range(start, n - 1, 2)))
-    return net.BrickworkCircuit(n, tuple(circ))
+    return _brickwork(n, layers, [haar_unitary(rng, 4) for _ in _gate_sites(n, layers)])
+
+
+def _network_draw(rng):
+    """One (state, circuit, observables) case, in the order of a per-case
+    loop of random_state, _random_brickwork and the observable choice; the
+    gates stay Gaussian draws until their group is finished."""
+    n = int(rng.integers(2, 7))
+    layers = int(rng.integers(1, 4))
+    state = random_state(rng, 2**n)
+    z = [gaussian(rng, (4, 4)) for _ in _gate_sites(n, layers)]
+    n_obs = int(rng.integers(1, min(n, 2) + 1))
+    sites = rng.choice(n, size=n_obs, replace=False)
+    obs = [(int(s), PAULI[("X", "Y", "Z")[int(rng.integers(3))]]) for s in sites]
+    return (n, layers), (state, z, obs)
+
+
+def _network_groups(rng, n_cases):
+    """Random network cases grouped by (N, L), each group's gates finished
+    as one stacked QR.  Yields (case indices, states, circuits, observable
+    lists) per group."""
+    for (n, layers), cases, draws in draw_groups(rng, n_cases, _network_draw):
+        states, z, obs = zip(*draws)
+        gates = unitary_from_gaussian(np.stack(z))
+        yield cases, states, [_brickwork(n, layers, g) for g in gates], obs
+
+
+def _partitions(network):
+    """The network suite's three partitions of ``network``."""
+    n = network.circuit.n_sites
+    return [
+        net.column_partition(network, [max(1, n // 2)]),
+        net.column_partition(network, [1]),
+        net.singleton_partition(network),
+    ]
 
 
 def suite_network(seed: int = 2026) -> list:
     rng = np.random.default_rng(seed)
     out = []
 
-    t0 = time.perf_counter()
+    # The exact check owns drawing, building, the oracle and the exact
+    # contractions; the region check owns the partitioned contractions.
+    start = time.perf_counter()
+    regions_s = 0.0
     worst_exact = 0.0
     worst_regions = 0.0
-    for _ in range(100):
-        n = int(rng.integers(2, 7))
-        layers = int(rng.integers(1, 4))
-        psi = mpsmod.from_statevector(random_state(rng, 2**n), [2] * n)
-        circ = _random_brickwork(rng, n, layers)
-        n_obs = int(rng.integers(1, min(n, 2) + 1))
-        sites = rng.choice(n, size=n_obs, replace=False)
-        obs = [(int(s), PAULI[("X", "Y", "Z")[int(rng.integers(3))]]) for s in sites]
-        network = net.build_network(psi, circ, obs)
-        got = net.evaluate_exact(network)
-        want = oracle.circuit_expectation(
-            psi.to_statevector(), circ, dict(obs), [2] * n
-        )
-        worst_exact = max(worst_exact, abs(got - want))
-        partitions = [
-            net.column_partition(network, [max(1, n // 2)]),
-            net.column_partition(network, [1]),
-            net.singleton_partition(network),
-        ]
-        for part in partitions:
-            value, _ = net.evaluate_regions(network, part)
-            worst_regions = max(worst_regions, abs(value - got))
-    out.append(_check("network", "entanglement-picture-equality", worst_exact, 1e-8, t0,
-                      note="100 random (state, circuit, observable)"))
-    out.append(_check("network", "partition-invariance", worst_regions, 1e-10, t0,
-                      note="3 partitions per network"))
+    for _, states, circuits, observables in _network_groups(rng, 100):
+        n = circuits[0].n_sites
+        stacks = {}  # layout key -> [(network, oracle value)]
+        for state, circ, obs in zip(states, circuits, observables):
+            psi = mpsmod.from_statevector(state, [2] * n)
+            network = net.build_network(psi, circ, obs)
+            want = oracle.circuit_expectation(psi.to_statevector(), circ, dict(obs), [2] * n)
+            stacks.setdefault(network.layout.key, []).append((network, want))
+        while stacks:
+            nets, want = zip(*stacks.popitem()[1])
+            got = net.evaluate_exact(nets)
+            worst_exact = max(worst_exact, float(np.max(np.abs(got - np.array(want)))))
+            t0 = time.perf_counter()
+            for part in _partitions(nets[0]):
+                values, _ = net.evaluate_regions(nets, part)
+                worst_regions = max(worst_regions, float(np.max(np.abs(values - got))))
+            regions_s += time.perf_counter() - t0
+    exact_s = time.perf_counter() - start - regions_s
+    # _check times from its t0 argument: pass the start each total implies.
+    now = time.perf_counter()
+    out.append(_check("network", "entanglement-picture-equality", worst_exact, 1e-8,
+                      now - exact_s, note="100 random (state, circuit, observable)"))
+    out.append(_check("network", "partition-invariance", worst_regions, 1e-10,
+                      now - regions_s, note="3 partitions per network"))
 
     t0 = time.perf_counter()
     psi = mpsmod.from_statevector(random_state(rng, 4), [2, 2])

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from epsim import channels as ch
-from epsim import rand
-from epsim.errors import InvalidChoiError, ShapeError
+from epsim import rand, verify
+from epsim.errors import InvalidChoiError, PositivityError, ShapeError
 from epsim.linalg import dagger, devectorize, partial_trace, vectorize
 from epsim.rand import (
     haar_unitary,
@@ -139,6 +139,55 @@ def test_measured_expectation_reconstruction():
         for _, _, v in branches:
             assert abs(v - target) < 1e-10
         assert abs(sum(p for p, _, _ in branches) - 1) < 1e-10
+
+
+def test_measured_branches_stack_matches_per_case_calls():
+    rng = np.random.default_rng(35)
+    kraus = random_stack(rng, 4, 3, 2, 2)
+    rho = np.stack([random_density(rng, 3) for _ in range(4)])
+    a = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+    obs = (a + np.conj(np.swapaxes(a, -1, -2))) / 2
+    probs, conds, values = ch.measured_branches(kraus, rho, obs)
+    assert probs.shape == conds.shape == values.shape == (4, 2)
+    for b in range(4):
+        value, branches = ch.measured_expectation(ch.Channel(tuple(kraus[b])), rho[b], obs[b])
+        assert abs(value - np.dot(probs[b], values[b])) < 1e-14
+        for k, (p, cond, v) in enumerate(branches):
+            assert abs(p - probs[b, k]) < 1e-14
+            assert abs(cond - conds[b, k]) < 1e-14 and abs(v - values[b, k]) < 1e-14
+    bad = rho.copy()
+    bad[2] = np.diag([1.2, -0.1, -0.1])
+    with pytest.raises(ShapeError, match="^case 2: state_measurement needs a density matrix"):
+        ch.measured_branches(kraus, bad, obs)
+    with pytest.raises(ShapeError, match="^state_measurement needs a density matrix"):
+        ch.state_measurement(bad[2])
+    # Inside the density tolerance but below the square root's clamp.
+    slightly = np.diag([1 + 5e-9, -5e-9]).astype(complex)
+    with pytest.raises(PositivityError, match="not PSD"):
+        ch.state_measurement(slightly)
+
+
+def test_measurement_groups_draw_in_per_case_order():
+    # The per-case loop of the binary-measurement check before it grouped.
+    rng = np.random.default_rng(36)
+    want = []
+    for _ in range(30):
+        d_in, d_out = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        kraus = random_kraus_set(rng, d_in, d_out, int(rng.integers(1, 4)))
+        rho = random_density(rng, d_in)
+        m = rng.normal(size=(d_out, d_out)) + 1j * rng.normal(size=(d_out, d_out))
+        want.append((np.stack(kraus), rho, (m + dagger(m)) / 2))
+    grouped = np.random.default_rng(36)
+    seen = []
+    for cases, kraus, rho, obs in verify._measurement_groups(grouped, 30):
+        for b, case in enumerate(cases):
+            ref = want[case]
+            np.testing.assert_allclose(kraus[b], ref[0], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(rho[b], ref[1], rtol=0, atol=1e-13)
+            np.testing.assert_allclose(obs[b], ref[2], rtol=0, atol=1e-13)
+            seen.append(case)
+    assert sorted(seen) == list(range(30))
+    assert grouped.random() == rng.random()
 
 
 def test_stinespring_identity_and_unitary():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import PAULI
-from epsim import mps, network, oracle
+from epsim import mps, network, oracle, verify
 from epsim.errors import CanonicalFormError, SamplingError, ShapeError, SizeGuardError
 from epsim.rand import haar_unitary, random_canonical_mps, random_state
 
@@ -72,6 +72,46 @@ def test_compile_random_gates_recombine():
 def test_compile_rejects_non_unitary():
     with pytest.raises(ShapeError, match="unitary"):
         network.compile_gate(np.ones((4, 4)))
+
+
+def test_stacked_gate_checks_name_the_offending_gate(monkeypatch):
+    rng = np.random.default_rng(40)
+    gates = [haar_unitary(rng, 4) for _ in range(3)]
+    bad = 1.01 * gates[2]
+    with pytest.raises(ShapeError, match="^layer 1: gate at site 2 is not unitary$"):
+        network.BrickworkCircuit(4, (((0, gates[0]), (2, gates[1])), ((2, bad),)))
+    with pytest.raises(ShapeError, match="^gate is not unitary$"):
+        network.compile_gate(bad)
+
+    real_svd = network.svd
+
+    def bent_svd(m):
+        # Scale the leading singular value of the last gate only.
+        x, s, yh = real_svd(m)
+        s = s.copy()
+        s.reshape(-1, s.shape[-1])[-1, 0] *= 1.5
+        return x, s, yh
+
+    monkeypatch.setattr(network, "svd", bent_svd)
+    circ = network.BrickworkCircuit(4, (((0, gates[0]), (2, gates[1])), ((1, gates[2]),)))
+    psi = mps.from_statevector(random_state(rng, 16), [2] * 4)
+    with pytest.raises(ShapeError, match="^layer 1, site 1: gate split failed to recombine$"):
+        network.build_network(psi, circ, [])
+    with pytest.raises(ShapeError, match="^gate split failed to recombine$"):
+        network.compile_gate(gates[0])
+
+
+def test_stacked_split_matches_compile_gate():
+    rng = np.random.default_rng(41)
+    gates = np.stack([haar_unitary(rng, 4), CNOT, np.eye(4, dtype=complex), SWAP])
+    left, right, ranks = network.split_gates(gates)
+    assert ranks.tolist() == [4, 2, 1, 4]
+    for g, u in enumerate(gates):
+        pair = network.compile_gate(u)
+        assert pair.bond_dim == ranks[g]
+        assert np.array_equal(pair.left_ops, left[g, :ranks[g]])
+        assert np.array_equal(pair.right_ops, right[g, :ranks[g]])
+        assert not left[g, ranks[g]:].any() and not right[g, ranks[g]:].any()
 
 
 # --- resource formulas
@@ -221,6 +261,121 @@ def test_regions_cli_default_split_wide_network():
     net, psi, circ, obs = random_net(rng, 10, 3, obs_sites=(5,))
     value, _ = network.evaluate_regions(net, network.column_partition(net, [5]))
     assert abs(value - oracle_value(psi, circ, obs)) < 1e-8
+
+
+def test_regions_refuse_from_shapes_before_any_region_runs():
+    import tracemalloc
+
+    # Region 0 (columns 0-4) has a 2^18-entry plan that fits the guard;
+    # region 1 refuses at 2^30.  Both are planned before either runs.
+    rng = np.random.default_rng(31)
+    net, *_ = random_net(rng, 10, 3, obs_sites=(5,))
+    part = network.column_partition(net, [5, 6])
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match=f"region contraction has {2**30} entries"):
+            network.evaluate_regions(net, part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _verify_draw_stacks():
+    """Networks of the network suite's draw, one same-layout list per group."""
+    for _, states, circuits, observables in verify._network_groups(
+        np.random.default_rng(2026), 100
+    ):
+        n = circuits[0].n_sites
+        yield [
+            network.build_network(mps.from_statevector(state, [2] * n), circ, obs)
+            for state, circ, obs in zip(states, circuits, observables)
+        ]
+
+
+def test_stacked_evaluation_matches_unstacked_on_verify_groups():
+    shapes = set()
+    for nets in _verify_draw_stacks():
+        n, layers = nets[0].circuit.n_sites, nets[0].circuit.n_layers
+        shapes.add((n, layers))
+        assert len({x.layout.key for x in nets}) == 1
+        got = network.evaluate_exact(nets)
+        assert got.shape == (len(nets),)
+        assert np.max(np.abs(got - [network.evaluate_exact(x) for x in nets])) <= 1e-14
+        for part in verify._partitions(nets[0]):
+            values, probs = network.evaluate_regions(nets, part)
+            singles = [network.evaluate_regions(x, part) for x in nets]
+            assert probs.shape == (len(nets), len(part.regions))
+            assert np.max(np.abs(values - [v for v, _ in singles])) <= 1e-14
+            np.testing.assert_allclose(probs, [p for _, p in singles], rtol=1e-14, atol=0)
+    assert len(shapes) == 15
+
+
+def test_batch_of_one_equals_no_batch():
+    rng = np.random.default_rng(36)
+    net, *_ = random_net(rng, 5, 3, obs_sites=(2,))
+    assert network.evaluate_exact([net])[0] == network.evaluate_exact(net)
+    for part in verify._partitions(net):
+        values, probs = network.evaluate_regions([net], part)
+        value, single = network.evaluate_regions(net, part)
+        assert values[0] == value
+        # Weights sum each tensor in memory order, which stacking may change.
+        np.testing.assert_allclose(probs[0], single, rtol=1e-15, atol=0)
+
+
+def test_stack_must_share_one_layout():
+    rng = np.random.default_rng(37)
+    a, *_ = random_net(rng, 4, 2)
+    b, *_ = random_net(rng, 4, 3)
+    with pytest.raises(ShapeError, match="share one layout"):
+        network.evaluate_exact([a, b])
+    with pytest.raises(ShapeError, match="at least one network"):
+        network.evaluate_exact([])
+
+
+def test_guard_refuses_a_stack_from_batch_times_peak(monkeypatch):
+    import tracemalloc
+
+    rng = np.random.default_rng(38)
+    nets = [random_net(rng, 6, 3, obs_sites=(3,))[0] for _ in range(8)]
+    peak = network._plan(nets[0].layout.signature).peak
+    monkeypatch.setattr(network, "STACK_BUDGET", 8 * peak)
+    monkeypatch.setattr(network, "CONTRACTION_GUARD", 2 * peak)
+    network.evaluate_exact(nets[0])  # one network fits the guard
+    stacked_bytes = 8 * sum(t.nbytes for t in nets[0].tensors)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match=f"exact contraction has {8 * peak} entries"):
+            network.evaluate_exact(nets)
+        traced = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traced < stacked_bytes / 4
+    # The core prices stacked items the same way.
+    a = np.ones((64, 256, 2), complex)
+    b = np.ones((64, 2, 2048), complex)
+    monkeypatch.setattr(network, "CONTRACTION_GUARD", 2**24)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match=f"has {64 * 2**19} entries"):
+            network._contract_group([(a, ["x", "s"]), (b, ["s", "y"])], "test")
+        traced = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traced < a.nbytes
+
+
+def test_contract_group_runs_stacked_items():
+    rng = np.random.default_rng(39)
+    a = rng.normal(size=(3, 2, 4, 5)) + 1j * rng.normal(size=(3, 2, 4, 5))
+    b = rng.normal(size=(3, 4, 5, 6, 6))  # its two "z" legs are traced
+    stacked, labels = network._contract_group([(a, "xsy"), (b, "syzz")], "test")
+    assert labels == ["x"] and stacked.shape == (3, 2)
+    for k in range(3):
+        single, _ = network._contract_group([(a[k], "xsy"), (b[k], "syzz")], "test")
+        assert np.array_equal(stacked[k], single)
+    with pytest.raises(ShapeError, match="batch axes"):
+        network._contract_group([(a, "xsy"), (b[0], "syzz")], "test")
 
 
 def test_contraction_guard_refuses_before_allocating():
@@ -669,6 +824,37 @@ def test_oqt_branch_probabilities():
 
 
 # --- serialization
+
+
+def test_network_groups_draw_in_per_case_order():
+    # The per-case loop the network suite ran before it grouped its cases.
+    rng = np.random.default_rng(2026)
+    want = []
+    for _ in range(100):
+        n = int(rng.integers(2, 7))
+        layers = int(rng.integers(1, 4))
+        state = random_state(rng, 2**n)
+        circ = random_brickwork(rng, n, layers)
+        n_obs = int(rng.integers(1, min(n, 2) + 1))
+        sites = rng.choice(n, size=n_obs, replace=False)
+        obs = [(int(s), PAULI[("X", "Y", "Z")[int(rng.integers(3))]]) for s in sites]
+        want.append((state, circ, obs))
+    grouped = np.random.default_rng(2026)
+    seen = []
+    for cases, states, circuits, observables in verify._network_groups(grouped, 100):
+        for k, case in enumerate(cases):
+            state, circ, obs = want[case]
+            assert np.array_equal(states[k], state)
+            assert circuits[k].n_sites == circ.n_sites
+            assert [[s for s, _ in layer] for layer in circuits[k].layers] == [
+                [s for s, _ in layer] for layer in circ.layers
+            ]
+            assert np.array_equal(circuits[k].gates, circ.gates)
+            assert [s for s, _ in observables[k]] == [s for s, _ in obs]
+            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(observables[k], obs))
+            seen.append(case)
+    assert sorted(seen) == list(range(100))
+    assert grouped.random() == rng.random()  # the suite's later checks draw the same
 
 
 def test_circuit_json_roundtrip():
