@@ -36,7 +36,7 @@ with no batch axis each step is one 2-D matmul.  A plan is keyed by the
 trailing shapes and leg labels alone, and the size guard prices batch x the
 plan's largest step from shapes before anything is stacked.  A sequence is
 cut into chunks so that batch x that peak stays within ``STACK_BUDGET``
-entries, so stacking bounds memory the way one network does.
+entries; a network whose own peak is larger runs in a chunk of its own.
 """
 
 from __future__ import annotations
