@@ -175,10 +175,11 @@ def dqc1_cswap_estimate(
 class MomentSet:
     """Fitted short-time expansion of f(t) = <a|e^{-itH}|a>, or of
     sum_a alpha_a f_a(t) when :func:`thermal_value` combines the fits of A's
-    eigenstates with A's eigenvalues.  ``coeffs`` stay in the basis the solve
-    used, which :meth:`series_value` evaluates at imaginary time (the
-    Wick-rotated thermal weight); only :attr:`moments`, which
-    :func:`extract_moments` reports, converts them to m_n = <a|H^n|a>.
+    eigenstates with A's eigenvalues.  ``coeffs`` are Chebyshev coefficients
+    in t / t_max, t_max the largest grid time, which :meth:`series_value`
+    evaluates at imaginary time (the Wick-rotated thermal weight); only
+    :attr:`moments`, which :func:`extract_moments` reports, converts them to
+    m_n = <a|H^n|a>.
     """
 
     coeffs: np.ndarray
@@ -191,14 +192,8 @@ class MomentSet:
         return len(self.coeffs)
 
     @property
-    def basis(self) -> str:
-        return "monomial" if self.order <= _MONOMIAL_MAX_ORDER else "chebyshev"
-
-    @property
     def moments(self) -> np.ndarray:
-        """m_n = <a|H^n|a>, n < order, converted from the fitted basis."""
-        if self.basis == "monomial":
-            return self.coeffs
+        """m_n = <a|H^n|a>, n < order, converted from the Chebyshev fit."""
         t_max = max(abs(t) for t in self.grid)
         poly = np.polynomial.chebyshev.cheb2poly(self.coeffs)
         return np.array(
@@ -212,28 +207,18 @@ class MomentSet:
 
     def series_value(self, beta: float) -> complex:
         """sum_n m_n (-beta)^n / n!, i.e. the fit continued to t = -i beta."""
-        if self.basis == "chebyshev":
-            z = -1j * beta / max(abs(t) for t in self.grid)
-            return complex(np.polynomial.chebyshev.chebval(z, self.coeffs))
-        weights = np.array(
-            [(-beta) ** n / math.factorial(n) for n in range(self.order)]
-        )
-        return complex(np.dot(weights, self.coeffs))
+        z = -1j * beta / max(abs(t) for t in self.grid)
+        return complex(np.polynomial.chebyshev.chebval(z, self.coeffs))
 
     def amplification(self, beta: float) -> float:
-        """How much per-sample amplitude noise can grow in series_value."""
-        ratio = beta / max(abs(t) for t in self.grid)
-        if self.basis == "chebyshev":  # sum_n |T_n(z)|, in Python complex arithmetic
-            z = -1j * ratio
-            t_prev, t_cur, total = 1.0, z, 1.0
-            for _ in range(1, self.order):
-                total += abs(t_cur)
-                t_prev, t_cur = t_cur, 2 * z * t_cur - t_prev
-            return total
-        return float(sum(ratio**n for n in range(self.order)))
-
-
-_MONOMIAL_MAX_ORDER = 12  # plain scaled monomials stay well conditioned here
+        """How much per-sample amplitude noise can grow in series_value:
+        sum_n |T_n(z)| at z = -i beta / t_max, in Python complex arithmetic."""
+        z = -1j * beta / max(abs(t) for t in self.grid)
+        t_prev, t_cur, total = 1.0, z, 1.0
+        for _ in range(1, self.order):
+            total += abs(t_cur)
+            t_prev, t_cur = t_cur, 2 * z * t_cur - t_prev
+        return total
 
 
 def default_grid(order: int, h_norm: float, solver_tol: float = 1e-10):
@@ -260,11 +245,10 @@ def extract_moments(
     """Moments <a|H^n|a> from short-time amplitudes f(t) = <a|e^{-itH}|a>.
 
     Fits the degree s-1 Taylor polynomial through the amplitude samples by a
-    column-scaled least squares solve; small orders use the monomial columns
-    (-i t)^n / n! directly, large orders the equivalent Chebyshev columns,
-    whose conditioning stays flat.  The amplitudes are those of the exact
-    evolution, or of fixed-step Trotter powers (step ``t_max / 64`` unless
-    given), evaluated on the spectrum of their generator.
+    column-scaled least squares solve in the Chebyshev basis, whose
+    conditioning stays flat at every order.  The amplitudes are those of the
+    exact evolution, or of fixed-step Trotter powers (step ``t_max / 64``
+    unless given), evaluated on the spectrum of their generator.
     """
     grid = _moment_grid(h.norm_bound(), order, grid, solver_tol)
     a = _check_state(a)
@@ -334,24 +318,17 @@ def _amplitudes(grid, energies: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _fit_moments(grid: tuple, order: int, f: np.ndarray) -> tuple:
-    """(coeffs, condition, residuals): the MomentSet-basis fit of every
-    column of ``f`` (grid times x states) from one column-scaled least
-    squares solve, and each column's misfit on the grid."""
-    if order <= _MONOMIAL_MAX_ORDER:
-        v = np.array(
-            [[(-1j * t) ** n / math.factorial(n) for n in range(order)] for t in grid]
-        )
-    else:
-        t_max = max(abs(t) for t in grid)
-        v = np.polynomial.chebyshev.chebvander(np.array(grid) / t_max, order - 1)
+    """(coeffs, condition, residuals): the Chebyshev fit of every column of
+    ``f`` (grid times x states) from one column-scaled least squares solve,
+    whose real basis fits the real and imaginary parts together, and each
+    column's misfit on the grid."""
+    t_max = max(abs(t) for t in grid)
+    v = np.polynomial.chebyshev.chebvander(np.array(grid) / t_max, order - 1)
     col_scale = np.linalg.norm(v, axis=0)
     col_scale[col_scale == 0] = 1.0
     vs = v / col_scale
-    if np.iscomplexobj(vs):
-        y, _, _, sv = np.linalg.lstsq(vs, f, rcond=None)
-    else:  # a real basis fits the real and imaginary parts in one real solve
-        y, _, _, sv = np.linalg.lstsq(vs, np.hstack([f.real, f.imag]), rcond=None)
-        y = y[:, : f.shape[1]] + 1j * y[:, f.shape[1]:]
+    y, _, _, sv = np.linalg.lstsq(vs, np.hstack([f.real, f.imag]), rcond=None)
+    y = y[:, : f.shape[1]] + 1j * y[:, f.shape[1]:]
     condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
     if condition > 1e12:
         raise IllConditionedError(

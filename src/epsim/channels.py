@@ -145,23 +145,36 @@ def choi_apply(matrix: np.ndarray, rho: np.ndarray, d_in: int, d_out: int) -> np
     return d_in * np.einsum("...aibk,...ik->...ab", omega, rho)
 
 
-def duality_residuals(kraus: np.ndarray, states: np.ndarray, cases=None) -> tuple:
-    """Check the channel-state duality on B channels (B, k, d_out, d_in),
-    each on S states (B, S, d_in, d_in).  Returns the (B, S) readout
-    residuals max |d_in tr_ref[omega (1 (x) rho^T)] - Phi(rho)| and
-    round-trip residuals max |Phi'(rho) - Phi(rho)|, where Phi' has the
-    Kraus operators recovered from omega.  Applies the checks of
-    Channel(kraus).to_choi().to_channel() to every case."""
+def readout_residuals(kraus: np.ndarray, states: np.ndarray, cases=None) -> tuple:
+    """Check the readout identity on B channels (B, k, d_out, d_in), each
+    on S states (B, S, d_in, d_in), after the trace-preservation check of
+    Channel(kraus).  Returns the (B, S) residuals max |d_in tr_ref[omega
+    (1 (x) rho^T)] - Phi(rho)|, the Choi matrices omega and the outputs
+    Phi(rho), which :func:`roundtrip_residuals` reuses."""
     d_out, d_in = kraus.shape[-2:]
     kraus_tp_check(kraus, cases)
     omega = kraus_to_choi(kraus)
-    back = choi_kraus(*choi_eigh(omega, d_in, d_out, tol=1e-8, cases=cases), d_in, d_out)
-    kraus_tp_check(back, cases)
     direct = kraus_apply(kraus[:, None], states)
     readout = choi_apply(omega[:, None], states, d_in, d_out) - direct
-    roundtrip = kraus_apply(back[:, None], states) - direct
-    return (np.max(np.abs(readout), axis=(-2, -1)),
-            np.max(np.abs(roundtrip), axis=(-2, -1)))
+    return np.max(np.abs(readout), axis=(-2, -1)), omega, direct
+
+
+def roundtrip_residuals(omega: np.ndarray, direct: np.ndarray, states: np.ndarray,
+                        cases=None) -> np.ndarray:
+    """The (B, S) residuals max |Phi'(rho) - Phi(rho)| of
+    :func:`readout_residuals`' cases, where Phi' has the Kraus operators
+    recovered from omega, after the checks of ChoiState.to_channel()."""
+    d_out, d_in = direct.shape[-1], states.shape[-1]
+    back = choi_kraus(*choi_eigh(omega, d_in, d_out, tol=1e-8, cases=cases), d_in, d_out)
+    kraus_tp_check(back, cases)
+    return np.max(np.abs(kraus_apply(back[:, None], states) - direct), axis=(-2, -1))
+
+
+def duality_residuals(kraus: np.ndarray, states: np.ndarray, cases=None) -> tuple:
+    """(readout, round-trip) residuals: the channel-state duality, with the
+    checks of Channel(kraus).to_choi().to_channel(), on every case."""
+    readout, omega, direct = readout_residuals(kraus, states, cases)
+    return readout, roundtrip_residuals(omega, direct, states, cases)
 
 
 @dataclass(frozen=True)
@@ -198,10 +211,6 @@ class Channel:
                 f"state shape {rho.shape} != channel input dim {self.in_dim}"
             )
         return kraus_apply(self.stack, rho)
-
-    def apply_to_identity(self) -> np.ndarray:
-        """Phi(1); separate from apply() since 1 is not a density matrix."""
-        return kraus_apply(self.stack, np.eye(self.in_dim))
 
     def compose(self, inner: "Channel") -> "Channel":
         """self after inner: (self . inner)(rho) = self(inner(rho))."""
@@ -457,23 +466,13 @@ def measured_expectation(phi: Channel, rho: np.ndarray, obs: np.ndarray):
     return complex(np.dot(probs, values)), branches
 
 
-class OqtChannel:
+def oqt_channel(d: int) -> ChoiState:
     """The fixed correction channel of oblivious segment joining.
 
-    P(rho) = d^2/(d^2-1) * Delta(rho) - rho/(d^2-1), stored through its Choi
-    matrix (1 - |omega><omega|)/(d^2-1); action uses the readout identity.
+    P(rho) = d^2/(d^2-1) * Delta(rho) - rho/(d^2-1), as its Choi state
+    (1 - |omega><omega|)/(d^2-1); ChoiState.apply is the readout identity.
     """
-
-    def __init__(self, d: int):
-        if d < 2:
-            raise ShapeError("oqt channel needs dimension >= 2")
-        self.dim = d
-        omega = np.outer(bell_vector(d), bell_vector(d).conj())
-        self.choi = ChoiState(d, d, (np.eye(d * d) - omega) / (d * d - 1))
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return self.choi.apply(rho)
-
-
-def oqt_channel(d: int) -> OqtChannel:
-    return OqtChannel(d)
+    if d < 2:
+        raise ShapeError("oqt channel needs dimension >= 2")
+    omega = np.outer(bell_vector(d), bell_vector(d).conj())
+    return ChoiState(d, d, (np.eye(d * d) - omega) / (d * d - 1))

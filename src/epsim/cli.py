@@ -234,12 +234,7 @@ def _run_dynamics(config: ExperimentConfig) -> dict:
     else:
         raise ConfigError(f"unknown evaluator {config.evaluator!r}")
     try:
-        want = oracle.circuit_expectation(
-            psi.to_statevector(),
-            circuit,
-            dict(obs),
-            [circuit.phys_dim] * circuit.n_sites,
-        )
+        want = oracle.circuit_expectation(psi, circuit, dict(obs))
         oracle_field = _complex_field(want)
     except SizeGuardError:
         oracle_field = None

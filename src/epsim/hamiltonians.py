@@ -106,23 +106,6 @@ def build_heisenberg(n_sites: int, j: float) -> LocalHamiltonian:
     )
 
 
-@dataclass(frozen=True)
-class TrotterPlan:
-    """First-order splitting: even bonds, then odd bonds, repeated."""
-
-    time: float
-    tau: float
-    reps: int
-    order: int
-    bond_terms: tuple  # (bond_site, merged matrix) in application order
-
-    def __post_init__(self):
-        if self.reps < 1:
-            raise ShapeError("need at least one repetition")
-        if abs(self.reps * self.tau - self.time) > 1e-12:
-            raise ShapeError("R * tau must equal t")
-
-
 def _merged_bond_terms(h: LocalHamiltonian):
     """Fold single-site fields into neighboring bonds (half left, half
     right; endpoints take their full share) so the result is a pure
@@ -154,25 +137,19 @@ def _merged_bond_terms(h: LocalHamiltonian):
     return dict(sorted(bonds.items()))
 
 
-def trotter_plan(h: LocalHamiltonian, t: float, reps: int) -> TrotterPlan:
-    bonds = _merged_bond_terms(h)
-    even = [(b, m) for b, m in bonds.items() if b % 2 == 0]
-    odd = [(b, m) for b, m in bonds.items() if b % 2 == 1]
-    return TrotterPlan(
-        time=t, tau=t / reps, reps=reps, order=1, bond_terms=tuple(even + odd)
-    )
-
-
 def trotter_circuit(h: LocalHamiltonian, t: float, reps: int) -> BrickworkCircuit:
-    """Brickwork circuit for (prod_b e^{-i tau h_b})^R, even bonds first."""
+    """Brickwork circuit for the first-order splitting (prod_b e^{-i tau h_b})^R,
+    tau = t / R, even bonds first."""
+    if reps < 1:
+        raise ShapeError("need at least one repetition")
     if t == 0:
         return BrickworkCircuit(h.n_sites, (), h.phys_dim)
-    plan = trotter_plan(h, t, reps)
-    gates = {b: matrix_exp(m, -1j * plan.tau) for b, m in plan.bond_terms}
-    even = tuple((b, gates[b]) for b, _ in plan.bond_terms if b % 2 == 0)
-    odd = tuple((b, gates[b]) for b, _ in plan.bond_terms if b % 2 == 1)
+    tau = t / reps
+    gates = {b: matrix_exp(m, -1j * tau) for b, m in _merged_bond_terms(h).items()}
+    even = tuple((b, g) for b, g in gates.items() if b % 2 == 0)
+    odd = tuple((b, g) for b, g in gates.items() if b % 2 == 1)
     step = tuple(layer for layer in (even, odd) if layer)
-    return BrickworkCircuit(h.n_sites, step * plan.reps, h.phys_dim)
+    return BrickworkCircuit(h.n_sites, step * reps, h.phys_dim)
 
 
 def exact_unitary(h: LocalHamiltonian, t: float) -> np.ndarray:

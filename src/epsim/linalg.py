@@ -51,17 +51,6 @@ def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     return np.max(np.abs(dagger(m) @ m - np.eye(m.shape[0]))) <= tol
 
 
-def is_psd(m: np.ndarray, tol: float = EQ_TOL) -> bool:
-    if not is_hermitian(m, tol):
-        return False
-    return float(np.min(np.linalg.eigvalsh(m))) >= -tol
-
-
-def is_density_matrix(m: np.ndarray, tol: float = EQ_TOL) -> bool:
-    m = as_matrix(m)
-    return is_psd(m, tol) and abs(np.trace(m) - 1.0) <= max(tol, 1e-8)
-
-
 def svd(m: np.ndarray):
     """SVD ``m = u @ diag(s) @ vh`` of a matrix, or of each matrix of a
     stack (..., rows, cols), with singular values sorted descending.

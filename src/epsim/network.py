@@ -562,46 +562,41 @@ def _label_key(label):
 
 
 def _contract_group(items, guard_label):
-    """Contract (tensor, leg labels) items into one tensor.
+    """Contract (tensor, leg labels) items, one label per axis, into one
+    tensor.
 
-    The labels name each tensor's trailing axes; any axes before them are
-    batch axes, which every item must share, and every step runs once over
-    the whole batch.  Legs sharing a label are contracted; legs that meet
-    inside one tensor are traced first.  The pair order comes from
-    :func:`_plan`, which sees only trailing shapes and labels, so networks
-    of the same shape share one plan.  The size guard is checked against
-    batch x the plan's largest step before any step runs.  Returns (tensor,
-    open legs) with the open legs in canonical label order after the batch
-    axes.
+    Legs sharing a label are contracted; legs that meet inside one tensor
+    are traced first.  The pair order comes from :func:`_plan`, which sees
+    only shapes and labels, so networks of the same shape share one plan.
+    The size guard is checked against the plan's largest step before any
+    step runs.  Returns the tensor with its open legs in canonical label
+    order.
     """
-    arrays, signature, batch = [], [], None
+    arrays, signature = [], []
     for tensor, labels in items:
         tensor, labels = np.asarray(tensor), tuple(labels)
-        nb = tensor.ndim - len(labels)
-        if nb < 0:
+        if len(labels) != tensor.ndim:
             raise ShapeError(f"{len(labels)} leg labels for a {tensor.ndim}-axis tensor")
-        if batch is None:
-            batch = tensor.shape[:nb]
-        elif tensor.shape[:nb] != batch:
-            raise ShapeError(
-                f"batch axes {tensor.shape[:nb]} differ from the first item's {batch}"
-            )
         arrays.append(tensor)
-        signature.append((tensor.shape[nb:], labels))
+        signature.append((tensor.shape, labels))
     plan = _plan(tuple(signature))
-    _guard(math.prod(batch) * plan.peak, guard_label)
-    return _execute(plan, arrays, batch), list(plan.labels)
+    _guard(plan.peak, guard_label)
+    return _execute(plan, arrays, ())
 
 
 def _execute(plan, arrays, batch):
     """Run ``plan`` on its items' arrays, which share the leading axes
-    ``batch``; with no batch axis each step is one 2-D matmul."""
+    ``batch``; with no batch axis each step is one 2-D matmul.  Unit axes
+    are dropped once the traces are done and restored in the result, so no
+    step carries them."""
     nb = len(batch)
     lead = tuple(range(nb))
     tensors = dict(enumerate(arrays))
     for i, pairs in plan.traces:
         for a, b in pairs:
             tensors[i] = np.trace(tensors[i], axis1=a + nb, axis2=b + nb)
+    for i, shape in plan.squeeze:
+        tensors[i] = tensors[i].reshape(batch + shape)
     for i, j, perm_a, perm_b, inner, out_shape, new_id in plan.steps:
         if nb:
             perm_a = lead + tuple(k + nb for k in perm_a)
@@ -612,11 +607,17 @@ def _execute(plan, arrays, batch):
         product = a.reshape(batch + (-1, inner)) @ b.reshape(batch + (inner, -1))
         tensors[new_id] = product.reshape(batch + out_shape)
     (tensor,) = tensors.values()
-    return tensor.transpose(lead + tuple(k + nb for k in plan.perm))
+    tensor = tensor.transpose(lead + tuple(k + nb for k in plan.perm))
+    return tensor.reshape(batch + plan.shape)
 
 
 class _Plan(NamedTuple):
+    """A pair order from shapes.  Unit legs stay in the greedy's graph, but
+    no executed array carries them: the step permutations and shapes and the
+    final transpose count only the axes of dim > 1."""
+
     traces: tuple  # (item, ((axis, axis), ...)) per item with a self-joined leg
+    squeeze: tuple  # (item, traced shape without unit axes) per item with one
     steps: tuple  # (i, j, perm_a, perm_b, inner, out_shape, new_id) per step
     perm: tuple  # final transpose into canonical label order
     labels: tuple  # open labels in canonical order
@@ -635,7 +636,7 @@ def _make_plan(signature):
     of different sizes raises ShapeError.  The plan holds no guard: callers
     check its ``peak`` against the guard in force.
     """
-    traces, sizes, legs, holders, dims = [], {}, {}, {}, {}
+    traces, squeeze, sizes, legs, holders, dims = [], [], {}, {}, {}, {}
     for i, (shape, labels) in enumerate(signature):
         shape, labels, pairs = list(shape), list(labels), []
         while (dup := _first_dup(labels)) is not None:
@@ -649,12 +650,17 @@ def _make_plan(signature):
             labels = [lab for k, lab in enumerate(labels) if k not in dup]
         if pairs:
             traces.append((i, tuple(pairs)))
+        if 1 in shape:
+            squeeze.append((i, tuple(dim for dim in shape if dim > 1)))
         sizes[i], legs[i] = math.prod(shape), labels
         for lab, dim in zip(labels, shape):
             holders.setdefault(lab, []).append(i)
             if dims.setdefault(lab, dim) != dim:
                 raise ShapeError(f"wire {lab!r} joins legs of dims {dims[lab]} and {dim}")
     heap = []
+
+    def wide(labels):  # the labels of the axes an executed array has
+        return [lab for lab in labels if dims[lab] > 1]
 
     def push(i, j):  # i < j
         shared = math.prod(dims[lab] for lab in legs[i] if lab in legs[j])
@@ -673,11 +679,12 @@ def _make_plan(signature):
             i, j = sorted(legs, key=lambda k: (sizes[k], k))[:2]
         shared = [lab for lab in legs[i] if lab in legs[j]]
         out = [lab for lab in legs[i] + legs[j] if lab not in shared]
-        ax_a = [legs[i].index(lab) for lab in shared]
-        ax_b = [legs[j].index(lab) for lab in shared]
-        perm_a = tuple([k for k in range(len(legs[i])) if k not in ax_a] + ax_a)
-        perm_b = tuple(ax_b + [k for k in range(len(legs[j])) if k not in ax_b])
-        out_shape = tuple(dims[lab] for lab in out)
+        wide_a, wide_b = wide(legs[i]), wide(legs[j])
+        ax_a = [wide_a.index(lab) for lab in wide(shared)]
+        ax_b = [wide_b.index(lab) for lab in wide(shared)]
+        perm_a = tuple([k for k in range(len(wide_a)) if k not in ax_a] + ax_a)
+        perm_b = tuple(ax_b + [k for k in range(len(wide_b)) if k not in ax_b])
+        out_shape = tuple(dims[lab] for lab in wide(out))
         sizes[next_id] = math.prod(out_shape)
         peak = max(peak, sizes[next_id])
         inner = math.prod(dims[lab] for lab in shared)
@@ -692,9 +699,9 @@ def _make_plan(signature):
             push(h, next_id)
         next_id += 1
     (labels,) = legs.values()
-    perm = _canonical_perm(labels)
-    labels = tuple(labels[k] for k in perm)
-    return _Plan(tuple(traces), tuple(steps), perm, labels,
+    perm = _canonical_perm(wide(labels))
+    labels = tuple(labels[k] for k in _canonical_perm(labels))
+    return _Plan(tuple(traces), tuple(squeeze), tuple(steps), perm, labels,
                  tuple(dims[lab] for lab in labels), peak)
 
 
@@ -859,7 +866,7 @@ def branch_distribution(net: ChannelNetwork, strategy: str = "postselect"):
             vecs = eig[col][1]
             items[nid] = (np.einsum("ko,co->okc", vecs.conj(), vecs),
                           (("out", col), *layout.legs[nid]))
-    exact, _ = _contract_group(items, "branch distribution")
+    exact = _contract_group(items, "branch distribution")
     scale = abs(net.psi.boundary[0, 0]) ** 2 * math.prod(t.shape[2] for t in tensors[:-1])
     scale *= math.prod(pair.bond_dim * d * d for pair in net.gate_pairs.values())
     rows = [exact.real.reshape(-1) / scale]
@@ -1029,5 +1036,5 @@ def simulate_oqt_plan(plan: OqtPlan, observables, mode: str = "corrected") -> co
             branches = np.stack([branches.sum(axis=0), branches[1]])
         items.append((chi * branches, [("bit", b), (b, 0), (b, 1)]))
         items.append((np.array(bit_close[mode]), [("bit", b)]))
-    value, _ = _contract_group(items, label)
+    value = _contract_group(items, label)
     return abs(psi.boundary[0, 0]) ** 2 * complex(value.reshape(()))

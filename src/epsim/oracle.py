@@ -7,7 +7,6 @@ guards; these are the ground truths the acceptance suites compare against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,45 +14,12 @@ from .channels import bell_vector
 from .errors import ShapeError, SizeGuardError
 from .hamiltonians import LocalHamiltonian
 from .linalg import as_matrix, matrix_exp
+from .mps import MPS
 from .network import BrickworkCircuit, OqtPlan
 
 STATE_GUARD = 2**14
 UNITARY_GUARD = 2**12
 BRANCH_GUARD = 2**20
-
-
-@dataclass(frozen=True)
-class DenseState:
-    """Statevector (or density matrix) with explicit site structure."""
-
-    phys_dims: tuple
-    vector: np.ndarray | None = field(default=None, repr=False)
-    rho: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        dim = int(np.prod(self.phys_dims))
-        if dim > STATE_GUARD:
-            raise SizeGuardError(f"dense state dimension {dim} exceeds {STATE_GUARD}")
-        if (self.vector is None) == (self.rho is None):
-            raise ShapeError("provide exactly one of vector / rho")
-        if self.vector is not None:
-            v = np.asarray(self.vector, dtype=complex).reshape(-1)
-            if v.size != dim:
-                raise ShapeError(f"vector length {v.size} != {dim}")
-            if abs(np.linalg.norm(v) - 1) > 1e-10:
-                raise ShapeError("statevector is not normalized")
-            object.__setattr__(self, "vector", v)
-        else:
-            r = np.asarray(self.rho, dtype=complex)
-            if r.shape != (dim, dim):
-                raise ShapeError(f"density matrix shape {r.shape} != {(dim, dim)}")
-            if abs(np.trace(r) - 1) > 1e-10:
-                raise ShapeError("density matrix trace != 1")
-            object.__setattr__(self, "rho", r)
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.phys_dims)
 
 
 def apply_gate(psi: np.ndarray, gate: np.ndarray, site: int, dims) -> np.ndarray:
@@ -75,9 +41,6 @@ def apply_circuit(psi, circuit: BrickworkCircuit, dims=None) -> np.ndarray:
     and keeps its shape; any other input is flattened to one statevector,
     so a state in tensor shape such as (2, 2) still works.  STATE_GUARD
     bounds the statevector length dim, column by column."""
-    if isinstance(psi, DenseState):
-        dims = list(psi.phys_dims)
-        psi = psi.vector
     psi = np.asarray(psi, dtype=complex)
     dims = list(dims) if dims is not None else [circuit.phys_dim] * circuit.n_sites
     if psi.ndim != 2 or psi.shape[0] != int(np.prod(dims)):
@@ -111,7 +74,14 @@ def expectation(psi, ops, dims) -> complex:
 
 
 def circuit_expectation(psi, circuit: BrickworkCircuit, ops, dims=None) -> complex:
-    """<psi| U^dag ((x) O) U |psi> by dense evolution."""
+    """<psi| U^dag ((x) O) U |psi> by dense evolution.  ``psi`` is a
+    statevector or an MPS; an MPS beyond STATE_GUARD is refused from its
+    site dimensions, before its statevector is built."""
+    if isinstance(psi, MPS):
+        dims = list(psi.phys_dims)
+        if math.prod(dims) > STATE_GUARD:
+            raise SizeGuardError(f"statevector length {math.prod(dims)} exceeds {STATE_GUARD}")
+        psi = psi.to_statevector()
     dims = list(dims) if dims is not None else [circuit.phys_dim] * circuit.n_sites
     evolved = apply_circuit(psi, circuit, dims)
     return expectation(evolved, ops, dims)

@@ -266,9 +266,9 @@ def test_oqt_mixing_identity_is_exact():
 
 def test_oqt_choi_is_psd():
     for d in (2, 3, 4):
-        w = np.linalg.eigvalsh(ch.oqt_channel(d).choi.matrix)
+        w = np.linalg.eigvalsh(ch.oqt_channel(d).matrix)
         assert w[0] >= -1e-12
-        ch.oqt_channel(d).choi.validate()
+        ch.oqt_channel(d).validate()
 
 
 def test_oqt_example_value():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from epsim import cli, mps, network, oracle, serialize
 from epsim.hamiltonians import build_heisenberg, build_tfim
 from epsim.linalg import embed_operator
 from epsim.channels import Channel
-from epsim.rand import haar_unitary, random_density, random_kraus_set, random_state
+from epsim.rand import (
+    haar_unitary,
+    random_canonical_mps,
+    random_density,
+    random_kraus_set,
+    random_state,
+)
 
 
 @pytest.fixture
@@ -426,6 +433,41 @@ def test_verify_command(workdir, capsys):
     assert all(c["seconds"] >= 0 for c in summary["checks"])
     code, _ = run_cli(["verify", "--suite", "nonsense"], capsys)
     assert code == 2
+
+
+def test_verify_check_seconds_fit_in_its_wall_time(tmp_path, capsys):
+    # Each check reports only its own seconds, so none is counted twice.
+    start = time.perf_counter()
+    code, _ = run_cli(["verify", "--suite", "all", "--out", str(tmp_path / "all.json")], capsys)
+    wall = time.perf_counter() - start
+    assert code == 0
+    checks = json.loads((tmp_path / "all.json").read_text())["checks"]
+    assert len(checks) == 19
+    assert sum(c["seconds"] for c in checks) <= wall
+
+
+def test_dynamics_oracle_refuses_from_shapes(tmp_path, capsys, monkeypatch):
+    # N = 16 is past the oracle's STATE_GUARD: the report carries no oracle
+    # value, and the MPS is never expanded into a statevector.
+    n = 16
+    rng = np.random.default_rng(3)
+    (tmp_path / "state.json").write_text(json.dumps(random_canonical_mps(rng, n, 2).to_dict()))
+    layer = tuple((s, haar_unitary(rng, 4)) for s in range(0, n - 1, 2))
+    circ = network.BrickworkCircuit(n, (layer,))
+    (tmp_path / "circuit.json").write_text(json.dumps(circ.to_dict()))
+    config = {"task": "dynamics", "state_file": "state.json", "circuit_file": "circuit.json",
+              "observables": [{"site": 3, "pauli": "Z"}]}
+    (tmp_path / "job.json").write_text(json.dumps(config))
+
+    def refuse(self):
+        raise AssertionError("the oracle expanded an MPS beyond its guard")
+
+    monkeypatch.setattr(mps.MPS, "to_statevector", refuse)
+    code, out = run_cli(["run", "--config", str(tmp_path / "job.json")], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["oracle"] is None
+    assert "abs_error" not in report
 
 
 def test_entropy_report_carries_budget_and_order(tmp_path, capsys):

@@ -68,6 +68,13 @@ def test_trotter_rejects_long_range():
         ham.trotter_circuit(bad, 1.0, 2)
 
 
+def test_trotter_needs_a_repetition():
+    h = ham.build_tfim(3, 1.0, 0.5)
+    for t in (0.0, 1.0):
+        with pytest.raises(ShapeError, match="at least one repetition"):
+            ham.trotter_circuit(h, t, 0)
+
+
 def circuit_unitary(circ):
     dims = [circ.phys_dim] * circ.n_sites
     dim = int(np.prod(dims))
@@ -112,13 +119,10 @@ def test_energy_conservation_under_exact_evolution():
 
 def test_trotter_plan_consistency():
     h = ham.build_tfim(5, 1.0, 0.3)
-    plan = ham.trotter_plan(h, 2.0, 8)
-    assert plan.order == 1
-    assert abs(plan.reps * plan.tau - plan.time) < 1e-12
     from epsim.linalg import embed_operator
 
     total = sum(
-        embed_operator(m, [b, b + 1], [2] * 5) for b, m in plan.bond_terms
+        embed_operator(m, [b, b + 1], [2] * 5) for b, m in ham._merged_bond_terms(h).items()
     )
     assert np.max(np.abs(total - h.dense())) < 1e-12
 

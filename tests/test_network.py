@@ -351,31 +351,6 @@ def test_guard_refuses_a_stack_from_batch_times_peak(monkeypatch):
     finally:
         tracemalloc.stop()
     assert traced < stacked_bytes / 4
-    # The core prices stacked items the same way.
-    a = np.ones((64, 256, 2), complex)
-    b = np.ones((64, 2, 2048), complex)
-    monkeypatch.setattr(network, "CONTRACTION_GUARD", 2**24)
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizeGuardError, match=f"has {64 * 2**19} entries"):
-            network._contract_group([(a, ["x", "s"]), (b, ["s", "y"])], "test")
-        traced = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert traced < a.nbytes
-
-
-def test_contract_group_runs_stacked_items():
-    rng = np.random.default_rng(39)
-    a = rng.normal(size=(3, 2, 4, 5)) + 1j * rng.normal(size=(3, 2, 4, 5))
-    b = rng.normal(size=(3, 4, 5, 6, 6))  # its two "z" legs are traced
-    stacked, labels = network._contract_group([(a, "xsy"), (b, "syzz")], "test")
-    assert labels == ["x"] and stacked.shape == (3, 2)
-    for k in range(3):
-        single, _ = network._contract_group([(a[k], "xsy"), (b[k], "syzz")], "test")
-        assert np.array_equal(stacked[k], single)
-    with pytest.raises(ShapeError, match="batch axes"):
-        network._contract_group([(a, "xsy"), (b[0], "syzz")], "test")
 
 
 def test_contraction_guard_refuses_before_allocating():
@@ -444,6 +419,27 @@ def test_contract_group_rejects_mismatched_wire():
     # Two legs of one tensor are traced; their sizes are checked first.
     with pytest.raises(ShapeError, match="dims 2 and 3"):
         network._contract_group([(np.ones((2, 3)), ["w", "w"]), (np.ones(4), ["x"])], "test")
+    # One label per axis: there are no batch axes to infer.
+    with pytest.raises(ShapeError, match="1 leg labels for a 2-axis tensor"):
+        network._contract_group([(np.ones((2, 2)), ["w"])], "test")
+
+
+def test_steps_carry_no_unit_axes():
+    # On a chi = 1 state, 600 of the network's 2116 legs have dim 1, and one
+    # planned step has 66 axes (numpy allows 64), 22 of them of dim > 1.  The
+    # reference contracts the network with its unit legs squeezed out of the
+    # signature, which the greedy pairs differently.
+    rng = np.random.default_rng(5)
+    psi = random_canonical_mps(rng, 24, 1)
+    circ = random_brickwork(rng, 24, 10)
+    net = network.build_network(psi, circ, [(12, PAULI["Z"])])
+    got = network.evaluate_exact(net)
+    squeezed = [
+        (t.reshape([d for d in t.shape if d > 1]), [lab for lab, d in zip(legs, t.shape) if d > 1])
+        for t, legs in zip(net.tensors, net.layout.legs)
+    ]
+    want = network._contract_group(squeezed, "reference").reshape(())
+    assert abs(got - want) < 1e-10
 
 
 def test_region_partition_validation():

@@ -7,22 +7,11 @@ from conftest import PAULI
 from epsim import network, oracle
 from epsim.errors import ShapeError, SizeGuardError
 from epsim.hamiltonians import build_tfim, exact_unitary
-from epsim.rand import haar_unitary, random_density, random_canonical_mps, random_state
+from epsim.rand import haar_unitary, random_canonical_mps, random_state
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-
-
-def test_dense_state_validation():
-    s = oracle.DenseState((2, 2), vector=[1, 0, 0, 0])
-    assert s.n_sites == 2
-    with pytest.raises(ShapeError):
-        oracle.DenseState((2, 2), vector=[1, 0, 0, 1])  # unnormalized
-    with pytest.raises(ShapeError):
-        oracle.DenseState((2, 2))
-    rho = random_density(0, 4)
-    assert oracle.DenseState((2, 2), rho=rho).rho is not None
 
 
 def test_apply_circuit_basics():
