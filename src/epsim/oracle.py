@@ -73,17 +73,14 @@ def expectation(psi, ops, dims) -> complex:
     return complex(np.vdot(psi, out))
 
 
-def circuit_expectation(psi, circuit: BrickworkCircuit, ops, dims=None) -> complex:
-    """<psi| U^dag ((x) O) U |psi> by dense evolution.  ``psi`` is a
-    statevector or an MPS; an MPS beyond STATE_GUARD is refused from its
-    site dimensions, before its statevector is built."""
-    if isinstance(psi, MPS):
-        dims = list(psi.phys_dims)
-        if math.prod(dims) > STATE_GUARD:
-            raise SizeGuardError(f"statevector length {math.prod(dims)} exceeds {STATE_GUARD}")
-        psi = psi.to_statevector()
-    dims = list(dims) if dims is not None else [circuit.phys_dim] * circuit.n_sites
-    evolved = apply_circuit(psi, circuit, dims)
+def circuit_expectation(psi: MPS, circuit: BrickworkCircuit, ops) -> complex:
+    """<psi| U^dag ((x) O) U |psi> by dense evolution of an MPS.  A state
+    beyond STATE_GUARD is refused from its site dimensions, before its
+    statevector is built."""
+    dims = list(psi.phys_dims)
+    if math.prod(dims) > STATE_GUARD:
+        raise SizeGuardError(f"statevector length {math.prod(dims)} exceeds {STATE_GUARD}")
+    evolved = apply_circuit(psi.to_statevector(), circuit, dims)
     return expectation(evolved, ops, dims)
 
 

@@ -35,9 +35,7 @@ def random_net(rng, n, layers, obs_sites=(1,), chi=None):
 
 
 def oracle_value(psi, circ, obs):
-    return oracle.circuit_expectation(
-        psi.to_statevector(), circ, {s: o for s, o in obs}, [2] * psi.n_sites
-    )
+    return oracle.circuit_expectation(psi, circ, {s: o for s, o in obs})
 
 
 # --- gate compilation
