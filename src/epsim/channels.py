@@ -118,15 +118,14 @@ def choi_eigh(matrix: np.ndarray, d_in: int, d_out: int, tol: float = EQ_TOL,
     return w, v
 
 
-def choi_kraus(w: np.ndarray, v: np.ndarray, d_in: int, d_out: int,
-               tol: float = 1e-12) -> np.ndarray:
+def choi_kraus(w: np.ndarray, v: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
     """Kraus sets (..., k, d_out, d_in) from the ``eigh`` of Choi matrices:
     sqrt(d_in * lam) times the reshaped eigenvector, for each eigenvalue
-    lam > tol, in ascending order.  k is the largest kept count in the
+    lam > 1e-12, in ascending order.  k is the largest kept count in the
     stack; a case keeping fewer is padded with zero operators."""
-    keep = int(np.max(np.sum(w > tol, axis=-1)))
+    keep = int(np.max(np.sum(w > 1e-12, axis=-1)))
     w, v = w[..., w.shape[-1] - keep:], v[..., v.shape[-1] - keep:]
-    kraus = np.swapaxes(v * np.sqrt(d_in * np.where(w > tol, w, 0.0))[..., None, :], -1, -2)
+    kraus = np.swapaxes(v * np.sqrt(d_in * np.where(w > 1e-12, w, 0.0))[..., None, :], -1, -2)
     return kraus.reshape(kraus.shape[:-1] + (d_out, d_in))
 
 
@@ -223,15 +222,6 @@ class Channel:
     def to_choi(self) -> "ChoiState":
         return ChoiState(self.in_dim, self.out_dim, kraus_to_choi(self.stack))
 
-    def transfer(self) -> np.ndarray:
-        """Matrix M with M @ vec(rho) = vec(Phi(rho))."""
-        return transfer_matrix(self.stack)
-
-    def transfer_obs(self, obs: np.ndarray) -> np.ndarray:
-        """Transfer matrix of the channel weighted by an operator on the
-        Kraus (physical) index; reduces to :meth:`transfer` for obs = 1."""
-        return transfer_matrix(self.stack, obs)
-
     def stinespring(self):
         """Unitary dilation (U, ancilla_dim).
 
@@ -295,13 +285,13 @@ class ChoiState:
             raise ShapeError(f"Choi matrix shape {m.shape} != {(d, d)}")
         object.__setattr__(self, "matrix", m)
 
-    def validate(self, tol: float = EQ_TOL) -> None:
-        choi_eigh(self.matrix, self.in_dim, self.out_dim, tol)
+    def validate(self) -> None:
+        choi_eigh(self.matrix, self.in_dim, self.out_dim)
 
-    def to_channel(self, tol: float = 1e-12) -> Channel:
-        """Recover Kraus operators; eigenvalues below ``tol`` are dropped."""
+    def to_channel(self) -> Channel:
+        """Recover Kraus operators; eigenvalues at most 1e-12 are dropped."""
         w, v = choi_eigh(self.matrix, self.in_dim, self.out_dim, tol=1e-8)
-        return Channel(tuple(choi_kraus(w, v, self.in_dim, self.out_dim, tol)))
+        return Channel(tuple(choi_kraus(w, v, self.in_dim, self.out_dim)))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Readout identity: Phi(rho) = d * tr_ref[omega (1 (x) rho^T)]."""
@@ -446,24 +436,6 @@ def measured_branches(kraus: np.ndarray, rho: np.ndarray, obs: np.ndarray) -> tu
     values = np.stack([d_in * read[..., 0], offset - d_in * read[..., 1]], axis=-1)
     conds = np.where(probs > 1e-14, read / np.where(probs > 1e-14, probs, 1.0), 0.0)
     return probs, conds, values
-
-
-def measured_expectation(phi: Channel, rho: np.ndarray, obs: np.ndarray):
-    """tr(obs * Phi(rho)) reconstructed from the dual measurement protocol:
-    the no-batch call of :func:`measured_branches`.
-
-    Branch 0 heralds the exact value; branch 1 is corrected by the
-    tr(obs * Phi(1))/d offset.  Returns ``(value, branches)`` where branches
-    lists ``(probability, conditional_expectation, reconstructed_value)``.
-    """
-    obs, rho = as_matrix(obs), as_matrix(rho)
-    if obs.shape != (phi.out_dim, phi.out_dim):
-        raise ShapeError(f"observable shape {obs.shape} != output dim {phi.out_dim}")
-    if rho.shape != (phi.in_dim, phi.in_dim):
-        raise ShapeError(f"state shape {rho.shape} != channel input dim {phi.in_dim}")
-    probs, conds, values = measured_branches(phi.stack, rho, obs)
-    branches = [(float(p), complex(c), complex(v)) for p, c, v in zip(probs, conds, values)]
-    return complex(np.dot(probs, values)), branches
 
 
 def oqt_channel(d: int) -> ChoiState:

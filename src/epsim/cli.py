@@ -43,7 +43,7 @@ class ExperimentConfig:
         self.task = raw.get("task")
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
-        self.seed = _field(raw, "seed", _json_int, 0)
+        self.seed = _field(raw, "seed", _int_at_least(0), 0)
         self.evaluator = raw.get("evaluator", "exact")
         self.out = raw.get("out")
         self._require_fields()
@@ -117,16 +117,32 @@ def _json_int(value):
     return value
 
 
+def _int_at_least(low):
+    """A ``_field`` kind that accepts only JSON integers >= ``low``."""
+    def kind(value):
+        if _json_int(value) < low:
+            raise ValueError(f"expected an integer >= {low}, got {value!r}")
+        return value
+    return kind
+
+
+def _number(value) -> float:
+    """float(value), refusing JSON true and false: float(True) is 1.0."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _positive(value):
     """A finite number > 0: float() alone takes "inf", "nan", Infinity and NaN."""
-    if not 0 < float(value) < math.inf:
+    if not 0 < _number(value) < math.inf:
         raise ValueError(f"expected a finite number > 0, got {value!r}")
     return float(value)
 
 
 def _nonnegative(value):
     """A finite number >= 0."""
-    if not 0 <= float(value) < math.inf:
+    if not 0 <= _number(value) < math.inf:
         raise ValueError(f"expected a finite number >= 0, got {value!r}")
     return float(value)
 
@@ -201,7 +217,7 @@ def run_task(config: ExperimentConfig) -> dict:
 
 
 def _run_dynamics(config: ExperimentConfig) -> dict:
-    psi = config.parse("state_file", MPS.from_dict).canonicalize("left")
+    psi = config.parse("state_file", MPS.from_dict).canonicalize()
     circuit = config.parse("circuit_file", net.BrickworkCircuit.from_dict)
     obs = [
         _observable(entry, f"observables[{k}]", circuit.n_sites, True)
@@ -306,12 +322,12 @@ def _run_amplitude(config: ExperimentConfig) -> dict:
     u = config.parse(
         "unitary_file", lambda data: serialize.parse_cmat_nested(data["matrix"])
     )
-    shots = _field(config.raw, "shots", _json_int, None) or None
+    shots = _field(config.raw, "shots", _int_at_least(1), None)
     est = alg.transition_amplitude(phi, u, psi, shots=shots, seed=config.seed)
     want = oracle.amplitude_exact(phi, u, psi)
     return {
         "value": _complex_field(est.value),
-        "stderr": est.stderr if shots else None,
+        "stderr": None if shots is None else est.stderr,
         "oracle": _complex_field(want),
         "shots_used": est.shots,
         "resources": None,
@@ -319,9 +335,9 @@ def _run_amplitude(config: ExperimentConfig) -> dict:
 
 
 def _run_duality_check(config: ExperimentConfig) -> dict:
-    n_cases = _field(config.raw, "n_cases", _json_int, 100)
-    max_dim = _field(config.raw, "max_dim", _json_int, 4)
-    tol = _field(config.raw, "tolerance", float, 1e-10)
+    n_cases = _field(config.raw, "n_cases", _int_at_least(1), 100)
+    max_dim = _field(config.raw, "max_dim", _int_at_least(2), 4)
+    tol = _field(config.raw, "tolerance", _positive, 1e-10)
     worst = 0.0
     from .channels import duality_residuals
 

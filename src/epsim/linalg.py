@@ -6,16 +6,17 @@ row-major order.  The vectorization convention is fixed package-wide:
     vec(rho) = sum_ij rho_ij |i,j>   (row index i major)
 
 so that ``vec(A @ rho @ B) == kron(A, B.T) @ vec(rho)`` and the transfer
-matrix of a Kraus set ``{A_i}`` is ``sum_i kron(A_i, A_i.conj())``.
+matrix of a Kraus set ``{A_i}`` is ``sum_i kron(A_i, A_i.conj())``.  The
+matrix exponential takes Hermitian matrices only, which is all the package
+exponentiates (Hamiltonians and their local terms).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalError, PositivityError, ShapeError
+from .errors import NumericalError, ShapeError
 
-# Default tolerances; every check accepts an override.
 EQ_TOL = 1e-10        # generic equality / invariant checks
 PSD_CLAMP = 1e-10     # eigenvalues above -PSD_CLAMP are clamped to zero
 UNITARY_TOL = 1e-8    # unitarity validation
@@ -39,16 +40,16 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).T
 
 
-def is_hermitian(m: np.ndarray, tol: float = EQ_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = as_matrix(m)
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - dagger(m))) <= tol
+    return m.shape[0] == m.shape[1] and np.max(np.abs(m - dagger(m))) <= EQ_TOL
 
 
-def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+def is_unitary(m: np.ndarray) -> bool:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    return np.max(np.abs(dagger(m) @ m - np.eye(m.shape[0]))) <= tol
+    return np.max(np.abs(dagger(m) @ m - np.eye(m.shape[0]))) <= UNITARY_TOL
 
 
 def svd(m: np.ndarray):
@@ -72,39 +73,14 @@ def svd(m: np.ndarray):
     return u, s, vh
 
 
-def psd_sqrt(m: np.ndarray, tol: float = PSD_CLAMP) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
-
-    Eigenvalues in ``[-tol, 0)`` are treated as numerical noise and clamped
-    to zero; anything below ``-tol`` is an error.
-    """
-    m = as_matrix(m)
-    if not is_hermitian(m, max(tol, EQ_TOL)):
-        raise PositivityError("matrix is not Hermitian")
-    w, v = np.linalg.eigh(m)
-    if w[0] < -tol:
-        raise PositivityError(
-            f"matrix is not PSD: smallest eigenvalue {w[0]:.3e} < -{tol:.1e}"
-        )
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ dagger(v)
-
-
 def matrix_exp(m: np.ndarray, scalar: complex = 1.0) -> np.ndarray:
-    """exp(scalar * m), via eigendecomposition when m is Hermitian.
-
-    Non-Hermitian input falls back to scipy's scaling-and-squaring Pade.
-    """
+    """exp(scalar * m) of a Hermitian m (to within EQ_TOL), by
+    eigendecomposition; any other m is a ShapeError."""
     m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"matrix_exp needs a square matrix, got {m.shape}")
-    if is_hermitian(m):
-        w, v = np.linalg.eigh(m)
-        out = (v * np.exp(scalar * w)) @ dagger(v)
-    else:
-        import scipy.linalg
-
-        out = scipy.linalg.expm(scalar * m)
+    if not is_hermitian(m):
+        raise ShapeError(f"matrix_exp needs a Hermitian matrix, got one of shape {m.shape}")
+    w, v = np.linalg.eigh(m)
+    out = (v * np.exp(scalar * w)) @ dagger(v)
     if not np.all(np.isfinite(out)):
         raise NumericalError(
             f"matrix exponential overflowed for scalar {scalar!r} "

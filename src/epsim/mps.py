@@ -30,7 +30,7 @@ STATEVECTOR_GUARD = 2**20
 class MPS:
     tensors: tuple  # per site: (d_n, chi_n, chi_{n+1})
     boundary: np.ndarray = field(repr=False)  # (chi_{N+1}, chi_1)
-    canonical: str | None = None  # None | "left" | "right"
+    canonical: str | None = None  # None | "left"
     discarded_weight: float = 0.0  # squared Schmidt weight dropped on build
 
     def __post_init__(self):
@@ -64,10 +64,10 @@ class MPS:
     def bond_dims(self) -> tuple:
         return tuple(t.shape[1] for t in self.tensors) + (self.tensors[-1].shape[2],)
 
-    def is_left_canonical(self, tol: float = 1e-10) -> bool:
+    def is_left_canonical(self) -> bool:
         for t in self.tensors:
             acc = np.einsum("iab,iac->bc", t.conj(), t)
-            if np.max(np.abs(acc - np.eye(t.shape[2]))) > tol:
+            if np.max(np.abs(acc - np.eye(t.shape[2]))) > 1e-10:
                 return False
         return True
 
@@ -84,13 +84,6 @@ class MPS:
             acc = acc.reshape(-1, acc.shape[2], acc.shape[3])
         return np.einsum("pac,ca->p", acc, self.boundary)
 
-    def norm_sq(self) -> float:
-        """<psi|psi> from transfer-matrix products on the bond space only."""
-        x = np.kron(self.boundary, self.boundary.conj())
-        for t in self.tensors:
-            x = x @ transfer_matrix(t)
-        return float(np.real(np.trace(x)))
-
     def expectation_product(self, ops) -> complex:
         """<psi| O_1 (x) ... (x) O_N |psi> for operators given as a
         ``{site: matrix}`` mapping (identity at unlisted sites)."""
@@ -103,40 +96,22 @@ class MPS:
             x = x @ transfer_matrix(t, ops.get(n))
         return complex(np.trace(x))
 
-    def canonicalize(self, direction: str = "left") -> "MPS":
-        if direction == "left":
-            tensors = []
-            carry = None
-            for t in self.tensors:
-                if carry is not None:
-                    t = np.einsum("ab,ibc->iac", carry, t)
-                d, chi_l, chi_r = t.shape
-                q, r = np.linalg.qr(t.transpose(1, 0, 2).reshape(chi_l * d, chi_r))
-                k = q.shape[1]
-                tensors.append(q.reshape(chi_l, d, k).transpose(1, 0, 2))
-                carry = r
-            boundary = carry @ self.boundary
-            return MPS(tuple(tensors), boundary, canonical="left",
-                       discarded_weight=self.discarded_weight)
-        if direction == "right":
-            import scipy.linalg
-
-            tensors = []
-            carry = None
-            for t in reversed(self.tensors):
-                if carry is not None:
-                    t = np.einsum("iab,bc->iac", t, carry)
-                d, chi_l, chi_r = t.shape
-                r, q = scipy.linalg.rq(
-                    t.transpose(1, 0, 2).reshape(chi_l, d * chi_r), mode="economic"
-                )
-                k = q.shape[0]
-                tensors.append(q.reshape(k, d, chi_r).transpose(1, 0, 2))
-                carry = r
-            boundary = self.boundary @ carry
-            return MPS(tuple(reversed(tensors)), boundary, canonical="right",
-                       discarded_weight=self.discarded_weight)
-        raise ShapeError(f"unknown canonicalization direction {direction!r}")
+    def canonicalize(self) -> "MPS":
+        """Left-canonical gauge by a QR sweep from the left; the last R
+        moves into the boundary, so the amplitudes are unchanged."""
+        tensors = []
+        carry = None
+        for t in self.tensors:
+            if carry is not None:
+                t = np.einsum("ab,ibc->iac", carry, t)
+            d, chi_l, chi_r = t.shape
+            q, r = np.linalg.qr(t.transpose(1, 0, 2).reshape(chi_l * d, chi_r))
+            k = q.shape[1]
+            tensors.append(q.reshape(chi_l, d, k).transpose(1, 0, 2))
+            carry = r
+        boundary = carry @ self.boundary
+        return MPS(tuple(tensors), boundary, canonical="left",
+                   discarded_weight=self.discarded_weight)
 
     def truncate(self, chi_max: int | None = None, tol: float = 0.0):
         """Reduce bond dimensions; returns ``(mps, discarded_weight)``.
@@ -145,7 +120,7 @@ class MPS:
         dropped singular values; for a normalized open-boundary state the
         round-trip fidelity loss is bounded by it.
         """
-        m = self.canonicalize("left")
+        m = self.canonicalize()
         tensors = [t.copy() for t in m.tensors]
         discarded = 0.0
         for n in range(len(tensors) - 1, 0, -1):
@@ -159,7 +134,7 @@ class MPS:
             tensors[n - 1] = np.einsum("iab,bc->iac", tensors[n - 1], carry)
         out = MPS(tuple(tensors), m.boundary,
                   discarded_weight=self.discarded_weight + discarded)
-        return out.canonicalize("left"), discarded
+        return out.canonicalize(), discarded
 
     def site_channel(self, n: int) -> Channel:
         """The site tensor as a quantum channel from the right bond space
@@ -168,7 +143,7 @@ class MPS:
         if self.canonical != "left":
             raise CanonicalFormError(
                 "site tensors form channels only in left-canonical gauge; "
-                "call canonicalize('left') first"
+                "call canonicalize() first"
             )
         t = self.tensors[n]
         return Channel(tuple(t[i] for i in range(t.shape[0])))

@@ -24,10 +24,11 @@ indices.  Evaluation then happens entirely on the entanglement space:
 The circuit's gates are split by :func:`split_gates`, one stacked SVD per
 network; :func:`compile_gate` is its call for one gate.  Everything about a
 network but its tensors (node kinds, grid positions, trailing shapes and the
-wire id on each node axis) depends only on its layout key: N, d, the state's
-bond dimensions and each gate's site and operator-Schmidt rank.  It is built
-once per key by the cached :func:`_layout` and shared by every network with
-that key.
+leg table, the wire id on each node axis) depends only on its layout key: N,
+d, the state's bond dimensions and each gate's site and operator-Schmidt
+rank.  It is built once per key by the cached :func:`_layout` and shared by
+every network with that key; the leg table is the only description of the
+wires.
 
 :func:`evaluate_exact` and :func:`evaluate_regions` take one network or a
 sequence of networks that share a layout.  A sequence runs through the same
@@ -242,23 +243,6 @@ def compile_gate(u: np.ndarray) -> GateChannelPair:
 # Network construction
 
 
-@dataclass(frozen=True)
-class NetNode:
-    nid: int
-    kind: str  # state | gate | obs | boundary | state* | gate* | boundary*
-    row: int
-    col: int
-    tensor: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class NetWire:
-    wid: int
-    ends: tuple  # ((nid, axis), (nid, axis))
-    orientation: str  # "h" | "v"
-    dim: int
-
-
 class NetLayout(NamedTuple):
     """What evaluation needs of a network but its tensors, per node id."""
 
@@ -272,21 +256,12 @@ class NetLayout(NamedTuple):
 
 @functools.lru_cache(maxsize=256)
 def _layout(key) -> NetLayout:
-    """The cached layout of one key; the wires are left out (see
-    :func:`_lattice`), so a cached layout holds only flat tuples."""
-    kinds, rows, cols, shapes, wires = _lattice(key)
-    legs = [[None] * len(shape) for shape in shapes]
-    for w in wires:
-        for nid, axis in w.ends:
-            legs[nid][axis] = w.wid
-    legs = tuple(map(tuple, legs))
-    return NetLayout(key, kinds, rows, cols, legs, tuple(zip(shapes, legs)))
-
-
-def _lattice(key) -> tuple:
-    """(kinds, rows, cols, shapes, wires) of one layout key.  Node ids run:
-    state row (then its boundary), gate rows by layer, the observable row,
-    conjugate gate rows by layer, conjugate state row (then its boundary)."""
+    """The cached layout of one key.  Node ids run: state row (then its
+    boundary), gate rows by layer, the observable row, conjugate gate rows by
+    layer, conjugate state row (then its boundary).  Wire ids count the
+    horizontal wires (state rows, then gate rows) and then the vertical
+    chains column by column; each is written into the leg table at both of
+    its ends."""
     n, d, bonds, gate_ranks = key
     nl = len(gate_ranks)
     obs_row = nl + 1
@@ -323,25 +298,26 @@ def _lattice(key) -> tuple:
         add("state*", last_row, c, state[c])
     add("boundary*", last_row, n, (1, 1))
 
-    wires = []
+    legs = [[None] * len(shape) for shape in shapes]
+    wire_ids = itertools.count()
 
-    def wire(end_a, end_b, orientation, dim):
-        wires.append(NetWire(len(wires), (end_a, end_b), orientation, dim))
+    def wire(*ends):
+        wid = next(wire_ids)
+        for nid, axis in ends:
+            legs[nid][axis] = wid
 
     # Horizontal wires: state rows close through the boundary node,
     # gate rows wrap their (dimension-1) outer edges.
     for row in (0, last_row):
         bnd = grid[(row, n)]
         for c in range(n - 1):
-            a, b = grid[(row, c)], grid[(row, c + 1)]
-            wire((a, 2), (b, 1), "h", shapes[a][2])
-        wire((grid[(row, n - 1)], 2), (bnd, 0), "h", shapes[grid[(row, n - 1)]][2])
-        wire((bnd, 1), (grid[(row, 0)], 1), "h", shapes[grid[(row, 0)]][1])
+            wire((grid[(row, c)], 2), (grid[(row, c + 1)], 1))
+        wire((grid[(row, n - 1)], 2), (bnd, 0))
+        wire((bnd, 1), (grid[(row, 0)], 1))
     for row in list(range(1, nl + 1)) + list(range(obs_row + 1, last_row)):
         for c in range(n - 1):
-            a, b = grid[(row, c)], grid[(row, c + 1)]
-            wire((a, 1), (b, 0), "h", shapes[a][1])
-        wire((grid[(row, n - 1)], 1), (grid[(row, 0)], 0), "h", 1)
+            wire((grid[(row, c)], 1), (grid[(row, c + 1)], 0))
+        wire((grid[(row, n - 1)], 1), (grid[(row, 0)], 0))
 
     # Vertical wires: physical index chains through the rows.  State axis 0
     # and obs axes 0/1 carry the physical legs.
@@ -352,16 +328,18 @@ def _lattice(key) -> tuple:
             ket_chain += [(nid, 3), (nid, 2)]  # in, out
         ket_chain.append((grid[(obs_row, c)], 0))
         for i in range(0, len(ket_chain) - 1, 2):
-            wire(ket_chain[i], ket_chain[i + 1], "v", d)
+            wire(ket_chain[i], ket_chain[i + 1])
         conj_chain = [(grid[(last_row, c)], 0)]
         for l in range(nl):
             nid = grid[(last_row - 1 - l, c)]
             conj_chain += [(nid, 3), (nid, 2)]
         conj_chain.append((grid[(obs_row, c)], 1))
         for i in range(0, len(conj_chain) - 1, 2):
-            wire(conj_chain[i], conj_chain[i + 1], "v", d)
+            wire(conj_chain[i], conj_chain[i + 1])
 
-    return tuple(kinds), tuple(rows), tuple(cols), tuple(shapes), wires
+    legs = tuple(map(tuple, legs))
+    return NetLayout(key, tuple(kinds), tuple(rows), tuple(cols), legs,
+                     tuple(zip(shapes, legs)))
 
 
 class ChannelNetwork:
@@ -396,7 +374,7 @@ class ChannelNetwork:
             tuple(tuple((site, self.gate_pairs[(l, site)].bond_dim) for site, _ in layer)
                   for l, layer in enumerate(circuit.layers)),
         ))
-        # In node-id order; see _lattice.
+        # In node-id order; see _layout.
         gates = [t for row in rows for t in row]
         self.tensors = [
             *psi.tensors, psi.boundary, *gates,
@@ -404,43 +382,6 @@ class ChannelNetwork:
             *(t if t is ident else t.conj() for t in gates),
             *(t.conj() for t in psi.tensors), psi.boundary.conj(),
         ]
-
-    @functools.cached_property
-    def nodes(self) -> list:
-        lay = self.layout
-        return [NetNode(nid, *node) for nid, node in
-                enumerate(zip(lay.kinds, lay.rows, lay.cols, self.tensors))]
-
-    @property
-    def wires(self) -> list:
-        return _lattice(self.layout.key)[4]
-
-    def to_dict(self) -> dict:
-        return {
-            "n_sites": self.circuit.n_sites,
-            "n_layers": self.circuit.n_layers,
-            "phys_dim": self.d,
-            "nodes": [
-                {
-                    "id": node.nid,
-                    "kind": node.kind,
-                    "row": node.row,
-                    "col": node.col,
-                    "shape": list(node.tensor.shape),
-                    "payload": serialize.cvec(node.tensor.reshape(-1)),
-                }
-                for node in self.nodes
-            ],
-            "wires": [
-                {
-                    "id": w.wid,
-                    "ends": [list(w.ends[0]), list(w.ends[1])],
-                    "orientation": w.orientation,
-                    "dim": w.dim,
-                }
-                for w in self.wires
-            ],
-        }
 
 
 def build_network(psi: MPS, circuit: BrickworkCircuit, observables) -> ChannelNetwork:
@@ -979,10 +920,6 @@ class OqtPlan:
     psi: MPS
     segments: tuple  # per segment: (first_site, n_sites_in_segment)
     join_dims: tuple  # bond dimension at each segment boundary
-
-    @property
-    def n_joins(self) -> int:
-        return len(self.join_dims)
 
 
 def oqt_prepare_plan(psi: MPS) -> OqtPlan:

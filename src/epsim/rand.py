@@ -127,4 +127,4 @@ def random_canonical_mps(rng, n_sites: int, chi: int):
     bonds = [1] + [chi] * (n_sites - 1) + [1]
     shapes = [(2, a, b) for a, b in zip(bonds, bonds[1:])]
     psi = MPS(tuple(random_state(rng, np.prod(s)).reshape(s) for s in shapes), np.eye(1))
-    return MPS(psi.canonicalize("left").tensors, np.eye(1), canonical="left")
+    return MPS(psi.canonicalize().tensors, np.eye(1), canonical="left")

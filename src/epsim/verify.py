@@ -63,8 +63,8 @@ def _check(suite, name, metric, threshold, seconds, note="", ok=None):
     return CheckResult(suite, name, float(metric), float(threshold), passed, seconds, note)
 
 
-def suite_duality(seed: int = 2024) -> list:
-    rng = np.random.default_rng(seed)
+def suite_duality() -> list:
+    rng = np.random.default_rng(2024)
     out = []
 
     start = time.perf_counter()
@@ -117,8 +117,8 @@ def _measurement_groups(rng, n_cases):
         yield cases, kraus, density_from_gaussian(a), obs
 
 
-def suite_mps(seed: int = 2025) -> list:
-    rng = np.random.default_rng(seed)
+def suite_mps() -> list:
+    rng = np.random.default_rng(2025)
     out = []
     t0 = time.perf_counter()
     worst = 0.0
@@ -190,8 +190,8 @@ def _partitions(network):
     ]
 
 
-def suite_network(seed: int = 2026) -> list:
-    rng = np.random.default_rng(seed)
+def suite_network() -> list:
+    rng = np.random.default_rng(2026)
     out = []
 
     # The exact check owns drawing, building, the oracle and the exact
@@ -244,7 +244,7 @@ def suite_network(seed: int = 2026) -> list:
     errors = []
     for reps in (4, 8, 16):
         circ = ham.trotter_circuit(h, 1.0, reps)
-        evolved = oracle.apply_circuit(np.eye(16), circ, [2] * 4)
+        evolved = oracle.apply_circuit(np.eye(16), circ)
         errors.append(np.linalg.norm(evolved - target, ord=2))
     ratios = [a / b for a, b in zip(errors, errors[1:])]
     ok = all(1.6 <= r <= 2.4 for r in ratios)
@@ -268,8 +268,8 @@ def suite_network(seed: int = 2026) -> list:
     return out
 
 
-def suite_oqt(seed: int = 2027) -> list:
-    rng = np.random.default_rng(seed)
+def suite_oqt() -> list:
+    rng = np.random.default_rng(2027)
     out = []
     t0 = time.perf_counter()
     worst = 0.0
@@ -302,7 +302,7 @@ def suite_oqt(seed: int = 2027) -> list:
     return out
 
 
-def suite_thermal(seed: int = 2028) -> list:
+def suite_thermal() -> list:
     out = []
     start = time.perf_counter()
     trotter_s = 0.0
@@ -339,7 +339,7 @@ def suite_thermal(seed: int = 2028) -> list:
                       note=f"orders {orders} over eps 1e-2..1e-8"))
 
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2028)
     worst = 0.0
     for _ in range(20):
         rho = random_density(rng, 4)
@@ -353,8 +353,8 @@ def suite_thermal(seed: int = 2028) -> list:
     return out
 
 
-def suite_amplitude(seed: int = 2029) -> list:
-    rng = np.random.default_rng(seed)
+def suite_amplitude() -> list:
+    rng = np.random.default_rng(2029)
     out = []
     t0 = time.perf_counter()
     worst = 0.0

@@ -132,13 +132,13 @@ def test_measured_expectation_reconstruction():
         rho = random_density(rng, d_in)
         a = rng.normal(size=(d_out, d_out)) + 1j * rng.normal(size=(d_out, d_out))
         obs = (a + dagger(a)) / 2
-        value, branches = ch.measured_expectation(phi, rho, obs)
+        probs, _, values = ch.measured_branches(phi.stack, rho, obs)
         target = np.trace(obs @ phi.apply(rho))
-        assert abs(value - target) < 1e-10
+        assert abs(np.dot(probs, values) - target) < 1e-10
         # Each branch reconstruction is individually exact.
-        for _, _, v in branches:
+        for v in values:
             assert abs(v - target) < 1e-10
-        assert abs(sum(p for p, _, _ in branches) - 1) < 1e-10
+        assert abs(probs.sum() - 1) < 1e-10
 
 
 def test_measured_branches_stack_matches_per_case_calls():
@@ -150,11 +150,11 @@ def test_measured_branches_stack_matches_per_case_calls():
     probs, conds, values = ch.measured_branches(kraus, rho, obs)
     assert probs.shape == conds.shape == values.shape == (4, 2)
     for b in range(4):
-        value, branches = ch.measured_expectation(ch.Channel(tuple(kraus[b])), rho[b], obs[b])
-        assert abs(value - np.dot(probs[b], values[b])) < 1e-14
-        for k, (p, cond, v) in enumerate(branches):
-            assert abs(p - probs[b, k]) < 1e-14
-            assert abs(cond - conds[b, k]) < 1e-14 and abs(v - values[b, k]) < 1e-14
+        p, cond, v = ch.measured_branches(kraus[b], rho[b], obs[b])
+        assert abs(np.dot(p, v) - np.dot(probs[b], values[b])) < 1e-14
+        for k in range(2):
+            assert abs(p[k] - probs[b, k]) < 1e-14
+            assert abs(cond[k] - conds[b, k]) < 1e-14 and abs(v[k] - values[b, k]) < 1e-14
     bad = rho.copy()
     bad[2] = np.diag([1.2, -0.1, -0.1])
     with pytest.raises(ShapeError, match="^case 2: state_measurement needs a density matrix"):
@@ -229,17 +229,17 @@ def test_purified_choi():
 
 def test_transfer_matches_apply():
     rng = np.random.default_rng(10)
-    assert np.allclose(ch.identity_channel(2).transfer(), np.eye(4))
+    assert np.allclose(ch.transfer_matrix(ch.identity_channel(2).stack), np.eye(4))
     phi = random_channel(rng, 3, 2, 2)
     rho = random_density(rng, 3)
-    lhs = phi.transfer() @ vectorize(rho)
+    lhs = ch.transfer_matrix(phi.stack) @ vectorize(rho)
     assert np.max(np.abs(devectorize(lhs) - phi.apply(rho))) < 1e-12
 
 
 def test_transfer_obs_reduces_to_transfer():
     rng = np.random.default_rng(11)
     phi = random_channel(rng, 2, 2, 3)
-    assert np.allclose(phi.transfer_obs(np.eye(3)), phi.transfer())
+    assert np.allclose(ch.transfer_matrix(phi.stack, np.eye(3)), ch.transfer_matrix(phi.stack))
 
 
 def test_transfer_composition():
@@ -247,9 +247,8 @@ def test_transfer_composition():
     phi1 = random_channel(rng, 2, 3, 2)
     phi2 = random_channel(rng, 3, 2, 3)
     composed = phi2.compose(phi1)
-    assert (
-        np.max(np.abs(composed.transfer() - phi2.transfer() @ phi1.transfer())) < 1e-12
-    )
+    product = ch.transfer_matrix(phi2.stack) @ ch.transfer_matrix(phi1.stack)
+    assert np.max(np.abs(ch.transfer_matrix(composed.stack) - product)) < 1e-12
 
 
 def test_oqt_mixing_identity_is_exact():

@@ -359,12 +359,27 @@ def test_zero_vector_is_config_error(workdir, capsys):
         ("thermal", {"tau": 0.01}),
         ("thermal", {"R": 4}),
         ("thermal", {"grid": [0.1, 0.2]}),
+        ("duality-check", {"max_dim": 1}),
+        ("duality-check", {"seed": -1}),
+        ("amplitude", {"seed": -1, "shots": 1000}),
+        ("amplitude", {"shots": -5}),
+        ("amplitude", {"shots": 0}),
+        ("duality-check", {"n_cases": -3}),
+        ("duality-check", {"n_cases": 0}),
+        ("duality-check", {"tolerance": True}),
+        ("duality-check", {"tolerance": "nan"}),
+        ("duality-check", {"tolerance": -1}),
+        ("thermal", {"beta": True}),
+        ("entropy", {"epsilon": True}),
     ],
     ids=["beta", "order", "site-range", "epsilon", "no-site", "normalized-str", "normalized-int",
          "strategy-str", "strategy-list", "mode-int", "shots-float", "site-bool",
          "epsilon-inf", "epsilon-nan", "epsilon-zero", "beta-inf",
          "entropy-epsilon-inf", "entropy-epsilon-nan", "entropy-epsilon-zero",
-         "tau", "R", "grid"],
+         "tau", "R", "grid", "max-dim-1", "duality-seed-negative", "amplitude-seed-negative",
+         "shots-negative", "shots-zero", "n-cases-negative", "n-cases-zero",
+         "tolerance-bool", "tolerance-nan", "tolerance-negative", "beta-bool",
+         "epsilon-bool"],
 )
 def test_malformed_config_field_is_config_error(workdir, capsys, task, fields):
     base = {
@@ -372,6 +387,9 @@ def test_malformed_config_field_is_config_error(workdir, capsys, task, fields):
                     "observable": {"site": 0, "pauli": "Z"}},
         "entropy": {"model_file": "tfim.json", "epsilon": 1e-3},
         "dynamics": {"state_file": "state.json", "circuit_file": "circuit.json"},
+        "amplitude": {"phi_file": "phi.json", "psi_file": "psi.json",
+                      "unitary_file": "unitary.json"},
+        "duality-check": {},
     }[task]
     (workdir / "job.json").write_text(json.dumps({"task": task, **base, **fields}))
     code, out = run_cli(["run", "--config", str(workdir / "job.json")], capsys)
@@ -379,6 +397,14 @@ def test_malformed_config_field_is_config_error(workdir, capsys, task, fields):
     err = json.loads(out)["error"]
     assert err["type"] == "ConfigError"
     assert next(iter(fields)) in err["message"]
+
+
+def test_negative_seed_flag_is_config_error(workdir, capsys):
+    (workdir / "job.json").write_text(json.dumps({"task": "duality-check", "n_cases": 2}))
+    code, out = run_cli(["run", "--config", str(workdir / "job.json"), "--seed", "-1"], capsys)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ConfigError" and "seed" in err["message"]
 
 
 @pytest.mark.parametrize("mode", ["exact", "trotter"])

@@ -76,13 +76,12 @@ def test_trotter_needs_a_repetition():
 
 
 def circuit_unitary(circ):
-    dims = [circ.phys_dim] * circ.n_sites
-    dim = int(np.prod(dims))
+    dim = circ.phys_dim**circ.n_sites
     u = np.zeros((dim, dim), dtype=complex)
     for k in range(dim):
         basis = np.zeros(dim, dtype=complex)
         basis[k] = 1.0
-        u[:, k] = oracle.apply_circuit(basis, circ, dims)
+        u[:, k] = oracle.apply_circuit(basis, circ)
     return u
 
 

@@ -7,13 +7,10 @@ from epsim.errors import CanonicalFormError, ShapeError
 from epsim.rand import random_state
 
 
-def random_mps(rng, n, d=2, chi=None, canonical="left"):
+def random_mps(rng, n, d=2, chi=None):
     """A random MPS (exact unless chi caps the bond dimension)."""
     psi = random_state(rng, d**n)
-    m = mps.from_statevector(psi, [d] * n, chi_max=chi)
-    if canonical == "right":
-        return m.canonicalize("right")
-    return m
+    return mps.from_statevector(psi, [d] * n, chi_max=chi)
 
 
 def test_product_state_mps():
@@ -83,22 +80,22 @@ def test_handcrafted_two_site_amplitudes():
 def test_norm_sq_canonical_and_scaled():
     rng = np.random.default_rng(3)
     m = random_mps(rng, 5)
-    assert abs(m.norm_sq() - 1) < 1e-10
-    assert abs(m.scaled(2.0).norm_sq() - 4) < 1e-10
+    assert abs(m.expectation_product({}) - 1) < 1e-10
+    assert abs(m.scaled(2.0).expectation_product({}) - 4) < 1e-10
 
 
 def test_norm_sq_matches_statevector():
     rng = np.random.default_rng(4)
     m = random_mps(rng, 6, chi=4)
     dense = np.linalg.norm(m.to_statevector()) ** 2
-    assert abs(m.norm_sq() - dense) < 1e-10
+    assert abs(m.expectation_product({}) - dense) < 1e-10
 
 
 def test_expectation_identity_is_norm():
     rng = np.random.default_rng(5)
     m = random_mps(rng, 4)
     val = m.expectation_product({1: np.eye(2), 3: np.eye(2)})
-    assert abs(val - m.norm_sq()) < 1e-12
+    assert abs(val - m.expectation_product({})) < 1e-12
 
 
 def test_expectation_sigma_z_product_state():
@@ -145,18 +142,9 @@ def test_canonicalize_preserves_amplitudes():
     rng = np.random.default_rng(9)
     psi = random_state(rng, 2**5)
     m = mps.from_statevector(psi, [2] * 5)
-    for direction in ("left", "right"):
-        c = m.canonicalize(direction)
-        assert np.max(np.abs(c.to_statevector() - psi)) < 1e-12
-    assert m.canonicalize("left").is_left_canonical()
-
-
-def test_right_canonical_invariant():
-    rng = np.random.default_rng(10)
-    m = random_mps(rng, 4, chi=4).canonicalize("right")
-    for t in m.tensors:
-        acc = np.einsum("iab,icb->ac", t, t.conj())
-        assert np.max(np.abs(acc - np.eye(t.shape[1]))) < 1e-10
+    c = m.canonicalize()
+    assert np.max(np.abs(c.to_statevector() - psi)) < 1e-12
+    assert c.is_left_canonical()
 
 
 def test_truncate_fidelity_bound_and_monotonicity():
@@ -184,7 +172,7 @@ def test_site_channel_requires_canonical():
         assert phi.out_dim == m.tensors[n].shape[1]
         assert phi.in_dim == m.tensors[n].shape[2]
     with pytest.raises(CanonicalFormError):
-        m.canonicalize("right").site_channel(0)
+        mps.MPS(m.tensors, m.boundary).site_channel(0)
 
 
 def test_site_channel_product_state():
@@ -244,7 +232,7 @@ def test_periodic_boundary_evaluators():
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     m = mps.MPS(tensors, b)
     psi = m.to_statevector()
-    assert abs(m.norm_sq() - np.linalg.norm(psi) ** 2) < 1e-10
+    assert abs(m.expectation_product({}) - np.linalg.norm(psi) ** 2) < 1e-10
     ops = {1: PAULI["Y"], 3: PAULI["Z"]}
     want = dense_expectation(psi, ops, [2] * 4)
     assert abs(m.expectation_product(ops) - want) < 1e-10

@@ -138,7 +138,7 @@ def test_build_network_validation():
     with pytest.raises(ShapeError):
         network.build_network(psi, circ, [])
     with pytest.raises(CanonicalFormError):
-        network.build_network(psi.canonicalize("right"), random_brickwork(rng, 2, 1), [])
+        network.build_network(mps.MPS(psi.tensors, psi.boundary), random_brickwork(rng, 2, 1), [])
     with pytest.raises(ShapeError, match="unitary"):
         network.BrickworkCircuit(2, (((0, np.ones((4, 4))),),))
     with pytest.raises(ShapeError, match="overlap"):
@@ -237,9 +237,7 @@ def test_regions_match_exact():
     rng = np.random.default_rng(6)
     net, psi, circ, obs = random_net(rng, 4, 2, obs_sites=(1, 2))
     exact = network.evaluate_exact(net)
-    whole = network.NetworkPartition(
-        (tuple(node.nid for node in net.nodes),)
-    )
+    whole = network.NetworkPartition((tuple(range(len(net.tensors))),))
     for part in (
         whole,
         network.column_partition(net, [2]),
@@ -445,7 +443,7 @@ def test_region_partition_validation():
     net, *_ = random_net(rng, 2, 1)
     with pytest.raises(ShapeError, match="cover"):
         network.NetworkPartition(((0, 1),)).validate(net)
-    ids = tuple(node.nid for node in net.nodes)
+    ids = tuple(range(len(net.tensors)))
     with pytest.raises(ShapeError, match="two regions"):
         network.NetworkPartition((ids, (ids[0],))).validate(net)
 
@@ -807,16 +805,6 @@ def test_oqt_plan_unknown_mode():
         network.simulate_oqt_plan(plan, [], mode="both")
 
 
-def test_oqt_branch_probabilities():
-    rng = np.random.default_rng(15)
-    psi = mps.from_statevector(random_state(rng, 2**4), [2] * 4)
-    plan = network.oqt_prepare_plan(psi)
-    rows = oracle.channel_branch_simulate(plan)
-    assert len(rows) == 2
-    total = sum(p for _, p in rows)
-    assert abs(total - 1) < 1e-10
-
-
 # --- serialization
 
 
@@ -860,15 +848,6 @@ def test_circuit_json_roundtrip():
         for (sa, ga), (sb, gb) in zip(la, lb):
             assert sa == sb
             assert np.max(np.abs(ga - gb)) < 1e-12
-
-
-def test_network_json_dump():
-    rng = np.random.default_rng(17)
-    net, *_ = random_net(rng, 2, 1)
-    data = net.to_dict()
-    assert data["n_sites"] == 2
-    assert len(data["nodes"]) == len(net.nodes)
-    assert len(data["wires"]) == len(net.wires)
 
 
 def test_obs_eigenbasis_phase_convention():

@@ -7,7 +7,8 @@ from conftest import PAULI
 from epsim import network, oracle
 from epsim.errors import ShapeError, SizeGuardError
 from epsim.hamiltonians import build_tfim, exact_unitary
-from epsim.rand import haar_unitary, random_canonical_mps, random_state
+from epsim.mps import from_statevector, product_mps
+from epsim.rand import haar_unitary, random_state
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -126,32 +127,17 @@ def test_expectation_matches_dense_embedding():
 
 def test_size_guards():
     with pytest.raises(SizeGuardError):
-        oracle.apply_circuit(
-            np.zeros(2**15), network.BrickworkCircuit(15, ()), [2] * 15
-        )
+        oracle.apply_circuit(np.zeros(2**15), network.BrickworkCircuit(15, ()))
     h = build_tfim(13, 1.0, 0.0)
     with pytest.raises(SizeGuardError):
         exact_unitary(h, 1.0)
 
 
-def test_branch_simulate_dispatch():
-    with pytest.raises(ShapeError):
-        oracle.channel_branch_simulate(object())
-
-
-def test_oqt_reference_refuses_from_segment_shapes():
-    import re
-    import tracemalloc
-
-    # 2^15 branches pass BRANCH_GUARD; the joint segment state does not.
-    plan = network.oqt_prepare_plan(random_canonical_mps(np.random.default_rng(37), 32, 4))
-    assert 2**plan.n_joins <= oracle.BRANCH_GUARD
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizeGuardError, match="oqt joint state") as err:
-            oracle.channel_branch_simulate(plan)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    refused_bytes = int(re.search(r"needs (\d+) entries", str(err.value))[1]) * 16
-    assert peak < 2**20 < refused_bytes
+def test_circuit_expectation_refuses_mismatched_site_dims():
+    circ = network.BrickworkCircuit(2, (((0, CNOT),),))
+    qutrits = from_statevector(random_state(5, 9), [3, 3])
+    with pytest.raises(ShapeError, match="site dims"):
+        oracle.circuit_expectation(qutrits, circ, {0: np.eye(3)})
+    three = product_mps([np.array([1, 0])] * 3)
+    with pytest.raises(ShapeError, match="site dims"):
+        oracle.circuit_expectation(three, circ, {0: PAULI["Z"]})
