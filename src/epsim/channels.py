@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import serialize
-from .errors import InvalidChoiError, PositivityError, ShapeError
+from .errors import InvalidChoiError, PositivityError, ShapeError, raise_first
 from .linalg import (
     EQ_TOL,
     PSD_CLAMP,
@@ -37,18 +37,21 @@ def bell_vector(d: int) -> np.ndarray:
 
 def transfer_matrix(kraus, op=None) -> np.ndarray:
     """sum_ij <i|op|j> K_j (x) K_i* over a Kraus set K_i (a sequence or a
-    stack (k, m, n)), weighted by an operator on the Kraus (physical) index;
-    op = None is the identity, giving M with M @ vec(rho) = vec(Phi(rho)).
+    stack (..., k, m, n)), weighted by an operator (..., k, k) on the Kraus
+    (physical) index; op = None is the identity, giving M with
+    M @ vec(rho) = vec(Phi(rho)).  Leading batch axes of the two broadcast.
     The set need not be trace preserving: MPS site tensors use it too."""
     kraus = np.asarray(kraus)
-    k, m, n = kraus.shape
+    k, m, n = kraus.shape[-3:]
     weighted = kraus
     if op is not None:
-        op = as_matrix(op)
-        if op.shape != (k, k):
+        op = np.asarray(op, dtype=complex)
+        if op.shape[-2:] != (k, k):
             raise ShapeError(f"operator shape {op.shape} != Kraus count {k}")
-        weighted = np.tensordot(op, kraus, axes=1)
-    return np.einsum("iab,icd->acbd", weighted, kraus.conj()).reshape(m * m, n * n)
+        weighted = op @ kraus.reshape(kraus.shape[:-2] + (m * n,))
+        weighted = weighted.reshape(weighted.shape[:-1] + (m, n))
+    out = np.einsum("...iab,...icd->...acbd", weighted, kraus.conj())
+    return out.reshape(out.shape[:-4] + (m * m, n * n))
 
 
 # Duality kernels.  Each acts on a stack of channels or Choi matrices with
@@ -57,24 +60,12 @@ def transfer_matrix(kraus, op=None) -> np.ndarray:
 # over the batch axes, or taken from ``cases`` when given.
 
 
-def _raise_first(bad, error, message, cases=None):
-    """Raise ``error`` for the first True entry of ``bad``; ``message`` maps
-    its index tuple to the text."""
-    if not bad.any():
-        return
-    flat = int(np.argmax(bad.reshape(-1)))
-    text = message(np.unravel_index(flat, bad.shape))
-    if bad.ndim:
-        text = f"case {flat if cases is None else cases[flat]}: {text}"
-    raise error(text)
-
-
 def kraus_tp_check(kraus: np.ndarray, cases=None) -> None:
     """Raise ShapeError unless each Kraus set (..., k, d_out, d_in) obeys
     sum_i A_i^dag A_i = 1 to within 1e-10."""
     tp = (np.conj(np.swapaxes(kraus, -1, -2)) @ kraus).sum(axis=-3)
     err = np.max(np.abs(tp - np.eye(kraus.shape[-1])), axis=(-2, -1))
-    _raise_first(
+    raise_first(
         err > 1e-10, ShapeError,
         lambda i: f"Kraus operators are not trace preserving: max |sum A^dag A - 1| = {err[i]:.3e}",
         cases,
@@ -97,21 +88,21 @@ def choi_eigh(matrix: np.ndarray, d_in: int, d_out: int, tol: float = EQ_TOL,
     within ``tol``."""
     adj = np.conj(np.swapaxes(matrix, -1, -2))
     herm = np.max(np.abs(matrix - adj), axis=(-2, -1))
-    _raise_first(herm > tol, InvalidChoiError, lambda i: "Choi matrix is not Hermitian", cases)
+    raise_first(herm > tol, InvalidChoiError, lambda i: "Choi matrix is not Hermitian", cases)
     w, v = np.linalg.eigh((matrix + adj) / 2)
     smallest = w[..., 0]
-    _raise_first(
+    raise_first(
         smallest < -tol, InvalidChoiError,
         lambda i: f"Choi matrix is not PSD: smallest eigenvalue {smallest[i]:.3e}", cases,
     )
     trace = np.trace(matrix, axis1=-2, axis2=-1)
-    _raise_first(
+    raise_first(
         np.abs(trace - 1.0) > tol, InvalidChoiError,
         lambda i: f"Choi trace {trace[i]:.12f} != 1", cases,
     )
     marg = np.trace(matrix.reshape(matrix.shape[:-2] + (d_out, d_in) * 2), axis1=-4, axis2=-2)
     err = np.max(np.abs(marg - np.eye(d_in) / d_in), axis=(-2, -1))
-    _raise_first(
+    raise_first(
         err > tol, InvalidChoiError,
         lambda i: "input marginal of the Choi state is not maximally mixed", cases,
     )
@@ -382,13 +373,13 @@ def measurement_roots(rho: np.ndarray) -> tuple:
     w, v = np.linalg.eigh(rho_t)
     trace = np.trace(rho, axis1=-2, axis2=-1)
     not_density = (herm > 1e-8) | (w[..., 0] < -1e-8) | (np.abs(trace - 1.0) > 1e-8)
-    _raise_first(not_density, ShapeError, lambda i: "state_measurement needs a density matrix")
-    _raise_first(herm > PSD_CLAMP, PositivityError, lambda i: "matrix is not Hermitian")
+    raise_first(not_density, ShapeError, lambda i: "state_measurement needs a density matrix")
+    raise_first(herm > PSD_CLAMP, PositivityError, lambda i: "matrix is not Hermitian")
     v_h = np.conj(np.swapaxes(v, -1, -2))
     roots = []
     for lam in (w, 1.0 - w):  # 1 - rho^T shares the eigenvectors of rho^T
         low = lam.min(axis=-1)
-        _raise_first(
+        raise_first(
             low < -PSD_CLAMP, PositivityError,
             lambda i: f"matrix is not PSD: smallest eigenvalue {low[i]:.3e} < -{PSD_CLAMP:.1e}",
         )
@@ -425,8 +416,8 @@ def measured_branches(kraus: np.ndarray, rho: np.ndarray, obs: np.ndarray) -> tu
     roots = np.stack(measurement_roots(rho), axis=-3)
     effects = np.conj(np.swapaxes(roots, -1, -2)) @ roots
     err = np.max(np.abs(effects.sum(axis=-3) - np.eye(d_in)), axis=(-2, -1))
-    _raise_first(err > 1e-10, ShapeError,
-                 lambda i: "measurement operators do not resolve the identity")
+    raise_first(err > 1e-10, ShapeError,
+                lambda i: "measurement operators do not resolve the identity")
     # tr_ref[(1 (x) M) omega (1 (x) M^dag)] is the readout of omega at (M^dag M)^T.
     sigma = choi_apply(kraus_to_choi(kraus)[..., None, :, :],
                        np.swapaxes(effects, -1, -2), d_in, d_out) / d_in

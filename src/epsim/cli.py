@@ -11,6 +11,7 @@ the named property suite and prints one pass/fail line per invariant.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ from . import algorithms as alg
 from . import network as net
 from . import oracle, serialize, verify
 from .errors import ConfigError, EpsimError, SizeGuardError
-from .hamiltonians import LocalHamiltonian
+from .hamiltonians import DENSE_DIM_GUARD, LocalHamiltonian
 from .linalg import PAULI, embed_operator, matrix_exp
 from .mps import MPS
 from .rand import random_duality_groups
@@ -44,7 +45,6 @@ class ExperimentConfig:
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         self.seed = _field(raw, "seed", _int_at_least(0), 0)
-        self.evaluator = raw.get("evaluator", "exact")
         self.out = raw.get("out")
         self._require_fields()
 
@@ -217,6 +217,15 @@ def run_task(config: ExperimentConfig) -> dict:
 
 
 def _run_dynamics(config: ExperimentConfig) -> dict:
+    # The evaluator's own fields are checked before any input file is read.
+    evaluator = _field(config.raw, "evaluator", _choice("exact", "regions", "sampled"), "exact")
+    if evaluator == "regions":
+        splits = _field(config.raw, "partition_splits",
+                        lambda v: [_json_int(s) for s in v], None)
+    elif evaluator == "sampled":
+        shots = _field(config.raw, "shots", _int_at_least(1), 10**5)
+        strategy = _field(config.raw, "strategy", _choice("postselect", "corrected"),
+                          "postselect")
     psi = config.parse("state_file", MPS.from_dict).canonicalize()
     circuit = config.parse("circuit_file", net.BrickworkCircuit.from_dict)
     obs = [
@@ -226,19 +235,16 @@ def _run_dynamics(config: ExperimentConfig) -> dict:
     network = net.build_network(psi, circuit, obs)
     stderr = None
     extra = {}
-    if config.evaluator == "exact":
+    if evaluator == "exact":
         value = net.evaluate_exact(network)
-    elif config.evaluator == "regions":
-        splits = _field(config.raw, "partition_splits", lambda v: [_json_int(s) for s in v],
-                        [max(1, circuit.n_sites // 2)])
+    elif evaluator == "regions":
+        if splits is None:
+            splits = [max(1, circuit.n_sites // 2)]
         value, probs = net.evaluate_regions(
             network, net.column_partition(network, splits)
         )
         extra["region_probs"] = [float(p) for p in probs]
-    elif config.evaluator == "sampled":
-        shots = _field(config.raw, "shots", _json_int, 10**5)
-        strategy = _field(config.raw, "strategy", _choice("postselect", "corrected"),
-                          "postselect")
+    else:
         res = net.evaluate_sampled(network, shots, config.seed, strategy)
         value = res.estimate
         stderr = res.stderr
@@ -247,8 +253,6 @@ def _run_dynamics(config: ExperimentConfig) -> dict:
         extra["clipped_mass"] = res.clipped_mass
         extra["expected_accepted"] = res.expected_accepted
         extra["expected_stderr"] = res.expected_stderr
-    else:
-        raise ConfigError(f"unknown evaluator {config.evaluator!r}")
     try:
         want = oracle.circuit_expectation(psi, circuit, dict(obs))
         oracle_field = _complex_field(want)
@@ -338,6 +342,16 @@ def _run_duality_check(config: ExperimentConfig) -> dict:
     n_cases = _field(config.raw, "n_cases", _int_at_least(1), 100)
     max_dim = _field(config.raw, "max_dim", _int_at_least(2), 4)
     tol = _field(config.raw, "tolerance", _positive, 1e-10)
+    # The largest dense matrices of a case are its Haar draw, of dimension
+    # d_out * n_kraus <= 3 * max_dim, and its Choi matrix, of dimension
+    # d_in * d_out <= max_dim^2, which is eigendecomposed as a dense
+    # Hamiltonian is: both are priced before the first draw.
+    dim = max(3 * max_dim, max_dim**2)
+    if dim > DENSE_DIM_GUARD:
+        raise SizeGuardError(
+            f"max_dim = {max_dim} allows dense matrices of dimension {dim} "
+            f"(> {DENSE_DIM_GUARD}); refusing"
+        )
     worst = 0.0
     from .channels import duality_residuals
 
@@ -361,7 +375,10 @@ def _dump_report(report: dict, out: str | None):
     print(text)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and kept for
+    the process: parsing holds no state, each call gets a new namespace."""
     parser = argparse.ArgumentParser(
         prog="epsim",
         description="Channel-network simulation experiments with built-in oracles.",
@@ -380,7 +397,11 @@ def main(argv=None) -> int:
         help="duality | mps | network | oqt | thermal | amplitude | all",
     )
     ver_p.add_argument("--out", help="summary JSON output path")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "verify":
         return _cmd_verify(args)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class EpsimError(Exception):
     """Base class for all errors raised by this package."""
@@ -53,3 +55,17 @@ class SamplingError(EpsimError, RuntimeError):
 
 class ConfigError(EpsimError, ValueError):
     """An experiment configuration is missing fields or inconsistent."""
+
+
+def raise_first(bad, error, message, cases=None):
+    """Raise ``error`` for the first True entry of ``bad``, a check over a
+    stack of cases; ``message`` maps its index tuple to the text.  Inside a
+    stack the text is prefixed ``case <n>:``, with n counted in row-major
+    order over the batch axes, or taken from ``cases`` when given."""
+    if not bad.any():
+        return
+    flat = int(np.argmax(bad.reshape(-1)))
+    text = message(np.unravel_index(flat, bad.shape))
+    if bad.ndim:
+        text = f"case {flat if cases is None else cases[flat]}: {text}"
+    raise error(text)

@@ -10,17 +10,25 @@ each site tensor is a trace-preserving Kraus set mapping the right bond
 space into the left bond space.  Expectation values close transfer-matrix
 products with ``B (x) B*`` on the bond (entanglement) space; no statevector
 is ever formed on that path.
+
+An MPS may also be a stack of states that share their site and bond
+dimensions: every site tensor then has shape ``(..., d_n, chi_n,
+chi_{n+1})`` and the boundary ``(..., chi_{N+1}, chi_1)``, with the same
+leading (batch) axes.  The SVD sweep, the gauge sweeps, the statevector and
+the transfer-matrix chain each run once over the whole stack; a single
+state is the stack with no batch axis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import serialize
 from .channels import Channel, transfer_matrix
-from .errors import CanonicalFormError, ShapeError, SizeGuardError
+from .errors import CanonicalFormError, ShapeError, SizeGuardError, raise_first
 from .linalg import svd
 
 STATEVECTOR_GUARD = 2**20
@@ -28,29 +36,40 @@ STATEVECTOR_GUARD = 2**20
 
 @dataclass(frozen=True)
 class MPS:
-    tensors: tuple  # per site: (d_n, chi_n, chi_{n+1})
-    boundary: np.ndarray = field(repr=False)  # (chi_{N+1}, chi_1)
+    tensors: tuple  # per site: (..., d_n, chi_n, chi_{n+1})
+    boundary: np.ndarray = field(repr=False)  # (..., chi_{N+1}, chi_1)
     canonical: str | None = None  # None | "left"
-    discarded_weight: float = 0.0  # squared Schmidt weight dropped on build
+    discarded_weight: float = 0.0  # squared Schmidt weight dropped on build, per case
 
     def __post_init__(self):
         tensors = tuple(np.asarray(t, dtype=complex) for t in self.tensors)
         if not tensors:
             raise ShapeError("an MPS needs at least one site")
+        b = np.asarray(self.boundary, dtype=complex)
+        lead = b.shape[:-2]
+        for n, t in enumerate(tensors):
+            if t.ndim != len(lead) + 3 or t.shape[:-3] != lead:
+                raise ShapeError(
+                    f"site {n} tensor of shape {t.shape} does not match a boundary "
+                    f"of shape {b.shape}: expected batch axes {lead} + (d, chi_l, chi_r)"
+                )
         for n in range(len(tensors) - 1):
-            if tensors[n].shape[2] != tensors[n + 1].shape[1]:
+            if tensors[n].shape[-1] != tensors[n + 1].shape[-2]:
                 raise ShapeError(
                     f"bond mismatch between sites {n} and {n + 1}: "
-                    f"{tensors[n].shape[2]} vs {tensors[n + 1].shape[1]}"
+                    f"{tensors[n].shape[-1]} vs {tensors[n + 1].shape[-2]}"
                 )
-        b = np.asarray(self.boundary, dtype=complex)
-        if b.shape != (tensors[-1].shape[2], tensors[0].shape[1]):
+        if b.shape[-2:] != (tensors[-1].shape[-1], tensors[0].shape[-2]):
             raise ShapeError(
-                f"boundary shape {b.shape} != "
-                f"({tensors[-1].shape[2]}, {tensors[0].shape[1]})"
+                f"boundary shape {b.shape[-2:]} != "
+                f"({tensors[-1].shape[-1]}, {tensors[0].shape[-2]})"
             )
         object.__setattr__(self, "tensors", tensors)
         object.__setattr__(self, "boundary", b)
+
+    @property
+    def batch_shape(self) -> tuple:
+        return self.boundary.shape[:-2]
 
     @property
     def n_sites(self) -> int:
@@ -58,56 +77,74 @@ class MPS:
 
     @property
     def phys_dims(self) -> tuple:
-        return tuple(t.shape[0] for t in self.tensors)
+        return tuple(t.shape[-3] for t in self.tensors)
 
     @property
     def bond_dims(self) -> tuple:
-        return tuple(t.shape[1] for t in self.tensors) + (self.tensors[-1].shape[2],)
+        return tuple(t.shape[-2] for t in self.tensors) + (self.tensors[-1].shape[-1],)
+
+    def cases(self) -> list:
+        """The states of a stack as single MPSs, in row-major order over the
+        batch axes (one MPS when there are none)."""
+        weights = np.broadcast_to(self.discarded_weight, self.batch_shape)
+        return [
+            MPS(tuple(t[i] for t in self.tensors), self.boundary[i], self.canonical,
+                float(weights[i]))
+            for i in np.ndindex(self.batch_shape)
+        ]
 
     def is_left_canonical(self) -> bool:
         for t in self.tensors:
-            acc = np.einsum("iab,iac->bc", t.conj(), t)
-            if np.max(np.abs(acc - np.eye(t.shape[2]))) > 1e-10:
+            acc = np.einsum("...iab,...iac->...bc", t.conj(), t)
+            if np.max(np.abs(acc - np.eye(t.shape[-1]))) > 1e-10:
                 return False
         return True
 
     def to_statevector(self) -> np.ndarray:
-        total = int(np.prod(self.phys_dims))
+        """Amplitudes (..., dim); STATEVECTOR_GUARD bounds dim, per state."""
+        total = math.prod(self.phys_dims)
         if total > STATEVECTOR_GUARD:
             raise SizeGuardError(
                 f"statevector of dimension {total} exceeds guard {STATEVECTOR_GUARD}"
             )
-        chi1 = self.tensors[0].shape[1]
+        chi1 = self.tensors[0].shape[-2]
         acc = np.eye(chi1, dtype=complex).reshape(1, chi1, chi1)
         for t in self.tensors:
-            acc = np.einsum("pab,ibc->piac", acc, t)
-            acc = acc.reshape(-1, acc.shape[2], acc.shape[3])
-        return np.einsum("pac,ca->p", acc, self.boundary)
+            acc = np.einsum("...pab,...ibc->...piac", acc, t)
+            acc = acc.reshape(acc.shape[:-4] + (-1,) + acc.shape[-2:])
+        return np.einsum("...pac,...ca->...p", acc, self.boundary)
 
-    def expectation_product(self, ops) -> complex:
+    def expectation_product(self, ops):
         """<psi| O_1 (x) ... (x) O_N |psi> for operators given as a
-        ``{site: matrix}`` mapping (identity at unlisted sites)."""
+        ``{site: matrix}`` mapping (identity at unlisted sites), as one
+        transfer-matrix chain on the bond space.  On a stack an operator may
+        be a stack (..., d, d) that broadcasts against the batch axes, and
+        the result is an array of the batch shape; one state gives a complex.
+        """
         ops = dict(ops)
         for site in ops:
             if not 0 <= site < self.n_sites:
                 raise ShapeError(f"site {site} out of range")
-        x = np.kron(self.boundary, self.boundary.conj())
+        b = self.boundary
+        x = b[..., :, None, :, None] * b.conj()[..., None, :, None, :]  # B (x) B*
+        x = x.reshape(x.shape[:-4] + (b.shape[-2] ** 2, b.shape[-1] ** 2))
         for n, t in enumerate(self.tensors):
             x = x @ transfer_matrix(t, ops.get(n))
-        return complex(np.trace(x))
+        return np.trace(x, axis1=-2, axis2=-1)[()]
 
     def canonicalize(self) -> "MPS":
         """Left-canonical gauge by a QR sweep from the left; the last R
         moves into the boundary, so the amplitudes are unchanged."""
+        lead = self.batch_shape
         tensors = []
         carry = None
         for t in self.tensors:
             if carry is not None:
-                t = np.einsum("ab,ibc->iac", carry, t)
-            d, chi_l, chi_r = t.shape
-            q, r = np.linalg.qr(t.transpose(1, 0, 2).reshape(chi_l * d, chi_r))
-            k = q.shape[1]
-            tensors.append(q.reshape(chi_l, d, k).transpose(1, 0, 2))
+                t = np.einsum("...ab,...ibc->...iac", carry, t)
+            d, chi_l, chi_r = t.shape[-3:]
+            q, r = np.linalg.qr(np.swapaxes(t, -3, -2).reshape(lead + (chi_l * d, chi_r)))
+            k = q.shape[-1]
+            tensors.append(np.swapaxes(q.reshape(lead + (chi_l, d, k)), -3, -2))
             carry = r
         boundary = carry @ self.boundary
         return MPS(tuple(tensors), boundary, canonical="left",
@@ -117,21 +154,24 @@ class MPS:
         """Reduce bond dimensions; returns ``(mps, discarded_weight)``.
 
         The discarded weight is the total squared Schmidt weight of the
-        dropped singular values; for a normalized open-boundary state the
-        round-trip fidelity loss is bounded by it.
+        dropped singular values, per case; for a normalized open-boundary
+        state the round-trip fidelity loss is bounded by it.  On a stack a
+        bond keeps the largest of the per-case counts (see
+        :func:`from_statevector`).
         """
         m = self.canonicalize()
-        tensors = [t.copy() for t in m.tensors]
-        discarded = 0.0
+        lead = m.batch_shape
+        tensors = list(m.tensors)
+        discarded = np.zeros(lead)
         for n in range(len(tensors) - 1, 0, -1):
-            t = tensors[n]
-            d, chi_l, chi_r = t.shape
-            u, s, vh = svd(t.transpose(1, 0, 2).reshape(chi_l, d * chi_r))
+            d, chi_l, chi_r = tensors[n].shape[-3:]
+            u, s, vh = svd(np.swapaxes(tensors[n], -3, -2).reshape(lead + (chi_l, d * chi_r)))
             keep = _keep_count(s, chi_max, tol)
-            discarded += float(np.sum(s[keep:] ** 2))
-            tensors[n] = vh[:keep].reshape(keep, d, chi_r).transpose(1, 0, 2)
-            carry = u[:, :keep] * s[:keep]
-            tensors[n - 1] = np.einsum("iab,bc->iac", tensors[n - 1], carry)
+            discarded += np.sum(s[..., keep:] ** 2, axis=-1)
+            tensors[n] = np.swapaxes(vh[..., :keep, :].reshape(lead + (keep, d, chi_r)), -3, -2)
+            carry = u[..., :keep] * s[..., None, :keep]
+            tensors[n - 1] = np.einsum("...iab,...bc->...iac", tensors[n - 1], carry)
+        discarded = discarded[()]
         out = MPS(tuple(tensors), m.boundary,
                   discarded_weight=self.discarded_weight + discarded)
         return out.canonicalize(), discarded
@@ -140,6 +180,7 @@ class MPS:
         """The site tensor as a quantum channel from the right bond space
         to the left bond space (physical index enumerates Kraus operators).
         """
+        self.require_single("site_channel")
         if self.canonical != "left":
             raise CanonicalFormError(
                 "site tensors form channels only in left-canonical gauge; "
@@ -153,6 +194,7 @@ class MPS:
                    discarded_weight=self.discarded_weight)
 
     def to_dict(self) -> dict:
+        self.require_single("to_dict")
         return {
             "n_sites": self.n_sites,
             "phys_dims": list(self.phys_dims),
@@ -162,6 +204,11 @@ class MPS:
             ],
             "boundary": serialize.cmat_nested(self.boundary),
         }
+
+    def require_single(self, what: str):
+        """Raise ShapeError if this MPS is a stack; ``what`` names the caller."""
+        if self.batch_shape:
+            raise ShapeError(f"{what} takes a single state, not a stack of {self.batch_shape}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "MPS":
@@ -173,44 +220,52 @@ class MPS:
 
 
 def _keep_count(s: np.ndarray, chi_max: int | None, tol: float) -> int:
-    keep = len(s)
-    while keep > 1 and s[keep - 1] <= 1e-14:  # numerically zero directions
-        keep -= 1
+    """Singular values to keep of each case of a stack (..., k), sorted
+    descending: those above 1e-14, fewer while the dropped tail weighs at
+    most ``tol``, at most ``chi_max`` and at least one.  A stack keeps the
+    largest of its per-case counts."""
+    keep = np.sum(s > 1e-14, axis=-1)  # numerically zero directions go
     if tol > 0:
-        tail = np.cumsum(s[::-1] ** 2)[::-1]  # tail[k] = sum of s[k:]^2
-        while keep > 1 and tail[keep - 1] <= tol:
-            keep -= 1
+        tail = np.cumsum(s[..., ::-1] ** 2, axis=-1)[..., ::-1]  # tail[k] = sum of s[k:]^2
+        keep = np.minimum(keep, np.sum(tail > tol, axis=-1))
     if chi_max is not None:
-        keep = min(keep, chi_max)
-    return max(keep, 1)
+        keep = np.minimum(keep, chi_max)
+    return max(int(np.max(keep, initial=0)), 1)
 
 
 def from_statevector(psi, dims, chi_max: int | None = None, trunc_tol: float = 0.0) -> MPS:
-    """Left-canonical MPS of a normalized state vector via an SVD sweep."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    """Left-canonical MPS of a normalized state vector, or of each state of
+    a (..., dim) stack, by one SVD sweep over the whole stack.
+
+    The cases of a stack share their bond dimensions: a bond keeps the
+    largest of the per-case counts of :func:`_keep_count`, which is the
+    single-state rule for one case.  A case that needs fewer keeps
+    zero-weight directions, which leave it left-canonical with the same
+    amplitudes.  ``discarded_weight`` is per case.  A state that is not
+    normalized is a ShapeError, prefixed ``case <n>:`` inside a stack."""
+    psi = np.atleast_1d(np.asarray(psi, dtype=complex))
     dims = [int(d) for d in dims]
-    if int(np.prod(dims)) != psi.size:
-        raise ShapeError(f"dims {dims} do not match vector length {psi.size}")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
-        raise ShapeError("state vector must be normalized")
+    if math.prod(dims) != psi.shape[-1]:
+        raise ShapeError(f"dims {dims} do not match vector length {psi.shape[-1]}")
+    norm_err = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
+    raise_first(norm_err > 1e-8, ShapeError, lambda i: "state vector must be normalized")
+    lead = psi.shape[:-1]
     tensors = []
-    discarded = 0.0
-    rest = psi.reshape(1, -1)
+    discarded = np.zeros(lead)
+    rest = psi
     chi = 1
     for d in dims[:-1]:
-        mat = rest.reshape(chi * d, -1)
-        u, s, vh = svd(mat)
+        u, s, vh = svd(rest.reshape(lead + (chi * d, -1)))
         keep = _keep_count(s, chi_max, trunc_tol)
-        discarded += float(np.sum(s[keep:] ** 2))
-        tensors.append(u[:, :keep].reshape(chi, d, keep).transpose(1, 0, 2))
-        rest = s[:keep, None] * vh[:keep]
+        discarded += np.sum(s[..., keep:] ** 2, axis=-1)
+        tensors.append(np.swapaxes(u[..., :keep].reshape(lead + (chi, d, keep)), -3, -2))
+        rest = s[..., :keep, None] * vh[..., :keep, :]
         chi = keep
     # Final site: factor into an isometry and a residual 1x1 boundary scalar.
-    mat = rest.reshape(chi * dims[-1], 1)
-    u, s, vh = svd(mat)
-    tensors.append(u.reshape(chi, dims[-1], 1).transpose(1, 0, 2))
-    boundary = (s[0] * vh).reshape(1, 1)
-    return MPS(tuple(tensors), boundary, canonical="left", discarded_weight=discarded)
+    u, s, vh = svd(rest.reshape(lead + (chi * dims[-1], 1)))
+    tensors.append(np.swapaxes(u.reshape(lead + (chi, dims[-1], 1)), -3, -2))
+    boundary = s[..., None] * vh
+    return MPS(tuple(tensors), boundary, canonical="left", discarded_weight=discarded[()])
 
 
 def product_mps(vectors) -> MPS:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ShapeError, SizeGuardError
 from .hamiltonians import LocalHamiltonian
-from .linalg import as_matrix, matrix_exp
+from .linalg import matrix_exp
 from .mps import MPS
 from .network import BrickworkCircuit
 
@@ -54,21 +54,31 @@ def apply_circuit(psi, circuit: BrickworkCircuit) -> np.ndarray:
     return out
 
 
-def expectation(psi, ops, dims) -> complex:
-    """<psi| (x)_n O_n |psi> with identities at unlisted sites.
+def expectation(psi, ops, dims):
+    """<psi| (x)_n O_n |psi> with identities at unlisted sites, for a state
+    vector or for each state of a (..., dim) stack.
 
-    Each local operator acts on its site axis of the state tensor.
+    ``ops`` maps sites to matrices (d, d) or to stacks of them (..., d, d)
+    that broadcast against the batch axes, so each case carries its own
+    operators; a case that names no operator at a site carries the identity
+    there.  Each operator acts on its site axis of the state tensor.  One
+    state gives a complex, a stack an array of the batch shape.
     """
-    psi = np.asarray(psi, dtype=complex).reshape(dims)
+    psi = np.atleast_1d(np.asarray(psi, dtype=complex))
+    if psi.shape[-1] != math.prod(dims):
+        raise ShapeError(f"state length {psi.shape[-1]} does not match site dims {dims}")
     out = psi
     for site, op in dict(ops).items():
-        op = as_matrix(op)
-        if op.shape != (dims[site], dims[site]):
+        op = np.asarray(op, dtype=complex)
+        if op.shape[-2:] != (dims[site], dims[site]):
             raise ShapeError(
                 f"operator shape {op.shape} does not match site dim {dims[site]}"
             )
-        out = np.moveaxis(np.tensordot(op, out, axes=([1], [site])), 0, site)
-    return complex(np.vdot(psi, out))
+        t = out.reshape(out.shape[:-1] + (math.prod(dims[:site]), dims[site], -1))
+        out = op[..., None, :, :] @ t
+        out = out.reshape(out.shape[:-3] + (-1,))
+    value = psi.conj()[..., None, :] @ out[..., :, None]  # <psi|out>, a dot per case
+    return value[..., 0, 0][()]
 
 
 def circuit_expectation(psi: MPS, circuit: BrickworkCircuit, ops) -> complex:
@@ -76,6 +86,7 @@ def circuit_expectation(psi: MPS, circuit: BrickworkCircuit, ops) -> complex:
     whose site dimensions differ from the circuit's is refused, and so is a
     state beyond STATE_GUARD, from its site dimensions, before its
     statevector is built."""
+    psi.require_single("circuit_expectation")
     dims = list(psi.phys_dims)
     if dims != [circuit.phys_dim] * circuit.n_sites:
         raise ShapeError(

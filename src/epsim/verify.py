@@ -117,24 +117,43 @@ def _measurement_groups(rng, n_cases):
         yield cases, kraus, density_from_gaussian(a), obs
 
 
+# Pauli operators by code: 0 (the identity), 1, 2, 3 for X, Y, Z.
+_PAULI_STACK = np.stack([PAULI[name] for name in "IXYZ"])
+
+
+def _mps_draw(rng):
+    """One (state, product Pauli observable) case, in the order of a
+    per-case loop of random_state and the observable choice; the observable
+    is a Pauli code per site."""
+    n = int(rng.integers(2, 7))
+    psi = random_state(rng, 2**n)
+    n_ops = int(rng.integers(1, min(n, 3) + 1))
+    codes = np.zeros(n, dtype=int)
+    for s in rng.choice(n, size=n_ops, replace=False):
+        codes[s] = 1 + int(rng.integers(3))
+    return n, (psi, codes)
+
+
+def _mps_groups(rng, n_cases):
+    """Random MPS cases grouped by N.  Yields (case indices, site dims,
+    states (B, 2^N), {site: Pauli stack (B, 2, 2)}) per group, the identity
+    standing in where a case names no Pauli at a site another case of the
+    group does."""
+    for n, cases, draws in draw_groups(rng, n_cases, _mps_draw):
+        states, codes = map(np.stack, zip(*draws))
+        ops = {s: _PAULI_STACK[codes[:, s]] for s in range(n) if codes[:, s].any()}
+        yield cases, [2] * n, states, ops
+
+
 def suite_mps() -> list:
     rng = np.random.default_rng(2025)
     out = []
     t0 = time.perf_counter()
     worst = 0.0
-    for _ in range(200):
-        n = int(rng.integers(2, 7))
-        psi = random_state(rng, 2**n)
-        m = mpsmod.from_statevector(psi, [2] * n)
-        n_ops = int(rng.integers(1, min(n, 3) + 1))
-        sites = rng.choice(n, size=n_ops, replace=False)
-        ops = {}
-        for s in sites:
-            name = ("X", "Y", "Z")[int(rng.integers(3))]
-            ops[int(s)] = PAULI[name]
-        got = m.expectation_product(ops)
-        want = oracle.expectation(psi, ops, [2] * n)
-        worst = max(worst, abs(got - want))
+    for _, dims, states, ops in _mps_groups(rng, 200):
+        got = mpsmod.from_statevector(states, dims).expectation_product(ops)
+        want = oracle.expectation(states, ops, dims)
+        worst = max(worst, float(np.max(np.abs(got - want))))
     out.append(_check("mps", "bulk-edge-duality", worst, 1e-10, time.perf_counter() - t0,
                       note="200 random MPS, product Pauli observables"))
     return out
@@ -203,8 +222,8 @@ def suite_network() -> list:
     for _, states, circuits, observables in _network_groups(rng, 100):
         n = circuits[0].n_sites
         stacks = {}  # layout key -> [(network, oracle value)]
-        for state, circ, obs in zip(states, circuits, observables):
-            psi = mpsmod.from_statevector(state, [2] * n)
+        psis = mpsmod.from_statevector(np.stack(states), [2] * n).cases()
+        for psi, circ, obs in zip(psis, circuits, observables):
             network = net.build_network(psi, circ, obs)
             want = oracle.circuit_expectation(psi, circ, dict(obs))
             stacks.setdefault(network.layout.key, []).append((network, want))
@@ -284,10 +303,8 @@ def suite_oqt() -> list:
 
     t0 = time.perf_counter()
     worst = 0.0
-    cases = []
-    for _ in range(5):
-        psi = mpsmod.from_statevector(random_state(rng, 2**4), [2] * 4)
-        cases.append((psi, int(rng.integers(4))))
+    states, sites = zip(*[(random_state(rng, 2**4), int(rng.integers(4))) for _ in range(5)])
+    cases = list(zip(mpsmod.from_statevector(np.stack(states), [2] * 4).cases(), sites))
     cases.append((random_canonical_mps(rng, 32, 4), int(rng.integers(32))))
     for psi, site in cases:
         plan = net.oqt_prepare_plan(psi)

@@ -511,3 +511,57 @@ def test_entropy_report_carries_budget_and_order(tmp_path, capsys):
     assert report["abs_error"] < 1e-3
     assert sum(report["budget"].values()) <= 1e-3
     assert report["order"] >= 1
+
+
+def test_main_calls_share_no_state(workdir, capsys):
+    # The parser is built on the first call and kept; a flag of one call
+    # must not reach the next.
+    config = {"task": "duality-check", "n_cases": 2, "seed": 7}
+    (workdir / "job.json").write_text(json.dumps(config))
+    cli._parser.cache_clear()
+    code, out = run_cli(["run", "--config", str(workdir / "job.json"), "--seed", "43"], capsys)
+    assert code == 0 and json.loads(out)["seed"] == 43
+    code, out = run_cli(["run", "--config", str(workdir / "job.json")], capsys)
+    assert code == 0 and json.loads(out)["seed"] == 7
+    assert cli._parser.cache_info().misses == 1
+    with pytest.raises(SystemExit) as exc:  # usage errors still exit 2
+        cli.main(["run"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "fields,named",
+    [
+        ({"evaluator": "exakt"}, "evaluator"),
+        ({"evaluator": "sampled", "strategy": "both"}, "strategy"),
+        ({"evaluator": "sampled", "shots": 0}, "shots"),
+        ({"evaluator": "regions", "partition_splits": 3}, "partition_splits"),
+    ],
+    ids=["evaluator", "strategy", "shots-zero", "splits"],
+)
+def test_dynamics_fields_checked_before_input_files(workdir, capsys, fields, named):
+    (workdir / "broken.json").write_text("{not json")
+    config = {"task": "dynamics", "state_file": "broken.json", "circuit_file": "broken.json",
+              "observables": [{"site": 1, "pauli": "Z"}], **fields}
+    (workdir / "job.json").write_text(json.dumps(config))
+    code, out = run_cli(["run", "--config", str(workdir / "job.json")], capsys)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ConfigError" and named in err["message"]
+
+
+@pytest.mark.parametrize("max_dim", [65, 100000])
+def test_duality_check_refuses_huge_max_dim_before_drawing(workdir, capsys, monkeypatch,
+                                                           max_dim):
+    from epsim import rand
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a case was drawn before the size guard")
+
+    monkeypatch.setattr(rand, "gaussian", refuse)
+    config = {"task": "duality-check", "n_cases": 1, "max_dim": max_dim}
+    (workdir / "job.json").write_text(json.dumps(config))
+    code, out = run_cli(["run", "--config", str(workdir / "job.json")], capsys)
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "SizeGuardError" and "max_dim" in err["message"]

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import PAULI, dense_expectation
-from epsim import mps
+from epsim import mps, oracle, verify
 from epsim.errors import CanonicalFormError, ShapeError
+from epsim.network import BrickworkCircuit
 from epsim.rand import random_state
 
 
@@ -236,3 +237,105 @@ def test_periodic_boundary_evaluators():
     ops = {1: PAULI["Y"], 3: PAULI["Z"]}
     want = dense_expectation(psi, ops, [2] * 4)
     assert abs(m.expectation_product(ops) - want) < 1e-10
+
+
+def _stacked_cases(rng, n, batch):
+    """``batch`` random N-site states and per-case Pauli operators on 1-2
+    sites, as a stack (B, 2^N), per-case dicts and {site: (B, 2, 2)}
+    stacks with the identity where a case names no operator."""
+    states = np.stack([random_state(rng, 2**n) for _ in range(batch)])
+    per_case = []
+    for _ in range(batch):
+        sites = rng.choice(n, size=int(rng.integers(1, 3)), replace=False)
+        per_case.append({int(s): PAULI["XYZ"[int(rng.integers(3))]] for s in sites})
+    stacks = {
+        s: np.stack([ops.get(s, PAULI["I"]) for ops in per_case])
+        for s in range(n) if any(s in ops for ops in per_case)
+    }
+    return states, per_case, stacks
+
+
+def test_stacked_sweep_and_chain_match_per_case():
+    rng = np.random.default_rng(16)
+    for n in rng.integers(2, 7, size=6):  # a mixed-N draw, one stack per N
+        n = int(n)
+        states, per_case, stacks = _stacked_cases(rng, n, 5)
+        stacked = mps.from_statevector(states, [2] * n)
+        assert stacked.batch_shape == (5,)
+        got = stacked.expectation_product(stacks)
+        dense = oracle.expectation(states, stacks, [2] * n)
+        assert got.shape == dense.shape == (5,)
+        for b, (psi, ops, case) in enumerate(zip(states, per_case, stacked.cases())):
+            one = mps.from_statevector(psi, [2] * n)
+            assert abs(got[b] - one.expectation_product(ops)) < 1e-15
+            assert abs(dense[b] - oracle.expectation(psi, ops, [2] * n)) < 1e-15
+            assert stacked.bond_dims == one.bond_dims  # random states are full rank
+            assert np.max(np.abs(case.to_statevector() - psi)) < 1e-14
+
+
+def test_stack_mixing_product_and_random_state_stays_canonical():
+    rng = np.random.default_rng(17)
+    product = np.zeros(16, dtype=complex)
+    product[5] = 1.0  # |0101>
+    states = np.stack([product, random_state(rng, 16)])
+    m = mps.from_statevector(states, [2] * 4)
+    # The product case needs bond 1 everywhere; it keeps the random case's
+    # bonds as zero-weight directions.
+    assert mps.from_statevector(product, [2] * 4).bond_dims == (1, 1, 1, 1, 1)
+    assert m.bond_dims == (1, 2, 4, 2, 1)
+    assert m.is_left_canonical()
+    assert all(case.is_left_canonical() for case in m.cases())
+    assert np.max(np.abs(m.to_statevector() - states)) < 1e-14
+    z1 = m.expectation_product({1: PAULI["Z"]})
+    assert abs(z1[0] + 1) < 1e-14
+    # Truncation on the stack drops the same weight as case by case.
+    _, weights = m.truncate(chi_max=1)
+    for b, psi in enumerate(states):
+        _, want = mps.from_statevector(psi, [2] * 4).truncate(chi_max=1)
+        assert abs(weights[b] - want) < 1e-14
+
+
+def test_unnormalized_case_in_stack_is_named():
+    rng = np.random.default_rng(18)
+    states = np.stack([random_state(rng, 8) for _ in range(4)])
+    states[2] *= 1.5
+    with pytest.raises(ShapeError, match="case 2: state vector must be normalized"):
+        mps.from_statevector(states, [2] * 3)
+
+
+def test_stacked_mps_refuses_single_state_calls():
+    rng = np.random.default_rng(19)
+    m = mps.from_statevector(np.stack([random_state(rng, 4)] * 2), [2, 2])
+    with pytest.raises(ShapeError, match="single state"):
+        m.to_dict()
+    with pytest.raises(ShapeError, match="single state"):
+        m.site_channel(0)
+    with pytest.raises(ShapeError, match="single state"):
+        oracle.circuit_expectation(m, BrickworkCircuit(2, ()), {0: PAULI["Z"]})
+    with pytest.raises(ShapeError, match="batch axes"):
+        mps.MPS(m.tensors, m.boundary[0])
+
+
+def test_grouped_suite_mps_draws_the_per_case_cases():
+    # The case-by-case loop the grouped suite replaces, from the same seed.
+    rng = np.random.default_rng(2025)
+    reference = []
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        psi = random_state(rng, 2**n)
+        n_ops = int(rng.integers(1, min(n, 3) + 1))
+        sites = rng.choice(n, size=n_ops, replace=False)
+        ops = {int(s): PAULI[("X", "Y", "Z")[int(rng.integers(3))]] for s in sites}
+        reference.append((psi, ops))
+
+    seen = []
+    for cases, dims, states, ops in verify._mps_groups(np.random.default_rng(2025), 200):
+        for j, case in enumerate(cases):
+            psi, want = reference[case]
+            assert dims == [2] * len(dims) and states.shape[-1] == psi.size == 2 ** len(dims)
+            assert np.array_equal(states[j], psi)
+            for s in range(len(dims)):
+                got = ops[s][j] if s in ops else PAULI["I"]
+                assert np.array_equal(got, want.get(s, PAULI["I"]))
+        seen += cases
+    assert sorted(seen) == list(range(200))
