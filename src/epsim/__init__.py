@@ -8,7 +8,7 @@ estimators, and a brute-force oracle backing every quantity.
 
 from .channels import Channel, ChoiState, depolarizing, oqt_channel
 from .hamiltonians import LocalHamiltonian, build_heisenberg, build_tfim
-from .mps import MPS, from_statevector, product_mps
+from .mps import MPS, from_statevector
 from .network import (
     BrickworkCircuit,
     ChannelNetwork,
@@ -33,7 +33,6 @@ __all__ = [
     "build_tfim",
     "MPS",
     "from_statevector",
-    "product_mps",
     "BrickworkCircuit",
     "ChannelNetwork",
     "build_network",

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import serialize
 from .errors import (
     BudgetError,
     IllConditionedError,
@@ -23,7 +22,7 @@ from .errors import (
     ShapeError,
 )
 from .hamiltonians import LocalHamiltonian, trotter_circuit
-from .linalg import PAULI, as_matrix, dagger, is_unitary
+from .linalg import PAULI, as_matrix, dagger, is_hermitian, is_unitary
 from .oracle import apply_circuit
 
 
@@ -281,8 +280,9 @@ def _spectrum(h: LocalHamiltonian, mode: str, trotter_step, states) -> tuple:
     generator, H itself in exact mode, the effective Hamiltonian of one
     Trotter step of length ``trotter_step`` in trotter mode: the energies
     E_k and the weights W[k, a] = |<k|a>|^2 of every column a of
-    ``states``.  Every grid and every order reuse them."""
-    dim = h.phys_dim**h.n_sites
+    ``states``.  Every grid and every order reuse them.  In both modes
+    the dimension is refused beyond DENSE_DIM_GUARD before any dense array."""
+    dim = h.dense_dim()
     if states.shape[0] != dim:
         raise ShapeError(f"state dim {states.shape[0]} != operator dim {dim}")
     if mode == "exact":
@@ -291,7 +291,7 @@ def _spectrum(h: LocalHamiltonian, mode: str, trotter_step, states) -> tuple:
         import scipy.linalg
 
         circ = trotter_circuit(h, trotter_step, 1)
-        step_u = apply_circuit(np.eye(dim), circ)
+        step_u = apply_circuit(np.eye(dim), circ).T
         # All grid samples are powers of the same step circuit, i.e. exact
         # evolution under its effective (Floquet) Hamiltonian.  Extracting
         # that generator once and evolving with it keeps the dataset exactly
@@ -373,30 +373,9 @@ class ThermalJob:
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ShapeError(f"beta must be finite and >= 0, got {self.beta}")
         obs = as_matrix(self.observable)
-        if np.max(np.abs(obs - dagger(obs))) > 1e-10:
+        if not is_hermitian(obs):
             raise ShapeError("thermal observable must be Hermitian")
         object.__setattr__(self, "observable", obs)
-
-    def to_dict(self) -> dict:
-        return {
-            "observable": serialize.cmat_flat(self.observable),
-            "hamiltonian": self.hamiltonian.to_dict(),
-            "beta": self.beta,
-            "epsilon": self.epsilon,
-            "mode": self.mode,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ThermalJob":
-        ham = LocalHamiltonian.from_dict(data["hamiltonian"])
-        dim = ham.phys_dim**ham.n_sites
-        return cls(
-            observable=serialize.parse_cmat_flat(data["observable"], dim, dim),
-            hamiltonian=ham,
-            beta=float(data["beta"]),
-            epsilon=float(data["epsilon"]),
-            mode=data.get("mode", "exact"),
-        )
 
 
 @dataclass(frozen=True)
@@ -405,14 +384,6 @@ class ThermalResult:
     budget: dict
     moments_condition: float
     order: int
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "budget": dict(self.budget),
-            "moments_condition": self.moments_condition,
-            "order": self.order,
-        }
 
 
 def thermal_value(job: ThermalJob, normalized: bool = False) -> ThermalResult:
@@ -592,7 +563,7 @@ def unitary_decompose(a) -> tuple:
     U+- = A'/2 +- i sqrt(1 - (A'/2)^2).
     """
     a = as_matrix(a)
-    if np.max(np.abs(a - dagger(a))) > 1e-10:
+    if not is_hermitian(a):
         raise ShapeError("two-unitary decomposition implemented for Hermitian input")
     d = a.shape[0]
     shift = float(np.real(np.trace(a))) / d

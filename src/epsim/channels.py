@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import serialize
 from .errors import InvalidChoiError, PositivityError, ShapeError, raise_first
 from .linalg import (
     EQ_TOL,
@@ -248,18 +247,6 @@ class Channel:
             vector=self.stack.transpose(1, 0, 2).reshape(-1) / np.sqrt(d1), dims=(d2, k, d1)
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "in_dim": self.in_dim,
-            "out_dim": self.out_dim,
-            "kraus": [serialize.cmat_flat(a) for a in self.kraus],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Channel":
-        d1, d2 = int(data["in_dim"]), int(data["out_dim"])
-        return cls(tuple(serialize.parse_cmat_flat(k, d2, d1) for k in data["kraus"]))
-
 
 @dataclass(frozen=True)
 class ChoiState:
@@ -293,18 +280,6 @@ class ChoiState:
             )
         return choi_apply(self.matrix, rho, self.in_dim, self.out_dim)
 
-    def to_dict(self) -> dict:
-        return {
-            "in_dim": self.in_dim,
-            "out_dim": self.out_dim,
-            "matrix": serialize.cmat_flat(self.matrix),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChoiState":
-        d1, d2 = int(data["in_dim"]), int(data["out_dim"])
-        return cls(d1, d2, serialize.parse_cmat_flat(data["matrix"], d1 * d2, d1 * d2))
-
 
 @dataclass(frozen=True)
 class PurifiedChoiState:
@@ -335,13 +310,6 @@ class BinaryMeasurement:
 
     def effects(self):
         return dagger(self.m0) @ self.m0, dagger(self.m1) @ self.m1
-
-
-def identity_channel(d: int) -> Channel:
-    return Channel((np.eye(d, dtype=complex),))
-
-def unitary_channel(u: np.ndarray) -> Channel:
-    return Channel((as_matrix(u),))
 
 
 def depolarizing(d: int) -> Channel:

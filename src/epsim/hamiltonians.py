@@ -8,7 +8,7 @@ import numpy as np
 
 from . import serialize
 from .errors import ShapeError, SizeGuardError
-from .linalg import PAULI, as_matrix, dagger, embed_operator, matrix_exp
+from .linalg import PAULI, as_matrix, embed_operator, is_hermitian, matrix_exp
 from .network import BrickworkCircuit
 
 DENSE_DIM_GUARD = 2**12
@@ -42,17 +42,23 @@ class LocalHamiltonian:
                 raise ShapeError(
                     f"term on {support} has shape {mat.shape}, expected {want}"
                 )
-            if np.max(np.abs(mat - dagger(mat))) > 1e-10:
+            if not is_hermitian(mat):
                 raise ShapeError(f"term on {support} is not Hermitian")
             cleaned.append((support, mat))
         object.__setattr__(self, "terms", tuple(cleaned))
 
-    def dense(self) -> np.ndarray:
+    def dense_dim(self) -> int:
+        """The dense dimension d^N, refused beyond DENSE_DIM_GUARD from the
+        site count alone."""
         dim = self.phys_dim**self.n_sites
         if dim > DENSE_DIM_GUARD:
             raise SizeGuardError(
                 f"dense Hamiltonian dimension {dim} exceeds {DENSE_DIM_GUARD}"
             )
+        return dim
+
+    def dense(self) -> np.ndarray:
+        dim = self.dense_dim()
         dims = [self.phys_dim] * self.n_sites
         out = np.zeros((dim, dim), dtype=complex)
         for support, mat in self.terms:

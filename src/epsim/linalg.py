@@ -89,23 +89,6 @@ def matrix_exp(m: np.ndarray, scalar: complex = 1.0) -> np.ndarray:
     return out
 
 
-def vectorize(rho: np.ndarray) -> np.ndarray:
-    """Row-major reshaping of a square matrix into a length d^2 vector."""
-    rho = as_matrix(rho)
-    if rho.shape[0] != rho.shape[1]:
-        raise ShapeError(f"vectorize needs a square matrix, got {rho.shape}")
-    return rho.reshape(-1).copy()
-
-
-def devectorize(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ShapeError(f"vector of length {v.size} is not a square matrix")
-    return v.reshape(d, d).copy()
-
-
 def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     """Trace out all factors of a multipartite operator except ``keep``.
 

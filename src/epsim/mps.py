@@ -79,10 +79,6 @@ class MPS:
     def phys_dims(self) -> tuple:
         return tuple(t.shape[-3] for t in self.tensors)
 
-    @property
-    def bond_dims(self) -> tuple:
-        return tuple(t.shape[-2] for t in self.tensors) + (self.tensors[-1].shape[-1],)
-
     def cases(self) -> list:
         """The states of a stack as single MPSs, in row-major order over the
         batch axes (one MPS when there are none)."""
@@ -189,10 +185,6 @@ class MPS:
         t = self.tensors[n]
         return Channel(tuple(t[i] for i in range(t.shape[0])))
 
-    def scaled(self, factor: complex) -> "MPS":
-        return MPS(self.tensors, factor * self.boundary, canonical=None,
-                   discarded_weight=self.discarded_weight)
-
     def to_dict(self) -> dict:
         self.require_single("to_dict")
         return {
@@ -266,12 +258,3 @@ def from_statevector(psi, dims, chi_max: int | None = None, trunc_tol: float = 0
     tensors.append(np.swapaxes(u.reshape(lead + (chi, dims[-1], 1)), -3, -2))
     boundary = s[..., None] * vh
     return MPS(tuple(tensors), boundary, canonical="left", discarded_weight=discarded[()])
-
-
-def product_mps(vectors) -> MPS:
-    """MPS of a product state given one local vector per site."""
-    vectors = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-    tensors = tuple(v.reshape(-1, 1, 1) for v in vectors)
-    normalized = all(abs(np.linalg.norm(v) - 1.0) < 1e-12 for v in vectors)
-    return MPS(tensors, np.eye(1, dtype=complex),
-               canonical="left" if normalized else None)

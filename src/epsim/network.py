@@ -58,7 +58,7 @@ from .errors import (
     ShapeError,
     SizeGuardError,
 )
-from .linalg import as_matrix, dagger, svd
+from .linalg import as_matrix, is_hermitian, svd
 from .mps import MPS
 
 CONTRACTION_GUARD = 2**24
@@ -127,10 +127,6 @@ class BrickworkCircuit:
     def n_layers(self) -> int:
         return len(self.layers)
 
-    @property
-    def n_gates(self) -> int:
-        return len(self.gates)
-
     def to_dict(self) -> dict:
         return {
             "n_sites": self.n_sites,
@@ -191,11 +187,6 @@ class GateChannelPair:
     right_ops: np.ndarray  # (bond_dim, d, d)
     bond_dim: int
     gate: np.ndarray = field(repr=False)
-
-    def recombined(self) -> np.ndarray:
-        d = self.left_ops[0].shape[0]
-        u4 = np.einsum("mik,mjl->ijkl", np.stack(self.left_ops), np.stack(self.right_ops))
-        return u4.reshape(d * d, d * d)
 
 
 def split_gates(gates: np.ndarray, names=None) -> tuple:
@@ -794,7 +785,7 @@ def branch_distribution(net: ChannelNetwork, strategy: str = "postselect"):
     if strategy not in ("postselect", "corrected"):
         raise ShapeError(f"unknown sampling strategy {strategy!r}")
     for site, op in net.observables.items():
-        if np.max(np.abs(op - dagger(op))) > 1e-10:
+        if not is_hermitian(op):
             raise ShapeError(f"observable at site {site} is not Hermitian")
     d, tensors = net.d, net.psi.tensors
     measured = sorted(net.observables)

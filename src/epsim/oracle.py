@@ -2,6 +2,9 @@
 
 Every quantity here is computed by dense linear algebra with hard size
 guards; these are the ground truths the acceptance suites compare against.
+A stack of states is a (..., dim) array whose last axis is the state, as
+everywhere else in the package: every kernel below evolves or reads each
+row as its own state, and one state is the stack with no batch axis.
 """
 
 from __future__ import annotations
@@ -19,39 +22,46 @@ from .network import BrickworkCircuit
 STATE_GUARD = 2**14
 
 
-def apply_gate(psi: np.ndarray, gate: np.ndarray, site: int, dims) -> np.ndarray:
-    """Apply a two-site gate on (site, site+1) to a statevector, or to each
-    column of a (dim, B) stack of them."""
-    dims = list(dims)
-    d1, d2 = dims[site], dims[site + 1]
-    left = int(np.prod(dims[:site])) or 1
-    t = psi.reshape(left, d1 * d2, -1)
-    t = np.einsum("gp,apb->agb", gate.reshape(d1 * d2, d1 * d2), t)
-    return t.reshape(psi.shape)
+def apply_local(psi, op: np.ndarray, site: int, dims) -> np.ndarray:
+    """``op`` applied to the block of consecutive sites from ``site`` whose
+    dims multiply to its size D (one site for a d x d operator, two for a
+    two-site gate), in a state vector or in each row of a (..., dim) stack.
+
+    ``op`` is a matrix (D, D) or a stack of them (..., D, D) that broadcasts
+    against the batch axes, so each case may carry its own operator."""
+    t = psi.reshape(psi.shape[:-1] + (math.prod(dims[:site]), op.shape[-1], -1))
+    out = np.einsum("...gp,...apb->...agb", op, t)
+    return out.reshape(out.shape[:-3] + (-1,))
+
+
+def _site_dims(circuit: BrickworkCircuit) -> list:
+    """The circuit's site dimensions, refused when their product, the
+    statevector length, exceeds STATE_GUARD."""
+    dims = [circuit.phys_dim] * circuit.n_sites
+    if math.prod(dims) > STATE_GUARD:
+        raise SizeGuardError(f"statevector length {math.prod(dims)} exceeds {STATE_GUARD}")
+    return dims
+
+
+def _evolve(psi: np.ndarray, circuit: BrickworkCircuit, dims) -> np.ndarray:
+    for layer in circuit.layers:
+        for site, gate in layer:
+            psi = apply_local(psi, gate, site, dims)
+    return psi
 
 
 def apply_circuit(psi, circuit: BrickworkCircuit) -> np.ndarray:
-    """Exact gate-by-gate application of a brickwork circuit to a
-    statevector, or to each column of a (dim, B) stack of them, on the
-    circuit's own site dimensions.
+    """Exact gate-by-gate application of a brickwork circuit to a state
+    vector, or to each row of a (..., dim) stack of them, on the circuit's
+    own site dimensions.  STATE_GUARD bounds dim, priced from the circuit.
 
-    A 2-D array whose first axis has length dim = d^N is a stack and keeps
-    its shape; any other input is flattened to one statevector, so a state
-    in tensor shape such as (2, 2) still works.  STATE_GUARD bounds the
-    statevector length dim, column by column."""
-    psi = np.asarray(psi, dtype=complex)
-    dims = [circuit.phys_dim] * circuit.n_sites
-    if psi.ndim != 2 or psi.shape[0] != math.prod(dims):
-        psi = psi.reshape(-1)
-    if psi.shape[0] > STATE_GUARD:
-        raise SizeGuardError(f"statevector length {psi.shape[0]} exceeds {STATE_GUARD}")
-    if math.prod(dims) != psi.shape[0]:
-        raise ShapeError("state length does not match site dimensions")
-    out = psi.copy()
-    for layer in circuit.layers:
-        for site, gate in layer:
-            out = apply_gate(out, gate, site, dims)
-    return out
+    A unitary follows from the rows of the identity:
+    ``apply_circuit(np.eye(dim), circuit).T``."""
+    dims = _site_dims(circuit)
+    psi = np.array(psi, dtype=complex)
+    if psi.shape[-1:] != (math.prod(dims),):
+        raise ShapeError(f"state shape {psi.shape} does not end in length {math.prod(dims)}")
+    return _evolve(psi, circuit, dims)
 
 
 def expectation(psi, ops, dims):
@@ -61,8 +71,7 @@ def expectation(psi, ops, dims):
     ``ops`` maps sites to matrices (d, d) or to stacks of them (..., d, d)
     that broadcast against the batch axes, so each case carries its own
     operators; a case that names no operator at a site carries the identity
-    there.  Each operator acts on its site axis of the state tensor.  One
-    state gives a complex, a stack an array of the batch shape.
+    there.  One state gives a complex, a stack an array of the batch shape.
     """
     psi = np.atleast_1d(np.asarray(psi, dtype=complex))
     if psi.shape[-1] != math.prod(dims):
@@ -74,9 +83,7 @@ def expectation(psi, ops, dims):
             raise ShapeError(
                 f"operator shape {op.shape} does not match site dim {dims[site]}"
             )
-        t = out.reshape(out.shape[:-1] + (math.prod(dims[:site]), dims[site], -1))
-        out = op[..., None, :, :] @ t
-        out = out.reshape(out.shape[:-3] + (-1,))
+        out = apply_local(out, op, site, dims)
     value = psi.conj()[..., None, :] @ out[..., :, None]  # <psi|out>, a dot per case
     return value[..., 0, 0][()]
 
@@ -84,19 +91,15 @@ def expectation(psi, ops, dims):
 def circuit_expectation(psi: MPS, circuit: BrickworkCircuit, ops) -> complex:
     """<psi| U^dag ((x) O) U |psi> by dense evolution of an MPS.  A state
     whose site dimensions differ from the circuit's is refused, and so is a
-    state beyond STATE_GUARD, from its site dimensions, before its
-    statevector is built."""
+    circuit beyond STATE_GUARD, before the statevector is built."""
     psi.require_single("circuit_expectation")
-    dims = list(psi.phys_dims)
-    if dims != [circuit.phys_dim] * circuit.n_sites:
+    dims = _site_dims(circuit)
+    if list(psi.phys_dims) != dims:
         raise ShapeError(
-            f"state site dims {dims} differ from the circuit's "
+            f"state site dims {list(psi.phys_dims)} differ from the circuit's "
             f"{circuit.n_sites} sites of dim {circuit.phys_dim}"
         )
-    if math.prod(dims) > STATE_GUARD:
-        raise SizeGuardError(f"statevector length {math.prod(dims)} exceeds {STATE_GUARD}")
-    evolved = apply_circuit(psi.to_statevector(), circuit)
-    return expectation(evolved, ops, dims)
+    return expectation(_evolve(psi.to_statevector(), circuit, dims), ops, dims)
 
 
 def thermal_exact(a: np.ndarray, h: LocalHamiltonian, beta: float) -> float:

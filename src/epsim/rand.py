@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import dagger
-
 
 def rng_from(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -40,14 +38,8 @@ def unitary_from_gaussian(z: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))[..., None, :]
 
 
-def random_hermitian(rng, dim: int) -> np.ndarray:
-    rng = rng_from(rng)
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (a + dagger(a)) / 2
-
-
-def random_density(rng, dim: int, rank: int | None = None) -> np.ndarray:
-    return density_from_gaussian(gaussian(rng, (dim, rank or dim)))
+def random_density(rng, dim: int) -> np.ndarray:
+    return density_from_gaussian(gaussian(rng, (dim, dim)))
 
 
 def density_from_gaussian(a: np.ndarray) -> np.ndarray:
@@ -60,13 +52,6 @@ def kraus_count(d_in: int, d_out: int, n_kraus: int) -> int:
     """``n_kraus`` raised so an isometry C^{d_in} -> C^{d_out * n_kraus}
     can exist."""
     return max(n_kraus, -(-d_in // d_out))
-
-
-def random_kraus_set(rng, d_in: int, d_out: int, n_kraus: int) -> list[np.ndarray]:
-    """Kraus operators of a random channel via a Haar isometry slice;
-    ``n_kraus`` is raised by :func:`kraus_count`."""
-    u = haar_unitary(rng, d_out * kraus_count(d_in, d_out, n_kraus))
-    return list(kraus_from_unitary(u, d_in, d_out))
 
 
 def kraus_from_unitary(u: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
@@ -101,10 +86,11 @@ def draw_groups(rng, n_cases: int, draw):
 
 def random_duality_groups(rng, n_cases: int, max_dim: int, n_states: int):
     """Random channels, each with ``n_states`` random density matrices,
-    drawn case by case as random_kraus_set and random_density would draw
-    them, then finished as stacks grouped by (d_in, d_out, raised n_kraus)
-    (see :func:`draw_groups`).  Yields (case indices, Kraus sets
-    (B, k, d_out, d_in), states (B, n_states, d_in, d_in)) per group."""
+    drawn case by case (the dims, the Gaussian of the channel's Haar unitary
+    on C^{d_out k}, then each state's Gaussian), then finished as stacks
+    grouped by (d_in, d_out, raised n_kraus) (see :func:`draw_groups`).
+    Yields (case indices, Kraus sets (B, k, d_out, d_in), states
+    (B, n_states, d_in, d_in)) per group."""
 
     def draw(rng):
         d_in = int(rng.integers(2, max_dim + 1))

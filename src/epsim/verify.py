@@ -96,8 +96,9 @@ def suite_duality() -> list:
 
 
 def _measurement_draw(rng):
-    """One (channel, state, observable) case, in the order of a per-case
-    loop of random_kraus_set, random_density and a Gaussian observable."""
+    """One (channel, state, observable) case, drawn as in
+    :func:`rand.random_duality_groups` with one state, then a Gaussian
+    observable."""
     d_in = int(rng.integers(2, 4))
     d_out = int(rng.integers(2, 4))
     n_kraus = kraus_count(d_in, d_out, int(rng.integers(1, 4)))
@@ -263,7 +264,7 @@ def suite_network() -> list:
     errors = []
     for reps in (4, 8, 16):
         circ = ham.trotter_circuit(h, 1.0, reps)
-        evolved = oracle.apply_circuit(np.eye(16), circ)
+        evolved = oracle.apply_circuit(np.eye(16), circ).T
         errors.append(np.linalg.norm(evolved - target, ord=2))
     ratios = [a / b for a, b in zip(errors, errors[1:])]
     ok = all(1.6 <= r <= 2.4 for r in ratios)

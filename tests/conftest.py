@@ -14,6 +14,15 @@ def pauli():
     return PAULI
 
 
+def random_kraus(rng, d_in, d_out, n_kraus):
+    """Kraus operators (k, d_out, d_in) of a random channel: the first d_in
+    columns of a Haar unitary on C^{d_out k}, with k raised by kraus_count."""
+    from epsim.rand import haar_unitary, kraus_count, kraus_from_unitary
+
+    u = haar_unitary(rng, d_out * kraus_count(d_in, d_out, n_kraus))
+    return kraus_from_unitary(u, d_in, d_out)
+
+
 def dense_expectation(psi, ops, dims):
     """Brute-force <psi| (x)_n O_n |psi> with identities at unlisted sites."""
     from epsim.linalg import embed_operator

@@ -339,6 +339,13 @@ def test_thermal_budget_sum_within_epsilon(n, beta, site, pauli, mode):
     assert abs(res.value - oracle.thermal_exact(a, h, beta)) < 1e-3
 
 
+@pytest.mark.parametrize("observable", [np.triu(np.ones((4, 4))), np.ones((4, 5))])
+def test_thermal_job_refuses_non_hermitian_observable(observable):
+    h = ham.build_tfim(2, 1.0, 0.5)
+    with pytest.raises(ShapeError, match="Hermitian"):
+        alg.ThermalJob(observable=observable, hamiltonian=h, beta=0.5, epsilon=1e-3)
+
+
 @pytest.mark.parametrize(
     "beta,epsilon",
     [(0.5, 0.0), (0.5, -1e-3), (0.5, float("inf")), (0.5, float("nan")),
@@ -364,19 +371,6 @@ def test_thermal_normalized_flag(mode, tol):
     z = oracle.thermal_exact(np.eye(4), h, 0.5)
     want = oracle.thermal_exact(a, h, 0.5) / z
     assert abs(res.value - want) < tol
-
-
-def test_thermal_job_json_roundtrip():
-    h = ham.build_tfim(2, 1.0, 0.3)
-    a = embed_operator(PAULI["X"], [1], [2, 2])
-    job = alg.ThermalJob(observable=a, hamiltonian=h, beta=0.7, epsilon=1e-3)
-    back = alg.ThermalJob.from_dict(job.to_dict())
-    assert back.beta == job.beta and back.epsilon == job.epsilon
-    assert np.allclose(back.observable, job.observable)
-    res = alg.thermal_value(back)
-    data = res.to_dict()
-    assert set(data) == {"value", "budget", "moments_condition", "order"}
-    assert set(data["budget"]) == {"taylor", "trotter", "solver"}
 
 
 # --- entropy
@@ -528,6 +522,8 @@ def test_unitary_decompose_random():
 def test_unitary_decompose_rejects_non_hermitian():
     with pytest.raises(ShapeError, match="Hermitian"):
         alg.unitary_decompose(np.array([[0, 1], [0, 0]]))
+    with pytest.raises(ShapeError, match="Hermitian"):
+        alg.unitary_decompose(np.ones((2, 3)))
 
 
 def test_general_matrix_element():

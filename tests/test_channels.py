@@ -4,24 +4,28 @@ import pytest
 from epsim import channels as ch
 from epsim import rand, verify
 from epsim.errors import InvalidChoiError, PositivityError, ShapeError
-from epsim.linalg import dagger, devectorize, partial_trace, vectorize
+from conftest import random_kraus
+from epsim.linalg import dagger, partial_trace
 from epsim.rand import (
     haar_unitary,
     kraus_count,
     random_density,
     random_duality_groups,
-    random_kraus_set,
 )
 
 
 def random_channel(rng, d_in, d_out, n_kraus):
-    return ch.Channel(tuple(random_kraus_set(rng, d_in, d_out, n_kraus)))
+    return ch.Channel(tuple(random_kraus(rng, d_in, d_out, n_kraus)))
+
+
+def identity(d):
+    return ch.Channel((np.eye(d),))
 
 
 def test_identity_channel_apply():
     rng = np.random.default_rng(0)
     rho = random_density(rng, 3)
-    assert np.allclose(ch.identity_channel(3).apply(rho), rho)
+    assert np.allclose(identity(3).apply(rho), rho)
 
 
 def test_depolarizing_apply():
@@ -46,7 +50,7 @@ def test_non_trace_preserving_rejected():
 
 
 def test_choi_of_identity_is_bell():
-    omega = ch.identity_channel(2).to_choi()
+    omega = identity(2).to_choi()
     bell = ch.bell_vector(2)
     assert np.allclose(omega.matrix, np.outer(bell, bell.conj()))
     omega.validate()
@@ -79,7 +83,7 @@ def test_duality_round_trip(dims):
 def test_from_choi_of_unitary_is_rank_one():
     rng = np.random.default_rng(5)
     u = haar_unitary(rng, 3)
-    back = ch.unitary_channel(u).to_choi().to_channel()
+    back = ch.Channel((u,)).to_choi().to_channel()
     assert len(back.kraus) == 1
     phase = back.kraus[0][0, 0] / u[0, 0]
     assert np.allclose(back.kraus[0], phase * u, atol=1e-10)
@@ -108,7 +112,7 @@ def test_readout_identity():
 def test_readout_on_plus_state():
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
     rho = np.outer(plus, plus.conj())
-    omega = ch.identity_channel(2).to_choi()
+    omega = identity(2).to_choi()
     assert np.allclose(omega.apply(rho), rho)
 
 
@@ -173,7 +177,7 @@ def test_measurement_groups_draw_in_per_case_order():
     want = []
     for _ in range(30):
         d_in, d_out = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-        kraus = random_kraus_set(rng, d_in, d_out, int(rng.integers(1, 4)))
+        kraus = random_kraus(rng, d_in, d_out, int(rng.integers(1, 4)))
         rho = random_density(rng, d_in)
         m = rng.normal(size=(d_out, d_out)) + 1j * rng.normal(size=(d_out, d_out))
         want.append((np.stack(kraus), rho, (m + dagger(m)) / 2))
@@ -191,11 +195,11 @@ def test_measurement_groups_draw_in_per_case_order():
 
 
 def test_stinespring_identity_and_unitary():
-    u, anc = ch.identity_channel(2).stinespring()
+    u, anc = identity(2).stinespring()
     assert anc == 1 and np.allclose(u, np.eye(2))
     rng = np.random.default_rng(8)
     w = haar_unitary(rng, 3)
-    u, anc = ch.unitary_channel(w).stinespring()
+    u, anc = ch.Channel((w,)).stinespring()
     assert anc == 1 and np.allclose(u, w)
 
 
@@ -219,7 +223,7 @@ def test_stinespring_dilation(dims):
 
 def test_purified_choi():
     rng = np.random.default_rng(9)
-    ident = ch.identity_channel(2).purified_choi()
+    ident = identity(2).purified_choi()
     assert np.allclose(ident.vector, ch.bell_vector(2))
     phi = random_channel(rng, 3, 2, 3)
     pure = phi.purified_choi()
@@ -229,11 +233,11 @@ def test_purified_choi():
 
 def test_transfer_matches_apply():
     rng = np.random.default_rng(10)
-    assert np.allclose(ch.transfer_matrix(ch.identity_channel(2).stack), np.eye(4))
+    assert np.allclose(ch.transfer_matrix(identity(2).stack), np.eye(4))
     phi = random_channel(rng, 3, 2, 2)
     rho = random_density(rng, 3)
-    lhs = ch.transfer_matrix(phi.stack) @ vectorize(rho)
-    assert np.max(np.abs(devectorize(lhs) - phi.apply(rho))) < 1e-12
+    lhs = ch.transfer_matrix(phi.stack) @ rho.reshape(-1)  # row-major vec
+    assert np.max(np.abs(lhs.reshape(2, 2) - phi.apply(rho))) < 1e-12
 
 
 def test_transfer_obs_reduces_to_transfer():
@@ -314,21 +318,8 @@ def test_bell_teleportation_branches():
                 assert np.max(np.abs(cond - p_map.apply(rho))) < 1e-12
 
 
-def test_channel_json_roundtrip():
-    rng = np.random.default_rng(15)
-    phi = random_channel(rng, 2, 3, 2)
-    data = phi.to_dict()
-    assert data["in_dim"] == 2 and data["out_dim"] == 3
-    back = ch.Channel.from_dict(data)
-    rho = random_density(rng, 2)
-    assert np.allclose(back.apply(rho), phi.apply(rho))
-    omega = phi.to_choi()
-    omega2 = ch.ChoiState.from_dict(omega.to_dict())
-    assert np.allclose(omega2.matrix, omega.matrix)
-
-
 def random_stack(rng, batch, d_in, d_out, n_kraus):
-    return np.stack([np.stack(random_kraus_set(rng, d_in, d_out, n_kraus))
+    return np.stack([np.stack(random_kraus(rng, d_in, d_out, n_kraus))
                      for _ in range(batch)])
 
 
@@ -367,7 +358,7 @@ def test_kernels_match_per_object_formulas(d_in, d_out, n_kraus, batch):
 
 def test_choi_kraus_pads_cases_of_lower_rank_with_zeros():
     rng = np.random.default_rng(31)
-    full = np.stack(random_kraus_set(rng, 2, 2, 3))
+    full = np.stack(random_kraus(rng, 2, 2, 3))
     unitary = np.stack([haar_unitary(rng, 2), np.zeros((2, 2)), np.zeros((2, 2))])
     kraus = np.stack([full, unitary])
     choi = ch.kraus_to_choi(kraus)
@@ -424,7 +415,7 @@ def test_duality_groups_draw_in_per_case_order(monkeypatch, chunk):
     want = []
     for _ in range(40):
         d_in, d_out = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        kraus = random_kraus_set(rng, d_in, d_out, int(rng.integers(1, 4)))
+        kraus = random_kraus(rng, d_in, d_out, int(rng.integers(1, 4)))
         want.append((kraus, [random_density(rng, d_in) for _ in range(3)]))
     seen = []
     for cases, kraus, states in random_duality_groups(seed, 40, 4, 3):

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import PAULI
+from conftest import PAULI, random_kraus
 from epsim import cli, mps, network, oracle, serialize
 from epsim.hamiltonians import build_heisenberg, build_tfim
 from epsim.linalg import embed_operator
@@ -13,7 +13,6 @@ from epsim.rand import (
     haar_unitary,
     random_canonical_mps,
     random_density,
-    random_kraus_set,
     random_state,
 )
 
@@ -212,7 +211,7 @@ def _duality_check_per_case(seed, n_cases=100, max_dim=4):
     for _ in range(n_cases):
         d_in = int(rng.integers(2, max_dim + 1))
         d_out = int(rng.integers(2, max_dim + 1))
-        phi = Channel(tuple(random_kraus_set(rng, d_in, d_out, int(rng.integers(1, 4)))))
+        phi = Channel(tuple(random_kraus(rng, d_in, d_out, int(rng.integers(1, 4)))))
         omega = phi.to_choi()
         back = omega.to_channel()
         rho = random_density(rng, d_in)
@@ -426,6 +425,39 @@ def test_thermal_tfim6_at_cli_order(tmp_path, capsys, mode):
         embed_operator(PAULI["Z"], [0], [2] * 6), build_tfim(6, 1.0, 1.0), 0.5
     )
     assert abs(report["value"] - want) < 1e-3
+
+
+@pytest.mark.parametrize("mode", ["exact", "trotter"])
+def test_thermal_past_dense_guard_refuses_before_any_dense_array(tmp_path, capsys, monkeypatch,
+                                                                 mode):
+    # At 16 sites embedding the observable alone would need np.eye(2**15).
+    def unreachable(*args):
+        raise AssertionError("a dense array was built before the size guard")
+
+    monkeypatch.setattr(cli, "embed_operator", unreachable)
+    monkeypatch.setattr(cli.alg, "_spectrum", unreachable)
+    (tmp_path / "tfim16.json").write_text(json.dumps(build_tfim(16, 1.0, 1.0).to_dict()))
+    config = {"task": "thermal", "model_file": "tfim16.json",
+              "observable": {"site": 0, "pauli": "Z"}, "beta": 0.5, "epsilon": 1e-3,
+              "mode": mode}
+    (tmp_path / "job.json").write_text(json.dumps(config))
+    code, out = run_cli(["run", "--config", str(tmp_path / "job.json")], capsys)
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "SizeGuardError" and "65536" in err["message"]
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 4)])
+def test_thermal_non_square_observable_is_config_error(workdir, capsys, shape):
+    config = {"task": "thermal", "model_file": "tfim.json",
+              "observable": {"matrix": serialize.cmat_nested(np.ones(shape))},
+              "beta": 0.5, "epsilon": 1e-3}
+    (workdir / "job.json").write_text(json.dumps(config))
+    code, out = run_cli(["run", "--config", str(workdir / "job.json")], capsys)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ConfigError" and "observable.matrix" in err["message"]
+    assert "square" in err["message"]
 
 
 def test_budget_error_surfaces(workdir, capsys):

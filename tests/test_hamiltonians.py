@@ -47,7 +47,7 @@ def test_exact_unitary():
 
 def test_trotter_zero_time_and_single_term():
     h = ham.build_tfim(4, 1.0, 0.5)
-    assert ham.trotter_circuit(h, 0.0, 4).n_gates == 0
+    assert ham.trotter_circuit(h, 0.0, 4).n_layers == 0
     single = ham.LocalHamiltonian(
         2, 2, (((0, 1), np.kron(PAULI["Z"], PAULI["Z"])),)
     )

@@ -3,7 +3,7 @@ import pytest
 
 from epsim import linalg
 from epsim.errors import ShapeError
-from epsim.rand import random_density, random_hermitian
+from epsim.rand import random_density
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -37,7 +37,9 @@ def test_matrix_exp_zero_and_pauli():
 
 
 def test_matrix_exp_unitarity():
-    h = random_hermitian(np.random.default_rng(3), 4)
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = (a + linalg.dagger(a)) / 2
     u = linalg.matrix_exp(h, scalar=-0.3j)
     defect = np.max(np.abs(linalg.dagger(u) @ u - np.eye(4)))
     assert defect < 1e-12
@@ -50,27 +52,6 @@ def test_matrix_exp_refuses_non_hermitian():
         linalg.matrix_exp(m, 0.7)
     with pytest.raises(ShapeError, match="Hermitian"):
         linalg.matrix_exp(np.zeros((2, 3)))
-
-
-def test_vectorize_convention():
-    rho = np.zeros((2, 2), dtype=complex)
-    rho[0, 0] = 1.0
-    assert np.allclose(linalg.vectorize(rho), [1, 0, 0, 0])
-    rho = np.zeros((2, 2), dtype=complex)
-    rho[0, 1] = 1.0
-    assert np.allclose(linalg.vectorize(rho), [0, 1, 0, 0])
-
-
-def test_vectorize_roundtrip_exact():
-    rng = np.random.default_rng(9)
-    rho = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    back = linalg.devectorize(linalg.vectorize(rho))
-    assert np.array_equal(back, rho)
-
-
-def test_vectorize_rejects_rectangular():
-    with pytest.raises(ShapeError):
-        linalg.vectorize(np.zeros((2, 3)))
 
 
 def test_partial_trace_product():

@@ -41,22 +41,28 @@ def oracle_value(psi, circ, obs):
 # --- gate compilation
 
 
+def recombined(pair):
+    """sum_m left[m] (x) right[m] as a d^2 x d^2 matrix."""
+    d = pair.left_ops.shape[-1]
+    return np.einsum("mik,mjl->ijkl", pair.left_ops, pair.right_ops).reshape(d * d, d * d)
+
+
 def test_compile_identity_gate():
     pair = network.compile_gate(np.eye(4, dtype=complex))
     assert pair.bond_dim == 1
-    assert np.max(np.abs(pair.recombined() - np.eye(4))) < 1e-12
+    assert np.max(np.abs(recombined(pair) - np.eye(4))) < 1e-12
 
 
 def test_compile_swap_has_maximal_rank():
     pair = network.compile_gate(SWAP)
     assert pair.bond_dim == 4
-    assert np.max(np.abs(pair.recombined() - SWAP)) < 1e-12
+    assert np.max(np.abs(recombined(pair) - SWAP)) < 1e-12
 
 
 def test_compile_cnot_rank_two():
     pair = network.compile_gate(CNOT)
     assert pair.bond_dim == 2
-    assert np.max(np.abs(pair.recombined() - CNOT)) < 1e-12
+    assert np.max(np.abs(recombined(pair) - CNOT)) < 1e-12
 
 
 def test_compile_random_gates_recombine():
@@ -64,7 +70,7 @@ def test_compile_random_gates_recombine():
     for _ in range(10):
         u = haar_unitary(rng, 4)
         pair = network.compile_gate(u)
-        assert np.max(np.abs(pair.recombined() - u)) < 1e-10
+        assert np.max(np.abs(recombined(pair) - u)) < 1e-10
 
 
 def test_compile_rejects_non_unitary():
@@ -594,8 +600,7 @@ def test_branch_table_matches_dense_reference(n_wires):
 
 
 def test_sampling_deterministic_network():
-    zero = np.array([1, 0], dtype=complex)
-    psi = mps.product_mps([zero, zero])
+    psi = mps.from_statevector([1, 0, 0, 0], [2, 2])  # |00>
     circ = network.BrickworkCircuit(2, ())
     net = network.build_network(psi, circ, [(0, PAULI["Z"])])
     res = network.evaluate_sampled(net, shots=100, seed=1)
@@ -735,8 +740,7 @@ def test_sampling_unbiasedness_over_seeds():
 
 
 def test_oqt_plan_product_state():
-    zero = np.array([1, 0], dtype=complex)
-    psi = mps.product_mps([zero] * 4)
+    psi = mps.from_statevector(np.eye(16)[0], [2] * 4)  # |0000>
     plan = network.oqt_prepare_plan(psi)
     assert plan.segments == ((0, 2), (2, 2))
     assert plan.join_dims == (1,)
@@ -800,7 +804,7 @@ def test_oqt_plan_guard_refuses_from_shapes(monkeypatch):
 
 
 def test_oqt_plan_unknown_mode():
-    plan = network.oqt_prepare_plan(mps.product_mps([np.array([1, 0])] * 2))
+    plan = network.oqt_prepare_plan(mps.from_statevector([1, 0, 0, 0], [2, 2]))
     with pytest.raises(ShapeError, match="unknown oqt simulation mode"):
         network.simulate_oqt_plan(plan, [], mode="both")
 

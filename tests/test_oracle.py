@@ -7,7 +7,7 @@ from conftest import PAULI
 from epsim import network, oracle
 from epsim.errors import ShapeError, SizeGuardError
 from epsim.hamiltonians import build_tfim, exact_unitary
-from epsim.mps import from_statevector, product_mps
+from epsim.mps import MPS, from_statevector
 from epsim.rand import haar_unitary, random_state
 
 CNOT = np.array(
@@ -36,28 +36,38 @@ def test_apply_circuit_norm_preserved():
     assert abs(np.linalg.norm(out) - 1) < 1e-12
 
 
-def test_apply_circuit_stack_matches_columns():
+def test_apply_circuit_stack_matches_rows():
+    # A (dim, dim) stack is dim states, one per row, as in every other kernel.
     rng = np.random.default_rng(3)
     layers = tuple(
         tuple((s, haar_unitary(rng, 4)) for s in range(l % 2, 3, 2))
         for l in range(3)
     )
     circ = network.BrickworkCircuit(4, layers)
-    states = rng.normal(size=(16, 5)) + 1j * rng.normal(size=(16, 5))
+    states = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     got = oracle.apply_circuit(states, circ)
-    assert got.shape == (16, 5)
-    for b in range(5):
-        assert np.max(np.abs(got[:, b] - oracle.apply_circuit(states[:, b], circ))) < 1e-14
-    one = oracle.apply_circuit(states[:, :1], circ)
-    assert one.shape == (16, 1) and np.max(np.abs(one[:, 0] - got[:, 0])) < 1e-14
+    assert got.shape == (16, 16)
+    for b in range(16):
+        assert np.max(np.abs(got[b] - oracle.apply_circuit(states[b], circ))) < 1e-14
+    deep = oracle.apply_circuit(states.reshape(2, 8, 16), circ)
+    assert deep.shape == (2, 8, 16) and np.max(np.abs(deep.reshape(16, 16) - got)) < 1e-14
+    u = oracle.apply_circuit(np.eye(16), circ).T
+    assert np.max(np.abs(states @ u.T - got)) < 1e-14
     with pytest.raises(ShapeError):
-        oracle.apply_circuit(states[:8], circ)
+        oracle.apply_circuit(states[:, :8], circ)
 
 
-def test_apply_circuit_flattens_tensor_shaped_state():
-    circ = network.BrickworkCircuit(2, (((0, CNOT),),))
-    got = oracle.apply_circuit(np.array([[0, 0], [1, 0]]), circ)  # |10> as (2, 2)
-    assert got.shape == (4,) and np.allclose(got, [0, 0, 0, 1])
+def test_apply_local_takes_per_case_operators():
+    rng = np.random.default_rng(4)
+    dims = [2, 3, 2, 2]
+    states = rng.normal(size=(5, 24)) + 1j * rng.normal(size=(5, 24))
+    gates = np.stack([haar_unitary(rng, 6) for _ in range(5)])  # on sites 1, 2
+    got = oracle.apply_local(states, gates, 1, dims)
+    for b in range(5):
+        want = oracle.apply_local(states[b], gates[b], 1, dims)
+        assert np.max(np.abs(got[b] - want)) < 1e-14
+    dense = np.kron(np.kron(np.eye(2), gates[0]), np.eye(2))
+    assert np.max(np.abs(got[0] - dense @ states[0])) < 1e-14
 
 
 def test_apply_circuit_matches_exact_unitary():
@@ -125,9 +135,19 @@ def test_expectation_matches_dense_embedding():
         oracle.expectation(random_state(rng, 4), {0: np.eye(4)}, [2, 2])
 
 
-def test_size_guards():
+def test_size_guards(monkeypatch):
     with pytest.raises(SizeGuardError):
         oracle.apply_circuit(np.zeros(2**15), network.BrickworkCircuit(15, ()))
+    # Priced from the circuit before the statevector is built.
+    zero = np.array([1, 0], dtype=complex).reshape(2, 1, 1)
+    psi = MPS((zero,) * 15, np.eye(1), canonical="left")  # |0>^15
+
+    def unreachable(self):
+        raise AssertionError("statevector built before the size guard")
+
+    monkeypatch.setattr(MPS, "to_statevector", unreachable)
+    with pytest.raises(SizeGuardError):
+        oracle.circuit_expectation(psi, network.BrickworkCircuit(15, ()), {0: PAULI["Z"]})
     h = build_tfim(13, 1.0, 0.0)
     with pytest.raises(SizeGuardError):
         exact_unitary(h, 1.0)
@@ -138,6 +158,6 @@ def test_circuit_expectation_refuses_mismatched_site_dims():
     qutrits = from_statevector(random_state(5, 9), [3, 3])
     with pytest.raises(ShapeError, match="site dims"):
         oracle.circuit_expectation(qutrits, circ, {0: np.eye(3)})
-    three = product_mps([np.array([1, 0])] * 3)
+    three = from_statevector(np.eye(8)[0], [2] * 3)
     with pytest.raises(ShapeError, match="site dims"):
         oracle.circuit_expectation(three, circ, {0: PAULI["Z"]})
