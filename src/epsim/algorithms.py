@@ -20,6 +20,7 @@ from .errors import (
     PositivityError,
     ReferenceStateError,
     ShapeError,
+    raise_first,
 )
 from .hamiltonians import LocalHamiltonian, trotter_circuit
 from .linalg import PAULI, as_matrix, dagger, is_hermitian, is_unitary
@@ -34,15 +35,16 @@ def _swap_matrix(d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AmplitudeEstimate:
-    value: complex
+    value: complex  # an array of the batch shape for a stack
     stderr: float
     shots: int
 
 
 def _check_state(a) -> np.ndarray:
-    a = np.asarray(a, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(a) - 1.0) > 1e-10:
-        raise ShapeError("state vector must be normalized")
+    """A normalized state vector, or a (..., d) stack of them."""
+    a = np.atleast_1d(np.asarray(a, dtype=complex))
+    raise_first(np.abs(np.linalg.norm(a, axis=-1) - 1.0) > 1e-10, ShapeError,
+                lambda i: "state vector must be normalized")
     return a
 
 
@@ -51,33 +53,26 @@ def hadamard_test(u, a, shots: int | None = None, seed=None) -> AmplitudeEstimat
 
     The controller's sigma_x expectation is the real part, sigma_y the
     imaginary part.  Exact mode (shots=None) evaluates the circuit
-    expectations; shot mode draws binomial samples per basis.
+    expectations, also per case of broadcasting stacks U (..., d, d) and
+    a (..., d); shot mode draws binomial samples per basis for one case.
     """
-    u = as_matrix(u)
-    if not is_unitary(u):
-        raise ShapeError("hadamard_test needs a unitary operator")
+    u = np.asarray(u, dtype=complex)
+    raise_first(~is_unitary(u), ShapeError, lambda i: "hadamard_test needs a unitary operator")
     a = _check_state(a)
-    if a.size != u.shape[0]:
-        raise ShapeError(f"state dim {a.size} != operator dim {u.shape[0]}")
-    d = a.size
-    # |v> = ctrl-U (|+> (x) |a>)
-    v = np.concatenate([a, u @ a]) / np.sqrt(2)
-    # The Paulis act on the control axis of v = (control, register).
-    v = v.reshape(2, d)
-    re = float(np.real(np.vdot(v, PAULI["X"] @ v)))
-    im = float(np.real(np.vdot(v, PAULI["Y"] @ v)))
+    if a.shape[-1] != u.shape[-1]:
+        raise ShapeError(f"state dim {a.shape[-1]} != operator dim {u.shape[-1]}")
+    # |v> = ctrl-U (|+> (x) |a>) as (control, register); the Paulis act on the control.
+    v = np.stack(np.broadcast_arrays(a, (u @ a[..., None])[..., 0]), axis=-2) / np.sqrt(2)
+    re, im = ((v.conj() * (PAULI[p] @ v)).sum(axis=(-2, -1)).real for p in "XY")
     if shots is None:
-        return AmplitudeEstimate(complex(re, im), 0.0, 0)
-    rng = np.random.default_rng(seed)
-    est = []
-    err_sq = 0.0
-    for mean in (re, im):
-        p = min(max((1 + mean) / 2, 0.0), 1.0)
-        hits = rng.binomial(shots, p)
-        p_hat = hits / shots
-        est.append(2 * p_hat - 1)
-        err_sq += 4 * p_hat * (1 - p_hat) / shots
-    return AmplitudeEstimate(complex(est[0], est[1]), float(np.sqrt(err_sq)), 2 * shots)
+        return AmplitudeEstimate(re + 1j * im, 0.0, 0)
+    if re.ndim:
+        raise ShapeError(f"shot mode takes one case, not a stack of {re.shape}")
+    rng = np.random.default_rng(seed)  # one binomial per basis, sigma_x first
+    hits = [rng.binomial(shots, min(max((1 + x) / 2, 0.0), 1.0)) for x in (re, im)]
+    p_hat = np.array(hits) / shots
+    err = np.sqrt(np.sum(4 * p_hat * (1 - p_hat) / shots))
+    return AmplitudeEstimate(complex(*(2 * p_hat - 1)), float(err), 2 * shots)
 
 
 def _cswap_probabilities(u, a, eigvec):
@@ -488,24 +483,20 @@ def entropy(h_mod: LocalHamiltonian, eps: float) -> ThermalResult:
 
 
 def reflection(psi) -> tuple:
-    """(R, U) with R = 1 - 2|psi><psi| and U|0> = |psi| (Householder)."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(psi)
-    if norm < 1e-12:
-        raise ShapeError("cannot reflect about the zero vector")
+    """(R, U) with R = 1 - 2|psi><psi| and U|0> = |psi> (Householder), for
+    one state or for each state of a (..., d) stack."""
+    psi = np.atleast_1d(np.asarray(psi, dtype=complex))
+    norm = np.linalg.norm(psi, axis=-1, keepdims=True)
+    raise_first(norm[..., 0] < 1e-12, ShapeError, lambda i: "cannot reflect about the zero vector")
     psi = psi / norm
-    d = psi.size
-    r = np.eye(d, dtype=complex) - 2 * np.outer(psi, psi.conj())
-    gamma = psi[0] / abs(psi[0]) if abs(psi[0]) > 1e-14 else 1.0
-    u0 = psi - gamma * np.eye(d, dtype=complex)[:, 0]
-    if np.linalg.norm(u0) < 1e-14:
-        u = np.eye(d, dtype=complex)
-        u[0, 0] = gamma
-    else:
-        h = np.eye(d, dtype=complex) - 2 * np.outer(u0, u0.conj()) / (
-            np.linalg.norm(u0) ** 2
-        )
-        u = gamma * h
+    eye = np.eye(psi.shape[-1], dtype=complex)
+    r = eye - 2 * psi[..., :, None] * psi.conj()[..., None, :]
+    first = np.abs(psi[..., :1])
+    gamma = np.divide(psi[..., :1], first, out=np.ones(first.shape, complex), where=first > 1e-14)
+    u0 = psi - gamma * eye[0]  # when it vanishes (psi = gamma |0>), U = gamma 1
+    n2 = np.sum(np.abs(u0) ** 2, axis=-1)[..., None, None]
+    coef = np.divide(2, n2, out=np.zeros(n2.shape), where=n2 >= 1e-28)
+    u = gamma[..., None] * (eye - coef * u0[..., :, None] * u0.conj()[..., None, :])
     return r, u
 
 
@@ -518,38 +509,34 @@ def transition_amplitude(
     psi by at least 1e-3 in modulus:
     <phi|U|psi> = (T1 + T4 - T2 - T3) / (4 <b|phi><psi|b>) with
     T1 = <b|R_phi U R_psi|b>, T2 = <b|R_phi U|b>, T3 = <b|U R_psi|b>,
-    T4 = <b|U|b>, each a Hadamard-test estimate.
+    T4 = <b|U|b>, each a Hadamard-test estimate.  In exact mode phi, U and
+    psi may be broadcasting stacks: each case picks its own |b> (none is a
+    ReferenceStateError naming the case), and the four terms of every case
+    are one Hadamard-test stack.  Shot mode takes one case and draws each
+    term with its own seed.
     """
-    u = as_matrix(u)
-    phi = _check_state(phi)
-    psi = _check_state(psi)
-    d = phi.size
-    if psi.size != d or u.shape != (d, d):
+    u = np.asarray(u, dtype=complex)
+    raise_first(~is_unitary(u), ShapeError, lambda i: "transition_amplitude needs a unitary U")
+    phi, psi = _check_state(phi), _check_state(psi)
+    d = phi.shape[-1]
+    if psi.shape[-1] != d or u.shape[-1] != d:
         raise ShapeError("phi, U, psi dimensions disagree")
-    b = None
-    for k in range(d):
-        if abs(phi[k]) >= 1e-3 and abs(psi[k]) >= 1e-3:
-            b = k
-            break
-    if b is None:
-        raise ReferenceStateError(
-            "no computational basis state overlaps both states above 1e-3"
-        )
-    basis = np.zeros(d, dtype=complex)
-    basis[b] = 1.0
-    r_phi, _ = reflection(phi)
-    r_psi, _ = reflection(psi)
-    seeds = [None] * 4 if seed is None else list(
-        np.random.default_rng(seed).integers(0, 2**63 - 1, size=4)
-    )
-    ests = [
-        hadamard_test(r_phi @ u @ r_psi, basis, shots, seeds[0]),
-        hadamard_test(r_phi @ u, basis, shots, seeds[1]),
-        hadamard_test(u @ r_psi, basis, shots, seeds[2]),
-        hadamard_test(u, basis, shots, seeds[3]),
-    ]
+    phi, psi = np.broadcast_arrays(phi, psi)
+    usable = (np.abs(phi) >= 1e-3) & (np.abs(psi) >= 1e-3)
+    raise_first(~usable.any(axis=-1), ReferenceStateError,
+                lambda i: "no computational basis state overlaps both states above 1e-3")
+    b = np.argmax(usable, axis=-1)[..., None]
+    basis = np.eye(d, dtype=complex)[b[..., 0]]
+    r_phi, r_psi = reflection(phi)[0], reflection(psi)[0]
+    terms = [r_phi @ u @ r_psi, r_phi @ u, u @ r_psi, u]
+    phi_b, psi_b = (np.take_along_axis(x, b, -1)[..., 0][()] for x in (phi, psi))
+    denom = 4 * phi_b * np.conj(psi_b)  # 4 <b|phi><psi|b>
+    if shots is None:
+        t1, t2, t3, t4 = hadamard_test(np.stack(np.broadcast_arrays(*terms)), basis).value
+        return AmplitudeEstimate((t1 + t4 - t2 - t3) / denom, 0.0, 0)
+    seeds = [None] * 4 if seed is None else np.random.default_rng(seed).integers(0, 2**63 - 1, 4)
+    ests = [hadamard_test(t, basis, shots, s) for t, s in zip(terms, seeds)]
     t1, t2, t3, t4 = (e.value for e in ests)
-    denom = 4 * phi[b] * np.conj(psi[b])  # <b|phi><psi|b>
     value = (t1 + t4 - t2 - t3) / denom
     stderr = float(np.sqrt(sum(e.stderr**2 for e in ests)) / abs(denom))
     return AmplitudeEstimate(complex(value), stderr, sum(e.shots for e in ests))
@@ -560,23 +547,22 @@ def unitary_decompose(a) -> tuple:
 
     Returns (shift, scale, U+, U-) with A = scale * (U+ + U-) + shift * 1,
     where the traceless rescaled A' = (A - shift)/scale satisfies
-    U+- = A'/2 +- i sqrt(1 - (A'/2)^2).
+    U+- = A'/2 +- i sqrt(1 - (A'/2)^2), also per matrix of a stack (..., d, d).
     """
-    a = as_matrix(a)
-    if not is_hermitian(a):
-        raise ShapeError("two-unitary decomposition implemented for Hermitian input")
-    d = a.shape[0]
-    shift = float(np.real(np.trace(a))) / d
-    traceless = a - shift * np.eye(d)
-    w, v = np.linalg.eigh(traceless)
-    scale = max(1.0, float(np.max(np.abs(w))) / 2 if d else 0.0)
+    a = np.asarray(a, dtype=complex)
+    raise_first(~is_hermitian(a), ShapeError,
+                lambda i: "two-unitary decomposition implemented for Hermitian input")
+    d = a.shape[-1]
+    shift = np.trace(a, axis1=-2, axis2=-1).real / d
+    w, v = np.linalg.eigh(a - shift[..., None, None] * np.eye(d))
+    scale = np.maximum(1.0, np.max(np.abs(w), axis=-1, initial=0.0) / 2)
     # B and C = sqrt(1 - B^2) share B's eigenbasis; building both there keeps
     # U+- unitary to rounding even when ||B|| touches 1.
-    b_eigs = np.clip(w / (2 * scale), -1.0, 1.0)
+    b_eigs = np.clip(w / (2 * scale[..., None]), -1.0, 1.0)
     c_eigs = np.sqrt(1.0 - b_eigs**2)
-    u_plus = (v * (b_eigs + 1j * c_eigs)) @ dagger(v)
-    u_minus = (v * (b_eigs - 1j * c_eigs)) @ dagger(v)
-    return shift, scale, u_plus, u_minus
+    u_plus = (v * (b_eigs + 1j * c_eigs)[..., None, :]) @ dagger(v)
+    u_minus = (v * (b_eigs - 1j * c_eigs)[..., None, :]) @ dagger(v)
+    return shift[()], scale[()], u_plus, u_minus
 
 
 def general_matrix_element(

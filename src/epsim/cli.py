@@ -61,6 +61,8 @@ class ExperimentConfig:
             raise ConfigError(f"task {self.task!r} needs fields {missing}")
 
     def path(self, key: str) -> Path:
+        if not isinstance(self.raw[key], str):
+            raise ConfigError(f"config field {key} must be a file path, got {self.raw[key]!r}")
         p = Path(self.raw[key])
         if not p.is_absolute():
             p = self.base_dir / p
@@ -164,21 +166,26 @@ def _square_matrix(value):
     return m
 
 
-def _observable(spec, where: str, n_sites: int, site_required: bool):
-    """(site, matrix) of one observable entry; site None if it names none."""
+def _observable(spec, where: str, n_sites: int, phys_dim: int, full_dim=None):
+    """(site, matrix) of one observable entry, on one site, or on the whole
+    model of dimension ``full_dim``, where given, when it names none (None)."""
     if not isinstance(spec, dict):
         raise ConfigError(f"config field {where} must be a JSON object")
-    site = _field(spec, "site", _json_int, _REQUIRED if site_required else None, where + ".")
+    site = _field(spec, "site", _json_int, _REQUIRED if full_dim is None else None, where + ".")
     if site is not None and not 0 <= site < n_sites:
         raise ConfigError(f"config field {where}.site = {site} is not in 0..{n_sites - 1}")
     if "pauli" in spec:
-        name = _field(spec, "pauli", str, where=where + ".").upper()
+        key, name = "pauli", _field(spec, "pauli", str, where=where + ".").upper()
         if name not in PAULI:
             raise ConfigError(f"unknown Pauli name {spec['pauli']!r}")
-        return site, PAULI[name]
-    if "matrix" in spec:
-        return site, _field(spec, "matrix", _square_matrix, where=where + ".")
-    raise ConfigError("observable entries need a 'pauli' or 'matrix' field")
+        m = PAULI[name]
+    elif "matrix" in spec:
+        key, m = "matrix", _field(spec, "matrix", _square_matrix, where=where + ".")
+    else:
+        raise ConfigError("observable entries need a 'pauli' or 'matrix' field")
+    if len(m) != (need := full_dim if site is None else phys_dim):
+        raise ConfigError(f"config field {where}.{key} is {len(m)} x {len(m)}, not {need} x {need}")
+    return site, m
 
 
 def _load_vector(config: ExperimentConfig, key: str) -> np.ndarray:
@@ -237,7 +244,7 @@ def _run_dynamics(config: ExperimentConfig) -> dict:
     psi = config.parse("state_file", MPS.from_dict).canonicalize()
     circuit = config.parse("circuit_file", net.BrickworkCircuit.from_dict)
     obs = [
-        _observable(entry, f"observables[{k}]", circuit.n_sites, True)
+        _observable(entry, f"observables[{k}]", circuit.n_sites, circuit.phys_dim)
         for k, entry in enumerate(_field(config.raw, "observables", list))
     ]
     network = net.build_network(psi, circuit, obs)
@@ -288,7 +295,7 @@ def _run_thermal(config: ExperimentConfig) -> dict:
                               "order and the grid follow from epsilon")
     ham = config.parse("model_file", LocalHamiltonian.from_dict)
     dim = ham.dense_dim()  # refused from the sites alone, before any dense array
-    site, obs = _observable(config.raw["observable"], "observable", ham.n_sites, False)
+    site, obs = _observable(config.raw["observable"], "observable", ham.n_sites, ham.phys_dim, dim)
     if site is not None:
         obs = embed_operator(obs, [site], [ham.phys_dim] * ham.n_sites)
     job = alg.ThermalJob(

@@ -37,19 +37,28 @@ def as_matrix(m) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(m).T
+    """The adjoint of a matrix, or of each matrix of a stack (..., r, c)."""
+    return np.conj(m).swapaxes(-1, -2)
 
 
-def is_hermitian(m: np.ndarray) -> bool:
-    m = as_matrix(m)
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - dagger(m))) <= EQ_TOL
+def is_hermitian(m: np.ndarray):
+    """Per matrix of a stack (..., n, n), or for one: m^dag = m within EQ_TOL."""
+    return _deviation(m, lambda x: x - dagger(x)) <= EQ_TOL
 
 
-def is_unitary(m: np.ndarray) -> bool:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return np.max(np.abs(dagger(m) @ m - np.eye(m.shape[0]))) <= UNITARY_TOL
+def is_unitary(m: np.ndarray):
+    """Per matrix of a stack, or for one: m^dag m = 1 within UNITARY_TOL."""
+    return _deviation(m, lambda x: dagger(x) @ x - np.eye(x.shape[-1])) <= UNITARY_TOL
+
+
+def _deviation(m, residual):
+    """max |residual(m)| per matrix of a stack; inf where they are not square."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2:
+        raise ShapeError(f"expected a matrix, got array of shape {m.shape}")
+    if m.shape[-1] != m.shape[-2]:
+        return np.full(m.shape[:-2], np.inf)
+    return np.abs(residual(m)).max(axis=(-2, -1))
 
 
 def svd(m: np.ndarray):

@@ -30,14 +30,14 @@ rank.  It is built once per key by the cached :func:`_layout` and shared by
 every network with that key; the leg table is the only description of the
 wires.
 
-:func:`evaluate_exact` and :func:`evaluate_regions` take one network or a
-sequence of networks that share a layout.  A sequence runs through the same
-plans and the same step loop with one leading batch axis on every tensor;
-with no batch axis each step is one 2-D matmul.  A plan is keyed by the
-trailing shapes and leg labels alone, and the size guard prices batch x the
-plan's largest step from shapes before anything is stacked.  A sequence is
-cut into chunks so that batch x that peak stays within ``STACK_BUDGET``
-entries; a network whose own peak is larger runs in a chunk of its own.
+An MPS stack (with one circuit or a circuit stack, and (d, d) or stacked
+observables) compiles into one network whose node tensors carry its batch
+axes, each gate at its largest rank over the stack.  :func:`evaluate_exact`
+and :func:`evaluate_regions` run one network or a stack through the same
+plans, keyed by trailing shapes and leg labels, and the same step loop, in
+chunks of the flattened batch whose batch x largest step stays within
+``STACK_BUDGET`` entries, priced by the size guard before the first step.
+The heralded sampler takes one network.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .errors import (
     SamplingError,
     ShapeError,
     SizeGuardError,
+    raise_first,
 )
 from .linalg import as_matrix, is_hermitian, svd
 from .mps import MPS
@@ -81,9 +82,10 @@ def _unitarity_error(gates: np.ndarray) -> np.ndarray:
 class BrickworkCircuit:
     """Layers of non-overlapping nearest-neighbor two-site gates.
 
-    ``gates`` stacks every gate, (n_gates, d^2, d^2), in layer order with
-    sites ascending within a layer; the layers hold views into it.
-    Unitarity is checked once over that stack.
+    ``gates`` stacks every gate, (..., n_gates, d^2, d^2), in layer order
+    with sites ascending within a layer; each layer entry holds a view
+    (..., d^2, d^2) into it.  The cases of a circuit stack share layers and
+    sites.  Unitarity is checked once over the whole stack.
     """
 
     n_sites: int
@@ -92,19 +94,18 @@ class BrickworkCircuit:
     gates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = self.phys_dim
-        layers, where = [], []
+        dd = self.phys_dim**2
+        layers, where, batch = [], [], None
         for l, layer in enumerate(self.layers):
             entries = []
             used = set()
             for site, gate in layer:
-                gate = as_matrix(gate)
+                gate = np.asarray(gate, dtype=complex)
                 if not 0 <= site < self.n_sites - 1:
                     raise ShapeError(f"gate site {site} out of range")
-                if gate.shape != (d * d, d * d):
-                    raise ShapeError(
-                        f"gate shape {gate.shape} != ({d * d}, {d * d})"
-                    )
+                batch = gate.shape[:-2] if batch is None else batch
+                if gate.shape != batch + (dd, dd):
+                    raise ShapeError(f"gate shape {gate.shape} != {batch + (dd, dd)}")
                 if site in used or site + 1 in used:
                     raise ShapeError(f"overlapping gates in a layer at site {site}")
                 used.update((site, site + 1))
@@ -113,34 +114,35 @@ class BrickworkCircuit:
             where.extend((l, site) for site, _ in entries)
             layers.append(entries)
         mats = [gate for entries in layers for _, gate in entries]
-        gates = np.stack(mats) if mats else np.empty((0, d * d, d * d), complex)
-        bad = np.flatnonzero(_unitarity_error(gates) > 1e-10)
-        if bad.size:
-            l, site = where[bad[0]]
-            raise ShapeError(f"layer {l}: gate at site {site} is not unitary")
-        views = iter(gates)
+        gates = np.stack(mats, axis=-3) if mats else np.empty((0, dd, dd), complex)
+        bad = _unitarity_error(gates) > 1e-10
+        raise_first(bad.any(axis=-1), ShapeError, lambda i: "layer {}: gate at site {} is "
+                    "not unitary".format(*where[np.argmax(bad[i])]))
+        views = (gates[..., g, :, :] for g in range(len(mats)))
         layers = tuple(tuple((site, next(views)) for site, _ in entries) for entries in layers)
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "gates", gates)
+
+    @property
+    def batch_shape(self) -> tuple:
+        return self.gates.shape[:-3]
 
     @property
     def n_layers(self) -> int:
         return len(self.layers)
 
     def to_dict(self) -> dict:
-        return {
-            "n_sites": self.n_sites,
-            "phys_dim": self.phys_dim,
-            "layers": [
-                [{"site": site, "gate": serialize.cmat_nested(gate)} for site, gate in layer]
-                for layer in self.layers
-            ],
-        }
+        if self.batch_shape:
+            raise ShapeError(f"to_dict takes one circuit, not a stack of {self.batch_shape}")
+        layers = [[{"site": site, "gate": serialize.cmat_nested(gate)} for site, gate in layer]
+                  for layer in self.layers]
+        return {"n_sites": self.n_sites, "phys_dim": self.phys_dim, "layers": layers}
 
     @classmethod
     def from_dict(cls, data: dict) -> "BrickworkCircuit":
         layers = tuple(
-            tuple((int(e["site"]), serialize.parse_cmat_nested(e["gate"])) for e in layer)
+            tuple((int(e["site"]), as_matrix(serialize.parse_cmat_nested(e["gate"])))
+                  for e in layer)
             for layer in data["layers"]
         )
         return cls(int(data["n_sites"]), layers, int(data.get("phys_dim", 2)))
@@ -183,21 +185,20 @@ class GateChannelPair:
     of the recorded weights restores the exact gate.
     """
 
-    left_ops: np.ndarray  # (bond_dim, d, d)
-    right_ops: np.ndarray  # (bond_dim, d, d)
+    left_ops: np.ndarray  # (..., bond_dim, d, d)
+    right_ops: np.ndarray  # (..., bond_dim, d, d)
     bond_dim: int
-    gate: np.ndarray = field(repr=False)
 
 
 def split_gates(gates: np.ndarray, names=None) -> tuple:
-    """Operator-Schmidt split of stacked two-site gates (..., d^2, d^2)
+    """Operator-Schmidt split of stacked two-site gates (..., n, d^2, d^2)
     through one stacked SVD of their Choi vectors.
 
-    Returns (left, right, ranks): the halves (..., d^2, d, d), each term
+    Returns (left, right, ranks): the halves (..., n, d^2, d, d), each term
     scaled by sqrt(s_m) and zero beyond its gate's rank, and the ranks, the
     count of s_m > 1e-12.  Raises ShapeError when a split does not recombine
-    to within 1e-10; inside a stack the message starts with the gate's entry
-    of ``names`` (its index when not given).
+    to within 1e-10; with a gate axis the message names the gate by its
+    entry of ``names`` (its index when not given), and the case in a stack.
     """
     lead, dd = gates.shape[:-2], gates.shape[-1]
     d = math.isqrt(dd)
@@ -207,13 +208,13 @@ def split_gates(gates: np.ndarray, names=None) -> tuple:
     kept = s > 1e-12
     root = np.sqrt(np.where(kept, s, 0.0))[..., None]
     left, right = np.swapaxes(x, -1, -2) * root, yh * root
-    err = np.max(np.abs(np.swapaxes(left, -1, -2) @ right - r), axis=(-2, -1))
-    bad = np.flatnonzero(err > 1e-10)
-    if bad.size:
+    bad = np.max(np.abs(np.swapaxes(left, -1, -2) @ right - r), axis=(-2, -1)) > 1e-10
+    if bad.any():
         text = "gate split failed to recombine"
-        if lead:
-            text = f"{names[bad[0]] if names else f'gate {bad[0]}'}: {text}"
-        raise ShapeError(text)
+        if lead:  # the first failing gate of the first failing case
+            g = np.argwhere(bad)[0][-1]
+            text = f"{names[g] if names else f'gate {g}'}: {text}"
+        raise_first(bad.any(axis=-1) if lead else bad, ShapeError, lambda i: text)
     shape = lead + (dd, d, d)
     return left.reshape(shape), right.reshape(shape), kept.sum(axis=-1)
 
@@ -227,7 +228,7 @@ def compile_gate(u: np.ndarray) -> GateChannelPair:
     if _unitarity_error(u) > 1e-10:
         raise ShapeError("gate is not unitary")
     left, right, rank = split_gates(u)
-    return GateChannelPair(left[:rank], right[:rank], int(rank), u)
+    return GateChannelPair(left[:rank], right[:rank], int(rank))
 
 
 # ---------------------------------------------------------------------------
@@ -336,46 +337,55 @@ def _layout(key) -> NetLayout:
 class ChannelNetwork:
     """The compiled lattice; see the module docstring for the layout.
 
-    ``tensors`` holds one array per node id.  Kinds, positions, shapes and
-    the leg table live in ``layout`` (shapes in its ``signature``), which
-    every network of the same layout key shares.
+    ``tensors`` holds one array per node id, batch axes first; kinds, grid
+    positions, trailing shapes and legs live in the shared ``layout``.
     """
 
     def __init__(self, psi: MPS, circuit: BrickworkCircuit, observables: dict):
         self.psi = psi
         self.circuit = circuit
-        self.observables = {int(k): as_matrix(v) for k, v in observables.items()}
+        self.observables = observables
+        self.batch_shape = batch = psi.batch_shape
         self.d = d = circuit.phys_dim
         n = circuit.n_sites
         self.gate_pairs = {}  # (layer, site) -> GateChannelPair
-        ident = np.eye(d, dtype=complex).reshape(1, 1, d, d)
+        ident = np.broadcast_to(np.eye(d, dtype=complex), batch + (1, 1, d, d))
         rows = [[ident] * n for _ in circuit.layers]
         where = [(l, site) for l, layer in enumerate(circuit.layers) for site, _ in layer]
         if where:
             left, right, ranks = split_gates(
                 circuit.gates, [f"layer {l}, site {site}" for l, site in where]
             )
+            # The largest rank over the stack: terms past a case's own are zero.
+            ranks = ranks.reshape(-1, len(where)).max(axis=0)
             for g, ((l, site), rank) in enumerate(zip(where, ranks.tolist())):
-                pair = GateChannelPair(left[g, :rank], right[g, :rank], rank, circuit.gates[g])
+                pair = GateChannelPair(left[..., g, :rank, :, :], right[..., g, :rank, :, :], rank)
                 self.gate_pairs[(l, site)] = pair
-                rows[l][site] = pair.left_ops[None]
-                rows[l][site + 1] = pair.right_ops[:, None]
+                rows[l][site] = pair.left_ops[..., None, :, :, :]
+                rows[l][site + 1] = pair.right_ops[..., None, :, :]
         self.layout = _layout((
-            n, d, tuple(t.shape[1] for t in psi.tensors) + (psi.tensors[-1].shape[2],),
+            n, d, tuple(t.shape[-2] for t in psi.tensors) + (psi.tensors[-1].shape[-1],),
             tuple(tuple((site, self.gate_pairs[(l, site)].bond_dim) for site, _ in layer)
                   for l, layer in enumerate(circuit.layers)),
         ))
         # In node-id order; see _layout.
         gates = [t for row in rows for t in row]
+        eye = ident[..., 0, 0, :, :]
         self.tensors = [
             *psi.tensors, psi.boundary, *gates,
-            *(self.observables.get(c, ident[0, 0]).T for c in range(n)),
+            *(observables.get(c, eye).swapaxes(-1, -2) for c in range(n)),
             *(t if t is ident else t.conj() for t in gates),
             *(t.conj() for t in psi.tensors), psi.boundary.conj(),
         ]
+        if batch:  # a shared circuit or observable, per case
+            self.tensors = [t if t.ndim > len(shape) else np.broadcast_to(t, batch + shape)
+                            for t, (shape, _) in zip(self.tensors, self.layout.signature)]
 
 
 def build_network(psi: MPS, circuit: BrickworkCircuit, observables) -> ChannelNetwork:
+    """The network of a left-canonical MPS (stack) under a circuit (stack)
+    and (site, (d, d) or (..., d, d) operator) pairs; see the module
+    docstring.  A case names the identity where it names no operator."""
     if psi.canonical != "left":
         raise CanonicalFormError("build_network needs a left-canonical MPS")
     if psi.n_sites != circuit.n_sites:
@@ -384,12 +394,15 @@ def build_network(psi: MPS, circuit: BrickworkCircuit, observables) -> ChannelNe
         )
     if any(d != circuit.phys_dim for d in psi.phys_dims):
         raise ShapeError("physical dimensions of state and circuit differ")
-    if psi.boundary.shape != (1, 1):
+    if psi.boundary.shape[-2:] != (1, 1):
         raise ShapeError("channel networks assume open boundary conditions")
+    batch = psi.batch_shape
+    if circuit.batch_shape not in ((), batch):
+        raise ShapeError(f"a circuit stack of {circuit.batch_shape} for states of {batch}")
     obs = {}
     for site, op in observables:
-        op = as_matrix(op)
-        if op.shape != (circuit.phys_dim,) * 2:
+        op = np.asarray(op, dtype=complex)
+        if op.shape not in ((circuit.phys_dim,) * 2, batch + (circuit.phys_dim,) * 2):
             raise ShapeError(f"observable at site {site} has shape {op.shape}")
         if site in obs:
             raise ShapeError(f"duplicate observable site {site}")
@@ -398,65 +411,37 @@ def build_network(psi: MPS, circuit: BrickworkCircuit, observables) -> ChannelNe
 
 
 # ---------------------------------------------------------------------------
-# Stacks of networks
-
-
-def _as_stack(net):
-    """(networks, stacked) for one network or a non-empty sequence of
-    networks that share one layout."""
-    if isinstance(net, ChannelNetwork):
-        return [net], False
-    nets = list(net)
-    if not nets:
-        raise ShapeError("a stack needs at least one network")
-    key = nets[0].layout.key
-    if any(other.layout.key != key for other in nets[1:]):
-        raise ShapeError("stacked networks must share one layout")
-    return nets, True
-
-
-def _chunks(nets, stacked, peak):
-    """(networks, batch shape) per chunk of a stack, each at most
-    STACK_BUDGET // peak cases (at least one); one network is one chunk
-    with no batch axis."""
-    if not stacked:
-        return [(nets, ())]
-    size = max(1, STACK_BUDGET // max(peak, 1))
-    return [(nets[k:k + size], (len(nets[k:k + size]),)) for k in range(0, len(nets), size)]
-
-
-def _node_stack(nets, nids, batch):
-    """Tensors of the nodes ``nids``, stacked along a leading axis over the
-    networks when there is a batch axis (a shared layout gives every
-    network's node the same shape)."""
-    if not batch:
-        return [nets[0].tensors[nid] for nid in nids]
-    return [np.array([net.tensors[nid] for net in nets]) for nid in nids]
-
-
-# ---------------------------------------------------------------------------
 # Exact evaluation: the whole graph in one contraction
 
 
-def evaluate_exact(net):
+def _chunks(net: ChannelNetwork, peak: int) -> list:
+    """(node tensors, batch shape) per chunk of at most STACK_BUDGET // peak
+    cases (at least one) of the flattened batch; no batch axis: one chunk."""
+    if not net.batch_shape:
+        return [(net.tensors, ())]
+    cases = math.prod(net.batch_shape)
+    size = max(1, STACK_BUDGET // max(peak, 1))
+    flat = [t.reshape((cases,) + shape) for t, (shape, _) in zip(net.tensors, net.layout.signature)]
+    return [([t[k:k + size] for t in flat], (min(size, cases - k),))
+            for k in range(0, max(cases, 1), size)]
+
+
+def evaluate_exact(net: ChannelNetwork):
     """Contract every node of the network in one call to the contraction core.
 
-    Takes one network, giving a complex, or a sequence of networks sharing
-    one layout, giving an array of their values from stacked contractions.
-    The boundary nodes are part of the graph, so the value carries the
-    boundary weight; when batch x the plan's largest step would exceed the
-    size guard, SizeGuardError is raised before anything is stacked.
+    One network gives a complex; a stack gives an array of its batch shape,
+    from stacked contractions over chunks of the stack.  The boundary nodes
+    are part of the graph, so the value carries the boundary weight; when a
+    chunk's batch x the plan's largest step would exceed the size guard,
+    SizeGuardError is raised before the first step.
     """
-    nets, stacked = _as_stack(net)
-    layout = nets[0].layout
-    plan = _plan(layout.signature)
-    chunks = _chunks(nets, stacked, plan.peak)
+    plan = _plan(net.layout.signature)
+    chunks = _chunks(net, plan.peak)
     _guard(math.prod(chunks[0][1]) * plan.peak, "exact contraction")
-    nids = range(len(layout.kinds))
-    values = [_execute(plan, _node_stack(chunk, nids, batch), batch) for chunk, batch in chunks]
-    if not stacked:
+    values = [_execute(plan, tensors, batch) for tensors, batch in chunks]
+    if not net.batch_shape:
         return complex(values[0].reshape(()))
-    return np.concatenate([v.reshape(-1) for v in values])
+    return np.concatenate(values).reshape(net.batch_shape)
 
 
 def _guard(size, label):
@@ -517,29 +502,25 @@ def _contract_group(items, guard_label):
 
 
 def _execute(plan, arrays, batch):
-    """Run ``plan`` on its items' arrays, which share the leading axes
-    ``batch``; with no batch axis each step is one 2-D matmul.  Unit axes
-    are dropped once the traces are done and restored in the result, so no
-    step carries them."""
+    """Run ``plan`` on its items' arrays, which share one leading batch axis
+    ``batch`` = (cases,) or none (then each step is one 2-D matmul).  Unit axes
+    are dropped after the traces and restored in the result: no step has them."""
     nb = len(batch)
-    lead = tuple(range(nb))
     tensors = dict(enumerate(arrays))
     for i, pairs in plan.traces:
         for a, b in pairs:
             tensors[i] = np.trace(tensors[i], axis1=a + nb, axis2=b + nb)
     for i, shape in plan.squeeze:
         tensors[i] = tensors[i].reshape(batch + shape)
-    for i, j, perm_a, perm_b, inner, out_shape, new_id in plan.steps:
-        if nb:
-            perm_a = lead + tuple(k + nb for k in perm_a)
-            perm_b = lead + tuple(k + nb for k in perm_b)
+    for i, j, perms, inner, out_shape, new_id in plan.steps:
         # np.tensordot without its per-call overhead, which dominates on the
         # many small tensors of a region.
+        perm_a, perm_b = perms[nb]
         a, b = tensors.pop(i).transpose(perm_a), tensors.pop(j).transpose(perm_b)
         product = a.reshape(batch + (-1, inner)) @ b.reshape(batch + (inner, -1))
         tensors[new_id] = product.reshape(batch + out_shape)
     (tensor,) = tensors.values()
-    tensor = tensor.transpose(lead + tuple(k + nb for k in plan.perm))
+    tensor = tensor.transpose(tuple(range(nb)) + tuple(k + nb for k in plan.perm))
     return tensor.reshape(batch + plan.shape)
 
 
@@ -550,7 +531,7 @@ class _Plan(NamedTuple):
 
     traces: tuple  # (item, ((axis, axis), ...)) per item with a self-joined leg
     squeeze: tuple  # (item, traced shape without unit axes) per item with one
-    steps: tuple  # (i, j, perm_a, perm_b, inner, out_shape, new_id) per step
+    steps: tuple  # (i, j, perms, inner, out_shape, new_id) per step; see below
     perm: tuple  # final transpose into canonical label order
     labels: tuple  # open labels in canonical order
     shape: tuple  # open leg dims in canonical order
@@ -620,7 +601,9 @@ def _make_plan(signature):
         sizes[next_id] = math.prod(out_shape)
         peak = max(peak, sizes[next_id])
         inner = math.prod(dims[lab] for lab in shared)
-        steps.append((i, j, perm_a, perm_b, inner, out_shape, next_id))
+        # perms[nb]: the operand transposes without (0) and with (1) a batch axis.
+        batched = [(0,) + tuple(k + 1 for k in perm) for perm in (perm_a, perm_b)]
+        steps.append((i, j, ((perm_a, perm_b), tuple(batched)), inner, out_shape, next_id))
         legs[next_id] = out
         del legs[i], legs[j]
         for lab in shared:
@@ -653,55 +636,63 @@ def _first_dup(legs):
     return None
 
 
-def evaluate_regions(net, partition: NetworkPartition):
+def evaluate_regions(net: ChannelNetwork, partition: NetworkPartition):
     """Contract each region independently, then join along cut wires.
 
     Returns (value, region_probs): the joined value is partition independent;
     the per-region Frobenius weights are diagnostics of the heralded
-    branch mass each region carries.  Takes one network, giving a complex
-    and a list, or a sequence of networks sharing one layout, giving an
-    array of values and a (networks, regions) array of weights.  Every
-    region and the join are planned, and batch x each plan's largest step
-    checked against the size guard, before the first step runs.
+    branch mass each region carries.  One network gives a complex and a
+    list; a stack gives an array of its batch shape and a (batch...,
+    regions) array of weights.  Every region and the join are planned, and
+    a chunk's batch x each plan's largest step checked against the size
+    guard, before the first step runs.
     """
-    nets, stacked = _as_stack(net)
-    partition.validate(nets[0])
-    signature = nets[0].layout.signature
-    # A one-node region's plan is a transpose at most; planned uncached, the
-    # many of a singleton partition leave the cache to the plans worth keeping.
-    plans = [(_plan if len(region) > 1 else _make_plan)(tuple(signature[nid] for nid in region))
-             for region in partition.regions]
-    join = _plan(tuple((p.shape, p.labels) for p in plans))
-    if join.labels:
-        raise ShapeError("region join left open legs; partition inconsistent")
-    chunks = _chunks(nets, stacked, max(p.peak for p in (*plans, join)))
+    partition.validate(net)
+    plans, join = _region_plans(net.layout.key, partition.regions)
+    chunks = _chunks(net, max(p.peak for p in (*plans, join) if p))
     size = math.prod(chunks[0][1])
-    for p in plans:
+    for p in filter(None, plans):
         _guard(size * p.peak, "region contraction")
     _guard(size * join.peak, "region join")
-    values, probs = zip(*(_join_regions(chunk, batch, partition.regions, plans, join)
-                          for chunk, batch in chunks))
-    if not stacked:
+    values, probs = zip(*(_join_regions(tensors, batch, partition.regions, plans, join)
+                          for tensors, batch in chunks))
+    if not net.batch_shape:
         return complex(values[0].reshape(())), probs[0].tolist()
-    return np.concatenate([v.reshape(-1) for v in values]), np.concatenate(probs)
+    return (np.concatenate(values).reshape(net.batch_shape),
+            np.concatenate(probs).reshape(net.batch_shape + (-1,)))
 
 
-def _join_regions(nets, batch, regions, plans, join):
-    """(joined value, region weights) of one chunk; its region tensors are
-    freed on return, before the next chunk's are built."""
-    tensors = [_execute(p, _node_stack(nets, region, batch), batch)
-               for p, region in zip(plans, regions)]
-    weights = np.stack([_weight(t, batch) for t in tensors], -1)
-    return _execute(join, tensors, batch), weights
+@functools.lru_cache(maxsize=128)
+def _region_plans(key, regions) -> tuple:
+    """(region plans, join plan) of one partition of the networks of one
+    layout key, from shapes alone: each partition is planned once.  A
+    one-node region has no plan (None): its node joins as it is."""
+    signature = _layout(key).signature
+    plans = tuple(_make_plan(tuple(signature[nid] for nid in region)) if len(region) > 1
+                  else None for region in regions)
+    join = _make_plan(tuple((p.shape, p.labels) if p else signature[region[0]]
+                            for p, region in zip(plans, regions)))
+    if join.labels:
+        raise ShapeError("region join left open legs; partition inconsistent")
+    return plans, join
 
 
-def _weight(tensor, batch):
-    """Squared Frobenius norm of each case of ``tensor`` (batch axes
-    first): one dot per case on its memory-order flat view, which the
-    executor's permuted results give without a copy."""
-    cases = tensor.reshape((-1,) + tensor.shape[len(batch):])
-    flat = (case.ravel(order="K") for case in cases)
-    return np.array([np.vdot(x, x).real for x in flat]).reshape(batch)
+def _join_regions(tensors, batch, regions, plans, join):
+    """(joined value, region weights) of one chunk's node tensors; its
+    region tensors are freed on return, before the next chunk's are built."""
+    parts = [_execute(p, [tensors[nid] for nid in region], batch) if p else tensors[region[0]]
+             for p, region in zip(plans, regions)]
+    weights = np.stack([_weight(t, len(batch)) for t in parts], -1)
+    return _execute(join, parts, batch), weights
+
+
+def _weight(tensor, nb):
+    """Squared Frobenius norm per case (``nb`` batch axes first): one dot over
+    its (re, im) entries, read in memory order so a permuted result is not copied."""
+    rest = sorted(range(nb, tensor.ndim), key=lambda k: -tensor.strides[k])
+    x = tensor.transpose((*range(nb), *rest)).reshape(tensor.shape[:nb] + (-1,))
+    x = np.ascontiguousarray(x).view(np.float64)
+    return np.einsum("...i,...i->...", x, x)
 
 
 def singleton_partition(net: ChannelNetwork) -> NetworkPartition:
@@ -782,6 +773,7 @@ def branch_distribution(net: ChannelNetwork, strategy: str = "postselect"):
     shape (rows, n_out), per-outcome eigenvalue products, clipped_mass: the
     rounding mass below zero cut from the cells, reject cell included).
     """
+    net.psi.require_single("branch_distribution")
     if strategy not in ("postselect", "corrected"):
         raise ShapeError(f"unknown sampling strategy {strategy!r}")
     for site, op in net.observables.items():
@@ -860,6 +852,7 @@ def evaluate_sampled(
     expected accepted count and stderr are the same formulas at the exact
     cells: a trust diagnostic that needs no sample.
     """
+    net.psi.require_single("evaluate_sampled")
     if shots < 1:
         raise ShapeError("need at least one shot")
     probs, lam, clipped = branch_distribution(net, strategy)

@@ -88,17 +88,20 @@ def expectation(psi, ops, dims):
     return value[..., 0, 0][()]
 
 
-def circuit_expectation(psi: MPS, circuit: BrickworkCircuit, ops) -> complex:
-    """<psi| U^dag ((x) O) U |psi> by dense evolution of an MPS.  A state
-    whose site dimensions differ from the circuit's is refused, and so is a
-    circuit beyond STATE_GUARD, before the statevector is built."""
-    psi.require_single("circuit_expectation")
+def circuit_expectation(psi: MPS, circuit: BrickworkCircuit, ops):
+    """<psi| U^dag ((x) O) U |psi> by dense evolution of an MPS, or of an
+    MPS stack under one circuit or a circuit stack of its batch shape (``ops``
+    as in :func:`expectation`).  Mismatched site dims, and a circuit beyond
+    STATE_GUARD, are refused before the statevector is built."""
     dims = _site_dims(circuit)
     if list(psi.phys_dims) != dims:
         raise ShapeError(
             f"state site dims {list(psi.phys_dims)} differ from the circuit's "
             f"{circuit.n_sites} sites of dim {circuit.phys_dim}"
         )
+    if circuit.batch_shape not in ((), psi.batch_shape):
+        raise ShapeError(f"a circuit stack of {circuit.batch_shape} for states of "
+                         f"{psi.batch_shape}")
     return expectation(_evolve(psi.to_statevector(), circuit, dims), ops, dims)
 
 

@@ -122,28 +122,33 @@ def _measurement_groups(rng, n_cases):
 _PAULI_STACK = np.stack([PAULI[name] for name in "IXYZ"])
 
 
+def _pauli_codes(rng, n, most):
+    """A Pauli code per site on 1..``most`` random sites: the sites, then each one's Pauli."""
+    codes = np.zeros(n, dtype=int)
+    for s in rng.choice(n, size=int(rng.integers(1, min(n, most) + 1)), replace=False):
+        codes[s] = 1 + int(rng.integers(3))
+    return codes
+
+
+def _pauli_ops(codes):
+    """{site: Pauli stack (B, 2, 2)} of codes (B, N); the identity where a case names none."""
+    return {s: _PAULI_STACK[codes[:, s]] for s in range(codes.shape[1]) if codes[:, s].any()}
+
+
 def _mps_draw(rng):
     """One (state, product Pauli observable) case, in the order of a
-    per-case loop of random_state and the observable choice; the observable
-    is a Pauli code per site."""
+    per-case loop of random_state and the observable choice."""
     n = int(rng.integers(2, 7))
     psi = random_state(rng, 2**n)
-    n_ops = int(rng.integers(1, min(n, 3) + 1))
-    codes = np.zeros(n, dtype=int)
-    for s in rng.choice(n, size=n_ops, replace=False):
-        codes[s] = 1 + int(rng.integers(3))
-    return n, (psi, codes)
+    return n, (psi, _pauli_codes(rng, n, 3))
 
 
 def _mps_groups(rng, n_cases):
     """Random MPS cases grouped by N.  Yields (case indices, site dims,
-    states (B, 2^N), {site: Pauli stack (B, 2, 2)}) per group, the identity
-    standing in where a case names no Pauli at a site another case of the
-    group does."""
+    states (B, 2^N), {site: Pauli stack (B, 2, 2)}) per group."""
     for n, cases, draws in draw_groups(rng, n_cases, _mps_draw):
         states, codes = map(np.stack, zip(*draws))
-        ops = {s: _PAULI_STACK[codes[:, s]] for s in range(n) if codes[:, s].any()}
-        yield cases, [2] * n, states, ops
+        yield cases, [2] * n, states, _pauli_ops(codes)
 
 
 def suite_mps() -> list:
@@ -166,38 +171,31 @@ def _gate_sites(n, layers):
 
 
 def _brickwork(n, layers, gates):
+    """One circuit, or a stack, of gates (..., n_gates, 4, 4) at _gate_sites."""
     rows = [[] for _ in range(layers)]
-    for (l, site), gate in zip(_gate_sites(n, layers), gates):
+    for (l, site), gate in zip(_gate_sites(n, layers), np.moveaxis(gates, -3, 0)):
         rows[l].append((site, gate))
     return net.BrickworkCircuit(n, tuple(map(tuple, rows)))
 
 
-def _random_brickwork(rng, n, layers):
-    return _brickwork(n, layers, [haar_unitary(rng, 4) for _ in _gate_sites(n, layers)])
-
-
 def _network_draw(rng):
-    """One (state, circuit, observables) case, in the order of a per-case
-    loop of random_state, _random_brickwork and the observable choice; the
+    """One (state, circuit, observable) case, in the order of a per-case
+    loop of random_state, a Haar brickwork and the observable choice; the
     gates stay Gaussian draws until their group is finished."""
     n = int(rng.integers(2, 7))
     layers = int(rng.integers(1, 4))
     state = random_state(rng, 2**n)
-    z = [gaussian(rng, (4, 4)) for _ in _gate_sites(n, layers)]
-    n_obs = int(rng.integers(1, min(n, 2) + 1))
-    sites = rng.choice(n, size=n_obs, replace=False)
-    obs = [(int(s), PAULI[("X", "Y", "Z")[int(rng.integers(3))]]) for s in sites]
-    return (n, layers), (state, z, obs)
+    z = np.array([gaussian(rng, (4, 4)) for _ in _gate_sites(n, layers)])
+    return (n, layers), (state, z, _pauli_codes(rng, n, 2))
 
 
 def _network_groups(rng, n_cases):
-    """Random network cases grouped by (N, L), each group's gates finished
-    as one stacked QR.  Yields (case indices, states, circuits, observable
-    lists) per group."""
+    """Random network cases grouped by (N, L), each group finished as
+    stacks: its gates by one stacked QR.  Yields (case indices, states
+    (B, 2^N), circuit stack, {site: Pauli stack (B, 2, 2)}) per group."""
     for (n, layers), cases, draws in draw_groups(rng, n_cases, _network_draw):
-        states, z, obs = zip(*draws)
-        gates = unitary_from_gaussian(np.stack(z))
-        yield cases, states, [_brickwork(n, layers, g) for g in gates], obs
+        states, z, codes = map(np.stack, zip(*draws))
+        yield cases, states, _brickwork(n, layers, unitary_from_gaussian(z)), _pauli_ops(codes)
 
 
 def _partitions(network):
@@ -215,28 +213,23 @@ def suite_network() -> list:
     out = []
 
     # The exact check owns drawing, building, the oracle and the exact
-    # contractions; the region check owns the partitioned contractions.
+    # contractions of each (N, L) group's network stack; the region check
+    # owns the partitioned contractions.
     start = time.perf_counter()
     regions_s = 0.0
     worst_exact = 0.0
     worst_regions = 0.0
-    for _, states, circuits, observables in _network_groups(rng, 100):
-        n = circuits[0].n_sites
-        stacks = {}  # layout key -> [(network, oracle value)]
-        psis = mpsmod.from_statevector(np.stack(states), [2] * n).cases()
-        for psi, circ, obs in zip(psis, circuits, observables):
-            network = net.build_network(psi, circ, obs)
-            want = oracle.circuit_expectation(psi, circ, dict(obs))
-            stacks.setdefault(network.layout.key, []).append((network, want))
-        while stacks:
-            nets, want = zip(*stacks.popitem()[1])
-            got = net.evaluate_exact(nets)
-            worst_exact = max(worst_exact, float(np.max(np.abs(got - np.array(want)))))
-            t0 = time.perf_counter()
-            for part in _partitions(nets[0]):
-                values, _ = net.evaluate_regions(nets, part)
-                worst_regions = max(worst_regions, float(np.max(np.abs(values - got))))
-            regions_s += time.perf_counter() - t0
+    for _, states, circuit, ops in _network_groups(rng, 100):
+        psi = mpsmod.from_statevector(states, [2] * circuit.n_sites)
+        network = net.build_network(psi, circuit, ops.items())
+        got = net.evaluate_exact(network)
+        want = oracle.circuit_expectation(psi, circuit, ops)
+        worst_exact = max(worst_exact, float(np.max(np.abs(got - want))))
+        t0 = time.perf_counter()
+        for part in _partitions(network):
+            values, _ = net.evaluate_regions(network, part)
+            worst_regions = max(worst_regions, float(np.max(np.abs(values - got))))
+        regions_s += time.perf_counter() - t0
     exact_s = time.perf_counter() - start - regions_s
     out.append(_check("network", "entanglement-picture-equality", worst_exact, 1e-8,
                       exact_s, note="100 random (state, circuit, observable)"))
@@ -245,7 +238,7 @@ def suite_network() -> list:
 
     t0 = time.perf_counter()
     psi = mpsmod.from_statevector(random_state(rng, 4), [2, 2])
-    circ = _random_brickwork(rng, 2, 1)
+    circ = _brickwork(2, 1, [haar_unitary(rng, 4)])
     obs = [(0, PAULI["Z"])]
     network = net.build_network(psi, circ, obs)
     exact = net.evaluate_exact(network).real
@@ -371,17 +364,29 @@ def suite_thermal() -> list:
     return out
 
 
+def _amplitude_draw(rng):
+    """One (phi, U, psi) case drawn as haar_unitary, random_state x 2; U stays Gaussian."""
+    d = 2 ** int(rng.integers(1, 4))
+    return d, (gaussian(rng, (d, d)), random_state(rng, d), random_state(rng, d))
+
+
+def _hermitian_draw(rng):
+    """One Gaussian d x d matrix, d in 2..8, its Hermitian part taken per group."""
+    d = int(rng.integers(2, 9))
+    return d, gaussian(rng, (d, d))
+
+
 def suite_amplitude() -> list:
     rng = np.random.default_rng(2029)
     out = []
     t0 = time.perf_counter()
     worst = 0.0
-    for _ in range(100):
-        d = 2 ** int(rng.integers(1, 4))
-        u = haar_unitary(rng, d)
-        phi, psi = random_state(rng, d), random_state(rng, d)
+    for _, _, draws in draw_groups(rng, 100, _amplitude_draw):
+        z, phi, psi = map(np.stack, zip(*draws))
+        u = unitary_from_gaussian(z)
         est = alg.transition_amplitude(phi, u, psi)
-        worst = max(worst, abs(est.value - np.conj(phi) @ u @ psi))
+        want = (phi.conj()[:, None, :] @ u @ psi[:, :, None])[:, 0, 0]
+        worst = max(worst, float(np.max(np.abs(est.value - want))))
     out.append(_check("amplitude", "reflection-assembly", worst, 1e-10, time.perf_counter() - t0,
                       note="100 random (phi, U, psi), <= 3 qubits"))
 
@@ -403,17 +408,14 @@ def suite_amplitude() -> list:
     rebuild_s = 0.0
     worst_unitary = 0.0
     worst_rebuild = 0.0
-    for _ in range(100):
-        d = int(rng.integers(2, 9))
-        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    for _, _, draws in draw_groups(rng, 100, _hermitian_draw):
+        m = np.stack(draws)
         a = (m + dagger(m)) / 2
         shift, scale, up, um = alg.unitary_decompose(a)
-        for u in (up, um):
-            worst_unitary = max(
-                worst_unitary, float(np.max(np.abs(dagger(u) @ u - np.eye(d))))
-            )
+        pair, eye = np.stack([up, um]), np.eye(a.shape[-1])
+        worst_unitary = max(worst_unitary, float(np.max(np.abs(dagger(pair) @ pair - eye))))
         t0 = time.perf_counter()
-        rebuilt = scale * (up + um) + shift * np.eye(d)
+        rebuilt = scale[:, None, None] * (up + um) + shift[:, None, None] * eye
         worst_rebuild = max(worst_rebuild, float(np.max(np.abs(rebuilt - a))))
         rebuild_s += time.perf_counter() - t0
     out.append(_check("amplitude", "two-unitary-unitarity", worst_unitary, 1e-10,

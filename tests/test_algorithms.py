@@ -481,6 +481,50 @@ def test_transition_amplitude_degenerate_reference():
         alg.transition_amplitude(bad, u, np.array([0, 0, 0, 1], dtype=complex))
 
 
+def test_stacked_transition_amplitude_matches_per_case_calls():
+    rng = np.random.default_rng(18)
+    phi = np.stack([random_state(rng, 4) for _ in range(6)])
+    psi = np.stack([random_state(rng, 4) for _ in range(6)])
+    u = np.stack([haar_unitary(rng, 4) for _ in range(6)])
+    # Case 2 must skip |0> (<0|phi> = 0), case 4 |0> and |1>.
+    phi[2] = [0, 1, 0, 0]
+    psi[4] = [0, 0, 0.6, 0.8]
+    est = alg.transition_amplitude(phi, u, psi)
+    assert est.value.shape == (6,)
+    for k in range(6):
+        single = alg.transition_amplitude(phi[k], u[k], psi[k]).value
+        assert abs(est.value[k] - single) <= 1e-14
+        assert abs(single - np.conj(phi[k]) @ u[k] @ psi[k]) < 1e-10
+    # One U for every case of a state stack.
+    shared = alg.transition_amplitude(phi, u[0], psi).value
+    assert np.max(np.abs(shared - np.einsum("bi,ij,bj->b", phi.conj(), u[0], psi))) < 1e-10
+    psi[3] = [0, 0, 0, 1]
+    phi[3] = [1, 0, 0, 0]
+    with pytest.raises(ReferenceStateError, match="^case 3: no computational basis state"):
+        alg.transition_amplitude(phi, u, psi)
+
+
+def test_stacked_estimators_refuse_shots_and_name_bad_cases():
+    rng = np.random.default_rng(19)
+    phi = np.stack([random_state(rng, 4) for _ in range(3)])
+    u = np.stack([haar_unitary(rng, 4) for _ in range(3)])
+    with pytest.raises(ShapeError, match="shot mode takes one case"):
+        alg.transition_amplitude(phi, u, phi, shots=100, seed=1)
+    u[1] *= 1.1
+    with pytest.raises(ShapeError, match="^case 1: transition_amplitude needs a unitary U$"):
+        alg.transition_amplitude(phi, u, phi)
+    m = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    a = (m + dagger(m)) / 2
+    shift, scale, up, um = alg.unitary_decompose(a)
+    for k in range(5):
+        want = alg.unitary_decompose(a[k])
+        assert shift[k] == want[0] and scale[k] == want[1]
+        assert np.max(np.abs(up[k] - want[2])) <= 1e-14 and np.max(np.abs(um[k] - want[3])) <= 1e-14
+    a[3] = m[3]
+    with pytest.raises(ShapeError, match="^case 3: two-unitary decomposition"):
+        alg.unitary_decompose(a)
+
+
 def test_transition_amplitude_shot_mode():
     rng = np.random.default_rng(13)
     u = haar_unitary(rng, 4)

@@ -370,6 +370,7 @@ def test_zero_vector_is_config_error(workdir, capsys):
         ("duality-check", {"tolerance": -1}),
         ("thermal", {"beta": True}),
         ("entropy", {"epsilon": True}),
+        ("dynamics", {"observables": [{"site": 1, "matrix": serialize.cmat_nested(np.eye(4))}]}),
     ],
     ids=["beta", "order", "site-range", "epsilon", "no-site", "normalized-str", "normalized-int",
          "strategy-str", "strategy-list", "mode-int", "shots-float", "site-bool",
@@ -378,7 +379,7 @@ def test_zero_vector_is_config_error(workdir, capsys):
          "tau", "R", "grid", "max-dim-1", "duality-seed-negative", "amplitude-seed-negative",
          "shots-negative", "shots-zero", "n-cases-negative", "n-cases-zero",
          "tolerance-bool", "tolerance-nan", "tolerance-negative", "beta-bool",
-         "epsilon-bool"],
+         "epsilon-bool", "dynamics-observable-size"],
 )
 def test_malformed_config_field_is_config_error(workdir, capsys, task, fields):
     base = {
@@ -458,6 +459,44 @@ def test_thermal_non_square_observable_is_config_error(workdir, capsys, shape):
     err = json.loads(out)["error"]
     assert err["type"] == "ConfigError" and "observable.matrix" in err["message"]
     assert "square" in err["message"]
+
+
+def test_thermal_observable_of_the_wrong_size_is_config_error(workdir, capsys):
+    (workdir / "tfim3.json").write_text(json.dumps(build_tfim(3, 1.0, 1.0).to_dict()))
+    for observable, field in (({"matrix": serialize.cmat_nested(np.eye(2))}, "matrix"),
+                              ({"site": 1, "matrix": serialize.cmat_nested(np.eye(8))}, "matrix"),
+                              ({"pauli": "Z"}, "pauli")):
+        config = {"task": "thermal", "model_file": "tfim3.json", "observable": observable,
+                  "beta": 0.5, "epsilon": 1e-3}
+        (workdir / "job.json").write_text(json.dumps(config))
+        code, out = run_cli(["run", "--config", str(workdir / "job.json")], capsys)
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "ConfigError" and f"observable.{field}" in err["message"]
+
+
+FILE_FIELDS = [("dynamics", "state_file"), ("dynamics", "circuit_file"),
+               ("thermal", "model_file"), ("entropy", "model_file"), ("amplitude", "phi_file"),
+               ("amplitude", "psi_file"), ("amplitude", "unitary_file")]
+
+
+@pytest.mark.parametrize("task,key", FILE_FIELDS, ids=[f"{t}-{k}" for t, k in FILE_FIELDS])
+def test_file_field_that_is_not_a_string_is_config_error(workdir, capsys, task, key):
+    base = {
+        "thermal": {"model_file": "tfim.json", "beta": 0.5, "epsilon": 1e-3,
+                    "observable": {"site": 0, "pauli": "Z"}},
+        "entropy": {"model_file": "tfim.json", "epsilon": 1e-3},
+        "dynamics": {"state_file": "state.json", "circuit_file": "circuit.json",
+                     "observables": [{"site": 1, "pauli": "Z"}]},
+        "amplitude": {"phi_file": "phi.json", "psi_file": "psi.json",
+                      "unitary_file": "unitary.json"},
+    }[task]
+    for value in (7, True, [], {}):
+        (workdir / "job.json").write_text(json.dumps({"task": task, **base, key: value}))
+        code, out = run_cli(["run", "--config", str(workdir / "job.json")], capsys)
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "ConfigError" and key in err["message"]
 
 
 def test_budget_error_surfaces(workdir, capsys):

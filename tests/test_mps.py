@@ -311,8 +311,10 @@ def test_stacked_mps_refuses_single_state_calls():
         m.to_dict()
     with pytest.raises(ShapeError, match="single state"):
         m.site_channel(0)
-    with pytest.raises(ShapeError, match="single state"):
-        oracle.circuit_expectation(m, BrickworkCircuit(2, ()), {0: PAULI["Z"]})
+    # The dense oracle takes the stack, but only with a circuit stack of its batch shape.
+    three = BrickworkCircuit(2, (((0, np.stack([np.eye(4)] * 3)),),))
+    with pytest.raises(ShapeError, match="circuit stack of \\(3,\\) for states of \\(2,\\)"):
+        oracle.circuit_expectation(m, three, {0: PAULI["Z"]})
     with pytest.raises(ShapeError, match="batch axes"):
         mps.MPS(m.tensors, m.boundary[0])
 

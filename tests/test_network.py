@@ -283,72 +283,176 @@ def test_regions_refuse_from_shapes_before_any_region_runs():
     assert peak < 2**20
 
 
+def case_of(circuit, k):
+    """Case ``k`` of a circuit stack as one circuit."""
+    return network.BrickworkCircuit(circuit.n_sites, tuple(
+        tuple((site, gate[k]) for site, gate in layer) for layer in circuit.layers))
+
+
+def stacked_and_single(psi, circ, obs):
+    """A stacked network and the per-case networks of its cases; ``obs``
+    maps sites to (B, d, d) stacks."""
+    stack = network.build_network(psi, circ, obs.items())
+    singles = [network.build_network(p, case_of(circ, k), [(s, op[k]) for s, op in obs.items()])
+               for k, p in enumerate(psi.cases())]
+    return stack, singles
+
+
 def _verify_draw_stacks():
-    """Networks of the network suite's draw, one same-layout list per group."""
-    for _, states, circuits, observables in verify._network_groups(
-        np.random.default_rng(2026), 100
-    ):
-        n = circuits[0].n_sites
-        yield [
-            network.build_network(mps.from_statevector(state, [2] * n), circ, obs)
-            for state, circ, obs in zip(states, circuits, observables)
-        ]
+    """The network suite's draw: one stacked network and its per-case
+    networks per (N, L) group."""
+    for _, states, circ, obs in verify._network_groups(np.random.default_rng(2026), 100):
+        yield stacked_and_single(mps.from_statevector(states, [2] * circ.n_sites), circ, obs)
+
+
+def assert_stack_matches_singles(stack, singles, partitions):
+    got = network.evaluate_exact(stack)
+    assert got.shape == (len(singles),)
+    assert np.max(np.abs(got - [network.evaluate_exact(x) for x in singles])) <= 1e-14
+    for part in partitions:
+        values, probs = network.evaluate_regions(stack, part)
+        each = [network.evaluate_regions(x, part) for x in singles]
+        assert probs.shape == (len(singles), len(part.regions))
+        assert np.max(np.abs(values - [v for v, _ in each])) <= 1e-14
+        np.testing.assert_allclose(probs, [p for _, p in each], rtol=1e-14, atol=0)
 
 
 def test_stacked_evaluation_matches_unstacked_on_verify_groups():
     shapes = set()
-    for nets in _verify_draw_stacks():
-        n, layers = nets[0].circuit.n_sites, nets[0].circuit.n_layers
-        shapes.add((n, layers))
-        assert len({x.layout.key for x in nets}) == 1
-        got = network.evaluate_exact(nets)
-        assert got.shape == (len(nets),)
-        assert np.max(np.abs(got - [network.evaluate_exact(x) for x in nets])) <= 1e-14
-        for part in verify._partitions(nets[0]):
-            values, probs = network.evaluate_regions(nets, part)
-            singles = [network.evaluate_regions(x, part) for x in nets]
-            assert probs.shape == (len(nets), len(part.regions))
-            assert np.max(np.abs(values - [v for v, _ in singles])) <= 1e-14
-            np.testing.assert_allclose(probs, [p for _, p in singles], rtol=1e-14, atol=0)
+    for stack, singles in _verify_draw_stacks():
+        shapes.add((stack.circuit.n_sites, stack.circuit.n_layers))
+        assert {x.layout.key for x in singles} == {stack.layout.key}
+        assert_stack_matches_singles(stack, singles, verify._partitions(stack))
     assert len(shapes) == 15
+
+
+def test_stack_mixing_gate_ranks_at_one_position():
+    # Rank 1 (X (x) Z), rank 2 (CNOT) and rank 4 (Haar) gates share one
+    # position; the stack's key takes rank 4 there.
+    rng = np.random.default_rng(39)
+    haar = haar_unitary(rng, 4)
+    first = np.stack([np.kron(PAULI["X"], PAULI["Z"]), CNOT, haar])
+    second = np.stack([haar_unitary(rng, 4) for _ in range(3)])
+    circ = network.BrickworkCircuit(3, (((0, first),), ((1, second),)))
+    states = np.stack([random_state(rng, 8) for _ in range(3)])
+    obs = {1: np.stack([PAULI["Z"], PAULI["X"], PAULI["Y"]])}
+    stack, singles = stacked_and_single(mps.from_statevector(states, [2] * 3), circ, obs)
+    assert [x.gate_pairs[(0, 0)].bond_dim for x in singles] == [1, 2, 4]
+    assert stack.gate_pairs[(0, 0)].bond_dim == 4
+    assert_stack_matches_singles(stack, singles, verify._partitions(stack))
+    want = oracle.circuit_expectation(mps.from_statevector(states, [2] * 3), circ, obs)
+    assert np.max(np.abs(network.evaluate_exact(stack) - want)) < 1e-12
 
 
 def test_batch_of_one_equals_no_batch():
     rng = np.random.default_rng(36)
-    net, *_ = random_net(rng, 5, 3, obs_sites=(2,))
-    assert network.evaluate_exact([net])[0] == network.evaluate_exact(net)
+    net, psi, circ, obs = random_net(rng, 5, 3, obs_sites=(2,))
+    one = network.build_network(
+        mps.MPS(tuple(t[None] for t in psi.tensors), psi.boundary[None], canonical="left"),
+        network.BrickworkCircuit(5, tuple(tuple((s, g[None]) for s, g in layer)
+                                          for layer in circ.layers)),
+        [(s, op[None]) for s, op in obs],
+    )
+    assert one.batch_shape == (1,) and one.layout.key == net.layout.key
+    assert network.evaluate_exact(one)[0] == network.evaluate_exact(net)
     for part in verify._partitions(net):
-        values, probs = network.evaluate_regions([net], part)
+        values, probs = network.evaluate_regions(one, part)
         value, single = network.evaluate_regions(net, part)
         assert values[0] == value
         # Weights sum each tensor in memory order, which stacking may change.
         np.testing.assert_allclose(probs[0], single, rtol=1e-15, atol=0)
 
 
-def test_stack_must_share_one_layout():
+def test_stack_inputs_must_share_one_batch_shape():
     rng = np.random.default_rng(37)
-    a, *_ = random_net(rng, 4, 2)
-    b, *_ = random_net(rng, 4, 3)
-    with pytest.raises(ShapeError, match="share one layout"):
-        network.evaluate_exact([a, b])
-    with pytest.raises(ShapeError, match="at least one network"):
-        network.evaluate_exact([])
+    states = np.stack([random_state(rng, 16) for _ in range(3)])
+    psi = mps.from_statevector(states, [2] * 4)
+    gates = np.stack([haar_unitary(rng, 4) for _ in range(2)])
+    with pytest.raises(ShapeError, match="circuit stack of \\(2,\\) for states of \\(3,\\)"):
+        network.build_network(psi, network.BrickworkCircuit(4, (((0, gates),),)), [])
+    with pytest.raises(ShapeError, match="observable at site 1 has shape \\(2, 2, 2\\)"):
+        network.build_network(psi, random_brickwork(rng, 4, 1), [(1, gates[:, :2, :2])])
+    with pytest.raises(ShapeError, match="gate shape \\(3, 4, 4\\) != \\(2, 4, 4\\)"):
+        network.BrickworkCircuit(4, (((0, gates), (2, np.stack([gates[0]] * 3))),))
+    # One circuit and one observable serve every state of the stack.
+    circ = random_brickwork(rng, 4, 2)
+    stack = network.build_network(psi, circ, [(1, PAULI["Z"])])
+    want = [oracle_value(p, circ, [(1, PAULI["Z"])]) for p in psi.cases()]
+    assert np.max(np.abs(network.evaluate_exact(stack) - want)) < 1e-12
+
+
+def test_circuit_stack_names_the_case_and_gate(monkeypatch):
+    rng = np.random.default_rng(43)
+    gates = np.stack([[haar_unitary(rng, 4) for _ in range(3)] for _ in range(4)])
+    bad = gates.copy()
+    bad[2, 1] *= 1.01
+
+    def layers(g):
+        return (((0, g[:, 0]), (2, g[:, 1])), ((1, g[:, 2]),))
+
+    with pytest.raises(ShapeError, match="^case 2: layer 0: gate at site 2 is not unitary$"):
+        network.BrickworkCircuit(4, layers(bad))
+    circ = network.BrickworkCircuit(4, layers(gates))
+    with pytest.raises(ShapeError, match="one circuit"):
+        circ.to_dict()
+
+    real_svd = network.svd
+
+    def bent_svd(m):
+        # Scale the leading singular value of the last gate of the last case.
+        x, s, yh = real_svd(m)
+        s = s.copy()
+        s.reshape(-1, s.shape[-1])[-1, 0] *= 1.5
+        return x, s, yh
+
+    monkeypatch.setattr(network, "svd", bent_svd)
+    psi = mps.from_statevector(np.stack([random_state(rng, 16) for _ in range(4)]), [2] * 4)
+    with pytest.raises(ShapeError, match="^case 3: layer 1, site 1: gate split failed"):
+        network.build_network(psi, circ, [])
+
+
+def test_chunked_stack_equals_one_chunk(monkeypatch):
+    stack, _ = next(_verify_draw_stacks())
+    part = verify._partitions(stack)[0]
+    whole = network.evaluate_exact(stack), network.evaluate_regions(stack, part)
+    cases = stack.batch_shape[0]
+    peak = network._plan(stack.layout.signature).peak
+    monkeypatch.setattr(network, "STACK_BUDGET", peak * (cases // 3))
+    assert len(network._chunks(stack, peak)) >= 3
+    assert np.array_equal(network.evaluate_exact(stack), whole[0])
+    values, probs = network.evaluate_regions(stack, part)
+    assert np.array_equal(values, whole[1][0]) and np.array_equal(probs, whole[1][1])
+
+
+def test_sampling_refuses_a_stack():
+    rng = np.random.default_rng(44)
+    psi = mps.from_statevector(np.stack([random_state(rng, 4)] * 2), [2, 2])
+    stack = network.build_network(psi, random_brickwork(rng, 2, 1), [(0, PAULI["Z"])])
+    with pytest.raises(ShapeError, match="evaluate_sampled takes a single state"):
+        network.evaluate_sampled(stack, shots=100, seed=0)
+    with pytest.raises(ShapeError, match="branch_distribution takes a single state"):
+        network.branch_distribution(stack)
 
 
 def test_guard_refuses_a_stack_from_batch_times_peak(monkeypatch):
     import tracemalloc
 
     rng = np.random.default_rng(38)
-    nets = [random_net(rng, 6, 3, obs_sites=(3,))[0] for _ in range(8)]
-    peak = network._plan(nets[0].layout.signature).peak
+    states = np.stack([random_state(rng, 2**6) for _ in range(8)])
+    gates = np.stack([[haar_unitary(rng, 4) for _ in range(3)] for _ in range(8)])
+    circ = network.BrickworkCircuit(6, (((0, gates[:, 0]), (2, gates[:, 1])), ((1, gates[:, 2]),)))
+    stack = network.build_network(mps.from_statevector(states, [2] * 6), circ, [(3, PAULI["Z"])])
+    single = network.build_network(mps.from_statevector(states[0], [2] * 6), case_of(circ, 0),
+                                   [(3, PAULI["Z"])])
+    peak = network._plan(stack.layout.signature).peak
     monkeypatch.setattr(network, "STACK_BUDGET", 8 * peak)
     monkeypatch.setattr(network, "CONTRACTION_GUARD", 2 * peak)
-    network.evaluate_exact(nets[0])  # one network fits the guard
-    stacked_bytes = 8 * sum(t.nbytes for t in nets[0].tensors)
+    network.evaluate_exact(single)  # one network fits the guard
+    stacked_bytes = sum(t.nbytes for t in stack.tensors)
     tracemalloc.start()
     try:
         with pytest.raises(SizeGuardError, match=f"exact contraction has {8 * peak} entries"):
-            network.evaluate_exact(nets)
+            network.evaluate_exact(stack)
         traced = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -823,21 +927,22 @@ def test_network_groups_draw_in_per_case_order():
         circ = random_brickwork(rng, n, layers)
         n_obs = int(rng.integers(1, min(n, 2) + 1))
         sites = rng.choice(n, size=n_obs, replace=False)
-        obs = [(int(s), PAULI[("X", "Y", "Z")[int(rng.integers(3))]]) for s in sites]
+        obs = {int(s): PAULI[("X", "Y", "Z")[int(rng.integers(3))]] for s in sites}
         want.append((state, circ, obs))
     grouped = np.random.default_rng(2026)
     seen = []
-    for cases, states, circuits, observables in verify._network_groups(grouped, 100):
+    for cases, states, circuit, ops in verify._network_groups(grouped, 100):
         for k, case in enumerate(cases):
             state, circ, obs = want[case]
             assert np.array_equal(states[k], state)
-            assert circuits[k].n_sites == circ.n_sites
-            assert [[s for s, _ in layer] for layer in circuits[k].layers] == [
+            assert circuit.n_sites == circ.n_sites
+            assert [[s for s, _ in layer] for layer in circuit.layers] == [
                 [s for s, _ in layer] for layer in circ.layers
             ]
-            assert np.array_equal(circuits[k].gates, circ.gates)
-            assert [s for s, _ in observables[k]] == [s for s, _ in obs]
-            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(observables[k], obs))
+            assert np.array_equal(circuit.gates[k], circ.gates)
+            assert set(obs) <= set(ops)
+            for s, op in ops.items():
+                assert np.array_equal(op[k], obs.get(s, PAULI["I"]))
             seen.append(case)
     assert sorted(seen) == list(range(100))
     assert grouped.random() == rng.random()  # the suite's later checks draw the same

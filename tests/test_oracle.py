@@ -161,3 +161,20 @@ def test_circuit_expectation_refuses_mismatched_site_dims():
     three = from_statevector(np.eye(8)[0], [2] * 3)
     with pytest.raises(ShapeError, match="site dims"):
         oracle.circuit_expectation(three, circ, {0: PAULI["Z"]})
+
+
+def test_stacked_circuit_expectation_matches_per_case_calls():
+    rng = np.random.default_rng(47)
+    states = np.stack([random_state(rng, 2**4) for _ in range(5)])
+    gates = np.stack([[haar_unitary(rng, 4) for _ in range(3)] for _ in range(5)])
+    layers = (((0, gates[:, 0]), (2, gates[:, 1])), ((1, gates[:, 2]),))
+    circ = network.BrickworkCircuit(4, layers)
+    psi = from_statevector(states, [2] * 4)
+    ops = {1: np.stack([PAULI["XYZIX"[k]] for k in range(5)]), 3: PAULI["Z"]}
+    got = oracle.circuit_expectation(psi, circ, ops)
+    assert got.shape == (5,)
+    for k, single in enumerate(psi.cases()):
+        case = network.BrickworkCircuit(4, tuple(tuple((s, g[k]) for s, g in layer)
+                                                 for layer in layers))
+        want = oracle.circuit_expectation(single, case, {1: ops[1][k], 3: ops[3]})
+        assert abs(got[k] - want) <= 1e-14
