@@ -34,25 +34,6 @@ def bell_vector(d: int) -> np.ndarray:
     return v
 
 
-def transfer_matrix(kraus, op=None) -> np.ndarray:
-    """sum_ij <i|op|j> K_j (x) K_i* over a Kraus set K_i (a sequence or a
-    stack (..., k, m, n)), weighted by an operator (..., k, k) on the Kraus
-    (physical) index; op = None is the identity, giving M with
-    M @ vec(rho) = vec(Phi(rho)).  Leading batch axes of the two broadcast.
-    The set need not be trace preserving: MPS site tensors use it too."""
-    kraus = np.asarray(kraus)
-    k, m, n = kraus.shape[-3:]
-    weighted = kraus
-    if op is not None:
-        op = np.asarray(op, dtype=complex)
-        if op.shape[-2:] != (k, k):
-            raise ShapeError(f"operator shape {op.shape} != Kraus count {k}")
-        weighted = op @ kraus.reshape(kraus.shape[:-2] + (m * n,))
-        weighted = weighted.reshape(weighted.shape[:-1] + (m, n))
-    out = np.einsum("...iab,...icd->...acbd", weighted, kraus.conj())
-    return out.reshape(out.shape[:-4] + (m * m, n * n))
-
-
 # Duality kernels.  Each acts on a stack of channels or Choi matrices with
 # any number of leading (batch) axes; Channel and ChoiState call them with
 # none.  A failed check names the offending case, counted in row-major order

@@ -7,16 +7,16 @@ operator ``B`` has shape ``(chi_{N+1}, chi_1)`` and the amplitudes are
 
 In left-canonical gauge ``sum_i T_n[i]^dag T_n[i] = 1`` at every site, so
 each site tensor is a trace-preserving Kraus set mapping the right bond
-space into the left bond space.  Expectation values close transfer-matrix
-products with ``B (x) B*`` on the bond (entanglement) space; no statevector
-is ever formed on that path.
+space into the left bond space.  Expectation values apply these channels
+to bond-space operators: one single-layer graph of ket and bra tensors for
+the contraction core, with no superoperator or statevector formed.
 
 An MPS may also be a stack of states that share their site and bond
 dimensions: every site tensor then has shape ``(..., d_n, chi_n,
 chi_{n+1})`` and the boundary ``(..., chi_{N+1}, chi_1)``, with the same
 leading (batch) axes.  The SVD sweep, the gauge sweeps, the statevector and
-the transfer-matrix chain each run once over the whole stack; a single
-state is the stack with no batch axis.
+the expectation graph each run once over the whole stack; a single state
+is the stack with no batch axis.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import serialize
-from .channels import Channel, transfer_matrix
+from .channels import Channel
+from .contract import _contract_group
 from .errors import CanonicalFormError, ShapeError, SizeGuardError, raise_first
 from .linalg import svd
 
@@ -113,20 +114,38 @@ class MPS:
     def expectation_product(self, ops):
         """<psi| O_1 (x) ... (x) O_N |psi> for operators given as a
         ``{site: matrix}`` mapping (identity at unlisted sites), as one
-        transfer-matrix chain on the bond space.  On a stack an operator may
-        be a stack (..., d, d) that broadcasts against the batch axes, and
-        the result is an array of the batch shape; one state gives a complex.
+        contraction of :meth:`chain_items`.  On a stack an operator may be a
+        stack (..., d, d) that broadcasts against the batch axes, and the
+        result is an array of the batch shape; one state gives a complex.
         """
-        ops = dict(ops)
-        for site in ops:
-            if not 0 <= site < self.n_sites:
+        return _contract_group(self.chain_items(ops), "expectation chain")[()]
+
+    def chain_items(self, ops, cut=()) -> list:
+        """(tensor, leg labels) items of <psi| O_1 (x) ... (x) O_N |psi>:
+        the ket T_c on ("p", c), ("k", c), ("k", c + 1); the bra T_c* on "b"
+        bonds and, where c has an operator, on ("q", c), with the operator
+        on ("q", c), ("p", c); B on ("k", N), ("k", 0) and B* on the bra
+        bonds.  Each inner bond b in ``cut`` is left open, its ends labelled
+        (..., b, 0) and (..., b, 1).  A wrong-size operator is a ShapeError.
+        """
+        n, b = self.n_sites, self.boundary
+        items = [(b, [("k", n), ("k", 0)]), (b.conj(), [("b", n), ("b", 0)])]
+        for site, op in ops.items():
+            if not 0 <= site < n:
                 raise ShapeError(f"site {site} out of range")
-        b = self.boundary
-        x = b[..., :, None, :, None] * b.conj()[..., None, :, None, :]  # B (x) B*
-        x = x.reshape(x.shape[:-4] + (b.shape[-2] ** 2, b.shape[-1] ** 2))
-        for n, t in enumerate(self.tensors):
-            x = x @ transfer_matrix(t, ops.get(n))
-        return np.trace(x, axis1=-2, axis2=-1)[()]
+            d = self.phys_dims[site]
+            if np.shape(op)[-2:] != (d, d):
+                raise ShapeError(f"operator at site {site} has shape {np.shape(op)}, not {(d, d)}")
+            items.append((op, [("q", int(site)), ("p", int(site))]))
+
+        def bond(layer, b, end):
+            return (layer, b, end) if b in cut else (layer, b)
+
+        for c, t in enumerate(self.tensors):
+            bra = ("q", c) if c in ops else ("p", c)
+            items.append((t, [("p", c), bond("k", c, 1), bond("k", c + 1, 0)]))
+            items.append((t.conj(), [bra, bond("b", c, 1), bond("b", c + 1, 0)]))
+        return items
 
     def canonicalize(self) -> "MPS":
         """Left-canonical gauge by a QR sweep from the left; the last R

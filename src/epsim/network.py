@@ -33,17 +33,16 @@ wires.
 An MPS stack (with one circuit or a circuit stack, and (d, d) or stacked
 observables) compiles into one network whose node tensors carry its batch
 axes, each gate at its largest rank over the stack.  :func:`evaluate_exact`
-and :func:`evaluate_regions` run one network or a stack through the same
-plans, keyed by trailing shapes and leg labels, and the same step loop, in
-chunks of the flattened batch whose batch x largest step stays within
-``STACK_BUDGET`` entries, priced by the size guard before the first step.
+and :func:`evaluate_regions` run one network or a stack through the plans
+and step loop of :mod:`epsim.contract`, keyed by trailing shapes and leg
+labels, in chunks of the flattened batch whose batch x largest step stays
+within ``STACK_BUDGET`` entries, priced by the size guard before the first step.
 The heralded sampler takes one network.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -51,21 +50,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import serialize
-from .errors import (
-    CanonicalFormError,
-    SamplingError,
-    ShapeError,
-    SizeGuardError,
-    raise_first,
-)
+from . import contract, serialize
+from .contract import _contract_group, _execute, _guard, _make_plan, _plan
+from .errors import CanonicalFormError, SamplingError, ShapeError, raise_first
 from .linalg import as_matrix, is_hermitian, svd
 from .mps import MPS
-
-CONTRACTION_GUARD = 2**24
-# Entries one stacked contraction may reach: a stack of networks is split
-# into chunks so that batch x the plan's largest step stays within this.
-STACK_BUDGET = 2**14
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +409,7 @@ def _chunks(net: ChannelNetwork, peak: int) -> list:
     if not net.batch_shape:
         return [(net.tensors, ())]
     cases = math.prod(net.batch_shape)
-    size = max(1, STACK_BUDGET // max(peak, 1))
+    size = max(1, contract.STACK_BUDGET // max(peak, 1))
     flat = [t.reshape((cases,) + shape) for t, (shape, _) in zip(net.tensors, net.layout.signature)]
     return [([t[k:k + size] for t in flat], (min(size, cases - k),))
             for k in range(0, max(cases, 1), size)]
@@ -444,14 +433,6 @@ def evaluate_exact(net: ChannelNetwork):
     return np.concatenate(values).reshape(net.batch_shape)
 
 
-def _guard(size, label):
-    if size > CONTRACTION_GUARD:
-        raise SizeGuardError(
-            f"contraction intermediate for {label} has {size} entries "
-            f"(> {CONTRACTION_GUARD}); refusing"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Region-partitioned evaluation on the node graph
 
@@ -469,171 +450,6 @@ class NetworkPartition:
                 seen.add(nid)
         if seen != set(range(len(net.tensors))):
             raise ShapeError("partition does not cover the network")
-
-
-def _label_key(label):
-    """Total order over int and tuple wire labels."""
-    if isinstance(label, tuple):
-        return (1,) + tuple(label)
-    return (0, label)
-
-
-def _contract_group(items, guard_label):
-    """Contract (tensor, leg labels) items, one label per axis, into one
-    tensor.
-
-    Legs sharing a label are contracted; legs that meet inside one tensor
-    are traced first.  The pair order comes from :func:`_plan`, which sees
-    only shapes and labels, so networks of the same shape share one plan.
-    The size guard is checked against the plan's largest step before any
-    step runs.  Returns the tensor with its open legs in canonical label
-    order.
-    """
-    arrays, signature = [], []
-    for tensor, labels in items:
-        tensor, labels = np.asarray(tensor), tuple(labels)
-        if len(labels) != tensor.ndim:
-            raise ShapeError(f"{len(labels)} leg labels for a {tensor.ndim}-axis tensor")
-        arrays.append(tensor)
-        signature.append((tensor.shape, labels))
-    plan = _plan(tuple(signature))
-    _guard(plan.peak, guard_label)
-    return _execute(plan, arrays, ())
-
-
-def _execute(plan, arrays, batch):
-    """Run ``plan`` on its items' arrays, which share one leading batch axis
-    ``batch`` = (cases,) or none (then each step is one 2-D matmul).  Unit axes
-    are dropped after the traces and restored in the result: no step has them."""
-    nb = len(batch)
-    tensors = dict(enumerate(arrays))
-    for i, pairs in plan.traces:
-        for a, b in pairs:
-            tensors[i] = np.trace(tensors[i], axis1=a + nb, axis2=b + nb)
-    for i, shape in plan.squeeze:
-        tensors[i] = tensors[i].reshape(batch + shape)
-    for i, j, perms, inner, out_shape, new_id in plan.steps:
-        # np.tensordot without its per-call overhead, which dominates on the
-        # many small tensors of a region.
-        perm_a, perm_b = perms[nb]
-        a, b = tensors.pop(i).transpose(perm_a), tensors.pop(j).transpose(perm_b)
-        product = a.reshape(batch + (-1, inner)) @ b.reshape(batch + (inner, -1))
-        tensors[new_id] = product.reshape(batch + out_shape)
-    (tensor,) = tensors.values()
-    tensor = tensor.transpose(tuple(range(nb)) + tuple(k + nb for k in plan.perm))
-    return tensor.reshape(batch + plan.shape)
-
-
-class _Plan(NamedTuple):
-    """A pair order from shapes.  Unit legs stay in the greedy's graph, but
-    no executed array carries them: the step permutations and shapes and the
-    final transpose count only the axes of dim > 1."""
-
-    traces: tuple  # (item, ((axis, axis), ...)) per item with a self-joined leg
-    squeeze: tuple  # (item, traced shape without unit axes) per item with one
-    steps: tuple  # (i, j, perms, inner, out_shape, new_id) per step; see below
-    perm: tuple  # final transpose into canonical label order
-    labels: tuple  # open labels in canonical order
-    shape: tuple  # open leg dims in canonical order
-    peak: int  # largest step result, in entries
-
-
-def _make_plan(signature):
-    """Pair order for a tuple of (shape, leg labels), from shapes alone.
-
-    Legs of one item that share a label are traced first.  Each step then
-    contracts the pair of tensors that share a leg and whose result grows
-    least (result size minus the two input sizes); ties go to the lowest
-    item indices, so the order is deterministic.  Tensors that share no leg
-    are joined last by outer products, smallest first.  A wire joining legs
-    of different sizes raises ShapeError.  The plan holds no guard: callers
-    check its ``peak`` against the guard in force.
-    """
-    traces, squeeze, sizes, legs, holders, dims = [], [], {}, {}, {}, {}
-    for i, (shape, labels) in enumerate(signature):
-        shape, labels, pairs = list(shape), list(labels), []
-        while (dup := _first_dup(labels)) is not None:
-            if shape[dup[0]] != shape[dup[1]]:
-                raise ShapeError(
-                    f"wire {labels[dup[0]]!r} joins legs of dims "
-                    f"{shape[dup[0]]} and {shape[dup[1]]}"
-                )
-            pairs.append(dup)
-            shape = [dim for k, dim in enumerate(shape) if k not in dup]
-            labels = [lab for k, lab in enumerate(labels) if k not in dup]
-        if pairs:
-            traces.append((i, tuple(pairs)))
-        if 1 in shape:
-            squeeze.append((i, tuple(dim for dim in shape if dim > 1)))
-        sizes[i], legs[i] = math.prod(shape), labels
-        for lab, dim in zip(labels, shape):
-            holders.setdefault(lab, []).append(i)
-            if dims.setdefault(lab, dim) != dim:
-                raise ShapeError(f"wire {lab!r} joins legs of dims {dims[lab]} and {dim}")
-    heap = []
-
-    def wide(labels):  # the labels of the axes an executed array has
-        return [lab for lab in labels if dims[lab] > 1]
-
-    def push(i, j):  # i < j
-        shared = math.prod(dims[lab] for lab in legs[i] if lab in legs[j])
-        heapq.heappush(heap, (sizes[i] * sizes[j] // shared**2 - sizes[i] - sizes[j], i, j))
-
-    for pair in {tuple(h) for h in holders.values() if len(h) == 2}:
-        push(*pair)
-    steps, peak = [], 0
-    next_id = len(signature)
-    while len(legs) > 1:
-        if heap:
-            _, i, j = heapq.heappop(heap)
-            if i not in legs or j not in legs:
-                continue
-        else:
-            i, j = sorted(legs, key=lambda k: (sizes[k], k))[:2]
-        shared = [lab for lab in legs[i] if lab in legs[j]]
-        out = [lab for lab in legs[i] + legs[j] if lab not in shared]
-        wide_a, wide_b = wide(legs[i]), wide(legs[j])
-        ax_a = [wide_a.index(lab) for lab in wide(shared)]
-        ax_b = [wide_b.index(lab) for lab in wide(shared)]
-        perm_a = tuple([k for k in range(len(wide_a)) if k not in ax_a] + ax_a)
-        perm_b = tuple(ax_b + [k for k in range(len(wide_b)) if k not in ax_b])
-        out_shape = tuple(dims[lab] for lab in wide(out))
-        sizes[next_id] = math.prod(out_shape)
-        peak = max(peak, sizes[next_id])
-        inner = math.prod(dims[lab] for lab in shared)
-        # perms[nb]: the operand transposes without (0) and with (1) a batch axis.
-        batched = [(0,) + tuple(k + 1 for k in perm) for perm in (perm_a, perm_b)]
-        steps.append((i, j, ((perm_a, perm_b), tuple(batched)), inner, out_shape, next_id))
-        legs[next_id] = out
-        del legs[i], legs[j]
-        for lab in shared:
-            del holders[lab]
-        for lab in out:
-            holders[lab] = [next_id if h in (i, j) else h for h in holders[lab]]
-        for h in {h for lab in out for h in holders[lab]} - {next_id}:
-            push(h, next_id)
-        next_id += 1
-    (labels,) = legs.values()
-    perm = _canonical_perm(wide(labels))
-    labels = tuple(labels[k] for k in _canonical_perm(labels))
-    return _Plan(tuple(traces), tuple(squeeze), tuple(steps), perm, labels,
-                 tuple(dims[lab] for lab in labels), peak)
-
-
-_plan = functools.lru_cache(maxsize=256)(_make_plan)
-
-
-def _canonical_perm(labels):
-    return tuple(sorted(range(len(labels)), key=lambda k: _label_key(labels[k])))
-
-
-def _first_dup(legs):
-    seen = {}
-    for i, w in enumerate(legs):
-        if w in seen:
-            return (seen[w], i)
-        seen[w] = i
-    return None
 
 
 def evaluate_regions(net: ChannelNetwork, partition: NetworkPartition):
@@ -729,33 +545,6 @@ def obs_eigenbasis(op: np.ndarray):
     return vals, vecs
 
 
-def _doubled(tensor):
-    """T (x) T* with each leg fused to its conjugate, ket index first."""
-    n = tensor.ndim
-    pair = np.multiply.outer(tensor, tensor.conj())
-    perm = [a for k in range(n) for a in (k, k + n)]
-    return pair.transpose(perm).reshape([dim * dim for dim in tensor.shape])
-
-
-def _guard_doubled(tensors, label):
-    """Refuse from shapes, before any is built, when the doubled copies of
-    ``tensors`` together exceed the contraction guard."""
-    size = sum(t.size**2 for t in tensors)
-    if size > CONTRACTION_GUARD:
-        raise SizeGuardError(
-            f"doubled site tensors of {label} hold {size} entries together "
-            f"(> {CONTRACTION_GUARD}); refusing"
-        )
-
-
-def _bell_branches(dim):
-    """Doubled Omega = |w><w| and 1 - Omega on a wire's two endpoints,
-    stacked along a leading outcome leg."""
-    bell = np.eye(dim * dim) / dim
-    ident = np.eye(dim).reshape(-1)
-    return np.stack([bell, np.outer(ident, ident) - bell])
-
-
 def branch_distribution(net: ChannelNetwork, strategy: str = "postselect"):
     """Exact probabilities of the heralded cells that ``strategy`` reads.
 
@@ -841,21 +630,28 @@ def _corrected(m, f, lam, shots):
 def evaluate_sampled(
     net: ChannelNetwork, shots: int, seed: int, strategy: str = "postselect"
 ) -> SampleResult:
-    """Monte-Carlo estimate from the heralded-measurement realization.
-
-    Shots are drawn over the cells of :func:`branch_distribution` plus the
-    reject cell.  ``postselect`` averages the observable over row 0.
-    ``corrected`` postselects only the vertical wires: with m the exact rows
-    summed and f the sampled frequencies of row 1, the estimate is
-    (m - f).lam / (sum m - sum f), with a delta-method stderr.  SamplingError
-    when the estimator's row expects under one sample, or draws none.  The
-    expected accepted count and stderr are the same formulas at the exact
-    cells: a trust diagnostic that needs no sample.
-    """
+    """Monte-Carlo estimate from the heralded-measurement realization: the
+    cells of :func:`branch_distribution`, drawn by :func:`sample_cells`."""
     net.psi.require_single("evaluate_sampled")
+    return sample_cells(*branch_distribution(net, strategy), shots, seed, strategy)
+
+
+def sample_cells(probs, lam, clipped, shots: int, seed: int,
+                 strategy: str = "postselect") -> SampleResult:
+    """Draw ``shots`` over the cells (probs, lam, clipped) that
+    :func:`branch_distribution` returns for ``strategy``, plus the reject
+    cell; the cells of one network serve any number of seeds.
+
+    ``postselect`` averages the observable over row 0.  ``corrected``
+    postselects only the vertical wires: with m the exact rows summed and f
+    the sampled frequencies of row 1, the estimate is (m - f).lam / (sum m -
+    sum f), with a delta-method stderr.  SamplingError when the estimator's
+    row expects under one sample, or draws none.  The expected accepted
+    count and stderr are the same formulas at the exact cells: a trust
+    diagnostic that needs no sample.
+    """
     if shots < 1:
         raise ShapeError("need at least one shot")
-    probs, lam, clipped = branch_distribution(net, strategy)
     # The estimator reads the last row: row 0 (postselect) or row 1 (corrected).
     rate = float(probs[-1].sum())
     if shots * rate < 1:
@@ -925,37 +721,32 @@ def oqt_prepare_plan(psi: MPS) -> OqtPlan:
 
 
 def simulate_oqt_plan(plan: OqtPlan, observables, mode: str = "corrected") -> complex:
-    """Exact value of the preparation plan as one doubled (ket (x) bra) contraction.
+    """Exact value of the preparation plan as one single-layer contraction:
+    the items of :meth:`MPS.chain_items` with every join bond cut.
 
-    Each segment is the purified Choi state of its two site channels; each
-    join between segments is the binary Bell measurement {Omega, 1 - Omega},
-    one tensor stacking two branches over a bit leg and weighted by chi,
-    which undoes both the 1/chi of Omega and the chi of a raw segment's norm.
-    ``postselect`` keeps the all-Bell branch (teleportation identity);
-    ``corrected`` stacks the traced join with 1 - Omega and closes the bit
-    with (1, -1): the alternating sum of the depolarizing mixing identity.
-    Refuses with SizeGuardError from the site shapes before building anything.
+    Each join is the binary Bell measurement {Omega, 1 - Omega}, one item on
+    (bit, ket left, bra left, ket right, bra right) weighted by chi, which
+    undoes both the 1/chi of Omega and the chi of a raw segment's norm.
+    Omega joins the ket wire and the bra wire, over chi; the traced join
+    closes each side's ket with its bra.  ``postselect`` stacks [Omega,
+    traced - Omega] and keeps the all-Bell branch (teleportation identity);
+    ``corrected`` stacks [traced, traced - Omega] and closes the bit with
+    (1, -1): the alternating sum of the depolarizing mixing identity.
     """
     bit_close = {"postselect": [1, 0], "corrected": [1, -1]}
     if mode not in bit_close:
         raise ShapeError(f"unknown oqt simulation mode {mode!r}")
-    psi, label = plan.psi, f"oqt preparation plan ({mode})"
-    # Every step of the plan stays below the largest doubled site (256
-    # against 1024 entries at chi = 4), so the sites are what the guard prices.
-    _guard_doubled(psi.tensors, label)
-    obs = {int(site): as_matrix(op) for site, op in observables}
-    # Bond b joins sites b - 1 and b; a join splits its bond label in two.
+    label = f"oqt preparation plan ({mode})"
+    # One join tensor per distinct chi, priced from the dims before any is built.
+    _guard(sum(2 * chi**4 for chi in set(plan.join_dims)), f"{label} joins")
     joins = [first for first, _ in plan.segments[1:]]
-    items = [(np.ones(1), [0]), (np.ones(1), [psi.n_sites])]
-    for c, t in enumerate(psi.tensors):
-        bonds = [(c, 1) if c in joins else c, (c + 1, 0) if c + 1 in joins else c + 1]
-        items.append((_doubled(t), [("p", c)] + bonds))
-        items.append((obs.get(c, np.eye(t.shape[0])).T.reshape(-1), [("p", c)]))
+    items = plan.psi.chain_items({int(site): as_matrix(op) for site, op in observables}, joins)
+    branches = {}
+    for chi in set(plan.join_dims):
+        traced = np.multiply.outer(np.eye(chi), np.eye(chi))  # k0 = b0, k1 = b1
+        omega = traced.transpose(0, 2, 1, 3) / chi  # k0 = k1, b0 = b1
+        branches[chi] = chi * np.stack([omega if mode == "postselect" else traced, traced - omega])
     for b, chi in zip(joins, plan.join_dims):
-        branches = _bell_branches(chi)
-        if mode == "corrected":  # summing both outcomes traces the join
-            branches = np.stack([branches.sum(axis=0), branches[1]])
-        items.append((chi * branches, [("bit", b), (b, 0), (b, 1)]))
-        items.append((np.array(bit_close[mode]), [("bit", b)]))
-    value = _contract_group(items, label)
-    return abs(psi.boundary[0, 0]) ** 2 * complex(value.reshape(()))
+        legs = [("bit", b), ("k", b, 0), ("b", b, 0), ("k", b, 1), ("b", b, 1)]
+        items += [(branches[chi], legs), (np.array(bit_close[mode]), [("bit", b)])]
+    return complex(_contract_group(items, label).reshape(()))

@@ -242,9 +242,10 @@ def suite_network() -> list:
     obs = [(0, PAULI["Z"])]
     network = net.build_network(psi, circ, obs)
     exact = net.evaluate_exact(network).real
+    cells = net.branch_distribution(network)
     hits = 0
     for s in range(20):
-        res = net.evaluate_sampled(network, shots=10**5, seed=s)
+        res = net.sample_cells(*cells, shots=10**5, seed=s)
         if abs(res.estimate - exact) <= 4 * res.stderr:
             hits += 1
     out.append(_check("network", "postselect-sampling-4sigma", 20 - hits, 1.0,

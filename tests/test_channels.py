@@ -231,28 +231,13 @@ def test_purified_choi():
     assert np.max(np.abs(pure.choi_matrix() - phi.to_choi().matrix)) < 1e-10
 
 
-def test_transfer_matches_apply():
-    rng = np.random.default_rng(10)
-    assert np.allclose(ch.transfer_matrix(identity(2).stack), np.eye(4))
-    phi = random_channel(rng, 3, 2, 2)
-    rho = random_density(rng, 3)
-    lhs = ch.transfer_matrix(phi.stack) @ rho.reshape(-1)  # row-major vec
-    assert np.max(np.abs(lhs.reshape(2, 2) - phi.apply(rho))) < 1e-12
-
-
-def test_transfer_obs_reduces_to_transfer():
-    rng = np.random.default_rng(11)
-    phi = random_channel(rng, 2, 2, 3)
-    assert np.allclose(ch.transfer_matrix(phi.stack, np.eye(3)), ch.transfer_matrix(phi.stack))
-
-
 def test_transfer_composition():
     rng = np.random.default_rng(12)
     phi1 = random_channel(rng, 2, 3, 2)
     phi2 = random_channel(rng, 3, 2, 3)
-    composed = phi2.compose(phi1)
-    product = ch.transfer_matrix(phi2.stack) @ ch.transfer_matrix(phi1.stack)
-    assert np.max(np.abs(ch.transfer_matrix(composed.stack) - product)) < 1e-12
+    rho = random_density(rng, 2)
+    composed = phi2.compose(phi1).apply(rho)
+    assert np.max(np.abs(composed - phi2.apply(phi1.apply(rho)))) < 1e-12
 
 
 def test_oqt_mixing_identity_is_exact():
@@ -392,19 +377,6 @@ def test_batched_checks_name_the_failing_case():
         ch.choi_eigh(choi, 2, 2, cases=[7, 8, 9])
     with pytest.raises(InvalidChoiError, match="^Choi matrix is not PSD"):
         ch.ChoiState(2, 2, choi[2]).to_channel()
-
-
-def test_transfer_matrix_matches_kron_sum():
-    rng = np.random.default_rng(33)
-    t = rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5))
-    op = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    plain = sum(np.kron(a, a.conj()) for a in t)
-    weighted = sum(op[i, j] * np.kron(t[j], t[i].conj()) for i in range(3) for j in range(3))
-    assert np.max(np.abs(ch.transfer_matrix(t) - plain)) < 1e-12
-    assert np.max(np.abs(ch.transfer_matrix(t, op) - weighted)) < 1e-12
-    assert np.max(np.abs(ch.transfer_matrix(list(t), op) - weighted)) < 1e-12
-    with pytest.raises(ShapeError):
-        ch.transfer_matrix(t, np.eye(2))
 
 
 @pytest.mark.parametrize("chunk", [7, 512])

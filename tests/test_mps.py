@@ -240,6 +240,33 @@ def test_periodic_boundary_evaluators():
     assert abs(m.expectation_product(ops) - want) < 1e-10
 
 
+def test_expectation_chain_peak_memory():
+    import tracemalloc
+
+    # Dense bonds up to chi = 32 at N=10: a d chi^4 transfer matrix per site
+    # would peak at 8 MiB, the single-layer environments at chi^2 entries.
+    n = 10
+    m = mps.from_statevector(random_state(np.random.default_rng(23), 2**n), [2] * n)
+    ops = {0: PAULI["Z"], n // 2: PAULI["X"], n - 1: PAULI["Z"]}
+    want = dense_expectation(m.to_statevector(), ops, [2] * n)
+    tracemalloc.start()
+    try:
+        got = m.expectation_product(ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(got - want) < 1e-12
+    assert peak < 2**20
+
+
+def test_wrong_size_operator_names_its_site():
+    m = random_mps(np.random.default_rng(24), 3)
+    with pytest.raises(ShapeError, match="operator at site 1 has shape \\(3, 3\\)"):
+        m.expectation_product({0: PAULI["Z"], 1: np.eye(3)})
+    with pytest.raises(ShapeError, match="operator at site 2 has shape \\(2,\\)"):
+        m.expectation_product({2: np.ones(2)})
+
+
 def _stacked_cases(rng, n, batch):
     """``batch`` random N-site states and per-case Pauli operators on 1-2
     sites, as a stack (B, 2^N), per-case dicts and {site: (B, 2, 2)}
@@ -272,6 +299,14 @@ def test_stacked_sweep_and_chain_match_per_case():
             assert abs(dense[b] - oracle.expectation(psi, ops, [2] * n)) < 1e-15
             assert bond_dims(stacked) == bond_dims(one)  # random states are full rank
             assert np.max(np.abs(case.to_statevector() - psi)) < 1e-14
+        # One (2, 2) operator is shared by every case, and a (1, 5) stack
+        # flattens its batch axes into the same cases.
+        shared = stacked.expectation_product({0: PAULI["Z"]})
+        grid = mps.from_statevector(states[None], [2] * n).expectation_product({0: PAULI["Z"]})
+        assert shared.shape == (5,) and grid.shape == (1, 5)
+        for b, case in enumerate(stacked.cases()):
+            want = case.expectation_product({0: PAULI["Z"]})
+            assert abs(shared[b] - want) < 1e-14 and abs(grid[0, b] - want) < 1e-14
 
 
 def test_stack_mixing_product_and_random_state_stays_canonical():

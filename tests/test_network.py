@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import PAULI
-from epsim import mps, network, oracle, verify
+from epsim import contract, mps, network, oracle, verify
 from epsim.errors import CanonicalFormError, SamplingError, ShapeError, SizeGuardError
 from epsim.rand import haar_unitary, random_canonical_mps, random_state
 
@@ -222,7 +222,7 @@ def test_exact_contraction_size_guard(monkeypatch):
     # state tensors into a 2^16-entry result, far above the lowered guard.
     rng = np.random.default_rng(99)
     net, *_ = random_net(rng, 16, 1, obs_sites=(8,))
-    monkeypatch.setattr(network, "CONTRACTION_GUARD", 2**10)
+    monkeypatch.setattr(contract, "CONTRACTION_GUARD", 2**10)
     tracemalloc.start()
     try:
         with pytest.raises(SizeGuardError, match="exact contraction") as err:
@@ -416,8 +416,8 @@ def test_chunked_stack_equals_one_chunk(monkeypatch):
     part = verify._partitions(stack)[0]
     whole = network.evaluate_exact(stack), network.evaluate_regions(stack, part)
     cases = stack.batch_shape[0]
-    peak = network._plan(stack.layout.signature).peak
-    monkeypatch.setattr(network, "STACK_BUDGET", peak * (cases // 3))
+    peak = contract._plan(stack.layout.signature).peak
+    monkeypatch.setattr(contract, "STACK_BUDGET", peak * (cases // 3))
     assert len(network._chunks(stack, peak)) >= 3
     assert np.array_equal(network.evaluate_exact(stack), whole[0])
     values, probs = network.evaluate_regions(stack, part)
@@ -444,9 +444,9 @@ def test_guard_refuses_a_stack_from_batch_times_peak(monkeypatch):
     stack = network.build_network(mps.from_statevector(states, [2] * 6), circ, [(3, PAULI["Z"])])
     single = network.build_network(mps.from_statevector(states[0], [2] * 6), case_of(circ, 0),
                                    [(3, PAULI["Z"])])
-    peak = network._plan(stack.layout.signature).peak
-    monkeypatch.setattr(network, "STACK_BUDGET", 8 * peak)
-    monkeypatch.setattr(network, "CONTRACTION_GUARD", 2 * peak)
+    peak = contract._plan(stack.layout.signature).peak
+    monkeypatch.setattr(contract, "STACK_BUDGET", 8 * peak)
+    monkeypatch.setattr(contract, "CONTRACTION_GUARD", 2 * peak)
     network.evaluate_exact(single)  # one network fits the guard
     stacked_bytes = sum(t.nbytes for t in stack.tensors)
     tracemalloc.start()
@@ -466,11 +466,11 @@ def test_contraction_guard_refuses_before_allocating():
     a = rng.normal(size=(4096, 2)) + 0j
     b = rng.normal(size=(2, 8192)) + 0j
     refused_bytes = 4096 * 8192 * 16
-    assert 4096 * 8192 > network.CONTRACTION_GUARD
+    assert 4096 * 8192 > contract.CONTRACTION_GUARD
     tracemalloc.start()
     try:
         with pytest.raises(SizeGuardError, match="refusing"):
-            network._contract_group([(a, ["x", "s"]), (b, ["s", "y"])], "test")
+            contract._contract_group([(a, ["x", "s"]), (b, ["s", "y"])], "test")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -487,11 +487,11 @@ def test_guard_refuses_before_the_first_step(monkeypatch):
     b = rng.normal(size=(2, 256)) + 0j
     c = rng.normal(size=64) + 0j
     first_step_bytes = 256 * 256 * 16
-    monkeypatch.setattr(network, "CONTRACTION_GUARD", 2**20)
+    monkeypatch.setattr(contract, "CONTRACTION_GUARD", 2**20)
     tracemalloc.start()
     try:
         with pytest.raises(SizeGuardError, match=f"has {2**22} entries"):
-            network._contract_group([(a, ["x", "s"]), (b, ["s", "y"]), (c, ["z"])], "test")
+            contract._contract_group([(a, ["x", "s"]), (b, ["s", "y"]), (c, ["z"])], "test")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -500,11 +500,11 @@ def test_guard_refuses_before_the_first_step(monkeypatch):
 
 def test_plan_is_reused_for_networks_of_one_shape():
     rng = np.random.default_rng(34)
-    network._plan.cache_clear()
+    contract._plan.cache_clear()
     for _ in range(2):
         net, psi, circ, obs = random_net(rng, 5, 3, obs_sites=(2,))
         assert abs(network.evaluate_exact(net) - oracle_value(psi, circ, obs)) < 1e-8
-    info = network._plan.cache_info()
+    info = contract._plan.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
@@ -512,7 +512,7 @@ def test_cached_plan_refuses_when_guard_is_lowered(monkeypatch):
     rng = np.random.default_rng(35)
     net, *_ = random_net(rng, 6, 2)
     network.evaluate_exact(net)
-    monkeypatch.setattr(network, "CONTRACTION_GUARD", 2**4)
+    monkeypatch.setattr(contract, "CONTRACTION_GUARD", 2**4)
     with pytest.raises(SizeGuardError, match="exact contraction"):
         network.evaluate_exact(net)
 
@@ -521,13 +521,16 @@ def test_contract_group_rejects_mismatched_wire():
     # Raised by the planner; exceptions are not cached, so a repeat raises too.
     for _ in range(2):
         with pytest.raises(ShapeError, match="dims 2 and 3"):
-            network._contract_group([(np.ones(2), ["w"]), (np.ones(3), ["w"])], "test")
+            contract._contract_group([(np.ones(2), ["w"]), (np.ones(3), ["w"])], "test")
     # Two legs of one tensor are traced; their sizes are checked first.
     with pytest.raises(ShapeError, match="dims 2 and 3"):
-        network._contract_group([(np.ones((2, 3)), ["w", "w"]), (np.ones(4), ["x"])], "test")
-    # One label per axis: there are no batch axes to infer.
-    with pytest.raises(ShapeError, match="1 leg labels for a 2-axis tensor"):
-        network._contract_group([(np.ones((2, 2)), ["w"])], "test")
+        contract._contract_group([(np.ones((2, 3)), ["w", "w"]), (np.ones(4), ["x"])], "test")
+    # At most one label per axis; the axes before the labels are batch axes,
+    # and those of all items must broadcast together.
+    with pytest.raises(ShapeError, match="2 leg labels for a 1-axis tensor"):
+        contract._contract_group([(np.ones(2), ["w", "x"])], "test")
+    with pytest.raises(ShapeError, match="batch axes .* do not broadcast"):
+        contract._contract_group([(np.ones((2, 4)), ["w"]), (np.ones((3, 4)), ["w"])], "test")
 
 
 def test_steps_carry_no_unit_axes():
@@ -544,7 +547,7 @@ def test_steps_carry_no_unit_axes():
         (t.reshape([d for d in t.shape if d > 1]), [lab for lab, d in zip(legs, t.shape) if d > 1])
         for t, legs in zip(net.tensors, net.layout.legs)
     ]
-    want = network._contract_group(squeezed, "reference").reshape(())
+    want = contract._contract_group(squeezed, "reference").reshape(())
     assert abs(got - want) < 1e-10
 
 
@@ -768,8 +771,11 @@ def test_sampling_corrected_stderr_is_calibrated():
 @pytest.mark.parametrize("strategy", ["postselect", "corrected"])
 def test_sampling_expected_diagnostics(strategy):
     net, *_ = random_net(np.random.default_rng(1000), 3, 1)
-    probs, _, _ = network.branch_distribution(net, strategy)
+    cells = network.branch_distribution(net, strategy)
+    probs = cells[0]
     results = [network.evaluate_sampled(net, 10**6, seed, strategy) for seed in range(10)]
+    # One set of cells serves every seed: the same results, draw for draw.
+    assert results == [network.sample_cells(*cells, 10**6, seed, strategy) for seed in range(10)]
     assert {r.expected_accepted for r in results} == {10**6 * probs[-1].sum()}
     ratio = np.median([r.stderr for r in results]) / results[0].expected_stderr
     assert 0.5 < ratio < 2
@@ -796,7 +802,7 @@ def test_branch_distribution_guard_refuses_from_shapes(monkeypatch):
     # bond's chi^2 = 2^14 entries.
     psi = mps.from_statevector(random_state(np.random.default_rng(20), 2**14), [2] * 14)
     net = network.build_network(psi, network.BrickworkCircuit(14, ()), [(6, PAULI["Z"])])
-    monkeypatch.setattr(network, "CONTRACTION_GUARD", 2**12)
+    monkeypatch.setattr(contract, "CONTRACTION_GUARD", 2**12)
     tracemalloc.start()
     try:
         with pytest.raises(SizeGuardError, match="branch distribution") as exc:
@@ -810,14 +816,9 @@ def test_branch_distribution_guard_refuses_from_shapes(monkeypatch):
 
 
 @pytest.mark.parametrize("strategy", ["postselect", "corrected"])
-def test_branch_distribution_full_rank_without_doubling(monkeypatch, strategy):
-    # A doubled preparation graph of this network holds 3.6e7 entries.
+def test_branch_distribution_full_rank_without_doubling(strategy):
+    # A doubled (ket x bra) graph of this network would hold 3.6e7 entries.
     net, *_ = random_net(np.random.default_rng(21), 12, 4, obs_sites=(5, 6))
-
-    def no_doubling(tensor):
-        raise AssertionError("a doubled tensor was built")
-
-    monkeypatch.setattr(network, "_doubled", no_doubling)
     probs, lam, clipped = network.branch_distribution(net, strategy)
     assert probs.shape == ((1, 4) if strategy == "postselect" else (2, 4))
     assert 0 < probs.sum() <= 1 + 1e-12 and clipped <= 1e-12
@@ -875,11 +876,12 @@ def test_oqt_plan_multi_join_and_padding():
         assert abs(got - want) < 1e-8
 
 
-@pytest.mark.parametrize("n, chi", [(32, 4), (64, 8)])
+@pytest.mark.parametrize("n, chi", [(32, 4), (64, 8), (16, 32)])
 @pytest.mark.parametrize("mode", ["postselect", "corrected"])
 def test_oqt_plan_long_chains(n, chi, mode):
     # At N=64, chi=8 the product of the join dimensions, 8^31, wraps to 0 in
-    # int64, so a global weight computed with np.prod fails here.
+    # int64, so a global weight computed with np.prod fails here.  At N=16,
+    # chi=32 doubled (ket x bra) site tensors would hold 4.3e7 entries.
     psi = random_canonical_mps(np.random.default_rng(n), n, chi)
     plan = network.oqt_prepare_plan(psi)
     assert max(plan.join_dims) == chi
@@ -893,9 +895,12 @@ def test_oqt_plan_guard_refuses_from_shapes(monkeypatch):
     import re
     import tracemalloc
 
-    psi = random_canonical_mps(np.random.default_rng(36), 32, 4)
+    # At chi = 16 each join tensor holds 2 chi^4 = 2^17 entries and the plan
+    # peaks at chi^4.  With the guard below both, the joins are refused from
+    # their dims, before any join tensor or bra copy is built.
+    psi = random_canonical_mps(np.random.default_rng(36), 32, 16)
     plan = network.oqt_prepare_plan(psi)
-    monkeypatch.setattr(network, "CONTRACTION_GUARD", 2**12)
+    monkeypatch.setattr(contract, "CONTRACTION_GUARD", 2**15)
     tracemalloc.start()
     try:
         with pytest.raises(SizeGuardError, match=r"oqt preparation plan \(corrected\)") as err:
