@@ -271,31 +271,39 @@ def _moment_grid(h_norm: float, order: int, grid, solver_tol: float) -> tuple:
 
 
 def _spectrum(h: LocalHamiltonian, mode: str, trotter_step, states) -> tuple:
-    """(E, W) from one eigendecomposition G = sum_k E_k |k><k| of the
-    generator, H itself in exact mode, the effective Hamiltonian of one
+    """(E, W) from one Hermitian eigendecomposition G = sum_k E_k |k><k| of
+    the generator, H itself in exact mode, the effective Hamiltonian of one
     Trotter step of length ``trotter_step`` in trotter mode: the energies
     E_k and the weights W[k, a] = |<k|a>|^2 of every column a of
     ``states``.  Every grid and every order reuse them.  In both modes
-    the dimension is refused beyond DENSE_DIM_GUARD before any dense array."""
+    the dimension is refused beyond DENSE_DIM_GUARD before any dense array;
+    in trotter mode a step with ``trotter_step * ||H||`` >= pi/2 is refused
+    before the step is built."""
     dim = h.dense_dim()
     if states.shape[0] != dim:
         raise ShapeError(f"state dim {states.shape[0]} != operator dim {dim}")
     if mode == "exact":
         energies, eigvecs = np.linalg.eigh(h.dense())
     elif mode == "trotter":
-        import scipy.linalg
-
+        h_norm = h.norm_bound()
+        if trotter_step * h_norm >= math.pi / 2:
+            raise ShapeError(
+                f"trotter step {trotter_step:.3e} times the norm bound "
+                f"{h_norm:.3e} is >= pi/2, where the step's phases are ambiguous"
+            )
         circ = trotter_circuit(h, trotter_step, 1)
         step_u = apply_circuit(np.eye(dim), circ).T
         # All grid samples are powers of the same step circuit, i.e. exact
         # evolution under its effective (Floquet) Hamiltonian.  Extracting
         # that generator once and evolving with it keeps the dataset exactly
         # self-consistent, so the imaginary-time continuation does not
-        # amplify floating-point noise from repeated matrix powers.  A unitary
-        # step is normal, so its complex Schur form is diagonal: the Schur
-        # vectors are eigenvectors with eigenphases e^{-i E step}.
-        tri, eigvecs = scipy.linalg.schur(step_u, output="complex")
-        energies = -np.angle(np.diag(tri)) / trotter_step
+        # amplify floating-point noise from repeated matrix powers.  The step
+        # is U = sum_k e^{-i E_k s} P_k, so (U - U^dag)/2i = sum_k
+        # -sin(E_k s) P_k.  Its phases stay within s * sum_r ||H_r|| < pi/2,
+        # where sin is injective, so this Hermitian matrix has U's
+        # eigenspaces and holds the small phases at full relative precision.
+        skew, eigvecs = np.linalg.eigh((step_u - dagger(step_u)) / 2j)
+        energies = -np.arcsin(skew) / trotter_step
     else:
         raise ShapeError(f"unknown moment-extraction mode {mode!r}")
     return energies, np.abs(dagger(eigvecs) @ states) ** 2

@@ -212,10 +212,10 @@ class Channel:
         u = np.zeros((dim, dim), dtype=complex)
         cols = [j * m_in for j in range(d1)]
         u[:, cols] = iso
-        import scipy.linalg
-
-        # Fill the free columns with an orthonormal basis of the complement.
-        comp = scipy.linalg.null_space(dagger(iso))
+        # Fill the free columns with an orthonormal basis of the complement:
+        # iso has rank d1, so the right singular vectors of iso^dag past the
+        # first d1 span it.
+        comp = np.linalg.svd(dagger(iso))[2][d1:].conj().T
         free = [c for c in range(dim) if c not in cols]
         u[:, free] = comp
         return u, n_anc

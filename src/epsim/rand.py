@@ -13,16 +13,22 @@ def rng_from(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
-def gaussian(rng, shape) -> np.ndarray:
+def gaussians(rng, n: int, shape: tuple) -> np.ndarray:
+    """``n`` complex Gaussian arrays (n, *shape) from one draw, the same
+    numbers as ``n`` calls of :func:`gaussian` in turn (the generator fills
+    in C order)."""
+    z = rng_from(rng).normal(size=(n, 2, *shape))
+    return z[:, 0] + 1j * z[:, 1]
+
+
+def gaussian(rng, shape: tuple) -> np.ndarray:
     """Complex Gaussian array, real parts drawn first: the draw step of
     haar_unitary and random_density, whose finish steps act on stacks."""
-    rng = rng_from(rng)
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return gaussians(rng, 1, shape)[0]
 
 
 def random_state(rng, dim: int) -> np.ndarray:
-    rng = rng_from(rng)
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v = gaussian(rng, (dim,))
     return v / np.linalg.norm(v)
 
 
@@ -97,7 +103,7 @@ def random_duality_groups(rng, n_cases: int, max_dim: int, n_states: int):
         d_out = int(rng.integers(2, max_dim + 1))
         n_kraus = kraus_count(d_in, d_out, int(rng.integers(1, 4)))
         z = gaussian(rng, (d_out * n_kraus,) * 2)
-        a = np.stack([gaussian(rng, (d_in, d_in)) for _ in range(n_states)])
+        a = gaussians(rng, n_states, (d_in, d_in))
         return (d_in, d_out, n_kraus), (z, a)
 
     for (d_in, d_out, _), cases, draws in draw_groups(rng, n_cases, draw):

@@ -24,6 +24,7 @@ from .rand import (
     density_from_gaussian,
     draw_groups,
     gaussian,
+    gaussians,
     haar_unitary,
     kraus_count,
     kraus_from_unitary,
@@ -185,7 +186,7 @@ def _network_draw(rng):
     n = int(rng.integers(2, 7))
     layers = int(rng.integers(1, 4))
     state = random_state(rng, 2**n)
-    z = np.array([gaussian(rng, (4, 4)) for _ in _gate_sites(n, layers)])
+    z = gaussians(rng, len(_gate_sites(n, layers)), (4, 4))
     return (n, layers), (state, z, _pauli_codes(rng, n, 2))
 
 

@@ -23,6 +23,12 @@ def random_kraus(rng, d_in, d_out, n_kraus):
     return kraus_from_unitary(u, d_in, d_out)
 
 
+def per_case_gaussian(rng, shape):
+    """A complex Gaussian array as two separate draws, real parts first: the
+    per-call reference for the fused draws of ``epsim.rand``."""
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 def dense_expectation(psi, ops, dims):
     """Brute-force <psi| (x)_n O_n |psi> with identities at unlisted sites."""
     from epsim.linalg import embed_operator

@@ -197,6 +197,17 @@ def test_moments_trotter_mode():
     assert np.max(np.abs(exact.moments - trot.moments)) < 1e-3
 
 
+def test_moments_trotter_step_past_half_pi_refused_before_the_step(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the step circuit was built before the refusal")
+
+    h = ham.build_tfim(2, 1.0, 0.5)
+    step = (np.pi / 2) / h.norm_bound()
+    monkeypatch.setattr(alg, "trotter_circuit", unreachable)
+    with pytest.raises(ShapeError, match=f"trotter step {step:.3e}.*pi/2"):
+        alg.extract_moments(h, random_state(1, 4), 4, mode="trotter", trotter_step=step)
+
+
 def test_moments_reject_bad_grid():
     h = ham.build_tfim(2, 1.0, 0.5)
     a = random_state(2, 4)
@@ -337,6 +348,19 @@ def test_thermal_budget_sum_within_epsilon(n, beta, site, pauli, mode):
     )
     assert sum(res.budget.values()) <= 1e-3
     assert abs(res.value - oracle.thermal_exact(a, h, beta)) < 1e-3
+
+
+@pytest.mark.parametrize("pauli", "XYZ")
+def test_thermal_trotter_mode_matches_oracle_closely(pauli):
+    # The step's eigenphases are about 1e-8; read from the step's skew part
+    # they keep full relative precision, so the value lands far inside the
+    # 1e-3 budget, whose Trotter share only bounds the step's own error.
+    h = ham.build_heisenberg(3, 1.0)
+    a = embed_operator(PAULI[pauli], [1], [2] * 3)
+    res = alg.thermal_value(
+        alg.ThermalJob(observable=a, hamiltonian=h, beta=1.0, epsilon=1e-3, mode="trotter")
+    )
+    assert abs(res.value - oracle.thermal_exact(a, h, 1.0)) < 1e-9
 
 
 @pytest.mark.parametrize("observable", [np.triu(np.ones((4, 4))), np.ones((4, 5))])

@@ -4,13 +4,16 @@ import pytest
 from epsim import channels as ch
 from epsim import rand, verify
 from epsim.errors import InvalidChoiError, PositivityError, ShapeError
-from conftest import random_kraus
+from conftest import per_case_gaussian, random_kraus
 from epsim.linalg import dagger, partial_trace
 from epsim.rand import (
+    density_from_gaussian,
     haar_unitary,
     kraus_count,
+    kraus_from_unitary,
     random_density,
     random_duality_groups,
+    unitary_from_gaussian,
 )
 
 
@@ -396,4 +399,36 @@ def test_duality_groups_draw_in_per_case_order(monkeypatch, chunk):
             np.testing.assert_allclose(kraus[b], np.stack(ref_kraus), rtol=0, atol=1e-13)
             np.testing.assert_allclose(states[b], np.stack(ref_states), rtol=0, atol=1e-13)
             seen.append(case)
+    assert sorted(seen) == list(range(40))
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 4), (2, 3, 5)])
+def test_fused_gaussian_draws_match_per_case_draws(shape):
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    assert np.array_equal(rand.gaussian(rng, shape), per_case_gaussian(ref, shape))
+    got = rand.gaussians(rng, 5, shape)
+    assert np.array_equal(got, np.stack([per_case_gaussian(ref, shape) for _ in range(5)]))
+    v = per_case_gaussian(ref, (16,))
+    assert np.array_equal(rand.random_state(rng, 16), v / np.linalg.norm(v))
+    assert rng.normal() == ref.normal()
+
+
+@pytest.mark.parametrize("chunk", [7, 512])
+def test_duality_group_draws_match_per_case_loop(monkeypatch, chunk):
+    monkeypatch.setattr(rand, "_GROUP_CHUNK", chunk)
+    rng = np.random.default_rng(35)
+    keys, draws = [], []
+    for _ in range(40):
+        d_in, d_out = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        k = kraus_count(d_in, d_out, int(rng.integers(1, 4)))
+        z = per_case_gaussian(rng, (d_out * k,) * 2)
+        keys.append((d_in, d_out, k))
+        draws.append((z, np.stack([per_case_gaussian(rng, (d_in, d_in)) for _ in range(3)])))
+    seen = []
+    for cases, kraus, states in random_duality_groups(35, 40, 4, 3):
+        d_in, d_out, _ = keys[cases[0]]
+        z, a = (np.stack(x) for x in zip(*(draws[c] for c in cases)))
+        assert np.array_equal(kraus, kraus_from_unitary(unitary_from_gaussian(z), d_in, d_out))
+        assert np.array_equal(states, density_from_gaussian(a))
+        seen += cases
     assert sorted(seen) == list(range(40))

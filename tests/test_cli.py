@@ -100,6 +100,46 @@ def test_verify_duality_does_not_load_scipy():
     _assert_runs_without_scipy(["verify", "--suite", "duality"])
 
 
+@pytest.mark.parametrize("config", [
+    {"task": "thermal", "model_file": "tfim.json", "observable": {"site": 0, "pauli": "Z"},
+     "beta": 0.5, "epsilon": 1e-3, "mode": "exact"},
+    {"task": "thermal", "model_file": "tfim.json", "observable": {"site": 0, "pauli": "Z"},
+     "beta": 0.5, "epsilon": 1e-3, "mode": "trotter"},
+    {"task": "entropy", "model_file": "mod.json", "epsilon": 1e-3},
+], ids=["thermal-exact", "thermal-trotter", "entropy"])
+def test_cli_estimator_tasks_do_not_load_scipy(workdir, config):
+    # H = -log(diag(0.75, 0.25) (x) 1/2), a modular Hamiltonian for entropy.
+    mod = {"n_sites": 2, "phys_dim": 2, "terms": [
+        {"support": [0], "matrix": serialize.cmat_flat(np.diag(-np.log([0.75, 0.25])))},
+        {"support": [1], "matrix": serialize.cmat_flat(np.log(2) * np.eye(2))},
+    ]}
+    (workdir / "mod.json").write_text(json.dumps(mod))
+    (workdir / "job.json").write_text(json.dumps(config))
+    _assert_runs_without_scipy(["run", "--config", str(workdir / "job.json")])
+
+
+def test_verify_all_does_not_load_scipy():
+    _assert_runs_without_scipy(["verify", "--suite", "all"])
+
+
+def test_no_program_module_imports_scipy():
+    import ast
+    from pathlib import Path
+
+    import epsim
+
+    for path in sorted(Path(epsim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n == "scipy" or n.startswith("scipy.") for n in names), \
+                f"{path.name}:{node.lineno} imports scipy"
+
+
 def test_dynamics_exact_report(workdir, capsys):
     config = {
         "task": "dynamics",

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import PAULI
+from conftest import PAULI, per_case_gaussian
 from epsim import contract, mps, network, oracle, verify
 from epsim.errors import CanonicalFormError, SamplingError, ShapeError, SizeGuardError
 from epsim.rand import haar_unitary, random_canonical_mps, random_state
@@ -223,6 +223,8 @@ def test_exact_contraction_size_guard(monkeypatch):
     rng = np.random.default_rng(99)
     net, *_ = random_net(rng, 16, 1, obs_sites=(8,))
     monkeypatch.setattr(contract, "CONTRACTION_GUARD", 2**10)
+    # Planned first, so the peak measures the refusal, not a cold plan cache.
+    contract._plan(net.layout.signature)
     tracemalloc.start()
     try:
         with pytest.raises(SizeGuardError, match="exact contraction") as err:
@@ -973,3 +975,16 @@ def test_obs_eigenbasis_phase_convention():
         assert abs(col[nz].imag) < 1e-12 and col[nz].real > 0
     rebuilt = (vecs * vals) @ vecs.conj().T
     assert np.allclose(rebuilt, PAULI["Y"])
+
+
+def test_network_draws_match_per_case_loop():
+    rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+    for _ in range(30):
+        key, (state, z, codes) = verify._network_draw(rng)
+        n, layers = int(ref.integers(2, 7)), int(ref.integers(1, 4))
+        v = per_case_gaussian(ref, (2**n,))
+        gates = [per_case_gaussian(ref, (4, 4)) for _ in verify._gate_sites(n, layers)]
+        assert key == (n, layers)
+        assert np.array_equal(state, v / np.linalg.norm(v))
+        assert np.array_equal(z, np.stack(gates))
+        assert np.array_equal(codes, verify._pauli_codes(ref, n, 2))
