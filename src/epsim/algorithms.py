@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import limits
 from .errors import (
     BudgetError,
     IllConditionedError,
@@ -43,7 +44,7 @@ class AmplitudeEstimate:
 def _check_state(a) -> np.ndarray:
     """A normalized state vector, or a (..., d) stack of them."""
     a = np.atleast_1d(np.asarray(a, dtype=complex))
-    raise_first(np.abs(np.linalg.norm(a, axis=-1) - 1.0) > 1e-10, ShapeError,
+    raise_first(np.abs(np.linalg.norm(a, axis=-1) - 1.0) > limits.NORM_TOL, ShapeError,
                 lambda i: "state vector must be normalized")
     return a
 
@@ -56,6 +57,8 @@ def hadamard_test(u, a, shots: int | None = None, seed=None) -> AmplitudeEstimat
     expectations, also per case of broadcasting stacks U (..., d, d) and
     a (..., d); shot mode draws binomial samples per basis for one case.
     """
+    if shots is not None:
+        limits.check_shots(shots)
     u = np.asarray(u, dtype=complex)
     raise_first(~is_unitary(u), ShapeError, lambda i: "hadamard_test needs a unitary operator")
     a = _check_state(a)
@@ -121,13 +124,15 @@ def dqc1_cswap_estimate(
     A maximally mixed spectator on the observable register factors out of
     all three statistics and is therefore not simulated explicitly.
     """
+    if shots is not None:
+        limits.check_shots(shots)
     u = as_matrix(u)
     if not is_unitary(u):
         raise ShapeError("dqc1_cswap_estimate needs a unitary operator")
     a = _check_state(a)
     eigvec = _check_state(eigvec)
     resid = u @ eigvec - (np.conj(eigvec) @ u @ eigvec) * eigvec
-    if np.linalg.norm(resid) > 1e-8:
+    if np.linalg.norm(resid) > limits.EIGVEC_TOL:
         raise ShapeError("provided vector is not an eigenvector of U")
     p_x, p_y, p_a, phase = _cswap_probabilities(u, a, eigvec)
     if shots is None:
@@ -210,7 +215,7 @@ class MomentSet:
         return total
 
 
-def default_grid(order: int, h_norm: float, solver_tol: float = 1e-10):
+def default_grid(order: int, h_norm: float, solver_tol: float):
     """Symmetric grid t_k = k tau0, k = -s..s, with tau0 small enough that
     the order-s Taylor remainder stays an order below the solver tolerance.
 
@@ -228,7 +233,7 @@ def extract_moments(
     order: int,
     grid=None,
     mode: str = "exact",
-    solver_tol: float = 1e-10,
+    solver_tol: float | None = None,
     trotter_step: float | None = None,
 ) -> MomentSet:
     """Moments <a|H^n|a> from short-time amplitudes f(t) = <a|e^{-itH}|a>.
@@ -238,7 +243,9 @@ def extract_moments(
     conditioning stays flat at every order.  The amplitudes are those of the
     exact evolution, or of fixed-step Trotter powers (step ``t_max / 64``
     unless given), evaluated on the spectrum of their generator.
+    ``solver_tol`` defaults to SOLVER_TOL.
     """
+    solver_tol = limits.SOLVER_TOL if solver_tol is None else solver_tol
     grid = _moment_grid(h.norm_bound(), order, grid, solver_tol)
     a = _check_state(a)
     step = trotter_step if trotter_step else max(abs(t) for t in grid) / 64
@@ -328,19 +335,14 @@ def _fit_moments(grid: tuple, order: int, f: np.ndarray) -> tuple:
     y, _, _, sv = np.linalg.lstsq(vs, np.hstack([f.real, f.imag]), rcond=None)
     y = y[:, : f.shape[1]] + 1j * y[:, f.shape[1]:]
     condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    if condition > 1e12:
+    if condition > limits.MAX_CONDITION:
         raise IllConditionedError(
-            f"moment solve condition {condition:.2e} > 1e12; use a wider "
+            f"moment solve condition {condition:.2e} > {limits.MAX_CONDITION:.0e}; use a wider "
             "spread of grid times or a lower order"
         )
     coeffs = y / col_scale[:, None]
     residuals = np.linalg.norm(v @ coeffs - f, axis=0)
     return coeffs, condition, residuals
-
-
-# The highest Taylor order thermal_value tries (default_grid needs s! as a
-# float, which overflows past s = 170).
-_MAX_ORDER = 64
 
 
 def choose_truncation(beta: float, h_norm_bound: float, eps: float) -> int:
@@ -353,8 +355,8 @@ def choose_truncation(beta: float, h_norm_bound: float, eps: float) -> int:
     s = 1
     while x > 0 and s * math.log(x) - math.lgamma(s + 1) + x > math.log(eps):
         s += 1
-        if s > _MAX_ORDER:
-            raise BudgetError(f"Taylor order exceeds {_MAX_ORDER}; lower beta or eps")
+        if s > limits.MAX_ORDER:
+            raise BudgetError(f"Taylor order exceeds {limits.MAX_ORDER}; lower beta or eps")
     return s
 
 
@@ -402,7 +404,7 @@ def thermal_value(job: ThermalJob, normalized: bool = False) -> ThermalResult:
     The error bound splits into the Taylor tail, the Trotter contribution
     and the solver residual.  The order starts where the tail fits half of
     epsilon and rises until the three sum to at most epsilon; when no order
-    up to ``_MAX_ORDER`` gets there, or the imaginary part exceeds epsilon,
+    up to MAX_ORDER gets there, or the imaginary part exceeds epsilon,
     the call is a BudgetError.  ``normalized`` divides by the partition
     function read from the same fit (A's eigenstates span the space, so
     their amplitudes sum to Tr e^{-itH}); the budget then weighs
@@ -422,7 +424,7 @@ def thermal_value(job: ThermalJob, normalized: bool = False) -> ThermalResult:
     # The grid length sets how far the fit must continue towards imaginary
     # time; tying the solver tolerance to the job budget keeps the grid as
     # long (and the continuation as tame) as the accuracy target allows.
-    solver_tol = min(1e-6, 0.2 * eps / max(a_norm, 1.0))
+    solver_tol = min(limits.MAX_SOLVER_TOL, 0.2 * eps / max(a_norm, 1.0))
     trotter_step, trotter_bound = None, 0.0
     if job.mode == "trotter":
         comm_scale = 2 * h_norm**2 * math.exp(x)
@@ -431,7 +433,7 @@ def thermal_value(job: ThermalJob, normalized: bool = False) -> ThermalResult:
     energies, weights = _spectrum(h, job.mode, trotter_step, vecs)
 
     best = (math.inf, start, {})  # the smallest budget sum seen, if none meets eps
-    for order in range(start, _MAX_ORDER + 1):
+    for order in range(start, limits.MAX_ORDER + 1):
         grid = _moment_grid(h_norm, order, None, solver_tol)
         coeffs, condition, residuals = _fit_moments(
             grid, order, _amplitudes(grid, energies, weights)
@@ -451,7 +453,7 @@ def thermal_value(job: ThermalJob, normalized: bool = False) -> ThermalResult:
         spent, order, budget = best
         split = ", ".join(f"{k} {v:.2e}" for k, v in budget.items())
         raise BudgetError(
-            f"no Taylor order up to {_MAX_ORDER} meets epsilon {eps:.1e}; the "
+            f"no Taylor order up to {limits.MAX_ORDER} meets epsilon {eps:.1e}; the "
             f"best, order {order}, has a budget sum {spent:.2e} ({split}); "
             "lower beta or raise epsilon"
         )
@@ -472,12 +474,12 @@ def entropy(h_mod: LocalHamiltonian, eps: float) -> ThermalResult:
     """S(rho) = Tr(H e^{-H}) for rho = e^{-H}: one thermal value of A = H
     at beta = 1.
 
-    ``h_mod`` must normalize: Tr(e^{-H}) = 1 within 1e-6 (the temperature is
-    absorbed into H).
+    ``h_mod`` must normalize: Tr(e^{-H}) = 1 within MODULAR_TOL (the
+    temperature is absorbed into H).
     """
     dense = h_mod.dense()
     z = float(np.sum(np.exp(-np.linalg.eigvalsh(dense))))
-    if abs(z - 1.0) > 1e-6:
+    if abs(z - 1.0) > limits.MODULAR_TOL:
         raise PositivityError(
             f"Tr(e^-H) = {z:.8f} != 1: not a modular Hamiltonian"
         )
@@ -495,7 +497,8 @@ def reflection(psi) -> tuple:
     one state or for each state of a (..., d) stack."""
     psi = np.atleast_1d(np.asarray(psi, dtype=complex))
     norm = np.linalg.norm(psi, axis=-1, keepdims=True)
-    raise_first(norm[..., 0] < 1e-12, ShapeError, lambda i: "cannot reflect about the zero vector")
+    raise_first(norm[..., 0] < limits.ZERO_TOL, ShapeError,
+                lambda i: "cannot reflect about the zero vector")
     psi = psi / norm
     eye = np.eye(psi.shape[-1], dtype=complex)
     r = eye - 2 * psi[..., :, None] * psi.conj()[..., None, :]
@@ -514,7 +517,7 @@ def transition_amplitude(
     """<phi|U|psi> assembled from reflection-sandwiched diagonal elements.
 
     Uses the first computational basis state |b> overlapping both phi and
-    psi by at least 1e-3 in modulus:
+    psi by at least MIN_OVERLAP in modulus:
     <phi|U|psi> = (T1 + T4 - T2 - T3) / (4 <b|phi><psi|b>) with
     T1 = <b|R_phi U R_psi|b>, T2 = <b|R_phi U|b>, T3 = <b|U R_psi|b>,
     T4 = <b|U|b>, each a Hadamard-test estimate.  In exact mode phi, U and
@@ -530,9 +533,10 @@ def transition_amplitude(
     if psi.shape[-1] != d or u.shape[-1] != d:
         raise ShapeError("phi, U, psi dimensions disagree")
     phi, psi = np.broadcast_arrays(phi, psi)
-    usable = (np.abs(phi) >= 1e-3) & (np.abs(psi) >= 1e-3)
+    least = limits.MIN_OVERLAP
+    usable = (np.abs(phi) >= least) & (np.abs(psi) >= least)
     raise_first(~usable.any(axis=-1), ReferenceStateError,
-                lambda i: "no computational basis state overlaps both states above 1e-3")
+                lambda i: f"no computational basis state overlaps both states above {least:g}")
     b = np.argmax(usable, axis=-1)[..., None]
     basis = np.eye(d, dtype=complex)[b[..., 0]]
     r_phi, r_psi = reflection(phi)[0], reflection(psi)[0]

@@ -17,14 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import limits
 from .errors import InvalidChoiError, PositivityError, ShapeError, raise_first
-from .linalg import (
-    EQ_TOL,
-    PSD_CLAMP,
-    as_matrix,
-    dagger,
-    partial_trace,
-)
+from .linalg import as_matrix, dagger, partial_trace, tp_residual
 
 
 def bell_vector(d: int) -> np.ndarray:
@@ -42,11 +37,10 @@ def bell_vector(d: int) -> np.ndarray:
 
 def kraus_tp_check(kraus: np.ndarray, cases=None) -> None:
     """Raise ShapeError unless each Kraus set (..., k, d_out, d_in) obeys
-    sum_i A_i^dag A_i = 1 to within 1e-10."""
-    tp = (np.conj(np.swapaxes(kraus, -1, -2)) @ kraus).sum(axis=-3)
-    err = np.max(np.abs(tp - np.eye(kraus.shape[-1])), axis=(-2, -1))
+    sum_i A_i^dag A_i = 1 to within TP_TOL."""
+    err = tp_residual(kraus)
     raise_first(
-        err > 1e-10, ShapeError,
+        err > limits.TP_TOL, ShapeError,
         lambda i: f"Kraus operators are not trace preserving: max |sum A^dag A - 1| = {err[i]:.3e}",
         cases,
     )
@@ -60,12 +54,12 @@ def kraus_to_choi(kraus: np.ndarray) -> np.ndarray:
     return (np.swapaxes(w, -1, -2) @ w.conj()) / d_in
 
 
-def choi_eigh(matrix: np.ndarray, d_in: int, d_out: int, tol: float = EQ_TOL,
-              cases=None) -> tuple:
+def choi_eigh(matrix: np.ndarray, d_in: int, d_out: int, cases=None) -> tuple:
     """Validate Choi matrices (..., D, D) and return ``eigh`` of their
     Hermitian parts.  Raises InvalidChoiError unless each is Hermitian,
     PSD, of unit trace and maximally mixed on the input reference, all to
-    within ``tol``."""
+    within EQ_TOL."""
+    tol = limits.EQ_TOL
     adj = np.conj(np.swapaxes(matrix, -1, -2))
     herm = np.max(np.abs(matrix - adj), axis=(-2, -1))
     raise_first(herm > tol, InvalidChoiError, lambda i: "Choi matrix is not Hermitian", cases)
@@ -92,11 +86,12 @@ def choi_eigh(matrix: np.ndarray, d_in: int, d_out: int, tol: float = EQ_TOL,
 def choi_kraus(w: np.ndarray, v: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
     """Kraus sets (..., k, d_out, d_in) from the ``eigh`` of Choi matrices:
     sqrt(d_in * lam) times the reshaped eigenvector, for each eigenvalue
-    lam > 1e-12, in ascending order.  k is the largest kept count in the
+    lam > ZERO_TOL, in ascending order.  k is the largest kept count in the
     stack; a case keeping fewer is padded with zero operators."""
-    keep = int(np.max(np.sum(w > 1e-12, axis=-1)))
+    zero = limits.ZERO_TOL
+    keep = int(np.max(np.sum(w > zero, axis=-1)))
     w, v = w[..., w.shape[-1] - keep:], v[..., v.shape[-1] - keep:]
-    kraus = np.swapaxes(v * np.sqrt(d_in * np.where(w > 1e-12, w, 0.0))[..., None, :], -1, -2)
+    kraus = np.swapaxes(v * np.sqrt(d_in * np.where(w > zero, w, 0.0))[..., None, :], -1, -2)
     return kraus.reshape(kraus.shape[:-1] + (d_out, d_in))
 
 
@@ -135,7 +130,7 @@ def roundtrip_residuals(omega: np.ndarray, direct: np.ndarray, states: np.ndarra
     :func:`readout_residuals`' cases, where Phi' has the Kraus operators
     recovered from omega, after the checks of ChoiState.to_channel()."""
     d_out, d_in = direct.shape[-1], states.shape[-1]
-    back = choi_kraus(*choi_eigh(omega, d_in, d_out, tol=1e-8, cases=cases), d_in, d_out)
+    back = choi_kraus(*choi_eigh(omega, d_in, d_out, cases=cases), d_in, d_out)
     kraus_tp_check(back, cases)
     return np.max(np.abs(kraus_apply(back[:, None], states) - direct), axis=(-2, -1))
 
@@ -248,8 +243,8 @@ class ChoiState:
         choi_eigh(self.matrix, self.in_dim, self.out_dim)
 
     def to_channel(self) -> Channel:
-        """Recover Kraus operators; eigenvalues at most 1e-12 are dropped."""
-        w, v = choi_eigh(self.matrix, self.in_dim, self.out_dim, tol=1e-8)
+        """Recover Kraus operators; eigenvalues at most ZERO_TOL are dropped."""
+        w, v = choi_eigh(self.matrix, self.in_dim, self.out_dim)
         return Channel(tuple(choi_kraus(w, v, self.in_dim, self.out_dim)))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -285,8 +280,7 @@ class BinaryMeasurement:
         m0, m1 = as_matrix(self.m0), as_matrix(self.m1)
         object.__setattr__(self, "m0", m0)
         object.__setattr__(self, "m1", m1)
-        total = dagger(m0) @ m0 + dagger(m1) @ m1
-        if np.max(np.abs(total - np.eye(m0.shape[1]))) > 1e-10:
+        if tp_residual(np.stack([m0, m1])) > limits.TP_TOL:
             raise ShapeError("measurement operators do not resolve the identity")
 
     def effects(self):
@@ -315,22 +309,23 @@ def measurement_roots(rho: np.ndarray) -> tuple:
     """(sqrt(rho^T), sqrt(1 - rho^T)) for density matrices (..., d, d),
     from one ``eigh``: the binary measurement that realizes each state on a
     Choi input reference.  ShapeError unless each state is a density matrix
-    to within 1e-8; PositivityError when a root's argument is not Hermitian
-    or has an eigenvalue below -PSD_CLAMP."""
+    to within DENSITY_TOL; PositivityError when a root's argument is not
+    Hermitian or has an eigenvalue below -PSD_CLAMP."""
     rho_t = np.swapaxes(rho, -1, -2)
     herm = np.max(np.abs(rho_t - np.conj(rho)), axis=(-2, -1))
     w, v = np.linalg.eigh(rho_t)
     trace = np.trace(rho, axis1=-2, axis2=-1)
-    not_density = (herm > 1e-8) | (w[..., 0] < -1e-8) | (np.abs(trace - 1.0) > 1e-8)
+    tol, clamp = limits.DENSITY_TOL, limits.PSD_CLAMP
+    not_density = (herm > tol) | (w[..., 0] < -tol) | (np.abs(trace - 1.0) > tol)
     raise_first(not_density, ShapeError, lambda i: "state_measurement needs a density matrix")
-    raise_first(herm > PSD_CLAMP, PositivityError, lambda i: "matrix is not Hermitian")
+    raise_first(herm > clamp, PositivityError, lambda i: "matrix is not Hermitian")
     v_h = np.conj(np.swapaxes(v, -1, -2))
     roots = []
     for lam in (w, 1.0 - w):  # 1 - rho^T shares the eigenvectors of rho^T
         low = lam.min(axis=-1)
         raise_first(
-            low < -PSD_CLAMP, PositivityError,
-            lambda i: f"matrix is not PSD: smallest eigenvalue {low[i]:.3e} < -{PSD_CLAMP:.1e}",
+            low < -clamp, PositivityError,
+            lambda i: f"matrix is not PSD: smallest eigenvalue {low[i]:.3e} < -{clamp:.1e}",
         )
         roots.append((v * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]) @ v_h)
     return tuple(roots)
@@ -357,15 +352,14 @@ def measured_branches(kraus: np.ndarray, rho: np.ndarray, obs: np.ndarray) -> tu
     input reference and reads ``obs`` out of each conditional output.
     Returns (probs, conds, values), each (..., 2) over the two branches:
     the branch probability, the conditional expectation (0 where the
-    probability is at most 1e-14) and the reconstructed value, d_in
+    probability is at most ZERO_WEIGHT) and the reconstructed value, d_in
     tr(obs sigma_0) on branch 0 and tr(obs Phi(1)) - d_in tr(obs sigma_1) on
     branch 1, with sigma the unnormalized conditional output.
     """
     d_out, d_in = kraus.shape[-2:]
     roots = np.stack(measurement_roots(rho), axis=-3)
     effects = np.conj(np.swapaxes(roots, -1, -2)) @ roots
-    err = np.max(np.abs(effects.sum(axis=-3) - np.eye(d_in)), axis=(-2, -1))
-    raise_first(err > 1e-10, ShapeError,
+    raise_first(tp_residual(roots) > limits.TP_TOL, ShapeError,
                 lambda i: "measurement operators do not resolve the identity")
     # tr_ref[(1 (x) M) omega (1 (x) M^dag)] is the readout of omega at (M^dag M)^T.
     sigma = choi_apply(kraus_to_choi(kraus)[..., None, :, :],
@@ -374,7 +368,8 @@ def measured_branches(kraus: np.ndarray, rho: np.ndarray, obs: np.ndarray) -> tu
     read = np.einsum("...ab,...kba->...k", obs, sigma)
     offset = np.einsum("...ab,...ba->...", obs, kraus_apply(kraus, np.eye(d_in)))
     values = np.stack([d_in * read[..., 0], offset - d_in * read[..., 1]], axis=-1)
-    conds = np.where(probs > 1e-14, read / np.where(probs > 1e-14, probs, 1.0), 0.0)
+    seen = probs > limits.ZERO_WEIGHT
+    conds = np.where(seen, read / np.where(seen, probs, 1.0), 0.0)
     return probs, conds, values
 
 

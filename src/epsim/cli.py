@@ -11,6 +11,7 @@ the named property suite and prints one pass/fail line per invariant.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -21,60 +22,92 @@ from pathlib import Path
 import numpy as np
 
 from . import algorithms as alg
+from . import limits
 from . import network as net
 from . import oracle, serialize, verify
 from .errors import ConfigError, EpsimError, SizeGuardError
-from .hamiltonians import DENSE_DIM_GUARD, LocalHamiltonian
+from .hamiltonians import LocalHamiltonian
 from .linalg import PAULI, embed_operator, matrix_exp
 from .mps import MPS
 from .rand import random_duality_groups
 
 SCHEMA_VERSION = 1
-TASKS = ("dynamics", "thermal", "entropy", "amplitude", "duality-check")
+_REQUIRED = object()
+_NONNEG = (0, math.inf)
+# Each task's fields: name -> (kind, bound, default or _REQUIRED); a JSON null
+# is an absent field.  Kinds: "int", a JSON integer within the closed bound;
+# "real", a finite JSON number within it; "positive", a finite JSON number
+# > 0; "bool"; "choice", one of the bound's strings; "str"; "path", an
+# existing file, relative to the config's directory; "ints", a list of JSON
+# integers; "observable", an entry {"site"?, "pauli" | "matrix"} whose site
+# defaults to the bound and whose "matrix" is square (kind "matrix");
+# "observables", a list of entries that name a site.
+COMMON = {"seed": ("int", _NONNEG, 0), "out": ("str", None, None)}
+SHOTS = (1, limits.MAX_SHOTS)
+FIELDS = {
+    "dynamics": {
+        "state_file": ("path", None, _REQUIRED),
+        "circuit_file": ("path", None, _REQUIRED),
+        "observables": ("observables", None, _REQUIRED),
+        "evaluator": ("choice", ("exact", "regions", "sampled"), "exact"),
+        "partition_splits": ("ints", None, None),
+        "shots": ("int", SHOTS, 10**5),
+        "strategy": ("choice", ("postselect", "corrected"), "postselect"),
+    },
+    "thermal": {
+        "model_file": ("path", None, _REQUIRED),
+        "observable": ("observable", None, _REQUIRED),
+        "beta": ("real", _NONNEG, _REQUIRED),
+        "epsilon": ("positive", None, _REQUIRED),
+        "mode": ("choice", ("exact", "trotter"), "exact"),
+        "normalized": ("bool", None, False),
+    },
+    "entropy": {"model_file": ("path", None, _REQUIRED), "epsilon": ("positive", None, _REQUIRED)},
+    "amplitude": {
+        "phi_file": ("path", None, _REQUIRED),
+        "psi_file": ("path", None, _REQUIRED),
+        "unitary_file": ("path", None, _REQUIRED),
+        "shots": ("int", SHOTS, None),
+    },
+    "duality-check": {  # the run prices n_cases and max_dim against their size guards
+        "n_cases": ("int", (1, math.inf), 100),
+        "max_dim": ("int", (2, math.inf), 4),
+        "tolerance": ("positive", None, limits.DUALITY_TOL),
+    },
+}
+TASKS = tuple(FIELDS)
 
 
 class ExperimentConfig:
-    """Validated view of a task configuration."""
+    """Validated view of a task configuration: every field of the task's
+    table is checked, and any other field refused, before an input file is
+    read.  ``raw`` is the input as given, ``config[name]`` a checked value."""
 
     def __init__(self, raw: dict, base_dir: Path):
         if not isinstance(raw, dict):
             raise ConfigError("configuration must be a JSON object")
         self.raw = dict(raw)
-        self.base_dir = base_dir
         self.task = raw.get("task")
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
-        self.seed = _field(raw, "seed", _int_at_least(0), 0)
-        self.out = raw.get("out")
-        self._require_fields()
-
-    def _require_fields(self):
-        needed = {
-            "dynamics": ["state_file", "circuit_file", "observables"],
-            "thermal": ["model_file", "observable", "beta", "epsilon"],
-            "entropy": ["model_file", "epsilon"],
-            "amplitude": ["phi_file", "psi_file", "unitary_file"],
-            "duality-check": [],
-        }[self.task]
-        missing = [k for k in needed if k not in self.raw]
+        fields = {**COMMON, **FIELDS[self.task]}
+        unknown = sorted(set(raw) - set(fields) - {"task"})
+        if unknown:
+            raise ConfigError(f"config field {unknown[0]} is not a field of task {self.task!r}")
+        missing = [k for k, spec in fields.items() if spec[2] is _REQUIRED and raw.get(k) is None]
         if missing:
             raise ConfigError(f"task {self.task!r} needs fields {missing}")
+        self.values = {key: _field(raw, key, spec, base_dir) for key, spec in fields.items()}
+        self.seed, self.out = self.values["seed"], self.values["out"]
 
-    def path(self, key: str) -> Path:
-        if not isinstance(self.raw[key], str):
-            raise ConfigError(f"config field {key} must be a file path, got {self.raw[key]!r}")
-        p = Path(self.raw[key])
-        if not p.is_absolute():
-            p = self.base_dir / p
-        if not p.exists():
-            raise ConfigError(f"{key} file not found: {p}")
-        return p
+    def __getitem__(self, key):
+        return self.values[key]
 
     def parse(self, key: str, parser):
         """``parser`` applied to the JSON of the ``key`` file; a missing
         field or a value of the wrong type or form is a ConfigError."""
         try:
-            data = json.loads(self.path(key).read_text())
+            data = json.loads(self[key].read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{key} file is not valid JSON: {exc}") from exc
         try:
@@ -87,102 +120,104 @@ class ExperimentConfig:
             ) from exc
 
 
-_REQUIRED = object()
-
-
-def _field(data: dict, key: str, kind, default=_REQUIRED, where: str = ""):
-    """``kind(data[key])``, or ``default`` when the field is absent or null.
-    A missing required field, or a value ``kind`` rejects, is a ConfigError
-    naming the field."""
+def _field(data: dict, key: str, spec, base_dir=None, where: str = ""):
+    """The value of ``key`` checked as ``spec`` = (kind, bound, default), or
+    the default when the field is absent or null.  A missing required field,
+    or a value the kind rejects, is a ConfigError naming the field."""
+    kind, bound, default = spec
     if data.get(key) is None:
         if default is _REQUIRED:
             raise ConfigError(f"config field {where}{key} is required")
         return default
     try:
-        return kind(data[key])
-    except (TypeError, ValueError) as exc:
+        return _KINDS[kind](data[key], bound, where + key, base_dir)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config field {where}{key} is malformed ({exc})") from exc
 
 
-def _json_bool(value):
-    """A boolean field takes only JSON true or false: bool("false") is True."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected JSON true or false, got {value!r}")
+def _typed(value, kind, name):
+    """``value`` if it is a ``kind``, where only JSON true and false are bools:
+    float(True), bool("false") and int(1000.9) would pass a converted value on."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise TypeError(f"expected {name}, got {value!r}")
     return value
 
 
-def _json_int(value):
-    """An integer field takes only JSON integers: int(1000.9) is 1000 and
-    int(True) is 1."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected a JSON integer, got {value!r}")
+def _number(value, bound, *_):
+    """A finite JSON number within ``bound``: JSON's NaN and Infinity parse as floats."""
+    if not (math.isfinite(_typed(value, (int, float), "a number"))
+            and bound[0] <= value <= bound[1]):
+        raise ValueError(f"expected a finite value in {bound[0]}..{bound[1]}, got {value!r}")
     return value
 
 
-def _int_at_least(low):
-    """A ``_field`` kind that accepts only JSON integers >= ``low``."""
-    def kind(value):
-        if _json_int(value) < low:
-            raise ValueError(f"expected an integer >= {low}, got {value!r}")
-        return value
-    return kind
-
-
-def _number(value) -> float:
-    """float(value), refusing JSON true and false: float(True) is 1.0."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _positive(value):
-    """A finite number > 0: float() alone takes "inf", "nan", Infinity and NaN."""
-    if not 0 < _number(value) < math.inf:
+def _positive(value, *_):
+    if not _number(value, _NONNEG) > 0:
         raise ValueError(f"expected a finite number > 0, got {value!r}")
     return float(value)
 
 
-def _nonnegative(value):
-    """A finite number >= 0."""
-    if not 0 <= _number(value) < math.inf:
-        raise ValueError(f"expected a finite number >= 0, got {value!r}")
-    return float(value)
+def _choice(value, options, *_):
+    if _typed(value, str, "a string") not in options:
+        raise ValueError(f"expected one of {options}, got {value!r}")
+    return value
 
 
-def _choice(*options):
-    """A ``_field`` kind that accepts only one of ``options``."""
-    def kind(value):
-        if value not in options:
-            raise ValueError(f"expected one of {options}, got {value!r}")
-        return value
-    return kind
+def _path(value, _, key, base_dir):
+    path = base_dir / _typed(value, str, "a file path")  # an absolute path replaces base_dir
+    if not path.is_file():
+        raise ConfigError(f"{key} file not found: {path}")
+    return path
 
 
-def _square_matrix(value):
-    """A matrix field: nested rows of [re, im] pairs, as many rows as columns."""
-    m = serialize.parse_cmat_nested(value)
+def _square_matrix(value, *_):
+    """Nested rows of [re, im] pairs, as many rows as columns."""
+    m = serialize.parse_cmat_nested(_typed(value, list, "a list of rows"))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
-def _observable(spec, where: str, n_sites: int, phys_dim: int, full_dim=None):
-    """(site, matrix) of one observable entry, on one site, or on the whole
-    model of dimension ``full_dim``, where given, when it names none (None)."""
+def _observable(spec, site, where, *_):
+    """(site, matrix, matrix field) of one observable entry; the site is
+    ``site`` when the entry names none."""
     if not isinstance(spec, dict):
         raise ConfigError(f"config field {where} must be a JSON object")
-    site = _field(spec, "site", _json_int, _REQUIRED if full_dim is None else None, where + ".")
-    if site is not None and not 0 <= site < n_sites:
-        raise ConfigError(f"config field {where}.site = {site} is not in 0..{n_sites - 1}")
+    site = _field(spec, "site", ("int", _NONNEG, site), where=where + ".")
     if "pauli" in spec:
-        key, name = "pauli", _field(spec, "pauli", str, where=where + ".").upper()
-        if name not in PAULI:
-            raise ConfigError(f"unknown Pauli name {spec['pauli']!r}")
-        m = PAULI[name]
-    elif "matrix" in spec:
-        key, m = "matrix", _field(spec, "matrix", _square_matrix, where=where + ".")
-    else:
-        raise ConfigError("observable entries need a 'pauli' or 'matrix' field")
+        names = tuple(PAULI) + tuple(map(str.lower, PAULI))
+        name = _field(spec, "pauli", ("choice", names, _REQUIRED), where=where + ".")
+        return site, PAULI[name.upper()], "pauli"
+    if "matrix" in spec:
+        matrix = _field(spec, "matrix", ("matrix", None, _REQUIRED), where=where + ".")
+        return site, matrix, "matrix"
+    raise ConfigError(f"config field {where} needs a 'pauli' or 'matrix' field")
+
+
+_KINDS = {
+    "int": lambda v, bound, *_: _number(_typed(v, int, "an integer"), bound),
+    "real": lambda v, bound, *_: float(_number(v, bound)),
+    "positive": _positive,
+    "bool": lambda v, *_: _typed(v, bool, "true or false"),
+    "choice": _choice,
+    "str": lambda v, *_: _typed(v, str, "a string"),
+    "path": _path,
+    "ints": lambda v, *_: [_typed(s, int, "an integer") for s in _typed(v, list, "a list")],
+    "matrix": _square_matrix,
+    "observable": _observable,
+    "observables": lambda v, _, key, *__: [_observable(spec, _REQUIRED, f"{key}[{k}]")
+                                           for k, spec in enumerate(_typed(v, list, "a list"))],
+}
+
+
+def _placed(obs, where: str, n_sites: int, phys_dim: int, full_dim=None):
+    """(site, matrix) of an observable, checked against the model: a
+    site-less one acts on the whole model, of dimension ``full_dim``."""
+    site, m, key = obs
+    if site is not None and site >= n_sites:
+        raise ConfigError(f"config field {where}.site = {site} is not in 0..{n_sites - 1}")
     if len(m) != (need := full_dim if site is None else phys_dim):
         raise ConfigError(f"config field {where}.{key} is {len(m)} x {len(m)}, not {need} x {need}")
     return site, m
@@ -200,27 +235,18 @@ def _complex_field(z: complex):
     return {"re": float(np.real(z)), "im": float(np.imag(z))}
 
 
+def _number_of(field):
+    return complex(field["re"], field["im"]) if isinstance(field, dict) else field
+
+
 def run_task(config: ExperimentConfig) -> dict:
     started = time.perf_counter()
-    handler = {
-        "dynamics": _run_dynamics,
-        "thermal": _run_thermal,
-        "entropy": _run_entropy,
-        "amplitude": _run_amplitude,
-        "duality-check": _run_duality_check,
-    }[config.task]
+    handler = {"dynamics": _run_dynamics, "thermal": _run_thermal, "entropy": _run_entropy,
+               "amplitude": _run_amplitude, "duality-check": _run_duality_check}[config.task]
     body = handler(config)
     if body.get("oracle") is not None and body.get("value") is not None:
-        value = body["value"]
-        value_c = complex(value["re"], value["im"]) if isinstance(value, dict) else value
-        oracle_v = body["oracle"]
-        oracle_c = (
-            complex(oracle_v["re"], oracle_v["im"])
-            if isinstance(oracle_v, dict)
-            else oracle_v
-        )
-        body["abs_error"] = abs(value_c - oracle_c)
-    report = {
+        body["abs_error"] = abs(_number_of(body["value"]) - _number_of(body["oracle"]))
+    return {
         "schema_version": SCHEMA_VERSION,
         "task": config.task,
         "seed": config.seed,
@@ -228,31 +254,20 @@ def run_task(config: ExperimentConfig) -> dict:
         **body,
         "meta": {"wall_time_s": time.perf_counter() - started},
     }
-    return report
 
 
 def _run_dynamics(config: ExperimentConfig) -> dict:
-    # The evaluator's own fields are checked before any input file is read.
-    evaluator = _field(config.raw, "evaluator", _choice("exact", "regions", "sampled"), "exact")
-    if evaluator == "regions":
-        splits = _field(config.raw, "partition_splits",
-                        lambda v: [_json_int(s) for s in v], None)
-    elif evaluator == "sampled":
-        shots = _field(config.raw, "shots", _int_at_least(1), 10**5)
-        strategy = _field(config.raw, "strategy", _choice("postselect", "corrected"),
-                          "postselect")
     psi = config.parse("state_file", MPS.from_dict).canonicalize()
     circuit = config.parse("circuit_file", net.BrickworkCircuit.from_dict)
-    obs = [
-        _observable(entry, f"observables[{k}]", circuit.n_sites, circuit.phys_dim)
-        for k, entry in enumerate(_field(config.raw, "observables", list))
-    ]
+    obs = [_placed(o, f"observables[{k}]", circuit.n_sites, circuit.phys_dim)
+           for k, o in enumerate(config["observables"])]
     network = net.build_network(psi, circuit, obs)
     stderr = None
     extra = {}
-    if evaluator == "exact":
+    if config["evaluator"] == "exact":
         value = net.evaluate_exact(network)
-    elif evaluator == "regions":
+    elif config["evaluator"] == "regions":
+        splits = config["partition_splits"]
         if splits is None:
             splits = [max(1, circuit.n_sites // 2)]
         value, probs = net.evaluate_regions(
@@ -260,55 +275,36 @@ def _run_dynamics(config: ExperimentConfig) -> dict:
         )
         extra["region_probs"] = [float(p) for p in probs]
     else:
-        res = net.evaluate_sampled(network, shots, config.seed, strategy)
+        res = net.evaluate_sampled(network, config["shots"], config.seed, config["strategy"])
         value = res.estimate
         stderr = res.stderr
-        extra["accepted"] = res.accepted
-        extra["acceptance_rate"] = res.acceptance_rate
-        extra["clipped_mass"] = res.clipped_mass
-        extra["expected_accepted"] = res.expected_accepted
-        extra["expected_stderr"] = res.expected_stderr
+        extra = {k: getattr(res, k) for k in ("accepted", "acceptance_rate", "clipped_mass",
+                                              "expected_accepted", "expected_stderr")}
     try:
         want = oracle.circuit_expectation(psi, circuit, dict(obs))
         oracle_field = _complex_field(want)
     except SizeGuardError:
         oracle_field = None
-    est = net.resources(circuit)
     return {
         "value": _complex_field(value),
         "stderr": stderr,
         "oracle": oracle_field,
-        "resources": {
-            "state_qudits": est.state_qudits,
-            "evolution_qudits": est.evolution_qudits,
-            "total_gates": est.total_gates,
-            "sample_cost_order": est.sample_cost_order,
-        },
+        "resources": dataclasses.asdict(net.resources(circuit)),
         **extra,
     }
 
 
 def _run_thermal(config: ExperimentConfig) -> dict:
-    for key in ("order", "tau", "R", "grid"):  # fields of earlier schemas
-        if key in config.raw:
-            raise ConfigError(f"config field {key} is not accepted: the Taylor "
-                              "order and the grid follow from epsilon")
     ham = config.parse("model_file", LocalHamiltonian.from_dict)
     dim = ham.dense_dim()  # refused from the sites alone, before any dense array
-    site, obs = _observable(config.raw["observable"], "observable", ham.n_sites, ham.phys_dim, dim)
+    site, obs = _placed(config["observable"], "observable", ham.n_sites, ham.phys_dim, dim)
     if site is not None:
         obs = embed_operator(obs, [site], [ham.phys_dim] * ham.n_sites)
-    job = alg.ThermalJob(
-        observable=obs,
-        hamiltonian=ham,
-        beta=_field(config.raw, "beta", _nonnegative),
-        epsilon=_field(config.raw, "epsilon", _positive),
-        mode=_field(config.raw, "mode", _choice("exact", "trotter"), "exact"),
-    )
-    normalized = _field(config.raw, "normalized", _json_bool, False)
-    res = alg.thermal_value(job, normalized=normalized)
+    job = alg.ThermalJob(observable=obs, hamiltonian=ham, beta=config["beta"],
+                         epsilon=config["epsilon"], mode=config["mode"])
+    res = alg.thermal_value(job, normalized=config["normalized"])
     want = oracle.thermal_exact(obs, ham, job.beta)
-    if normalized:
+    if config["normalized"]:
         want /= oracle.thermal_exact(np.eye(dim), ham, job.beta)
     return {
         "value": res.value,
@@ -323,7 +319,7 @@ def _run_thermal(config: ExperimentConfig) -> dict:
 
 def _run_entropy(config: ExperimentConfig) -> dict:
     ham = config.parse("model_file", LocalHamiltonian.from_dict)
-    res = alg.entropy(ham, _field(config.raw, "epsilon", _positive))
+    res = alg.entropy(ham, config["epsilon"])
     try:
         rho = matrix_exp(ham.dense(), -1.0)
         want = oracle.entropy_exact(rho / np.trace(rho))
@@ -336,10 +332,8 @@ def _run_entropy(config: ExperimentConfig) -> dict:
 def _run_amplitude(config: ExperimentConfig) -> dict:
     phi = _load_vector(config, "phi_file")
     psi = _load_vector(config, "psi_file")
-    u = config.parse(
-        "unitary_file", lambda data: serialize.parse_cmat_nested(data["matrix"])
-    )
-    shots = _field(config.raw, "shots", _int_at_least(1), None)
+    u = config.parse("unitary_file", lambda data: serialize.parse_cmat_nested(data["matrix"]))
+    shots = config["shots"]
     est = alg.transition_amplitude(phi, u, psi, shots=shots, seed=config.seed)
     want = oracle.amplitude_exact(phi, u, psi)
     return {
@@ -352,19 +346,14 @@ def _run_amplitude(config: ExperimentConfig) -> dict:
 
 
 def _run_duality_check(config: ExperimentConfig) -> dict:
-    n_cases = _field(config.raw, "n_cases", _int_at_least(1), 100)
-    max_dim = _field(config.raw, "max_dim", _int_at_least(2), 4)
-    tol = _field(config.raw, "tolerance", _positive, 1e-10)
-    # The largest dense matrices of a case are its Haar draw, of dimension
-    # d_out * n_kraus <= 3 * max_dim, and its Choi matrix, of dimension
-    # d_in * d_out <= max_dim^2, which is eigendecomposed as a dense
-    # Hamiltonian is: both are priced before the first draw.
-    dim = max(3 * max_dim, max_dim**2)
-    if dim > DENSE_DIM_GUARD:
-        raise SizeGuardError(
-            f"max_dim = {max_dim} allows dense matrices of dimension {dim} "
-            f"(> {DENSE_DIM_GUARD}); refusing"
-        )
+    n_cases, max_dim, tol = config["n_cases"], config["max_dim"], config["tolerance"]
+    # Priced before the first draw: the cases, and the largest dense matrices
+    # of a case, its Haar draw, of dimension d_out * n_kraus <= 3 * max_dim,
+    # and its Choi matrix, of dimension d_in * d_out <= max_dim^2, which is
+    # eigendecomposed as a dense Hamiltonian is.
+    limits.guard(n_cases, limits.MAX_DUALITY_CASES, "duality-check n_cases", "cases")
+    limits.guard(max(3 * max_dim, max_dim**2), limits.DENSE_DIM_GUARD,
+                 f"max_dim = {max_dim}: a dense matrix", "rows")
     worst = 0.0
     from .channels import duality_residuals
 
@@ -404,11 +393,8 @@ def _parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", help="report output path")
     run_p.add_argument("--evaluator", help="override the evaluator choice")
     ver_p = sub.add_parser("verify", help="run a named property suite")
-    ver_p.add_argument(
-        "--suite",
-        default="all",
-        help="duality | mps | network | oqt | thermal | amplitude | all",
-    )
+    ver_p.add_argument("--suite", default="all",
+                       help="duality | mps | network | oqt | thermal | amplitude | all")
     ver_p.add_argument("--out", help="summary JSON output path")
     return parser
 
@@ -430,21 +416,16 @@ def _cmd_run(args) -> int:
             raw = json.loads(cfg_path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        for key in ("task", "seed", "evaluator", "out"):
-            value = getattr(args, key, None)
-            if value is not None:
-                raw[key] = value
+        flags = {k: getattr(args, k) for k in ("task", "seed", "evaluator", "out")}
+        if isinstance(raw, dict):
+            raw.update({k: v for k, v in flags.items() if v is not None})
         config = ExperimentConfig(raw, cfg_path.parent)
         report = run_task(config)
-    except ConfigError as exc:
-        _dump_report({"error": {"type": "ConfigError", "message": str(exc)}}, None)
-        return 2
-    except EpsimError as exc:
-        _dump_report(
-            {"error": {"type": type(exc).__name__, "message": str(exc)}},
-            getattr(args, "out", None),
-        )
-        return 1
+    except EpsimError as exc:  # a ConfigError exits 2 and writes no report file
+        bad_config = isinstance(exc, ConfigError)
+        _dump_report({"error": {"type": type(exc).__name__, "message": str(exc)}},
+                     None if bad_config else args.out)
+        return 2 if bad_config else 1
     _dump_report(report, config.out or args.out)
     return 0
 
@@ -460,18 +441,7 @@ def _cmd_verify(args) -> int:
     summary = {
         "schema_version": SCHEMA_VERSION,
         "suite": args.suite,
-        "checks": [
-            {
-                "suite": r.suite,
-                "name": r.name,
-                "metric": r.metric,
-                "threshold": r.threshold,
-                "passed": r.passed,
-                "seconds": r.seconds,
-                "note": r.note,
-            }
-            for r in results
-        ],
+        "checks": [dataclasses.asdict(r) for r in results],
         "passed": all(r.passed for r in results),
     }
     if args.out:

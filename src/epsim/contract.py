@@ -15,20 +15,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeError, SizeGuardError
-
-CONTRACTION_GUARD = 2**24
-# Entries one stacked contraction may reach: a batch is split into chunks
-# so that batch x the plan's largest step stays within this.
-STACK_BUDGET = 2**14
+from . import limits
+from .errors import ShapeError
 
 
 def _guard(size, label):
-    if size > CONTRACTION_GUARD:
-        raise SizeGuardError(
-            f"contraction intermediate for {label} has {size} entries "
-            f"(> {CONTRACTION_GUARD}); refusing"
-        )
+    """Refuse a contraction whose largest step x batch exceeds CONTRACTION_GUARD."""
+    limits.guard(size, limits.CONTRACTION_GUARD, f"contraction intermediate for {label}")
 
 
 def _label_key(label):

@@ -6,14 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import serialize
-from .errors import ShapeError, SizeGuardError
+from . import limits, serialize
+from .errors import ShapeError
 from .linalg import PAULI, as_matrix, embed_operator, is_hermitian, matrix_exp
 from .network import BrickworkCircuit
-
-DENSE_DIM_GUARD = 2**12
-MAX_TERMS = 10**4
-MAX_SUPPORT = 4
 
 
 @dataclass(frozen=True)
@@ -25,14 +21,14 @@ class LocalHamiltonian:
     terms: tuple  # ((site, ...), matrix) pairs
 
     def __post_init__(self):
-        if len(self.terms) > MAX_TERMS:
-            raise ShapeError(f"too many terms ({len(self.terms)} > {MAX_TERMS})")
+        if len(self.terms) > limits.MAX_TERMS:
+            raise ShapeError(f"too many terms ({len(self.terms)} > {limits.MAX_TERMS})")
         cleaned = []
         for support, mat in self.terms:
             support = tuple(int(s) for s in support)
             mat = as_matrix(mat)
-            if len(support) > MAX_SUPPORT:
-                raise ShapeError(f"support {support} larger than {MAX_SUPPORT} sites")
+            if len(support) > limits.MAX_SUPPORT:
+                raise ShapeError(f"support {support} larger than {limits.MAX_SUPPORT} sites")
             if any(not 0 <= s < self.n_sites for s in support):
                 raise ShapeError(f"support {support} out of range")
             if len(set(support)) != len(support):
@@ -51,10 +47,7 @@ class LocalHamiltonian:
         """The dense dimension d^N, refused beyond DENSE_DIM_GUARD from the
         site count alone."""
         dim = self.phys_dim**self.n_sites
-        if dim > DENSE_DIM_GUARD:
-            raise SizeGuardError(
-                f"dense Hamiltonian dimension {dim} exceeds {DENSE_DIM_GUARD}"
-            )
+        limits.guard(dim, limits.DENSE_DIM_GUARD, "dense Hamiltonian", "rows")
         return dim
 
     def dense(self) -> np.ndarray:

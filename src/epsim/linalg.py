@@ -15,11 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import limits
 from .errors import NumericalError, ShapeError
-
-EQ_TOL = 1e-10        # generic equality / invariant checks
-PSD_CLAMP = 1e-10     # eigenvalues above -PSD_CLAMP are clamped to zero
-UNITARY_TOL = 1e-8    # unitarity validation
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -41,24 +38,31 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).swapaxes(-1, -2)
 
 
+def tp_residual(kraus: np.ndarray) -> np.ndarray:
+    """max |sum_k A_k^dag A_k - 1| of each Kraus set of a stack (..., k, r, c):
+    the one trace-preservation check, of which unitarity is the case k = 1."""
+    gram = (dagger(kraus) @ kraus).sum(axis=-3)
+    return np.abs(gram - np.eye(kraus.shape[-1])).max(axis=(-2, -1))
+
+
 def is_hermitian(m: np.ndarray):
     """Per matrix of a stack (..., n, n), or for one: m^dag = m within EQ_TOL."""
-    return _deviation(m, lambda x: x - dagger(x)) <= EQ_TOL
+    return _deviation(m, lambda x: np.abs(x - dagger(x)).max(axis=(-2, -1))) <= limits.EQ_TOL
 
 
 def is_unitary(m: np.ndarray):
-    """Per matrix of a stack, or for one: m^dag m = 1 within UNITARY_TOL."""
-    return _deviation(m, lambda x: dagger(x) @ x - np.eye(x.shape[-1])) <= UNITARY_TOL
+    """Per matrix of a stack, or for one: m^dag m = 1 within TP_TOL."""
+    return _deviation(m, lambda x: tp_residual(x[..., None, :, :])) <= limits.TP_TOL
 
 
 def _deviation(m, residual):
-    """max |residual(m)| per matrix of a stack; inf where they are not square."""
+    """residual(m) per matrix of a stack; inf where they are not square."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2:
         raise ShapeError(f"expected a matrix, got array of shape {m.shape}")
     if m.shape[-1] != m.shape[-2]:
         return np.full(m.shape[:-2], np.inf)
-    return np.abs(residual(m)).max(axis=(-2, -1))
+    return residual(m)
 
 
 def svd(m: np.ndarray):

@@ -26,13 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import serialize
+from . import limits, serialize
 from .channels import Channel
 from .contract import _contract_group
-from .errors import CanonicalFormError, ShapeError, SizeGuardError, raise_first
-from .linalg import svd
-
-STATEVECTOR_GUARD = 2**20
+from .errors import CanonicalFormError, ShapeError, raise_first
+from .linalg import svd, tp_residual
 
 
 @dataclass(frozen=True)
@@ -91,19 +89,14 @@ class MPS:
         ]
 
     def is_left_canonical(self) -> bool:
-        for t in self.tensors:
-            acc = np.einsum("...iab,...iac->...bc", t.conj(), t)
-            if np.max(np.abs(acc - np.eye(t.shape[-1]))) > 1e-10:
-                return False
-        return True
+        """Whether every site tensor of every case is a trace-preserving
+        Kraus set, to within TP_TOL."""
+        return all(np.all(tp_residual(t) <= limits.TP_TOL) for t in self.tensors)
 
     def to_statevector(self) -> np.ndarray:
         """Amplitudes (..., dim); STATEVECTOR_GUARD bounds dim, per state."""
-        total = math.prod(self.phys_dims)
-        if total > STATEVECTOR_GUARD:
-            raise SizeGuardError(
-                f"statevector of dimension {total} exceeds guard {STATEVECTOR_GUARD}"
-            )
+        limits.guard(math.prod(self.phys_dims), limits.STATEVECTOR_GUARD, "statevector",
+                     "amplitudes")
         chi1 = self.tensors[0].shape[-2]
         acc = np.eye(chi1, dtype=complex).reshape(1, chi1, chi1)
         for t in self.tensors:
@@ -232,10 +225,10 @@ class MPS:
 
 def _keep_count(s: np.ndarray, chi_max: int | None, tol: float) -> int:
     """Singular values to keep of each case of a stack (..., k), sorted
-    descending: those above 1e-14, fewer while the dropped tail weighs at
+    descending: those above ZERO_WEIGHT, fewer while the dropped tail weighs at
     most ``tol``, at most ``chi_max`` and at least one.  A stack keeps the
     largest of its per-case counts."""
-    keep = np.sum(s > 1e-14, axis=-1)  # numerically zero directions go
+    keep = np.sum(s > limits.ZERO_WEIGHT, axis=-1)  # numerically zero directions go
     if tol > 0:
         tail = np.cumsum(s[..., ::-1] ** 2, axis=-1)[..., ::-1]  # tail[k] = sum of s[k:]^2
         keep = np.minimum(keep, np.sum(tail > tol, axis=-1))
@@ -259,7 +252,7 @@ def from_statevector(psi, dims, chi_max: int | None = None, trunc_tol: float = 0
     if math.prod(dims) != psi.shape[-1]:
         raise ShapeError(f"dims {dims} do not match vector length {psi.shape[-1]}")
     norm_err = np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
-    raise_first(norm_err > 1e-8, ShapeError, lambda i: "state vector must be normalized")
+    raise_first(norm_err > limits.NORM_TOL, ShapeError, lambda i: "state vector must be normalized")
     lead = psi.shape[:-1]
     tensors = []
     discarded = np.zeros(lead)

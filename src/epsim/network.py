@@ -50,21 +50,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import contract, serialize
+from . import limits, serialize
 from .contract import _contract_group, _execute, _guard, _make_plan, _plan
 from .errors import CanonicalFormError, SamplingError, ShapeError, raise_first
-from .linalg import as_matrix, is_hermitian, svd
+from .linalg import as_matrix, is_hermitian, svd, tp_residual
 from .mps import MPS
 
 
 # ---------------------------------------------------------------------------
 # Brickwork circuits
-
-
-def _unitarity_error(gates: np.ndarray) -> np.ndarray:
-    """max |U^dag U - 1| of each of the stacked gates (..., D, D)."""
-    gram = np.conj(np.swapaxes(gates, -1, -2)) @ gates
-    return np.max(np.abs(gram - np.eye(gates.shape[-1])), axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -104,7 +98,7 @@ class BrickworkCircuit:
             layers.append(entries)
         mats = [gate for entries in layers for _, gate in entries]
         gates = np.stack(mats, axis=-3) if mats else np.empty((0, dd, dd), complex)
-        bad = _unitarity_error(gates) > 1e-10
+        bad = tp_residual(gates[..., None, :, :]) > limits.TP_TOL
         raise_first(bad.any(axis=-1), ShapeError, lambda i: "layer {}: gate at site {} is "
                     "not unitary".format(*where[np.argmax(bad[i])]))
         views = (gates[..., g, :, :] for g in range(len(mats)))
@@ -185,19 +179,20 @@ def split_gates(gates: np.ndarray, names=None) -> tuple:
 
     Returns (left, right, ranks): the halves (..., n, d^2, d, d), each term
     scaled by sqrt(s_m) and zero beyond its gate's rank, and the ranks, the
-    count of s_m > 1e-12.  Raises ShapeError when a split does not recombine
-    to within 1e-10; with a gate axis the message names the gate by its
-    entry of ``names`` (its index when not given), and the case in a stack.
+    count of s_m > ZERO_TOL.  Raises ShapeError when a split does not
+    recombine to within EQ_TOL; with a gate axis the message names the gate
+    by its entry of ``names`` (its index when not given), and the case in a
+    stack.
     """
     lead, dd = gates.shape[:-2], gates.shape[-1]
     d = math.isqrt(dd)
     # Group (out_1, in_1) rows vs (out_2, in_2) columns of each gate tensor.
     r = gates.reshape(lead + (d,) * 4).swapaxes(-3, -2).reshape(gates.shape)
     x, s, yh = svd(r)
-    kept = s > 1e-12
+    kept = s > limits.ZERO_TOL
     root = np.sqrt(np.where(kept, s, 0.0))[..., None]
     left, right = np.swapaxes(x, -1, -2) * root, yh * root
-    bad = np.max(np.abs(np.swapaxes(left, -1, -2) @ right - r), axis=(-2, -1)) > 1e-10
+    bad = np.max(np.abs(np.swapaxes(left, -1, -2) @ right - r), axis=(-2, -1)) > limits.EQ_TOL
     if bad.any():
         text = "gate split failed to recombine"
         if lead:  # the first failing gate of the first failing case
@@ -214,7 +209,7 @@ def compile_gate(u: np.ndarray) -> GateChannelPair:
     d = math.isqrt(u.shape[0])
     if d * d != u.shape[0] or u.shape[0] != u.shape[1]:
         raise ShapeError(f"expected a d^2 x d^2 gate, got {u.shape}")
-    if _unitarity_error(u) > 1e-10:
+    if tp_residual(u[None]) > limits.TP_TOL:
         raise ShapeError("gate is not unitary")
     left, right, rank = split_gates(u)
     return GateChannelPair(left[:rank], right[:rank], int(rank))
@@ -409,7 +404,7 @@ def _chunks(net: ChannelNetwork, peak: int) -> list:
     if not net.batch_shape:
         return [(net.tensors, ())]
     cases = math.prod(net.batch_shape)
-    size = max(1, contract.STACK_BUDGET // max(peak, 1))
+    size = max(1, limits.STACK_BUDGET // max(peak, 1))
     flat = [t.reshape((cases,) + shape) for t, (shape, _) in zip(net.tensors, net.layout.signature)]
     return [([t[k:k + size] for t in flat], (min(size, cases - k),))
             for k in range(0, max(cases, 1), size)]
@@ -540,7 +535,7 @@ def obs_eigenbasis(op: np.ndarray):
     vals, vecs = np.linalg.eigh(as_matrix(op))
     for k in range(vecs.shape[1]):
         col = vecs[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)[0]
+        nz = np.flatnonzero(np.abs(col) > limits.ZERO_TOL)[0]
         vecs[:, k] = col * np.exp(-1j * np.angle(col[nz]))
     return vals, vecs
 
@@ -650,8 +645,7 @@ def sample_cells(probs, lam, clipped, shots: int, seed: int,
     count and stderr are the same formulas at the exact cells: a trust
     diagnostic that needs no sample.
     """
-    if shots < 1:
-        raise ShapeError("need at least one shot")
+    limits.check_shots(shots)
     # The estimator reads the last row: row 0 (postselect) or row 1 (corrected).
     rate = float(probs[-1].sum())
     if shots * rate < 1:
@@ -680,7 +674,7 @@ def sample_cells(probs, lam, clipped, shots: int, seed: int,
         expected_stderr = float(spread / np.sqrt(shots * rate))
     else:
         m, f = probs.sum(axis=0), counts[1] / shots
-        if abs(m.sum() - f.sum()) < 1e-12:
+        if abs(m.sum() - f.sum()) < limits.ZERO_TOL:
             raise SamplingError("corrected estimator lost all mass")
         est, stderr = _corrected(m, f, lam, shots)
         expected_stderr = _corrected(m, probs[1], lam, shots)[1]

@@ -13,13 +13,12 @@ import math
 
 import numpy as np
 
-from .errors import ShapeError, SizeGuardError
+from . import limits
+from .errors import ShapeError
 from .hamiltonians import LocalHamiltonian
 from .linalg import matrix_exp
 from .mps import MPS
 from .network import BrickworkCircuit
-
-STATE_GUARD = 2**14
 
 
 def apply_local(psi, op: np.ndarray, site: int, dims) -> np.ndarray:
@@ -38,8 +37,7 @@ def _site_dims(circuit: BrickworkCircuit) -> list:
     """The circuit's site dimensions, refused when their product, the
     statevector length, exceeds STATE_GUARD."""
     dims = [circuit.phys_dim] * circuit.n_sites
-    if math.prod(dims) > STATE_GUARD:
-        raise SizeGuardError(f"statevector length {math.prod(dims)} exceeds {STATE_GUARD}")
+    limits.guard(math.prod(dims), limits.STATE_GUARD, "oracle statevector", "amplitudes")
     return dims
 
 
@@ -114,7 +112,7 @@ def thermal_exact(a: np.ndarray, h: LocalHamiltonian, beta: float) -> float:
 def entropy_exact(rho: np.ndarray) -> float:
     """von Neumann entropy -Tr(rho log rho) in nats."""
     w = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    w = w[w > 1e-15]
+    w = w[w > limits.LOG_FLOOR]
     return float(-np.sum(w * np.log(w)))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 
@@ -676,3 +677,91 @@ def test_duality_check_refuses_huge_max_dim_before_drawing(workdir, capsys, monk
     assert code == 1
     err = json.loads(out)["error"]
     assert err["type"] == "SizeGuardError" and "max_dim" in err["message"]
+
+
+@pytest.mark.parametrize("config", [
+    {"task": "dynamics", "state_file": "state2.json", "circuit_file": "circuit2.json",
+     "observables": [{"site": 1, "pauli": "X"}], "evaluator": "sampled", "shots": 2**63},
+    {"task": "amplitude", "phi_file": "phi.json", "psi_file": "psi.json",
+     "unitary_file": "unitary.json", "shots": 2**63},
+], ids=["dynamics-sampled", "amplitude"])
+def test_shot_count_past_the_bound_is_config_error(workdir, capsys, config):
+    # 2**63 overflowed numpy's int64 draws; the bound is limits.MAX_SHOTS.
+    (workdir / "job.json").write_text(json.dumps(config))
+    code, out = run_cli(["run", "--config", str(workdir / "job.json")], capsys)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ConfigError" and "shots" in err["message"]
+
+
+def test_unknown_field_is_config_error(workdir, capsys):
+    config = {"task": "dynamics", "state_file": "state.json", "circuit_file": "circuit.json",
+              "observables": [{"site": 1, "pauli": "Z"}], "evaluater": "sampled"}
+    (workdir / "job.json").write_text(json.dumps(config))
+    code, out = run_cli(["run", "--config", str(workdir / "job.json")], capsys)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ConfigError" and "evaluater" in err["message"]
+
+
+def test_duality_check_refuses_huge_n_cases_before_drawing(workdir, capsys, monkeypatch):
+    from epsim import rand
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a case was drawn before the size guard")
+
+    monkeypatch.setattr(rand, "gaussian", refuse)
+    (workdir / "job.json").write_text(json.dumps({"task": "duality-check", "n_cases": 10**9}))
+    code, out = run_cli(["run", "--config", str(workdir / "job.json")], capsys)
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "SizeGuardError" and "n_cases" in err["message"]
+
+
+SWEEP_BASE = {
+    "dynamics": {"state_file": "state2.json", "circuit_file": "circuit2.json",
+                 "observables": [{"site": 1, "pauli": "Z"}]},
+    "thermal": {"model_file": "tfim.json", "observable": {"site": 0, "pauli": "Z"},
+                "beta": 0.5, "epsilon": 1e-3},
+    "entropy": {"model_file": "mod.json", "epsilon": 1e-3},
+    "amplitude": {"phi_file": "phi.json", "psi_file": "psi.json", "unitary_file": "unitary.json"},
+    "duality-check": {"n_cases": 2},
+}
+SWEEP_VALUES = [True, "abc", -1, 0.5, "nan", [1], {"x": 1}, 1e308]
+# The JSON values each field kind takes; any other value is of the wrong kind.
+KIND_TYPES = {"int": int, "real": (int, float), "positive": (int, float), "bool": bool,
+              "choice": str, "str": str, "path": str, "ints": list, "observables": list,
+              "observable": dict}
+
+
+def test_every_field_of_every_task_ends_in_a_report_or_a_json_error(workdir, capsys,
+                                                                   monkeypatch):
+    from epsim import errors
+
+    # H = -log(diag(0.75, 0.25) (x) 1/2), a modular Hamiltonian for entropy.
+    mod = {"n_sites": 2, "phys_dim": 2, "terms": [
+        {"support": [0], "matrix": serialize.cmat_flat(np.diag(-np.log([0.75, 0.25])))},
+        {"support": [1], "matrix": serialize.cmat_flat(np.log(2) * np.eye(2))},
+    ]}
+    (workdir / "mod.json").write_text(json.dumps(mod))
+    jobs = itertools.count()
+    for task, base in SWEEP_BASE.items():
+        (workdir / task).mkdir()
+        monkeypatch.chdir(workdir / task)  # a string "out" writes its report here
+        for key, (kind, _, _) in {**cli.COMMON, **cli.FIELDS[task]}.items():
+            for value in SWEEP_VALUES:
+                # A new file per job: overwriting a file is slow on some file systems.
+                job = workdir / f"job{next(jobs)}.json"
+                job.write_text(json.dumps({"task": task, **base, key: value}))
+                code, out = run_cli(["run", "--config", str(job)], capsys)
+                case = f"{task}.{key} = {value!r}"
+                wrong_kind = (isinstance(value, bool) != (KIND_TYPES[kind] is bool)
+                              or not isinstance(value, KIND_TYPES[kind]))
+                assert code in (0, 1, 2) and (code == 2 or not wrong_kind), case
+                report = json.loads(out)
+                if code == 0:
+                    assert "error" not in report and report["task"] == task, case
+                    continue
+                err = report["error"]
+                assert issubclass(getattr(errors, err["type"]), errors.EpsimError), case
+                assert code == 1 or (err["type"] == "ConfigError" and key in err["message"]), case

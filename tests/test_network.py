@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import PAULI, per_case_gaussian
-from epsim import contract, mps, network, oracle, verify
+from epsim import contract, limits, mps, network, oracle, verify
 from epsim.errors import CanonicalFormError, SamplingError, ShapeError, SizeGuardError
 from epsim.rand import haar_unitary, random_canonical_mps, random_state
 
@@ -222,7 +222,7 @@ def test_exact_contraction_size_guard(monkeypatch):
     # state tensors into a 2^16-entry result, far above the lowered guard.
     rng = np.random.default_rng(99)
     net, *_ = random_net(rng, 16, 1, obs_sites=(8,))
-    monkeypatch.setattr(contract, "CONTRACTION_GUARD", 2**10)
+    monkeypatch.setattr(limits, "CONTRACTION_GUARD", 2**10)
     # Planned first, so the peak measures the refusal, not a cold plan cache.
     contract._plan(net.layout.signature)
     tracemalloc.start()
@@ -419,7 +419,7 @@ def test_chunked_stack_equals_one_chunk(monkeypatch):
     whole = network.evaluate_exact(stack), network.evaluate_regions(stack, part)
     cases = stack.batch_shape[0]
     peak = contract._plan(stack.layout.signature).peak
-    monkeypatch.setattr(contract, "STACK_BUDGET", peak * (cases // 3))
+    monkeypatch.setattr(limits, "STACK_BUDGET", peak * (cases // 3))
     assert len(network._chunks(stack, peak)) >= 3
     assert np.array_equal(network.evaluate_exact(stack), whole[0])
     values, probs = network.evaluate_regions(stack, part)
@@ -447,8 +447,8 @@ def test_guard_refuses_a_stack_from_batch_times_peak(monkeypatch):
     single = network.build_network(mps.from_statevector(states[0], [2] * 6), case_of(circ, 0),
                                    [(3, PAULI["Z"])])
     peak = contract._plan(stack.layout.signature).peak
-    monkeypatch.setattr(contract, "STACK_BUDGET", 8 * peak)
-    monkeypatch.setattr(contract, "CONTRACTION_GUARD", 2 * peak)
+    monkeypatch.setattr(limits, "STACK_BUDGET", 8 * peak)
+    monkeypatch.setattr(limits, "CONTRACTION_GUARD", 2 * peak)
     network.evaluate_exact(single)  # one network fits the guard
     stacked_bytes = sum(t.nbytes for t in stack.tensors)
     tracemalloc.start()
@@ -468,7 +468,7 @@ def test_contraction_guard_refuses_before_allocating():
     a = rng.normal(size=(4096, 2)) + 0j
     b = rng.normal(size=(2, 8192)) + 0j
     refused_bytes = 4096 * 8192 * 16
-    assert 4096 * 8192 > contract.CONTRACTION_GUARD
+    assert 4096 * 8192 > limits.CONTRACTION_GUARD
     tracemalloc.start()
     try:
         with pytest.raises(SizeGuardError, match="refusing"):
@@ -489,7 +489,7 @@ def test_guard_refuses_before_the_first_step(monkeypatch):
     b = rng.normal(size=(2, 256)) + 0j
     c = rng.normal(size=64) + 0j
     first_step_bytes = 256 * 256 * 16
-    monkeypatch.setattr(contract, "CONTRACTION_GUARD", 2**20)
+    monkeypatch.setattr(limits, "CONTRACTION_GUARD", 2**20)
     tracemalloc.start()
     try:
         with pytest.raises(SizeGuardError, match=f"has {2**22} entries"):
@@ -514,7 +514,7 @@ def test_cached_plan_refuses_when_guard_is_lowered(monkeypatch):
     rng = np.random.default_rng(35)
     net, *_ = random_net(rng, 6, 2)
     network.evaluate_exact(net)
-    monkeypatch.setattr(contract, "CONTRACTION_GUARD", 2**4)
+    monkeypatch.setattr(limits, "CONTRACTION_GUARD", 2**4)
     with pytest.raises(SizeGuardError, match="exact contraction"):
         network.evaluate_exact(net)
 
@@ -804,7 +804,7 @@ def test_branch_distribution_guard_refuses_from_shapes(monkeypatch):
     # bond's chi^2 = 2^14 entries.
     psi = mps.from_statevector(random_state(np.random.default_rng(20), 2**14), [2] * 14)
     net = network.build_network(psi, network.BrickworkCircuit(14, ()), [(6, PAULI["Z"])])
-    monkeypatch.setattr(contract, "CONTRACTION_GUARD", 2**12)
+    monkeypatch.setattr(limits, "CONTRACTION_GUARD", 2**12)
     tracemalloc.start()
     try:
         with pytest.raises(SizeGuardError, match="branch distribution") as exc:
@@ -902,7 +902,7 @@ def test_oqt_plan_guard_refuses_from_shapes(monkeypatch):
     # their dims, before any join tensor or bra copy is built.
     psi = random_canonical_mps(np.random.default_rng(36), 32, 16)
     plan = network.oqt_prepare_plan(psi)
-    monkeypatch.setattr(contract, "CONTRACTION_GUARD", 2**15)
+    monkeypatch.setattr(limits, "CONTRACTION_GUARD", 2**15)
     tracemalloc.start()
     try:
         with pytest.raises(SizeGuardError, match=r"oqt preparation plan \(corrected\)") as err:
