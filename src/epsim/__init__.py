@@ -6,7 +6,7 @@ region-partitioned evaluators, thermal/entropy/transition-amplitude
 estimators, and a brute-force oracle backing every quantity.
 """
 
-from .channels import Channel, ChoiState, depolarizing, oqt_channel
+from .channels import Channel, ChoiState, oqt_channel
 from .hamiltonians import LocalHamiltonian, build_heisenberg, build_tfim
 from .mps import MPS, from_statevector
 from .network import (
@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Channel",
     "ChoiState",
-    "depolarizing",
     "oqt_channel",
     "LocalHamiltonian",
     "build_heisenberg",

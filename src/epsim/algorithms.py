@@ -10,6 +10,7 @@ observables.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from . import limits
 from .errors import (
     BudgetError,
     IllConditionedError,
+    NumericalError,
     PositivityError,
     ReferenceStateError,
     ShapeError,
@@ -413,6 +415,13 @@ def thermal_value(job: ThermalJob, normalized: bool = False) -> ThermalResult:
     from .hamiltonians import centered
 
     h, mu = centered(job.hamiltonian)
+    # The value carries e^{-beta mu} and the budget divides by it: past
+    # |beta mu| = log(largest float) it overflows or underflows towards 0.
+    if job.beta * abs(mu) > math.log(sys.float_info.max):
+        raise NumericalError(
+            f"e^(-beta mu) at beta mu = {job.beta * mu:.3e} (mu the mean energy "
+            "of H) is outside the float range; lower beta"
+        )
     scale_mu = math.exp(-job.beta * mu)
     h_norm = h.norm_bound()
     x = job.beta * h_norm
@@ -492,23 +501,15 @@ def entropy(h_mod: LocalHamiltonian, eps: float) -> ThermalResult:
 # Reflections and transition amplitudes
 
 
-def reflection(psi) -> tuple:
-    """(R, U) with R = 1 - 2|psi><psi| and U|0> = |psi> (Householder), for
-    one state or for each state of a (..., d) stack."""
+def reflection(psi) -> np.ndarray:
+    """R = 1 - 2|psi><psi| for one state or for each state of a (..., d)
+    stack; a state is normalized first, and the zero vector is a ShapeError."""
     psi = np.atleast_1d(np.asarray(psi, dtype=complex))
     norm = np.linalg.norm(psi, axis=-1, keepdims=True)
     raise_first(norm[..., 0] < limits.ZERO_TOL, ShapeError,
                 lambda i: "cannot reflect about the zero vector")
     psi = psi / norm
-    eye = np.eye(psi.shape[-1], dtype=complex)
-    r = eye - 2 * psi[..., :, None] * psi.conj()[..., None, :]
-    first = np.abs(psi[..., :1])
-    gamma = np.divide(psi[..., :1], first, out=np.ones(first.shape, complex), where=first > 1e-14)
-    u0 = psi - gamma * eye[0]  # when it vanishes (psi = gamma |0>), U = gamma 1
-    n2 = np.sum(np.abs(u0) ** 2, axis=-1)[..., None, None]
-    coef = np.divide(2, n2, out=np.zeros(n2.shape), where=n2 >= 1e-28)
-    u = gamma[..., None] * (eye - coef * u0[..., :, None] * u0.conj()[..., None, :])
-    return r, u
+    return np.eye(psi.shape[-1]) - 2 * psi[..., :, None] * psi.conj()[..., None, :]
 
 
 def transition_amplitude(
@@ -539,7 +540,7 @@ def transition_amplitude(
                 lambda i: f"no computational basis state overlaps both states above {least:g}")
     b = np.argmax(usable, axis=-1)[..., None]
     basis = np.eye(d, dtype=complex)[b[..., 0]]
-    r_phi, r_psi = reflection(phi)[0], reflection(psi)[0]
+    r_phi, r_psi = reflection(phi), reflection(psi)
     terms = [r_phi @ u @ r_psi, r_phi @ u, u @ r_psi, u]
     phi_b, psi_b = (np.take_along_axis(x, b, -1)[..., 0][()] for x in (phi, psi))
     denom = 4 * phi_b * np.conj(psi_b)  # 4 <b|phi><psi|b>
@@ -577,20 +578,17 @@ def unitary_decompose(a) -> tuple:
     return shift[()], scale[()], u_plus, u_minus
 
 
-def general_matrix_element(
-    phi, a, psi, shots: int | None = None, seed=None
-) -> complex:
-    """<phi|A|psi> for Hermitian A via the two-unitary decomposition."""
+def general_matrix_element(phi, a, psi, shots: int | None = None, seed=None):
+    """<phi|A|psi> for Hermitian A via the two-unitary decomposition: the
+    transition amplitudes of U+, U- and the identity.  In exact mode phi, A
+    and psi may be broadcasting stacks, and the result is an array of their
+    batch shape; shot mode takes one case."""
     shift, scale, u_plus, u_minus = unitary_decompose(a)
     seeds = [None] * 3 if seed is None else list(
         np.random.default_rng(seed).integers(0, 2**63 - 1, size=3)
     )
-    parts = [
-        transition_amplitude(phi, u_plus, psi, shots, seeds[0]).value,
-        transition_amplitude(phi, u_minus, psi, shots, seeds[1]).value,
-    ]
-    overlap = transition_amplitude(
-        phi, np.eye(len(np.asarray(phi))), psi, shots, seeds[2]
-    ).value
-    return complex(scale * (parts[0] + parts[1]) + shift * overlap)
-
+    plus, minus, overlap = (
+        transition_amplitude(phi, u, psi, shots, s).value
+        for u, s in zip((u_plus, u_minus, np.eye(np.shape(phi)[-1])), seeds)
+    )
+    return scale * (plus + minus) + shift * overlap

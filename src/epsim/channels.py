@@ -128,7 +128,8 @@ def roundtrip_residuals(omega: np.ndarray, direct: np.ndarray, states: np.ndarra
                         cases=None) -> np.ndarray:
     """The (B, S) residuals max |Phi'(rho) - Phi(rho)| of
     :func:`readout_residuals`' cases, where Phi' has the Kraus operators
-    recovered from omega, after the checks of ChoiState.to_channel()."""
+    recovered from omega (:func:`choi_eigh`, then :func:`choi_kraus`), after
+    the Choi-state checks and the trace-preservation check of Phi'."""
     d_out, d_in = direct.shape[-1], states.shape[-1]
     back = choi_kraus(*choi_eigh(omega, d_in, d_out, cases=cases), d_in, d_out)
     kraus_tp_check(back, cases)
@@ -136,8 +137,8 @@ def roundtrip_residuals(omega: np.ndarray, direct: np.ndarray, states: np.ndarra
 
 
 def duality_residuals(kraus: np.ndarray, states: np.ndarray, cases=None) -> tuple:
-    """(readout, round-trip) residuals: the channel-state duality, with the
-    checks of Channel(kraus).to_choi().to_channel(), on every case."""
+    """(readout, round-trip) residuals: the channel-state duality in both
+    directions, with every check of both directions, on every case."""
     readout, omega, direct = readout_residuals(kraus, states, cases)
     return readout, roundtrip_residuals(omega, direct, states, cases)
 
@@ -176,17 +177,6 @@ class Channel:
                 f"state shape {rho.shape} != channel input dim {self.in_dim}"
             )
         return kraus_apply(self.stack, rho)
-
-    def compose(self, inner: "Channel") -> "Channel":
-        """self after inner: (self . inner)(rho) = self(inner(rho))."""
-        if inner.out_dim != self.in_dim:
-            raise ShapeError(
-                f"cannot compose: inner output {inner.out_dim} != input {self.in_dim}"
-            )
-        return Channel(tuple(a @ b for a in self.kraus for b in inner.kraus))
-
-    def to_choi(self) -> "ChoiState":
-        return ChoiState(self.in_dim, self.out_dim, kraus_to_choi(self.stack))
 
     def stinespring(self):
         """Unitary dilation (U, ancilla_dim).
@@ -239,14 +229,6 @@ class ChoiState:
             raise ShapeError(f"Choi matrix shape {m.shape} != {(d, d)}")
         object.__setattr__(self, "matrix", m)
 
-    def validate(self) -> None:
-        choi_eigh(self.matrix, self.in_dim, self.out_dim)
-
-    def to_channel(self) -> Channel:
-        """Recover Kraus operators; eigenvalues at most ZERO_TOL are dropped."""
-        w, v = choi_eigh(self.matrix, self.in_dim, self.out_dim)
-        return Channel(tuple(choi_kraus(w, v, self.in_dim, self.out_dim)))
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Readout identity: Phi(rho) = d * tr_ref[omega (1 (x) rho^T)]."""
         rho = as_matrix(rho)
@@ -269,42 +251,6 @@ class PurifiedChoiState:
         return partial_trace(rho, list(self.dims), keep=[0, 2])
 
 
-@dataclass(frozen=True)
-class BinaryMeasurement:
-    """Two-outcome measurement {M0, M1} with M0^dag M0 + M1^dag M1 = 1."""
-
-    m0: np.ndarray = field(repr=False)
-    m1: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m0, m1 = as_matrix(self.m0), as_matrix(self.m1)
-        object.__setattr__(self, "m0", m0)
-        object.__setattr__(self, "m1", m1)
-        if tp_residual(np.stack([m0, m1])) > limits.TP_TOL:
-            raise ShapeError("measurement operators do not resolve the identity")
-
-    def effects(self):
-        return dagger(self.m0) @ self.m0, dagger(self.m1) @ self.m1
-
-
-def depolarizing(d: int) -> Channel:
-    """Completely depolarizing channel rho -> 1/d."""
-    if d < 2:
-        raise ShapeError("depolarizing channel needs dimension >= 2")
-    kraus = tuple(
-        np.sqrt(1.0 / d) * np.outer(_basis(d, i), _basis(d, j).conj())
-        for i in range(d)
-        for j in range(d)
-    )
-    return Channel(kraus)
-
-
-def _basis(d: int, i: int) -> np.ndarray:
-    v = np.zeros(d, dtype=complex)
-    v[i] = 1.0
-    return v
-
-
 def measurement_roots(rho: np.ndarray) -> tuple:
     """(sqrt(rho^T), sqrt(1 - rho^T)) for density matrices (..., d, d),
     from one ``eigh``: the binary measurement that realizes each state on a
@@ -317,7 +263,7 @@ def measurement_roots(rho: np.ndarray) -> tuple:
     trace = np.trace(rho, axis1=-2, axis2=-1)
     tol, clamp = limits.DENSITY_TOL, limits.PSD_CLAMP
     not_density = (herm > tol) | (w[..., 0] < -tol) | (np.abs(trace - 1.0) > tol)
-    raise_first(not_density, ShapeError, lambda i: "state_measurement needs a density matrix")
+    raise_first(not_density, ShapeError, lambda i: "measurement_roots needs a density matrix")
     raise_first(herm > clamp, PositivityError, lambda i: "matrix is not Hermitian")
     v_h = np.conj(np.swapaxes(v, -1, -2))
     roots = []
@@ -329,18 +275,6 @@ def measurement_roots(rho: np.ndarray) -> tuple:
         )
         roots.append((v * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]) @ v_h)
     return tuple(roots)
-
-
-def state_measurement(rho: np.ndarray) -> BinaryMeasurement:
-    """Binary measurement {sqrt(rho^T), sqrt(1 - rho^T)} realizing a state
-    as a measurement on the Choi input reference."""
-    return BinaryMeasurement(*measurement_roots(as_matrix(rho)))
-
-
-def bell_binary_measurement(d: int) -> BinaryMeasurement:
-    """{|omega><omega|, 1 - |omega><omega|} on a d x d pair."""
-    p = np.outer(bell_vector(d), bell_vector(d).conj())
-    return BinaryMeasurement(p, np.eye(d * d) - p)
 
 
 def measured_branches(kraus: np.ndarray, rho: np.ndarray, obs: np.ndarray) -> tuple:

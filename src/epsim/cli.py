@@ -37,12 +37,13 @@ _NONNEG = (0, math.inf)
 # Each task's fields: name -> (kind, bound, default or _REQUIRED); a JSON null
 # is an absent field.  Kinds: "int", a JSON integer within the closed bound;
 # "real", a finite JSON number within it; "positive", a finite JSON number
-# > 0; "bool"; "choice", one of the bound's strings; "str"; "path", an
-# existing file, relative to the config's directory; "ints", a list of JSON
+# > 0; "bool"; "choice", one of the bound's strings; "path", an existing
+# file, relative to the config's directory; "out", a file to write, relative
+# to the working directory, in an existing directory; "ints", a list of JSON
 # integers; "observable", an entry {"site"?, "pauli" | "matrix"} whose site
 # defaults to the bound and whose "matrix" is square (kind "matrix");
 # "observables", a list of entries that name a site.
-COMMON = {"seed": ("int", _NONNEG, 0), "out": ("str", None, None)}
+COMMON = {"seed": ("int", _NONNEG, 0), "out": ("out", None, None)}
 SHOTS = (1, limits.MAX_SHOTS)
 FIELDS = {
     "dynamics": {
@@ -172,6 +173,15 @@ def _path(value, _, key, base_dir):
     return path
 
 
+def _out(value, key: str) -> str:
+    """``value`` if a report can be written there: a path, relative to the
+    working directory, that is no directory and whose directory exists."""
+    path = Path(value)
+    if path.is_dir() or not path.parent.is_dir():
+        raise ConfigError(f"{key} = {value!r} is not a file path in an existing directory")
+    return value
+
+
 def _square_matrix(value, *_):
     """Nested rows of [re, im] pairs, as many rows as columns."""
     m = serialize.parse_cmat_nested(_typed(value, list, "a list of rows"))
@@ -202,7 +212,7 @@ _KINDS = {
     "positive": _positive,
     "bool": lambda v, *_: _typed(v, bool, "true or false"),
     "choice": _choice,
-    "str": lambda v, *_: _typed(v, str, "a string"),
+    "out": lambda v, _, key, *__: _out(_typed(v, str, "a file path"), f"config field {key}"),
     "path": _path,
     "ints": lambda v, *_: [_typed(s, int, "an integer") for s in _typed(v, list, "a list")],
     "matrix": _square_matrix,
@@ -432,6 +442,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
+        if args.out:  # refused before the first suite runs
+            _out(args.out, "--out")
         results = verify.run_suite(args.suite)
     except EpsimError as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))

@@ -27,10 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import limits, serialize
-from .channels import Channel
 from .contract import _contract_group
-from .errors import CanonicalFormError, ShapeError, raise_first
-from .linalg import svd, tp_residual
+from .errors import ShapeError, raise_first
+from .linalg import svd
 
 
 @dataclass(frozen=True)
@@ -87,11 +86,6 @@ class MPS:
                 float(weights[i]))
             for i in np.ndindex(self.batch_shape)
         ]
-
-    def is_left_canonical(self) -> bool:
-        """Whether every site tensor of every case is a trace-preserving
-        Kraus set, to within TP_TOL."""
-        return all(np.all(tp_residual(t) <= limits.TP_TOL) for t in self.tensors)
 
     def to_statevector(self) -> np.ndarray:
         """Amplitudes (..., dim); STATEVECTOR_GUARD bounds dim, per state."""
@@ -157,45 +151,6 @@ class MPS:
         boundary = carry @ self.boundary
         return MPS(tuple(tensors), boundary, canonical="left",
                    discarded_weight=self.discarded_weight)
-
-    def truncate(self, chi_max: int | None = None, tol: float = 0.0):
-        """Reduce bond dimensions; returns ``(mps, discarded_weight)``.
-
-        The discarded weight is the total squared Schmidt weight of the
-        dropped singular values, per case; for a normalized open-boundary
-        state the round-trip fidelity loss is bounded by it.  On a stack a
-        bond keeps the largest of the per-case counts (see
-        :func:`from_statevector`).
-        """
-        m = self.canonicalize()
-        lead = m.batch_shape
-        tensors = list(m.tensors)
-        discarded = np.zeros(lead)
-        for n in range(len(tensors) - 1, 0, -1):
-            d, chi_l, chi_r = tensors[n].shape[-3:]
-            u, s, vh = svd(np.swapaxes(tensors[n], -3, -2).reshape(lead + (chi_l, d * chi_r)))
-            keep = _keep_count(s, chi_max, tol)
-            discarded += np.sum(s[..., keep:] ** 2, axis=-1)
-            tensors[n] = np.swapaxes(vh[..., :keep, :].reshape(lead + (keep, d, chi_r)), -3, -2)
-            carry = u[..., :keep] * s[..., None, :keep]
-            tensors[n - 1] = np.einsum("...iab,...bc->...iac", tensors[n - 1], carry)
-        discarded = discarded[()]
-        out = MPS(tuple(tensors), m.boundary,
-                  discarded_weight=self.discarded_weight + discarded)
-        return out.canonicalize(), discarded
-
-    def site_channel(self, n: int) -> Channel:
-        """The site tensor as a quantum channel from the right bond space
-        to the left bond space (physical index enumerates Kraus operators).
-        """
-        self.require_single("site_channel")
-        if self.canonical != "left":
-            raise CanonicalFormError(
-                "site tensors form channels only in left-canonical gauge; "
-                "call canonicalize() first"
-            )
-        t = self.tensors[n]
-        return Channel(tuple(t[i] for i in range(t.shape[0])))
 
     def to_dict(self) -> dict:
         self.require_single("to_dict")

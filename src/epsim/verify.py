@@ -19,7 +19,7 @@ from . import mps as mpsmod
 from . import network as net
 from . import oracle
 from .errors import ShapeError
-from .linalg import PAULI, dagger, embed_operator
+from .linalg import PAULI, dagger, embed_operator, partial_trace
 from .rand import (
     density_from_gaussian,
     draw_groups,
@@ -93,6 +93,34 @@ def suite_duality() -> list:
     out.append(_check("duality", "binary-measurement-reconstruction", worst, 1e-10,
                       time.perf_counter() - t0,
                       note="50 (channel, state, observable) triples"))
+
+    # The Stinespring check owns drawing and building the channels; the
+    # purified-Choi check owns the purifications and their ancilla traces.
+    start = time.perf_counter()
+    choi_s = 0.0
+    worst_dilation = 0.0
+    worst_choi = 0.0
+    for _, kraus, states in random_duality_groups(np.random.default_rng(2030), 6, 3, 2):
+        for k, rhos in zip(kraus, states):
+            phi = ch.Channel(tuple(k))
+            u, anc = phi.stinespring()
+            ancilla = np.zeros((len(u) // phi.in_dim,) * 2)
+            ancilla[0, 0] = 1.0  # the input enters as rho (x) |0><0|
+            unitarity = float(np.max(np.abs(dagger(u) @ u - np.eye(len(u)))))
+            worst_dilation = max(worst_dilation, unitarity)
+            for rho in rhos:
+                out_rho = u @ np.kron(rho, ancilla) @ dagger(u)
+                traced = partial_trace(out_rho, [phi.out_dim, anc], keep=[0])
+                worst_dilation = max(worst_dilation, float(np.max(np.abs(traced - phi.apply(rho)))))
+            t0 = time.perf_counter()
+            choi = phi.purified_choi().choi_matrix()
+            worst_choi = max(worst_choi, float(np.max(np.abs(choi - ch.kraus_to_choi(k)))))
+            choi_s += time.perf_counter() - t0
+    out.append(_check("duality", "stinespring-dilation", worst_dilation, 1e-10,
+                      time.perf_counter() - start - choi_s,
+                      note="6 channels, d <= 3: U unitary, ancilla trace = action on 2 states"))
+    out.append(_check("duality", "purified-choi", worst_choi, 1e-10, choi_s,
+                      note="ancilla trace of the purification = Choi matrix"))
     return out
 
 
@@ -425,6 +453,29 @@ def suite_amplitude() -> list:
                       note="100 random Hermitian, d <= 8"))
     out.append(_check("amplitude", "two-unitary-reconstruction", worst_rebuild, 1e-10,
                       rebuild_s))
+
+    rng = np.random.default_rng(2031)
+    t0 = time.perf_counter()
+    worst = 0.0
+    for d in (2, 2, 4, 4):
+        u = haar_unitary(rng, d)
+        a = random_state(rng, d)
+        eigvec = np.linalg.eig(u)[1][:, 0]
+        est = alg.dqc1_cswap_estimate(u, a, eigvec)
+        worst = max(worst, abs(est.value - np.conj(a) @ u @ a))
+    out.append(_check("amplitude", "dqc1-cswap-exact", worst, 1e-10, time.perf_counter() - t0,
+                      note="<a|U|a> from the controlled-swap circuit, d in {2, 4}"))
+
+    t0 = time.perf_counter()
+    worst = 0.0
+    for _, _, draws in draw_groups(rng, 12, _amplitude_draw):
+        m, phi, psi = map(np.stack, zip(*draws))
+        a = (m + dagger(m)) / 2
+        got = alg.general_matrix_element(phi, a, psi)
+        want = (phi.conj()[:, None, :] @ a @ psi[:, :, None])[:, 0, 0]
+        worst = max(worst, float(np.max(np.abs(got - want))))
+    out.append(_check("amplitude", "general-matrix-element", worst, 1e-8, time.perf_counter() - t0,
+                      note="12 random (phi, A, psi), A Hermitian, <= 3 qubits"))
     return out
 
 

@@ -171,6 +171,28 @@ def test_criterion_11_resource_formulas():
     )
 
 
+def test_criterion_12_generic_quantities():
+    checks = suite("amplitude")
+    report(
+        12,
+        "generic quantities: controlled-swap <a|U|a> within 1e-10, <phi|A|psi> within 1e-8",
+        [checks["dqc1-cswap-exact"], checks["general-matrix-element"]],
+        runtime_limit=5,
+        suite_name="amplitude",
+    )
+
+
+def test_criterion_13_stinespring_and_purified_choi():
+    checks = suite("duality")
+    report(
+        13,
+        "Stinespring dilation and purified Choi state within 1e-10",
+        [checks["stinespring-dilation"], checks["purified-choi"]],
+        runtime_limit=5,
+        suite_name="duality",
+    )
+
+
 @pytest.fixture(scope="session", autouse=True)
 def summary_line(request):
     yield

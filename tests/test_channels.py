@@ -25,18 +25,30 @@ def identity(d):
     return ch.Channel((np.eye(d),))
 
 
+def recovered(kraus, d_in, d_out):
+    """The channel read back from the Choi matrix of the Kraus set (k, d_out, d_in)."""
+    choi = ch.kraus_to_choi(kraus)
+    return ch.Channel(tuple(ch.choi_kraus(*ch.choi_eigh(choi, d_in, d_out), d_in, d_out)))
+
+
 def test_identity_channel_apply():
     rng = np.random.default_rng(0)
     rho = random_density(rng, 3)
     assert np.allclose(identity(3).apply(rho), rho)
 
 
+def depolarizing_kraus(d):
+    """Kraus set (d^2, d, d) of the completely depolarizing channel rho -> 1/d:
+    every |i><j| / sqrt(d)."""
+    return np.eye(d * d, dtype=complex).reshape(d * d, d, d) / np.sqrt(d)
+
+
 def test_depolarizing_apply():
     rng = np.random.default_rng(1)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
-    assert np.allclose(ch.depolarizing(2).apply(rho0), np.eye(2) / 2, atol=1e-12)
+    assert np.allclose(ch.kraus_apply(depolarizing_kraus(2), rho0), np.eye(2) / 2, atol=1e-12)
     rho = random_density(rng, 3)
-    assert np.allclose(ch.depolarizing(3).apply(rho), np.eye(3) / 3, atol=1e-12)
+    assert np.allclose(ch.kraus_apply(depolarizing_kraus(3), rho), np.eye(3) / 3, atol=1e-12)
 
 
 def test_apply_matches_kraus_sum_oracle():
@@ -53,23 +65,23 @@ def test_non_trace_preserving_rejected():
 
 
 def test_choi_of_identity_is_bell():
-    omega = identity(2).to_choi()
+    omega = ch.kraus_to_choi(identity(2).stack)
     bell = ch.bell_vector(2)
-    assert np.allclose(omega.matrix, np.outer(bell, bell.conj()))
-    omega.validate()
+    assert np.allclose(omega, np.outer(bell, bell.conj()))
+    ch.choi_eigh(omega, 2, 2)
 
 
 def test_choi_rank_counts_independent_kraus():
     rng = np.random.default_rng(21)
     for k in (1, 2, 3):
         phi = random_channel(rng, 3, 3, k)
-        evals = np.linalg.eigvalsh(phi.to_choi().matrix)
+        evals = np.linalg.eigvalsh(ch.kraus_to_choi(phi.stack))
         assert int(np.sum(evals > 1e-12)) == k
 
 
 def test_choi_of_depolarizing_is_maximally_mixed():
-    omega = ch.depolarizing(2).to_choi()
-    assert np.allclose(omega.matrix, np.eye(4) / 4, atol=1e-12)
+    omega = ch.kraus_to_choi(depolarizing_kraus(2))
+    assert np.allclose(omega, np.eye(4) / 4, atol=1e-12)
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 4), (4, 4, 3)])
@@ -77,7 +89,7 @@ def test_duality_round_trip(dims):
     d_in, d_out, k = dims
     rng = np.random.default_rng(hash(dims) % 2**32)
     phi = random_channel(rng, d_in, d_out, k)
-    back = phi.to_choi().to_channel()
+    back = recovered(phi.stack, d_in, d_out)
     for _ in range(10):
         rho = random_density(rng, d_in)
         assert np.max(np.abs(back.apply(rho) - phi.apply(rho))) < 1e-10
@@ -86,7 +98,7 @@ def test_duality_round_trip(dims):
 def test_from_choi_of_unitary_is_rank_one():
     rng = np.random.default_rng(5)
     u = haar_unitary(rng, 3)
-    back = ch.Channel((u,)).to_choi().to_channel()
+    back = recovered(u[None], 3, 3)
     assert len(back.kraus) == 1
     phase = back.kraus[0][0, 0] / u[0, 0]
     assert np.allclose(back.kraus[0], phase * u, atol=1e-10)
@@ -97,14 +109,14 @@ def test_from_choi_rejects_bad_marginal():
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = 1.0
     with pytest.raises(InvalidChoiError):
-        ch.ChoiState(2, 2, m).to_channel()
+        ch.choi_eigh(m, 2, 2)
 
 
 def test_readout_identity():
     rng = np.random.default_rng(6)
     for d_in, d_out in [(2, 2), (3, 2), (2, 4), (4, 3)]:
         phi = random_channel(rng, d_in, d_out, 3)
-        omega = phi.to_choi()
+        omega = ch.ChoiState(d_in, d_out, ch.kraus_to_choi(phi.stack))
         rho = random_density(rng, d_in)
         assert np.max(np.abs(omega.apply(rho) - phi.apply(rho))) < 1e-12
         sandwich = omega.matrix @ np.kron(np.eye(d_out), rho.T)
@@ -115,19 +127,19 @@ def test_readout_identity():
 def test_readout_on_plus_state():
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
     rho = np.outer(plus, plus.conj())
-    omega = identity(2).to_choi()
+    omega = ch.ChoiState(2, 2, ch.kraus_to_choi(identity(2).stack))
     assert np.allclose(omega.apply(rho), rho)
 
 
 def test_state_measurement_trivial_cases():
     d = 2
-    meas = ch.state_measurement(np.eye(d) / d)
-    assert np.allclose(meas.m0, np.eye(d) / np.sqrt(d))
-    assert np.allclose(meas.m1, np.sqrt(1 - 1 / d) * np.eye(d))
+    m0, m1 = ch.measurement_roots(np.eye(d) / d)
+    assert np.allclose(m0, np.eye(d) / np.sqrt(d))
+    assert np.allclose(m1, np.sqrt(1 - 1 / d) * np.eye(d))
     rho0 = np.diag([1.0, 0.0]).astype(complex)
-    meas = ch.state_measurement(rho0)
-    assert np.allclose(meas.m0, np.diag([1.0, 0.0]))
-    assert np.allclose(meas.m1, np.diag([0.0, 1.0]))
+    m0, m1 = ch.measurement_roots(rho0)
+    assert np.allclose(m0, np.diag([1.0, 0.0]))
+    assert np.allclose(m1, np.diag([0.0, 1.0]))
 
 
 def test_measured_expectation_reconstruction():
@@ -164,14 +176,14 @@ def test_measured_branches_stack_matches_per_case_calls():
             assert abs(cond[k] - conds[b, k]) < 1e-14 and abs(v[k] - values[b, k]) < 1e-14
     bad = rho.copy()
     bad[2] = np.diag([1.2, -0.1, -0.1])
-    with pytest.raises(ShapeError, match="^case 2: state_measurement needs a density matrix"):
+    with pytest.raises(ShapeError, match="^case 2: measurement_roots needs a density matrix"):
         ch.measured_branches(kraus, bad, obs)
-    with pytest.raises(ShapeError, match="^state_measurement needs a density matrix"):
-        ch.state_measurement(bad[2])
+    with pytest.raises(ShapeError, match="^measurement_roots needs a density matrix"):
+        ch.measurement_roots(bad[2])
     # Inside the density tolerance but below the square root's clamp.
     slightly = np.diag([1 + 5e-9, -5e-9]).astype(complex)
     with pytest.raises(PositivityError, match="not PSD"):
-        ch.state_measurement(slightly)
+        ch.measurement_roots(slightly)
 
 
 def test_measurement_groups_draw_in_per_case_order():
@@ -231,16 +243,7 @@ def test_purified_choi():
     phi = random_channel(rng, 3, 2, 3)
     pure = phi.purified_choi()
     assert abs(np.linalg.norm(pure.vector) - 1) < 1e-10
-    assert np.max(np.abs(pure.choi_matrix() - phi.to_choi().matrix)) < 1e-10
-
-
-def test_transfer_composition():
-    rng = np.random.default_rng(12)
-    phi1 = random_channel(rng, 2, 3, 2)
-    phi2 = random_channel(rng, 3, 2, 3)
-    rho = random_density(rng, 2)
-    composed = phi2.compose(phi1).apply(rho)
-    assert np.max(np.abs(composed - phi2.apply(phi1.apply(rho)))) < 1e-12
+    assert np.max(np.abs(pure.choi_matrix() - ch.kraus_to_choi(phi.stack))) < 1e-10
 
 
 def test_oqt_mixing_identity_is_exact():
@@ -259,7 +262,7 @@ def test_oqt_choi_is_psd():
     for d in (2, 3, 4):
         w = np.linalg.eigvalsh(ch.oqt_channel(d).matrix)
         assert w[0] >= -1e-12
-        ch.oqt_channel(d).validate()
+        ch.choi_eigh(ch.oqt_channel(d).matrix, d, d)
 
 
 def test_oqt_example_value():
@@ -268,12 +271,18 @@ def test_oqt_example_value():
     assert np.allclose(out, np.diag([1.0 / 3.0, 2.0 / 3.0]), atol=1e-12)
 
 
+def bell_effects(d):
+    """{|omega><omega|, 1 - |omega><omega|}, the Bell measurement on a d x d pair;
+    its operators are projectors, so they are their own effects."""
+    p = np.outer(ch.bell_vector(d), ch.bell_vector(d).conj())
+    return p, np.eye(d * d) - p
+
+
 def test_bell_binary_measurement_probabilities():
     d = 2
-    meas = ch.bell_binary_measurement(d)
     bell = ch.bell_vector(d)
     rho = np.outer(bell, bell.conj())
-    e0, e1 = meas.effects()
+    e0, e1 = bell_effects(d)
     assert abs(np.trace(e0 @ rho) - 1) < 1e-12
     assert abs(np.trace(e1 @ rho)) < 1e-12
     mixed = np.eye(d * d) / d**2
@@ -286,14 +295,13 @@ def test_bell_teleportation_branches():
     # correction channel (outcome 1).
     d = 2
     rng = np.random.default_rng(14)
-    meas = ch.bell_binary_measurement(d)
     bell = ch.bell_vector(d)
     resource = np.outer(bell, bell.conj())
     p_map = ch.oqt_channel(d)
     for _ in range(5):
         rho = random_density(rng, d)
         joint = np.kron(rho, resource)  # X (x) (R (x) Y)
-        for outcome, effect in enumerate(meas.effects()):
+        for outcome, effect in enumerate(bell_effects(d)):
             big = np.kron(effect, np.eye(d))  # measure (X, R)
             post = partial_trace(big @ joint @ big, [d, d, d], keep=[2])
             p = np.real(np.trace(post))
@@ -353,7 +361,7 @@ def test_choi_kraus_pads_cases_of_lower_rank_with_zeros():
     back = ch.choi_kraus(*ch.choi_eigh(choi, 2, 2), 2, 2)
     assert back.shape == (2, 3, 2, 2)
     assert np.all(back[1, :2] == 0)
-    assert len(ch.ChoiState(2, 2, choi[1]).to_channel().kraus) == 1
+    assert len(ch.choi_kraus(*ch.choi_eigh(choi[1], 2, 2), 2, 2)) == 1
     rho = random_density(rng, 2)
     assert np.max(np.abs(ch.kraus_apply(back, rho) - ch.kraus_apply(kraus, rho))) < 1e-12
 
@@ -379,7 +387,7 @@ def test_batched_checks_name_the_failing_case():
     with pytest.raises(InvalidChoiError, match="^case 9: Choi matrix is not PSD"):
         ch.choi_eigh(choi, 2, 2, cases=[7, 8, 9])
     with pytest.raises(InvalidChoiError, match="^Choi matrix is not PSD"):
-        ch.ChoiState(2, 2, choi[2]).to_channel()
+        ch.choi_eigh(choi[2], 2, 2)
 
 
 @pytest.mark.parametrize("chunk", [7, 512])

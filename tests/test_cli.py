@@ -9,7 +9,7 @@ from conftest import PAULI, random_kraus
 from epsim import cli, mps, network, oracle, serialize
 from epsim.hamiltonians import build_heisenberg, build_tfim
 from epsim.linalg import embed_operator
-from epsim.channels import Channel
+from epsim.channels import Channel, ChoiState, choi_eigh, choi_kraus, kraus_to_choi
 from epsim.rand import (
     haar_unitary,
     random_canonical_mps,
@@ -253,8 +253,8 @@ def _duality_check_per_case(seed, n_cases=100, max_dim=4):
         d_in = int(rng.integers(2, max_dim + 1))
         d_out = int(rng.integers(2, max_dim + 1))
         phi = Channel(tuple(random_kraus(rng, d_in, d_out, int(rng.integers(1, 4)))))
-        omega = phi.to_choi()
-        back = omega.to_channel()
+        omega = ChoiState(d_in, d_out, kraus_to_choi(phi.stack))
+        back = Channel(tuple(choi_kraus(*choi_eigh(omega.matrix, d_in, d_out), d_in, d_out)))
         rho = random_density(rng, d_in)
         worst = max(
             worst,
@@ -559,7 +559,7 @@ def test_budget_error_surfaces(workdir, capsys):
     assert "order" in err["message"]
 
 
-def test_verify_command(workdir, capsys):
+def test_verify_command(workdir, capsys, monkeypatch):
     out_path = workdir / "summary.json"
     code, out = run_cli(
         ["verify", "--suite", "oqt", "--out", str(out_path)], capsys
@@ -572,6 +572,15 @@ def test_verify_command(workdir, capsys):
     code, _ = run_cli(["verify", "--suite", "nonsense"], capsys)
     assert code == 2
 
+    # A summary path in a missing directory is refused before the first suite.
+    def refuse(name):
+        raise AssertionError("a suite ran before the summary path was checked")
+
+    monkeypatch.setattr(cli.verify, "run_suite", refuse)
+    code, out = run_cli(["verify", "--out", str(workdir / "nodir" / "v.json")], capsys)
+    err = json.loads(out)["error"]
+    assert code == 2 and err["type"] == "ConfigError" and "--out" in err["message"]
+
 
 def test_verify_check_seconds_fit_in_its_wall_time(tmp_path, capsys):
     # Each check reports only its own seconds, so none is counted twice.
@@ -580,7 +589,7 @@ def test_verify_check_seconds_fit_in_its_wall_time(tmp_path, capsys):
     wall = time.perf_counter() - start
     assert code == 0
     checks = json.loads((tmp_path / "all.json").read_text())["checks"]
-    assert len(checks) == 19
+    assert len(checks) == 23
     assert sum(c["seconds"] for c in checks) <= wall
 
 
@@ -718,19 +727,26 @@ def test_duality_check_refuses_huge_n_cases_before_drawing(workdir, capsys, monk
     assert err["type"] == "SizeGuardError" and "n_cases" in err["message"]
 
 
+# Each sweep: (task, base config).  The two modular models carry a trace, so
+# a huge beta prices e^{-beta mu} for a mean energy mu > 0 and mu < 0.
 SWEEP_BASE = {
-    "dynamics": {"state_file": "state2.json", "circuit_file": "circuit2.json",
-                 "observables": [{"site": 1, "pauli": "Z"}]},
-    "thermal": {"model_file": "tfim.json", "observable": {"site": 0, "pauli": "Z"},
-                "beta": 0.5, "epsilon": 1e-3},
-    "entropy": {"model_file": "mod.json", "epsilon": 1e-3},
-    "amplitude": {"phi_file": "phi.json", "psi_file": "psi.json", "unitary_file": "unitary.json"},
-    "duality-check": {"n_cases": 2},
+    "dynamics": ("dynamics", {"state_file": "state2.json", "circuit_file": "circuit2.json",
+                              "observables": [{"site": 1, "pauli": "Z"}]}),
+    "thermal": ("thermal", {"model_file": "tfim.json", "observable": {"site": 0, "pauli": "Z"},
+                            "beta": 0.5, "epsilon": 1e-3}),
+    "thermal-mu-positive": ("thermal", {"model_file": "mod.json", "beta": 0.5, "epsilon": 1e-3,
+                                        "observable": {"site": 0, "pauli": "Z"}}),
+    "thermal-mu-negative": ("thermal", {"model_file": "negmod.json", "beta": 0.5,
+                                        "epsilon": 1e-3, "observable": {"site": 0, "pauli": "Z"}}),
+    "entropy": ("entropy", {"model_file": "mod.json", "epsilon": 1e-3}),
+    "amplitude": ("amplitude", {"phi_file": "phi.json", "psi_file": "psi.json",
+                                "unitary_file": "unitary.json"}),
+    "duality-check": ("duality-check", {"n_cases": 2}),
 }
-SWEEP_VALUES = [True, "abc", -1, 0.5, "nan", [1], {"x": 1}, 1e308]
+SWEEP_VALUES = [True, "abc", -1, 0.5, "nan", [1], {"x": 1}, 1e308, "nodir/x.json"]
 # The JSON values each field kind takes; any other value is of the wrong kind.
 KIND_TYPES = {"int": int, "real": (int, float), "positive": (int, float), "bool": bool,
-              "choice": str, "str": str, "path": str, "ints": list, "observables": list,
+              "choice": str, "out": str, "path": str, "ints": list, "observables": list,
               "observable": dict}
 
 
@@ -739,22 +755,24 @@ def test_every_field_of_every_task_ends_in_a_report_or_a_json_error(workdir, cap
     from epsim import errors
 
     # H = -log(diag(0.75, 0.25) (x) 1/2), a modular Hamiltonian for entropy.
-    mod = {"n_sites": 2, "phys_dim": 2, "terms": [
-        {"support": [0], "matrix": serialize.cmat_flat(np.diag(-np.log([0.75, 0.25])))},
-        {"support": [1], "matrix": serialize.cmat_flat(np.log(2) * np.eye(2))},
-    ]}
-    (workdir / "mod.json").write_text(json.dumps(mod))
+    terms = [np.diag(-np.log([0.75, 0.25])), np.log(2) * np.eye(2)]
+    for name, sign in (("mod.json", 1), ("negmod.json", -1)):
+        model = {"n_sites": 2, "phys_dim": 2, "terms": [
+            {"support": [site], "matrix": serialize.cmat_flat(sign * m)}
+            for site, m in enumerate(terms)
+        ]}
+        (workdir / name).write_text(json.dumps(model))
     jobs = itertools.count()
-    for task, base in SWEEP_BASE.items():
-        (workdir / task).mkdir()
-        monkeypatch.chdir(workdir / task)  # a string "out" writes its report here
+    for label, (task, base) in SWEEP_BASE.items():
+        (workdir / label).mkdir()
+        monkeypatch.chdir(workdir / label)  # a string "out" writes its report here
         for key, (kind, _, _) in {**cli.COMMON, **cli.FIELDS[task]}.items():
             for value in SWEEP_VALUES:
                 # A new file per job: overwriting a file is slow on some file systems.
                 job = workdir / f"job{next(jobs)}.json"
                 job.write_text(json.dumps({"task": task, **base, key: value}))
                 code, out = run_cli(["run", "--config", str(job)], capsys)
-                case = f"{task}.{key} = {value!r}"
+                case = f"{label}.{key} = {value!r}"
                 wrong_kind = (isinstance(value, bool) != (KIND_TYPES[kind] is bool)
                               or not isinstance(value, KIND_TYPES[kind]))
                 assert code in (0, 1, 2) and (code == 2 or not wrong_kind), case
@@ -765,3 +783,9 @@ def test_every_field_of_every_task_ends_in_a_report_or_a_json_error(workdir, cap
                 err = report["error"]
                 assert issubclass(getattr(errors, err["type"]), errors.EpsimError), case
                 assert code == 1 or (err["type"] == "ConfigError" and key in err["message"]), case
+        # The --out flag is the "out" field: refused before the task runs.
+        job = workdir / f"job{next(jobs)}.json"
+        job.write_text(json.dumps({"task": task, **base}))
+        code, out = run_cli(["run", "--config", str(job), "--out", "nodir/x.json"], capsys)
+        err = json.loads(out)["error"]
+        assert code == 2 and err["type"] == "ConfigError" and "out" in err["message"], label

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import PAULI, dense_expectation
-from epsim import mps, oracle, verify
-from epsim.errors import CanonicalFormError, ShapeError
+from epsim import channels as ch
+from epsim import limits, mps, oracle, verify
+from epsim.errors import ShapeError
+from epsim.linalg import tp_residual
 from epsim.network import BrickworkCircuit
 from epsim.rand import random_state
 
@@ -12,6 +14,12 @@ def random_mps(rng, n, d=2, chi=None):
     """A random MPS (exact unless chi caps the bond dimension)."""
     psi = random_state(rng, d**n)
     return mps.from_statevector(psi, [d] * n, chi_max=chi)
+
+
+def left_canonical(m):
+    """Whether every site tensor of every case is a trace-preserving Kraus
+    set, to within TP_TOL."""
+    return all(np.all(tp_residual(t) <= limits.TP_TOL) for t in m.tensors)
 
 
 def bond_dims(m):
@@ -28,8 +36,8 @@ def test_bell_state_schmidt_structure():
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     m = mps.from_statevector(bell, [2, 2])
     assert bond_dims(m) == (1, 2, 1)
-    truncated, weight = m.truncate(chi_max=1)
-    assert abs(weight - 0.5) < 1e-12
+    truncated = mps.from_statevector(bell, [2, 2], chi_max=1)
+    assert abs(truncated.discarded_weight - 0.5) < 1e-12
     assert bond_dims(truncated) == (1, 1, 1)
 
 
@@ -147,21 +155,20 @@ def test_canonicalize_preserves_amplitudes():
     m = mps.from_statevector(psi, [2] * 5)
     c = m.canonicalize()
     assert np.max(np.abs(c.to_statevector() - psi)) < 1e-12
-    assert c.is_left_canonical()
+    assert left_canonical(c)
 
 
 def test_truncate_fidelity_bound_and_monotonicity():
     rng = np.random.default_rng(11)
     psi = random_state(rng, 2**8)
-    m = mps.from_statevector(psi, [2] * 8)
-    cut, weight = m.truncate(chi_max=4)
+    cut = mps.from_statevector(psi, [2] * 8, chi_max=4)
+    weight = cut.discarded_weight
     back = cut.to_statevector()
     fid = abs(np.vdot(psi, back)) ** 2 / np.linalg.norm(back) ** 2
     assert fid >= 1 - weight - 1e-10
     weights = []
     for chi in (2, 4, 8, 16):
-        _, w = m.truncate(chi_max=chi)
-        weights.append(w)
+        weights.append(mps.from_statevector(psi, [2] * 8, chi_max=chi).discarded_weight)
     assert all(a >= b - 1e-14 for a, b in zip(weights, weights[1:]))
     assert weights[-1] < 1e-12  # chi=16 is exact for 8 qubits
 
@@ -171,24 +178,21 @@ def test_site_channel_requires_canonical():
     m = random_mps(rng, 4)
     assert m.canonical == "left"
     for n in range(4):
-        phi = m.site_channel(n)  # Channel constructor validates CPTP
+        phi = ch.Channel(tuple(m.tensors[n]))  # Channel constructor validates CPTP
         assert phi.out_dim == m.tensors[n].shape[1]
         assert phi.in_dim == m.tensors[n].shape[2]
-    with pytest.raises(CanonicalFormError):
-        mps.MPS(m.tensors, m.boundary).site_channel(0)
 
 
 def test_site_channel_product_state():
     m = mps.from_statevector([1, 0, 0, 0], [2, 2])  # |00>
-    phi = m.site_channel(0)
-    assert all(k.shape == (1, 1) for k in phi.kraus)
+    assert all(k.shape == (1, 1) for k in m.tensors[0])
 
 
 def test_site_channel_bell_cut():
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     m = mps.from_statevector(bell, [2, 2])
-    assert m.site_channel(0).kraus[0].shape == (1, 2)
-    assert m.site_channel(1).kraus[0].shape == (2, 1)
+    assert m.tensors[0][0].shape == (1, 2)
+    assert m.tensors[1][0].shape == (2, 1)
 
 
 def test_purified_choi_chain_reproduces_state():
@@ -197,12 +201,12 @@ def test_purified_choi_chain_reproduces_state():
     rng = np.random.default_rng(13)
     n = 4
     m = random_mps(rng, n, chi=3)
-    composite = m.site_channel(0)
+    composite = list(m.tensors[0])
     for k in range(1, n):
-        composite = composite.compose(m.site_channel(k))
+        composite = [a @ b for a in composite for b in m.tensors[k]]
     # Kraus index of the composite enumerates the full physical basis.
     amps = np.array(
-        [np.trace(m.boundary @ k) for k in composite.kraus]
+        [np.trace(m.boundary @ k) for k in composite]
     )
     psi = m.to_statevector()
     assert np.max(np.abs(amps - psi)) < 1e-10
@@ -319,15 +323,15 @@ def test_stack_mixing_product_and_random_state_stays_canonical():
     # bonds as zero-weight directions.
     assert bond_dims(mps.from_statevector(product, [2] * 4)) == (1, 1, 1, 1, 1)
     assert bond_dims(m) == (1, 2, 4, 2, 1)
-    assert m.is_left_canonical()
-    assert all(case.is_left_canonical() for case in m.cases())
+    assert left_canonical(m)
+    assert all(left_canonical(case) for case in m.cases())
     assert np.max(np.abs(m.to_statevector() - states)) < 1e-14
     z1 = m.expectation_product({1: PAULI["Z"]})
     assert abs(z1[0] + 1) < 1e-14
     # Truncation on the stack drops the same weight as case by case.
-    _, weights = m.truncate(chi_max=1)
+    weights = mps.from_statevector(states, [2] * 4, chi_max=1).discarded_weight
     for b, psi in enumerate(states):
-        _, want = mps.from_statevector(psi, [2] * 4).truncate(chi_max=1)
+        want = mps.from_statevector(psi, [2] * 4, chi_max=1).discarded_weight
         assert abs(weights[b] - want) < 1e-14
 
 
@@ -344,8 +348,6 @@ def test_stacked_mps_refuses_single_state_calls():
     m = mps.from_statevector(np.stack([random_state(rng, 4)] * 2), [2, 2])
     with pytest.raises(ShapeError, match="single state"):
         m.to_dict()
-    with pytest.raises(ShapeError, match="single state"):
-        m.site_channel(0)
     # The dense oracle takes the stack, but only with a circuit stack of its batch shape.
     three = BrickworkCircuit(2, (((0, np.stack([np.eye(4)] * 3)),),))
     with pytest.raises(ShapeError, match="circuit stack of \\(3,\\) for states of \\(2,\\)"):
