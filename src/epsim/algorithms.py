@@ -1,10 +1,10 @@
 """Estimation algorithms built on interferometric amplitude measurements.
 
 Covers the Hadamard-test / one-clean-qubit estimators, Hamiltonian moment
-extraction from short-time amplitudes, thermal values through the imaginary
-time Taylor series, modular-Hamiltonian entropies, reflection-based
-transition amplitudes, and the two-unitary decomposition of Hermitian
-observables.
+extraction from short-time amplitudes, thermal values through one Chebyshev
+interpolation continued to imaginary time, modular-Hamiltonian entropies,
+reflection-based transition amplitudes, and the two-unitary decomposition
+of Hermitian observables.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ class MomentSet:
     @property
     def moments(self) -> np.ndarray:
         """m_n = <a|H^n|a>, n < order, converted from the Chebyshev fit."""
-        t_max = max(abs(t) for t in self.grid)
+        t_max = _t_max(self.grid)
         poly = np.polynomial.chebyshev.cheb2poly(self.coeffs)
         return np.array(
             [
@@ -203,13 +203,13 @@ class MomentSet:
 
     def series_value(self, beta: float) -> complex:
         """sum_n m_n (-beta)^n / n!, i.e. the fit continued to t = -i beta."""
-        z = -1j * beta / max(abs(t) for t in self.grid)
+        z = -1j * beta / _t_max(self.grid)
         return complex(np.polynomial.chebyshev.chebval(z, self.coeffs))
 
     def amplification(self, beta: float) -> float:
         """How much per-sample amplitude noise can grow in series_value:
         sum_n |T_n(z)| at z = -i beta / t_max, in Python complex arithmetic."""
-        z = -1j * beta / max(abs(t) for t in self.grid)
+        z = -1j * beta / _t_max(self.grid)
         t_prev, t_cur, total = 1.0, z, 1.0
         for _ in range(1, self.order):
             total += abs(t_cur)
@@ -217,16 +217,10 @@ class MomentSet:
         return total
 
 
-def default_grid(order: int, h_norm: float, solver_tol: float):
-    """Symmetric grid t_k = k tau0, k = -s..s, with tau0 small enough that
-    the order-s Taylor remainder stays an order below the solver tolerance.
-
-    The +-t symmetry matches f(-t) = conj(f(t)), which keeps the extracted
-    moments real (for Hermitian H) and the imaginary-time continuation clean.
-    """
-    target = 0.1 * solver_tol
-    tau0 = (target * math.factorial(order)) ** (1.0 / order) / (order * max(h_norm, 1e-30))
-    return tuple(k * tau0 for k in range(-order, order + 1))
+def _t_max(grid) -> float:
+    """The largest |t| of ``grid``, the unit of the Chebyshev variable; 1
+    for the one-point grid t = 0."""
+    return max(abs(t) for t in grid) or 1.0
 
 
 def extract_moments(
@@ -245,27 +239,23 @@ def extract_moments(
     conditioning stays flat at every order.  The amplitudes are those of the
     exact evolution, or of fixed-step Trotter powers (step ``t_max / 64``
     unless given), evaluated on the spectrum of their generator.
-    ``solver_tol`` defaults to SOLVER_TOL.
+
+    Without a ``grid`` the times are t_k = k tau0, k = -s..s, with tau0
+    small enough that the order-s Taylor remainder stays an order below
+    ``solver_tol`` (default SOLVER_TOL); the +-t symmetry matches f(-t) =
+    conj(f(t)), which keeps the moments real for Hermitian H.  A grid with
+    fewer than ``order`` distinct times, or whose order-s remainder at its
+    largest time exceeds ``solver_tol``, is refused.
     """
-    solver_tol = limits.SOLVER_TOL if solver_tol is None else solver_tol
-    grid = _moment_grid(h.norm_bound(), order, grid, solver_tol)
-    a = _check_state(a)
-    step = trotter_step if trotter_step else max(abs(t) for t in grid) / 64
-    energies, weights = _spectrum(h, mode, step, a[:, None])
-    coeffs, condition, residuals = _fit_moments(
-        grid, order, _amplitudes(grid, energies, weights)
-    )
-    return MomentSet(coeffs[:, 0], condition, float(residuals[0]), grid)
-
-
-def _moment_grid(h_norm: float, order: int, grid, solver_tol: float) -> tuple:
-    """The sample times (``default_grid`` when None), refused unless there
-    are ``order`` distinct ones and the order-s Taylor remainder at the
-    largest stays within ``solver_tol``."""
     if order < 1:
         raise ShapeError("order must be >= 1")
-    grid = tuple(float(t) for t in (grid if grid is not None else
-                                    default_grid(order, h_norm, solver_tol)))
+    solver_tol = limits.SOLVER_TOL if solver_tol is None else solver_tol
+    h_norm = h.norm_bound()
+    if grid is None:
+        tau0 = ((0.1 * solver_tol * math.factorial(order)) ** (1.0 / order)
+                / (order * max(h_norm, 1e-30)))
+        grid = [k * tau0 for k in range(-order, order + 1)]
+    grid = tuple(float(t) for t in grid)
     if len(set(grid)) < order:
         raise ShapeError(f"need >= {order} distinct grid times, got {grid}")
     t_max = max(abs(t) for t in grid)
@@ -276,7 +266,13 @@ def _moment_grid(h_norm: float, order: int, grid, solver_tol: float) -> tuple:
             f"solver tolerance {solver_tol:.1e}; shrink the grid times "
             f"below {order}*({solver_tol:.1e}*{order}!)^(1/{order})/||H||"
         )
-    return grid
+    a = _check_state(a)
+    step = trotter_step if trotter_step else t_max / 64
+    energies, weights = _spectrum(h, mode, step, a[:, None])
+    coeffs, condition, residuals = _fit_moments(
+        grid, order, _amplitudes(grid, energies, weights)
+    )
+    return MomentSet(coeffs[:, 0], condition, float(residuals[0]), grid)
 
 
 def _spectrum(h: LocalHamiltonian, mode: str, trotter_step, states) -> tuple:
@@ -329,8 +325,7 @@ def _fit_moments(grid: tuple, order: int, f: np.ndarray) -> tuple:
     ``f`` (grid times x states) from one column-scaled least squares solve,
     whose real basis fits the real and imaginary parts together, and each
     column's misfit on the grid."""
-    t_max = max(abs(t) for t in grid)
-    v = np.polynomial.chebyshev.chebvander(np.array(grid) / t_max, order - 1)
+    v = np.polynomial.chebyshev.chebvander(np.array(grid) / _t_max(grid), order - 1)
     col_scale = np.linalg.norm(v, axis=0)
     col_scale[col_scale == 0] = 1.0
     vs = v / col_scale
@@ -365,7 +360,7 @@ def choose_truncation(beta: float, h_norm_bound: float, eps: float) -> int:
 @dataclass(frozen=True)
 class ThermalJob:
     """Parameters of one thermal-value computation Tr(A e^{-beta H}).  The
-    Taylor order and the grid are not parameters: :func:`thermal_value`
+    Chebyshev order and the grid are not parameters: :func:`thermal_value`
     derives them from epsilon."""
 
     observable: np.ndarray = field(repr=False)
@@ -393,24 +388,30 @@ class ThermalResult:
     order: int
 
 
+SPAN = 2.75  # T / beta of the sample window [-T, T] of thermal_value
+
+
 def thermal_value(job: ThermalJob, normalized: bool = False) -> ThermalResult:
-    """Tr(A e^{-beta H}) via Hamiltonian moments of A's eigenstates.
+    """Tr(A e^{-beta H}) via the short-time amplitudes of A's eigenstates.
 
     A and the centered H (or the Trotter step's effective Hamiltonian) are
-    each diagonalized once; the short-time amplitudes of every eigenstate
-    of A at every grid time are one matrix product, and one least squares
-    solve per order fits them all.  The fit's coefficients, combined with
-    A's eigenvalues, give one series that is Wick-rotated to imaginary
-    time; no monomial moments are formed.
+    each diagonalized once.  The amplitudes of every eigenstate of A at the
+    s first-kind Chebyshev points of [-T, T], T = SPAN * beta, are one
+    matrix product, and one square solve interpolates them all.  Combined
+    with A's eigenvalues they give one Chebyshev series, continued to
+    t = -i beta; no monomial moments are formed.
 
-    The error bound splits into the Taylor tail, the Trotter contribution
-    and the solver residual.  The order starts where the tail fits half of
-    epsilon and rises until the three sum to at most epsilon; when no order
-    up to MAX_ORDER gets there, or the imaginary part exceeds epsilon,
-    the call is a BudgetError.  ``normalized`` divides by the partition
-    function read from the same fit (A's eigenstates span the space, so
-    their amplitudes sum to Tr e^{-itH}); the budget then weighs
-    max(sum |alpha|, dim), which bounds the partition function's share too.
+    The order s is fixed before the fit: the smallest whose Jacobi-Anger
+    tail 4 y^s / s! e^y, y = E_max T rho / 2, rho = |z| + sqrt(|z|^2 + 1)
+    at z = -i beta / T, fits half of epsilon (the ``taylor`` term).  The
+    ``trotter`` term bounds the step's error, the ``solver`` term the
+    rounding, machine epsilon times sum_n |T_n(z)|.  An order past
+    MAX_ORDER is refused before the Trotter step or any dense array is
+    built (priced with ||H|| >= E_max); a budget sum or an imaginary part
+    above epsilon is a BudgetError.  ``normalized`` divides by the
+    partition function read from the same fit (A's eigenstates span the
+    space, so their amplitudes sum to Tr e^{-itH}); the budget then weighs
+    max(sum |alpha|, dim) and leaves out the e^{-beta mu} the ratio cancels.
     """
     from .hamiltonians import centered
 
@@ -424,47 +425,42 @@ def thermal_value(job: ThermalJob, normalized: bool = False) -> ThermalResult:
         )
     scale_mu = math.exp(-job.beta * mu)
     h_norm = h.norm_bound()
-    x = job.beta * h_norm
     eps = job.epsilon
     alphas, vecs = np.linalg.eigh(job.observable)
     alpha_sum = float(np.sum(np.abs(alphas)))
     a_norm = max(alpha_sum, len(alphas)) if normalized else alpha_sum
-    start = choose_truncation(job.beta, h_norm, 0.5 * eps / (scale_mu * max(a_norm, 1.0)))
-    # The grid length sets how far the fit must continue towards imaginary
-    # time; tying the solver tolerance to the job budget keeps the grid as
-    # long (and the continuation as tame) as the accuracy target allows.
-    solver_tol = min(limits.MAX_SOLVER_TOL, 0.2 * eps / max(a_norm, 1.0))
+    budget_mu = 1.0 if normalized else scale_mu  # a ratio cancels e^{-beta mu}
+    weight = budget_mu * max(a_norm, 1.0)
+    rho = 1 / SPAN + math.sqrt(1 / SPAN**2 + 1)  # at |z| = beta / T = 1 / SPAN
+    target = 0.5 * eps / (4 * weight)
+    # An order past MAX_ORDER is refused here, before any dense array.
+    choose_truncation(1.0, h_norm * job.beta * SPAN * rho / 2, target)
     trotter_step, trotter_bound = None, 0.0
     if job.mode == "trotter":
-        comm_scale = 2 * h_norm**2 * math.exp(x)
+        comm_scale = 2 * h_norm**2 * math.exp(job.beta * h_norm)
         trotter_step = 0.3 * eps / max(a_norm * job.beta * comm_scale, 1e-12)
-        trotter_bound = scale_mu * a_norm * job.beta * trotter_step * comm_scale
+        trotter_bound = budget_mu * a_norm * job.beta * trotter_step * comm_scale
     energies, weights = _spectrum(h, job.mode, trotter_step, vecs)
-
-    best = (math.inf, start, {})  # the smallest budget sum seen, if none meets eps
-    for order in range(start, limits.MAX_ORDER + 1):
-        grid = _moment_grid(h_norm, order, None, solver_tol)
-        coeffs, condition, residuals = _fit_moments(
-            grid, order, _amplitudes(grid, energies, weights)
-        )
-        # The solver bound keeps the largest per-eigenstate residual.
-        fit = MomentSet(coeffs @ alphas, condition, float(np.max(residuals)), grid)
-        budget = {
-            "taylor": x**order / math.factorial(order) * math.exp(x) * scale_mu * a_norm,
-            "trotter": trotter_bound,
-            "solver": scale_mu * a_norm * fit.amplification(job.beta) * fit.residual,
-        }
-        spent = sum(budget.values())
-        if spent <= eps:
-            break
-        best = min(best, (spent, order, budget))
-    else:
-        spent, order, budget = best
+    y = float(np.max(np.abs(energies))) * job.beta * SPAN * rho / 2  # 0 at E_max = 0
+    order = choose_truncation(1.0, y, target)
+    # beta * x first: the one-point grid, x = 0, stays t = 0 where SPAN * beta overflows.
+    grid = tuple(SPAN * (job.beta * np.polynomial.chebyshev.chebpts1(order)))
+    coeffs, condition, residuals = _fit_moments(
+        grid, order, _amplitudes(grid, energies, weights)
+    )
+    fit = MomentSet(coeffs @ alphas, condition, float(np.max(residuals)), grid)
+    log_tail = order * math.log(y) - math.lgamma(order + 1) + y if y > 0 else -math.inf
+    budget = {
+        "taylor": 4 * weight * math.exp(log_tail),
+        "trotter": trotter_bound,
+        "solver": weight * float(np.finfo(float).eps) * fit.amplification(job.beta),
+    }
+    spent = sum(budget.values())
+    if spent > eps:
         split = ", ".join(f"{k} {v:.2e}" for k, v in budget.items())
         raise BudgetError(
-            f"no Taylor order up to {limits.MAX_ORDER} meets epsilon {eps:.1e}; the "
-            f"best, order {order}, has a budget sum {spent:.2e} ({split}); "
-            "lower beta or raise epsilon"
+            f"at order {order} the budget sum {spent:.2e} ({split}) exceeds "
+            f"epsilon {eps:.1e}; lower beta or raise epsilon"
         )
     total = scale_mu * fit.series_value(job.beta)
     z = 1.0

@@ -107,10 +107,7 @@ class ExperimentConfig:
     def parse(self, key: str, parser):
         """``parser`` applied to the JSON of the ``key`` file; a missing
         field or a value of the wrong type or form is a ConfigError."""
-        try:
-            data = json.loads(self[key].read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{key} file is not valid JSON: {exc}") from exc
+        data = _read_json(self[key], f"{key} file")
         try:
             return parser(data)
         except EpsimError:  # several are ValueErrors; they keep their own type
@@ -119,6 +116,17 @@ class ExperimentConfig:
             raise ConfigError(
                 f"{key} file is malformed ({type(exc).__name__}: {exc})"
             ) from exc
+
+
+def _read_json(path: Path, what: str):
+    """The JSON in the file ``path``; a file that cannot be read, is not
+    UTF-8 or is not JSON is a ConfigError naming ``what``."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{what} cannot be read ({type(exc).__name__}: {exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _field(data: dict, key: str, spec, base_dir=None, where: str = ""):
@@ -418,14 +426,10 @@ def main(argv=None) -> int:
 
 
 def _cmd_run(args) -> int:
+    config = None
     try:
         cfg_path = Path(args.config)
-        if not cfg_path.exists():
-            raise ConfigError(f"config file not found: {cfg_path}")
-        try:
-            raw = json.loads(cfg_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raw = _read_json(cfg_path, "config")
         flags = {k: getattr(args, k) for k in ("task", "seed", "evaluator", "out")}
         if isinstance(raw, dict):
             raw.update({k: v for k, v in flags.items() if v is not None})
@@ -434,9 +438,9 @@ def _cmd_run(args) -> int:
     except EpsimError as exc:  # a ConfigError exits 2 and writes no report file
         bad_config = isinstance(exc, ConfigError)
         _dump_report({"error": {"type": type(exc).__name__, "message": str(exc)}},
-                     None if bad_config else args.out)
+                     None if bad_config or config is None else config.out)
         return 2 if bad_config else 1
-    _dump_report(report, config.out or args.out)
+    _dump_report(report, config.out)
     return 0
 
 

@@ -16,7 +16,7 @@ STATEVECTOR_GUARD = 2**20  # MPS.to_statevector per state: 16 MiB of complex128
 DENSE_DIM_GUARD = 2**12  # side of a dense Hamiltonian or Choi matrix: 256 MiB, an eigh of seconds
 MAX_TERMS = 10**4  # terms of a LocalHamiltonian, each embedded into a dense H once
 MAX_SUPPORT = 4  # sites of one Hamiltonian term, so a term is at most d^4 x d^4
-MAX_ORDER = 64  # Taylor orders thermal_value tries; a grid needs s! as a float, finite to 170
+MAX_ORDER = 64  # orders of thermal_value's one fit: its rounding grows as 1.43^s, 2e-6 at 64
 MAX_DUALITY_CASES = 10**6  # duality-check cases: about 30 us each, so at most about 30 s
 MAX_SHOTS = 2**53  # a shot count: counts divide exactly in float64 up to 2^53; 8x fits int64
 
@@ -39,7 +39,6 @@ LOG_FLOOR = 1e-15  # eigenvalues left out of -sum w log w, as 0 log 0 = 0
 
 # Accuracy targets.
 SOLVER_TOL = 1e-10  # default Taylor-remainder target of a moment grid
-MAX_SOLVER_TOL = 1e-6  # loosest remainder target thermal_value lets its grid reach
 DUALITY_TOL = 1e-10  # default pass threshold of the duality-check task
 
 def guard(size, limit, what: str, unit: str = "entries"):

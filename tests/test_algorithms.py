@@ -311,22 +311,25 @@ def test_thermal_builds_and_diagonalizes_h_once(monkeypatch):
 
 
 def test_thermal_budget_infeasible():
-    # No order up to the cap brings the solver bound within 1e-5 here.
-    h = ham.build_heisenberg(3, 1.0)
-    a = embed_operator(PAULI["Z"], [0], [2] * 3)
-    job = alg.ThermalJob(observable=a, hamiltonian=h, beta=1.0, epsilon=1e-5)
+    # The order fits the tail here, but the continuation's rounding, machine
+    # epsilon times sum |T_n(z)|, exceeds epsilon.
+    h2 = ham.build_heisenberg(2, 1.0)
+    a2 = embed_operator(PAULI["Z"], [0], [2] * 2)
+    job = alg.ThermalJob(observable=a2, hamiltonian=h2, beta=2.0, epsilon=1e-8)
     start = time.perf_counter()
     with pytest.raises(BudgetError, match="order"):
         alg.thermal_value(job)
     assert time.perf_counter() - start < 1.0
-    # Here the Taylor tail alone needs an order past the cap.
+    # Here the Chebyshev tail alone needs an order past the cap.
+    h = ham.build_heisenberg(3, 1.0)
+    a = embed_operator(PAULI["Z"], [0], [2] * 3)
     job = alg.ThermalJob(observable=a, hamiltonian=h, beta=20.0, epsilon=1e-3)
     with pytest.raises(BudgetError, match="order"):
         alg.thermal_value(job)
 
 
-# Cases where the Taylor-tail order leaves the budget sum above epsilon, so
-# the order search has to rise: (sites, beta, site, Pauli, mode).
+# Heisenberg cases at order 35, the largest of these tests at epsilon 1e-3:
+# (sites, beta, site, Pauli, mode).
 OVER_EPSILON_AT_TAIL_ORDER = [
     (5, 0.5, 0, "X", "exact"),
     (5, 0.5, 0, "Y", "exact"),
@@ -363,6 +366,73 @@ def test_thermal_trotter_mode_matches_oracle_closely(pauli):
     assert abs(res.value - oracle.thermal_exact(a, h, 1.0)) < 1e-9
 
 
+# (model, sites, beta, epsilon, Pauli on site 0, mode, normalized): a subset
+# of the models, sizes, temperatures and targets the order rule was sized on.
+ORACLE_TABLE = [
+    (model, n, beta, eps, pauli, mode, normalized)
+    for model, n in (("tfim", 2), ("tfim", 4), ("heisenberg", 3))
+    for beta in (0.25, 1.0, 2.0)
+    for eps in (1e-3, 1e-5, 1e-8)
+    for pauli, mode, normalized in (("Z", "exact", False), ("X", "trotter", True))
+]
+
+
+@pytest.mark.parametrize("model,n,beta,eps,pauli,mode,normalized", ORACLE_TABLE)
+def test_thermal_oracle_table(model, n, beta, eps, pauli, mode, normalized):
+    h = ham.build_tfim(n, 1.0, 0.7) if model == "tfim" else ham.build_heisenberg(n, 1.0)
+    a = embed_operator(PAULI[pauli], [0], [2] * n)
+    job = alg.ThermalJob(observable=a, hamiltonian=h, beta=beta, epsilon=eps, mode=mode)
+    try:
+        res = alg.thermal_value(job, normalized=normalized)
+    except BudgetError:
+        return
+    want = oracle.thermal_exact(a, h, beta)
+    if normalized:
+        want /= oracle.thermal_exact(np.eye(2**n), h, beta)
+    assert abs(res.value - want) <= sum(res.budget.values()) <= eps
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-8])
+def test_thermal_heisenberg_n3_at_tight_epsilon_is_answered(eps):
+    h = ham.build_heisenberg(3, 1.0)
+    a = embed_operator(PAULI["Z"], [0], [2] * 3)
+    res = alg.thermal_value(alg.ThermalJob(observable=a, hamiltonian=h, beta=1.0, epsilon=eps))
+    assert abs(res.value - oracle.thermal_exact(a, h, 1.0)) <= sum(res.budget.values()) <= eps
+
+
+def test_thermal_value_fits_once(monkeypatch):
+    fits = []
+    fit = alg._fit_moments
+
+    def counted(*args):
+        fits.append(1)
+        return fit(*args)
+
+    monkeypatch.setattr(alg, "_fit_moments", counted)
+    h = ham.build_heisenberg(5, 1.0)
+    for mode, normalized in (("exact", False), ("trotter", True)):
+        a = embed_operator(PAULI["Z"], [0], [2] * 5)
+        fits.clear()
+        alg.thermal_value(alg.ThermalJob(observable=a, hamiltonian=h, beta=0.5, epsilon=1e-3,
+                                         mode=mode), normalized=normalized)
+        assert len(fits) == 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "trotter"])
+@pytest.mark.parametrize("beta", [1e3, 1e308])
+def test_thermal_hopeless_order_refused_before_any_dense_array(monkeypatch, mode, beta):
+    def refuse(*args):
+        raise AssertionError("a dense array was built before the refusal")
+
+    monkeypatch.setattr(ham.LocalHamiltonian, "dense", refuse)
+    monkeypatch.setattr(alg, "trotter_circuit", refuse)
+    h = ham.build_tfim(3, 1.0, 1.0)
+    job = alg.ThermalJob(observable=embed_operator(PAULI["Z"], [0], [2] * 3), hamiltonian=h,
+                         beta=beta, epsilon=1e-3, mode=mode)
+    with pytest.raises(BudgetError, match="order"):
+        alg.thermal_value(job)
+
+
 @pytest.mark.parametrize("observable", [np.triu(np.ones((4, 4))), np.ones((4, 5))])
 def test_thermal_job_refuses_non_hermitian_observable(observable):
     h = ham.build_tfim(2, 1.0, 0.5)
@@ -395,6 +465,18 @@ def test_thermal_normalized_flag(mode, tol):
     z = oracle.thermal_exact(np.eye(4), h, 0.5)
     want = oracle.thermal_exact(a, h, 0.5) / z
     assert abs(res.value - want) < tol
+
+
+def test_thermal_normalized_budget_ignores_the_mean_energy():
+    # A shift of H by mu cancels in the ratio: the order and the budget must
+    # not shrink with e^{-beta mu}, or a large mu reads off order 1.
+    base = ham.build_tfim(3, 1.0, 1.0)
+    h = ham.LocalHamiltonian(3, 2, base.terms + (((0,), 50.0 * np.eye(2, dtype=complex)),))
+    a = embed_operator(PAULI["X"], [0], [2] * 3)
+    job = alg.ThermalJob(observable=a, hamiltonian=h, beta=0.5, epsilon=1e-3)
+    res = alg.thermal_value(job, normalized=True)
+    want = oracle.thermal_exact(a, h, 0.5) / oracle.thermal_exact(np.eye(8), h, 0.5)
+    assert abs(res.value - want) <= sum(res.budget.values()) <= 1e-3
 
 
 # --- entropy

@@ -327,12 +327,27 @@ def test_out_file_written(workdir, capsys):
     )
     assert code == 0
     assert json.loads(out_path.read_text())["task"] == "duality-check"
+    # A task that fails after its config parsed reports to the config's "out".
+    (workdir / "tfim20.json").write_text(json.dumps(build_tfim(20, 1.0, 1.0).to_dict()))
+    config = {"task": "thermal", "model_file": "tfim20.json", "beta": 0.5, "epsilon": 1e-3,
+              "observable": {"site": 0, "pauli": "Z"}, "out": str(workdir / "cfg_out.json")}
+    (workdir / "job.json").write_text(json.dumps(config))
+    code, out = run_cli(["run", "--config", str(workdir / "job.json")], capsys)
+    assert code == 1
+    assert json.loads((workdir / "cfg_out.json").read_text()) == json.loads(out)
 
 
 def test_config_errors(workdir, capsys):
     code, out = run_cli(["run", "--config", str(workdir / "missing.json")], capsys)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ConfigError"
+    # A directory, and a file that is not UTF-8, cannot be read as a config.
+    (workdir / "latin1.json").write_bytes('{"task": "th\xe9rmal"}'.encode("latin-1"))
+    for path in (workdir, workdir / "latin1.json"):
+        code, out = run_cli(["run", "--config", str(path)], capsys)
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "ConfigError" and "config" in err["message"]
     (workdir / "bad.json").write_text(json.dumps({"task": "thermal"}))
     code, out = run_cli(["run", "--config", str(workdir / "bad.json")], capsys)
     assert code == 2
@@ -532,7 +547,8 @@ def test_file_field_that_is_not_a_string_is_config_error(workdir, capsys, task, 
         "amplitude": {"phi_file": "phi.json", "psi_file": "psi.json",
                       "unitary_file": "unitary.json"},
     }[task]
-    for value in (7, True, [], {}):
+    (workdir / "latin1.json").write_bytes('{"n_sites": "\xe9"}'.encode("latin-1"))
+    for value in (7, True, [], {}, "latin1.json"):  # the last file is not UTF-8
         (workdir / "job.json").write_text(json.dumps({"task": task, **base, key: value}))
         code, out = run_cli(["run", "--config", str(workdir / "job.json")], capsys)
         assert code == 2
@@ -541,13 +557,13 @@ def test_file_field_that_is_not_a_string_is_config_error(workdir, capsys, task, 
 
 
 def test_budget_error_surfaces(workdir, capsys):
-    # No order up to the cap brings the solver bound within 1e-5 here.
+    # The Chebyshev tail needs an order past the cap here.
     (workdir / "heis3.json").write_text(json.dumps(build_heisenberg(3, 1.0).to_dict()))
     config = {
         "task": "thermal",
         "model_file": "heis3.json",
         "observable": {"site": 0, "pauli": "Z"},
-        "beta": 1.0,
+        "beta": 20.0,
         "epsilon": 1e-5,
         "seed": 1,
     }
@@ -734,6 +750,8 @@ SWEEP_BASE = {
                               "observables": [{"site": 1, "pauli": "Z"}]}),
     "thermal": ("thermal", {"model_file": "tfim.json", "observable": {"site": 0, "pauli": "Z"},
                             "beta": 0.5, "epsilon": 1e-3}),
+    "thermal-trotter": ("thermal", {"model_file": "tfim.json", "beta": 0.5, "epsilon": 1e-3,
+                                    "observable": {"site": 0, "pauli": "Z"}, "mode": "trotter"}),
     "thermal-mu-positive": ("thermal", {"model_file": "mod.json", "beta": 0.5, "epsilon": 1e-3,
                                         "observable": {"site": 0, "pauli": "Z"}}),
     "thermal-mu-negative": ("thermal", {"model_file": "negmod.json", "beta": 0.5,
