@@ -438,7 +438,10 @@ def thermal_value(job: ThermalJob, normalized: bool = False) -> ThermalResult:
     trotter_step, trotter_bound = None, 0.0
     if job.mode == "trotter":
         comm_scale = 2 * h_norm**2 * math.exp(job.beta * h_norm)
-        trotter_step = 0.3 * eps / max(a_norm * job.beta * comm_scale, 1e-12)
+        # At most 1 / ||H||, inside _spectrum's pi/2 refusal: a shorter step
+        # only lowers the bound.  With H = 0 every step is exact.
+        per_step = max(a_norm * job.beta * comm_scale, 0.3 * eps * h_norm)
+        trotter_step = 0.3 * eps / per_step if per_step else 1.0
         trotter_bound = budget_mu * a_norm * job.beta * trotter_step * comm_scale
     energies, weights = _spectrum(h, job.mode, trotter_step, vecs)
     y = float(np.max(np.abs(energies))) * job.beta * SPAN * rho / 2  # 0 at E_max = 0

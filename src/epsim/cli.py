@@ -308,6 +308,7 @@ def _run_dynamics(config: ExperimentConfig) -> dict:
         "stderr": stderr,
         "oracle": oracle_field,
         "resources": dataclasses.asdict(net.resources(circuit)),
+        "gates_pruned": network.gates_pruned,
         **extra,
     }
 

@@ -62,13 +62,18 @@ def _contract_group(items, guard_label):
     if batch:  # one flattened batch axis, as the networks' chunks have
         arrays = [np.broadcast_to(a, batch + shape).reshape((cases,) + shape)
                   for a, (shape, _) in zip(arrays, signature)]
-    return _execute(plan, arrays, (cases,) if batch else ()).reshape(batch + plan.shape)
+    out = _execute(plan, arrays, (cases,) if batch else ())
+    nb = 1 if batch else 0
+    return out.transpose((*range(nb), *[k + nb for k in plan.perm])).reshape(batch + plan.shape)
 
 
 def _execute(plan, arrays, batch):
     """Run ``plan`` on its items' arrays, which share one leading batch axis
     ``batch`` = (cases,) or none (then each step is one 2-D matmul).  Unit axes
-    are dropped after the traces and restored in the result: no step has them."""
+    are dropped after the traces and restored in the result: no step has them.
+    Operands enter each matmul as views or copies as the plan's steps say.
+    The result is in memory order, batch + ``plan.mem_shape``; ``plan.perm``
+    takes it to canonical label order."""
     nb = len(batch)
     tensors = dict(enumerate(arrays))
     for i, pairs in plan.traces:
@@ -76,27 +81,33 @@ def _execute(plan, arrays, batch):
             tensors[i] = np.trace(tensors[i], axis1=a + nb, axis2=b + nb)
     for i, shape in plan.squeeze:
         tensors[i] = tensors[i].reshape(batch + shape)
-    for i, j, perms, inner, out_shape, new_id in plan.steps:
+    for i, j, (perm_a, lead_a), (perm_b, lead_b), inner, out_shape, new_id in plan.steps:
         # np.tensordot without its per-call overhead, which dominates on the
         # many small tensors of a region.
-        perm_a, perm_b = perms[nb]
-        a, b = tensors.pop(i).transpose(perm_a), tensors.pop(j).transpose(perm_b)
-        product = a.reshape(batch + (-1, inner)) @ b.reshape(batch + (inner, -1))
+        a, b = tensors.pop(i), tensors.pop(j)
+        if perm_a is not None:
+            a = a.transpose((0, *[k + 1 for k in perm_a]) if nb else perm_a)
+        if perm_b is not None:
+            b = b.transpose((0, *[k + 1 for k in perm_b]) if nb else perm_b)
+        a = a.reshape(batch + ((inner, -1) if lead_a else (-1, inner)))
+        b = b.reshape(batch + ((inner, -1) if lead_b else (-1, inner)))
+        product = (a.swapaxes(-1, -2) if lead_a else a) @ (b if lead_b else b.swapaxes(-1, -2))
         tensors[new_id] = product.reshape(batch + out_shape)
     (tensor,) = tensors.values()
-    tensor = tensor.transpose(tuple(range(nb)) + tuple(k + nb for k in plan.perm))
-    return tensor.reshape(batch + plan.shape)
+    return tensor.reshape(batch + plan.mem_shape)
 
 
 class _Plan(NamedTuple):
     """A pair order from shapes.  Unit legs stay in the greedy's graph, but
-    no executed array carries them: the step permutations and shapes and the
-    final transpose count only the axes of dim > 1."""
+    no executed array carries them: the step operands, shapes and the memory
+    order count only the axes of dim > 1."""
 
     traces: tuple  # (item, ((axis, axis), ...)) per item with a self-joined leg
     squeeze: tuple  # (item, traced shape without unit axes) per item with one
-    steps: tuple  # (i, j, perms, inner, out_shape, new_id) per step; see below
-    perm: tuple  # final transpose into canonical label order
+    steps: tuple  # (i, j, operand i, operand j, inner, out_shape, new_id); see below
+    mem_labels: tuple  # open labels in the result's memory order, unit legs last
+    mem_shape: tuple  # their dims
+    perm: tuple  # transpose of the result from memory into canonical label order
     labels: tuple  # open labels in canonical order
     shape: tuple  # open leg dims in canonical order
     peak: int  # largest step result, in entries
@@ -112,6 +123,13 @@ def _make_plan(signature):
     are joined last by outer products, smallest first.  A wire joining legs
     of different sizes raises ShapeError.  The plan holds no guard: callers
     check its ``peak`` against the guard in force.
+
+    Arrays are taken to be in memory order: an item's axes as labelled, a
+    step's result as the free axes of its first operand, then its second.
+    A step's shared axes take their order from an operand where they lead
+    or trail, the larger operand first; see :func:`_operand`.  So the 2-D
+    reshape of that operand is a view, and only an operand whose shared and
+    free axes interleave, or run in the other order, is copied.
     """
     traces, squeeze, sizes, legs, holders, dims = [], [], {}, {}, {}, {}
     for i, (shape, labels) in enumerate(signature):
@@ -156,18 +174,18 @@ def _make_plan(signature):
             i, j = sorted(legs, key=lambda k: (sizes[k], k))[:2]
         shared = [lab for lab in legs[i] if lab in legs[j]]
         out = [lab for lab in legs[i] + legs[j] if lab not in shared]
-        wide_a, wide_b = wide(legs[i]), wide(legs[j])
-        ax_a = [wide_a.index(lab) for lab in wide(shared)]
-        ax_b = [wide_b.index(lab) for lab in wide(shared)]
-        perm_a = tuple([k for k in range(len(wide_a)) if k not in ax_a] + ax_a)
-        perm_b = tuple(ax_b + [k for k in range(len(wide_b)) if k not in ax_b])
+        axes_a, axes_b = wide(legs[i]), wide(legs[j])
+        inner = set(wide(shared))
+        # The larger operand's block first: when the two disagree, the smaller is copied.
+        larger = (axes_a, axes_b) if sizes[i] >= sizes[j] else (axes_b, axes_a)
+        blocks = [b for axes in larger
+                  for b in (axes[:len(inner)], axes[len(axes) - len(inner):]) if set(b) == inner]
+        order = blocks[0] if blocks else [lab for lab in axes_a if lab in inner]
         out_shape = tuple(dims[lab] for lab in wide(out))
         sizes[next_id] = math.prod(out_shape)
         peak = max(peak, sizes[next_id])
-        inner = math.prod(dims[lab] for lab in shared)
-        # perms[nb]: the operand transposes without (0) and with (1) a batch axis.
-        batched = [(0,) + tuple(k + 1 for k in perm) for perm in (perm_a, perm_b)]
-        steps.append((i, j, ((perm_a, perm_b), tuple(batched)), inner, out_shape, next_id))
+        steps.append((i, j, _operand(axes_a, order), _operand(axes_b, order),
+                      math.prod(dims[lab] for lab in shared), out_shape, next_id))
         legs[next_id] = out
         del legs[i], legs[j]
         for lab in shared:
@@ -178,10 +196,26 @@ def _make_plan(signature):
             push(h, next_id)
         next_id += 1
     (labels,) = legs.values()
-    perm = _canonical_perm(wide(labels))
-    labels = tuple(labels[k] for k in _canonical_perm(labels))
-    return _Plan(tuple(traces), tuple(squeeze), tuple(steps), perm, labels,
+    mem = wide(labels) + [lab for lab in labels if dims[lab] == 1]
+    perm = _canonical_perm(mem)
+    labels = tuple(mem[k] for k in perm)
+    return _Plan(tuple(traces), tuple(squeeze), tuple(steps), tuple(mem),
+                 tuple(dims[lab] for lab in mem), perm, labels,
                  tuple(dims[lab] for lab in labels), peak)
+
+
+def _operand(axes, order):
+    """(perm, lead) of a step operand whose axes carry ``axes`` and whose
+    shared labels run in ``order``: (None, True) if they lead and (None,
+    False) if they trail, a view either way; else the copying transpose
+    that moves them last, with lead False."""
+    k = len(order)
+    if axes[:k] == order:
+        return None, True
+    if axes[len(axes) - k:] == order:
+        return None, False
+    return tuple([a for a, lab in enumerate(axes) if lab not in order]
+                 + [axes.index(lab) for lab in order]), False
 
 
 _plan = functools.lru_cache(maxsize=256)(_make_plan)

@@ -8,8 +8,9 @@ the conjugation interface, and the mirrored conjugate rows.  Horizontal
 wires carry bond (entanglement) indices, vertical wires carry physical
 indices.  Evaluation then happens entirely on the entanglement space:
 
-* :func:`evaluate_exact` contracts the whole lattice in one greedy
-  pairwise pass,
+* :func:`evaluate_exact` contracts the lattice in one greedy pairwise
+  pass, where each gate outside the observables' causal cone is an identity
+  (see :class:`ChannelNetwork`),
 * :func:`evaluate_regions` contracts disjoint node regions independently
   and joins them along the cut wires,
 * :func:`evaluate_sampled` simulates the heralded-measurement realization,
@@ -323,6 +324,10 @@ class ChannelNetwork:
 
     ``tensors`` holds one array per node id, batch axes first; kinds, grid
     positions, trailing shapes and legs live in the shared ``layout``.
+    A gate outside the backward light cone of the observed sites (the
+    causal cone) meets its conjugate through identities, U^dag U = 1, so its
+    nodes hold the rank-1 identity halves of an absent gate and it leaves the
+    layout key; ``gates_pruned`` counts them.  ``gate_pairs`` keeps every gate.
     """
 
     def __init__(self, psi: MPS, circuit: BrickworkCircuit, observables: dict):
@@ -333,9 +338,15 @@ class ChannelNetwork:
         self.d = d = circuit.phys_dim
         n = circuit.n_sites
         self.gate_pairs = {}  # (layer, site) -> GateChannelPair
+        cone, kept = set(observables), set()
+        for l in reversed(range(circuit.n_layers)):
+            hit = [site for site, _ in circuit.layers[l] if {site, site + 1} & cone]
+            kept.update((l, site) for site in hit)
+            cone.update(site + side for site in hit for side in (0, 1))
         ident = np.broadcast_to(np.eye(d, dtype=complex), batch + (1, 1, d, d))
         rows = [[ident] * n for _ in circuit.layers]
         where = [(l, site) for l, layer in enumerate(circuit.layers) for site, _ in layer]
+        self.gates_pruned = len(where) - len(kept)
         if where:
             left, right, ranks = split_gates(
                 circuit.gates, [f"layer {l}, site {site}" for l, site in where]
@@ -345,12 +356,13 @@ class ChannelNetwork:
             for g, ((l, site), rank) in enumerate(zip(where, ranks.tolist())):
                 pair = GateChannelPair(left[..., g, :rank, :, :], right[..., g, :rank, :, :], rank)
                 self.gate_pairs[(l, site)] = pair
-                rows[l][site] = pair.left_ops[..., None, :, :, :]
-                rows[l][site + 1] = pair.right_ops[..., None, :, :]
+                if (l, site) in kept:
+                    rows[l][site] = pair.left_ops[..., None, :, :, :]
+                    rows[l][site + 1] = pair.right_ops[..., None, :, :]
         self.layout = _layout((
             n, d, tuple(t.shape[-2] for t in psi.tensors) + (psi.tensors[-1].shape[-1],),
-            tuple(tuple((site, self.gate_pairs[(l, site)].bond_dim) for site, _ in layer)
-                  for l, layer in enumerate(circuit.layers)),
+            tuple(tuple((site, self.gate_pairs[(l, site)].bond_dim) for site, _ in layer
+                        if (l, site) in kept) for l, layer in enumerate(circuit.layers)),
         ))
         # In node-id order; see _layout.
         gates = [t for row in rows for t in row]
@@ -477,11 +489,12 @@ def evaluate_regions(net: ChannelNetwork, partition: NetworkPartition):
 def _region_plans(key, regions) -> tuple:
     """(region plans, join plan) of one partition of the networks of one
     layout key, from shapes alone: each partition is planned once.  A
-    one-node region has no plan (None): its node joins as it is."""
+    one-node region has no plan (None): its node joins as it is.  The join
+    takes each region tensor in its memory order, untransposed."""
     signature = _layout(key).signature
     plans = tuple(_make_plan(tuple(signature[nid] for nid in region)) if len(region) > 1
                   else None for region in regions)
-    join = _make_plan(tuple((p.shape, p.labels) if p else signature[region[0]]
+    join = _make_plan(tuple((p.mem_shape, p.mem_labels) if p else signature[region[0]]
                             for p, region in zip(plans, regions)))
     if join.labels:
         raise ShapeError("region join left open legs; partition inconsistent")

@@ -239,13 +239,15 @@ def test_choose_truncation_log_scaling():
 # --- thermal pipeline
 
 
-def test_thermal_beta_zero_is_trace():
+@pytest.mark.parametrize("mode", ["exact", "trotter"])
+@pytest.mark.parametrize("normalized", [False, True])
+def test_thermal_beta_zero_is_trace(mode, normalized):
     h = ham.build_tfim(2, 1.0, 1.0)
     a = random_density(0, 4) * 4  # any Hermitian works
     a = (a + dagger(a)) / 2
-    job = alg.ThermalJob(observable=a, hamiltonian=h, beta=0.0, epsilon=1e-6)
-    res = alg.thermal_value(job)
-    assert abs(res.value - np.trace(a).real) < 1e-12
+    job = alg.ThermalJob(observable=a, hamiltonian=h, beta=0.0, epsilon=1e-6, mode=mode)
+    res = alg.thermal_value(job, normalized=normalized)
+    assert abs(res.value - np.trace(a).real / (4 if normalized else 1)) < 1e-12
     assert res.order == 1
 
 

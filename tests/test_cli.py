@@ -157,6 +157,7 @@ def test_dynamics_exact_report(workdir, capsys):
     assert report["schema_version"] == 1
     assert report["abs_error"] < 1e-8
     assert report["resources"]["evolution_qudits"] == 6 * 2 * 2
+    assert report["gates_pruned"] == 0  # Z on site 1: every gate is in its cone
     assert report["config"]["observables"][0]["site"] == 1
 
 
@@ -177,6 +178,8 @@ def test_dynamics_sampled_and_regions(workdir, capsys):
     report = json.loads(out)
     assert report["abs_error"] < 1e-8
     assert len(report["region_probs"]) == 2
+    # Z on site 0 sees the layer-0 gate on (0, 1) only; resources count all three.
+    assert report["gates_pruned"] == 2 and report["resources"]["total_gates"] == 4
 
 
 def test_thermal_beta_zero(workdir, capsys):

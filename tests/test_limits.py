@@ -20,7 +20,6 @@ SRC = Path(limits.__file__).parent
 # Divide-by-zero floors that stay next to their division, as (module, value).
 FLOORS = sorted([
     ("algorithms.py", 1e-30),  # extract_moments' default grid: a zero norm bound
-    ("algorithms.py", 1e-12),  # thermal_value: the Trotter step's denominator at beta = 0
 ])
 
 

@@ -156,6 +156,17 @@ def test_canonicalize_preserves_amplitudes():
     c = m.canonicalize()
     assert np.max(np.abs(c.to_statevector() - psi)) < 1e-12
     assert left_canonical(c)
+    # Canonical input keeps its tensors; a gauge change anywhere gets the sweep.
+    assert c.canonical == "left" and all(a is b for a, b in zip(c.tensors, m.tensors))
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    tensors = list(m.tensors)
+    tensors[0] = tensors[0] @ g  # bond 1 has dim 2
+    tensors[1] = np.einsum("ab,ibc->iac", np.linalg.inv(g), tensors[1])
+    bent = mps.MPS(tuple(tensors), m.boundary)
+    assert not left_canonical(bent)
+    c = bent.canonicalize()
+    assert np.max(np.abs(c.to_statevector() - psi)) < 1e-12
+    assert left_canonical(c) and c.canonical == "left"
 
 
 def test_truncate_fidelity_bound_and_monotonicity():

@@ -238,6 +238,96 @@ def test_exact_contraction_size_guard(monkeypatch):
     assert peak < refused_bytes / 10
 
 
+# --- causal cone
+
+
+def _bench_dynamics_jobs():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.DYNAMICS_JOBS
+
+
+def whole_cone(psi, circ, obs):
+    """The network of ``obs`` with the identity on every other site: its
+    causal cone is the whole lattice, so no gate is pruned."""
+    eye = np.broadcast_to(np.eye(2, dtype=complex), psi.batch_shape + (2, 2))
+    full = network.build_network(psi, circ, [*obs.items(), *((s, eye) for s in
+                                 range(circ.n_sites) if s not in obs)])
+    assert full.gates_pruned == 0
+    return full
+
+
+def assert_pruned_matches_whole_cone(psi, circ, obs, partitions):
+    pruned = network.build_network(psi, circ, obs.items())
+    full = whole_cone(psi, circ, obs)
+    assert pruned.gate_pairs.keys() == full.gate_pairs.keys()
+    assert np.max(np.abs(network.evaluate_exact(pruned) - network.evaluate_exact(full))) <= 1e-14
+    for part in partitions(pruned):
+        got = network.evaluate_regions(pruned, part)[0]
+        assert np.max(np.abs(got - network.evaluate_regions(full, part)[0])) <= 1e-14
+    return pruned.gates_pruned
+
+
+def test_pruned_values_match_the_whole_cone_on_verify_groups():
+    # A stack observes the union of its cases' sites; each case alone
+    # observes only the sites where it names a Pauli.
+    pruned = 0
+    for _, states, circ, obs in verify._network_groups(np.random.default_rng(2026), 100):
+        psi = mps.from_statevector(states, [2] * circ.n_sites)
+        assert_pruned_matches_whole_cone(psi, circ, obs, verify._partitions)
+        for k, case in enumerate(psi.cases()):
+            own = {s: op[k] for s, op in obs.items() if not np.array_equal(op[k], PAULI["I"])}
+            pruned += assert_pruned_matches_whole_cone(case, case_of(circ, k), own,
+                                                       verify._partitions)
+    assert pruned > 0
+
+
+def test_pruned_values_match_the_whole_cone_on_bench_dynamics_shapes():
+    rng = np.random.default_rng(41)
+    for _, n, layers, sites, splits in _bench_dynamics_jobs():
+        states = np.stack([random_state(rng, 2**n) for _ in range(2)])
+        circ = random_brickwork(rng, n, layers)
+        ops = [PAULI[p] for p in "XYZ"]
+        obs = {s: np.stack([ops[rng.integers(3)] for _ in range(2)]) for s in sites}
+        split = list(splits or [n // 2])
+        assert assert_pruned_matches_whole_cone(
+            mps.from_statevector(states, [2] * n), circ, obs,
+            lambda net: [network.column_partition(net, split)]) > 0
+
+
+def test_cone_keeps_the_gates_that_reach_the_observed_sites():
+    rng = np.random.default_rng(42)
+    # Layer 0: gates on (0, 1), (2, 3), (4, 5); layer 1: (1, 2), (3, 4).
+    circ = random_brickwork(rng, 6, 2)
+    psi = mps.from_statevector(random_state(rng, 2**6), [2] * 6)
+    for obs, kept in (({0: PAULI["Z"]}, {(0, 0)}),
+                      ({2: PAULI["Z"]}, {(1, 1), (0, 0), (0, 2)}),
+                      ({0: PAULI["Z"], 5: PAULI["X"]}, {(0, 0), (0, 4)}),
+                      ({}, set())):
+        net = network.build_network(psi, circ, obs.items())
+        ranks = {(l, site) for l, layer in enumerate(net.layout.key[3]) for site, _ in layer}
+        assert ranks == kept and net.gates_pruned == 5 - len(kept)
+        assert len(net.gate_pairs) == 5
+        want = oracle_value(psi, circ, obs.items())
+        assert abs(network.evaluate_exact(net) - want) < 1e-12
+
+
+def test_pruned_z_mid_at_n32_is_accepted():
+    # Unpruned, this network's plan peaks at 2^30 entries and is refused.
+    rng = np.random.default_rng(5)
+    psi = random_canonical_mps(rng, 32, 8)
+    circ = random_brickwork(rng, 32, 8)
+    net = network.build_network(psi, circ, [(16, PAULI["Z"])])
+    assert net.gates_pruned == 124 - 36
+    value = network.evaluate_exact(net)
+    assert abs(value.imag) < 1e-12 and abs(value) <= 1 + 1e-12
+
+
 # --- region evaluation
 
 
@@ -443,9 +533,11 @@ def test_guard_refuses_a_stack_from_batch_times_peak(monkeypatch):
     states = np.stack([random_state(rng, 2**6) for _ in range(8)])
     gates = np.stack([[haar_unitary(rng, 4) for _ in range(3)] for _ in range(8)])
     circ = network.BrickworkCircuit(6, (((0, gates[:, 0]), (2, gates[:, 1])), ((1, gates[:, 2]),)))
-    stack = network.build_network(mps.from_statevector(states, [2] * 6), circ, [(3, PAULI["Z"])])
+    # Z on site 2: its causal cone keeps all three gates.
+    stack = network.build_network(mps.from_statevector(states, [2] * 6), circ, [(2, PAULI["Z"])])
     single = network.build_network(mps.from_statevector(states[0], [2] * 6), case_of(circ, 0),
-                                   [(3, PAULI["Z"])])
+                                   [(2, PAULI["Z"])])
+    assert stack.gates_pruned == 0
     peak = contract._plan(stack.layout.signature).peak
     monkeypatch.setattr(limits, "STACK_BUDGET", 8 * peak)
     monkeypatch.setattr(limits, "CONTRACTION_GUARD", 2 * peak)
@@ -551,6 +643,59 @@ def test_steps_carry_no_unit_axes():
     ]
     want = contract._contract_group(squeezed, "reference").reshape(())
     assert abs(got - want) < 1e-10
+
+
+def random_graph(rng, batch):
+    """(items, einsum operands) of a random graph of 3-5 tensors: each label
+    joins two tensors or stays open, some legs have dim 1, and every array is
+    a transposed view in a random leg order."""
+    n_items = int(rng.integers(3, 6))
+    labels = [[] for _ in range(n_items)]
+    for lab in range(int(rng.integers(4, 9))):
+        ends = rng.choice(n_items, size=int(rng.integers(1, 3)), replace=False)
+        for i in ends:
+            labels[i].append(lab)
+    dims = rng.choice([1, 2, 3], size=9, p=[0.2, 0.4, 0.4])
+    items, operands = [], []
+    for labs in labels:
+        order = list(rng.permutation(len(labs)))
+        base = per_case_gaussian(rng, batch + tuple(int(dims[lab]) for lab in labs))
+        nb = len(batch)
+        view = base.transpose((*range(nb), *[k + nb for k in order]))
+        perm_labs = [labs[k] for k in order]
+        items.append((view, perm_labs))
+        operands += [view, [..., *perm_labs] if batch else perm_labs]
+    return items, operands
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_execute_matches_einsum_on_permuted_leg_orders(batch):
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        items, operands = random_graph(rng, batch)
+        plan = contract._plan(tuple((t.shape[len(batch):], tuple(l)) for t, l in items))
+        want = np.einsum(*operands, [..., *plan.labels] if batch else list(plan.labels))
+        got = contract._contract_group(items, "test")
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0) <= 1e-12 * max(1, np.max(np.abs(want)))
+        # The core's own result, in memory order, before the transpose.
+        raw = contract._execute(plan, [t for t, _ in items], batch)
+        assert raw.shape == batch + plan.mem_shape
+        back = raw.transpose((*range(len(batch)), *[k + len(batch) for k in plan.perm]))
+        assert np.array_equal(back, got)
+
+
+def test_default_split_region_join_copies_at_most_one_operand():
+    # N=10, L=3, the CLI's default split: two 2^18-entry region tensors.
+    rng = np.random.default_rng(31)
+    net, psi, circ, obs = random_net(rng, 10, 3, obs_sites=(5,))
+    part = network.column_partition(net, [5])
+    plans, join = network._region_plans(net.layout.key, part.regions)
+    assert [p.peak for p in plans] == [2**18, 2**18]
+    copied = [op for step in join.steps for op in step[2:4] if op[0] is not None]
+    assert len(copied) <= 1
+    value, _ = network.evaluate_regions(net, part)
+    assert abs(value - oracle_value(psi, circ, obs)) < 1e-8
 
 
 def test_region_partition_validation():
