@@ -66,6 +66,11 @@ def hadamard_test(u, a, shots: int | None = None, seed=None) -> AmplitudeEstimat
     a = _check_state(a)
     if a.shape[-1] != u.shape[-1]:
         raise ShapeError(f"state dim {a.shape[-1]} != operator dim {u.shape[-1]}")
+    return _hadamard(u, a, shots, seed)
+
+
+def _hadamard(u, a, shots, seed) -> AmplitudeEstimate:
+    """:func:`hadamard_test` past its checks, which the caller has made."""
     # |v> = ctrl-U (|+> (x) |a>) as (control, register); the Paulis act on the control.
     v = np.stack(np.broadcast_arrays(a, (u @ a[..., None])[..., 0]), axis=-2) / np.sqrt(2)
     re, im = ((v.conj() * (PAULI[p] @ v)).sum(axis=(-2, -1)).real for p in "XY")
@@ -268,29 +273,28 @@ def extract_moments(
         )
     a = _check_state(a)
     step = trotter_step if trotter_step else t_max / 64
-    energies, weights = _spectrum(h, mode, step, a[:, None])
+    energies, weights = _spectrum(h, h_norm, mode, step, a[:, None])
     coeffs, condition, residuals = _fit_moments(
         grid, order, _amplitudes(grid, energies, weights)
     )
     return MomentSet(coeffs[:, 0], condition, float(residuals[0]), grid)
 
 
-def _spectrum(h: LocalHamiltonian, mode: str, trotter_step, states) -> tuple:
+def _spectrum(h: LocalHamiltonian, h_norm: float, mode: str, trotter_step, states) -> tuple:
     """(E, W) from one Hermitian eigendecomposition G = sum_k E_k |k><k| of
     the generator, H itself in exact mode, the effective Hamiltonian of one
     Trotter step of length ``trotter_step`` in trotter mode: the energies
     E_k and the weights W[k, a] = |<k|a>|^2 of every column a of
     ``states``.  Every grid and every order reuse them.  In both modes
     the dimension is refused beyond DENSE_DIM_GUARD before any dense array;
-    in trotter mode a step with ``trotter_step * ||H||`` >= pi/2 is refused
-    before the step is built."""
+    in trotter mode a step with ``trotter_step * h_norm`` >= pi/2 is refused
+    before the step is built, ``h_norm`` being the caller's ``h.norm_bound()``."""
     dim = h.dense_dim()
     if states.shape[0] != dim:
         raise ShapeError(f"state dim {states.shape[0]} != operator dim {dim}")
     if mode == "exact":
         energies, eigvecs = np.linalg.eigh(h.dense())
     elif mode == "trotter":
-        h_norm = h.norm_bound()
         if trotter_step * h_norm >= math.pi / 2:
             raise ShapeError(
                 f"trotter step {trotter_step:.3e} times the norm bound "
@@ -443,7 +447,7 @@ def thermal_value(job: ThermalJob, normalized: bool = False) -> ThermalResult:
         per_step = max(a_norm * job.beta * comm_scale, 0.3 * eps * h_norm)
         trotter_step = 0.3 * eps / per_step if per_step else 1.0
         trotter_bound = budget_mu * a_norm * job.beta * trotter_step * comm_scale
-    energies, weights = _spectrum(h, job.mode, trotter_step, vecs)
+    energies, weights = _spectrum(h, h_norm, job.mode, trotter_step, vecs)
     y = float(np.max(np.abs(energies))) * job.beta * SPAN * rho / 2  # 0 at E_max = 0
     order = choose_truncation(1.0, y, target)
     # beta * x first: the one-point grid, x = 0, stays t = 0 where SPAN * beta overflows.
@@ -543,11 +547,12 @@ def transition_amplitude(
     terms = [r_phi @ u @ r_psi, r_phi @ u, u @ r_psi, u]
     phi_b, psi_b = (np.take_along_axis(x, b, -1)[..., 0][()] for x in (phi, psi))
     denom = 4 * phi_b * np.conj(psi_b)  # 4 <b|phi><psi|b>
-    if shots is None:
+    if shots is None:  # one checked Hadamard test on the stack of the four terms
         t1, t2, t3, t4 = hadamard_test(np.stack(np.broadcast_arrays(*terms)), basis).value
         return AmplitudeEstimate((t1 + t4 - t2 - t3) / denom, 0.0, 0)
+    limits.check_shots(shots)  # four one-case tests of a U and states checked above
     seeds = [None] * 4 if seed is None else np.random.default_rng(seed).integers(0, 2**63 - 1, 4)
-    ests = [hadamard_test(t, basis, shots, s) for t, s in zip(terms, seeds)]
+    ests = [_hadamard(t, basis, shots, s) for t, s in zip(terms, seeds)]
     t1, t2, t3, t4 = (e.value for e in ests)
     value = (t1 + t4 - t2 - t3) / denom
     stderr = float(np.sqrt(sum(e.stderr**2 for e in ests)) / abs(denom))

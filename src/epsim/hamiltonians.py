@@ -8,7 +8,7 @@ import numpy as np
 
 from . import limits, serialize
 from .errors import ShapeError
-from .linalg import PAULI, as_matrix, embed_operator, is_hermitian, matrix_exp
+from .linalg import PAULI, _add_embedded, as_matrix, is_hermitian, matrix_exp
 from .network import BrickworkCircuit
 
 
@@ -51,11 +51,12 @@ class LocalHamiltonian:
         return dim
 
     def dense(self) -> np.ndarray:
+        """The d^N x d^N matrix, each term added in place by :func:`linalg._add_embedded`."""
         dim = self.dense_dim()
         dims = [self.phys_dim] * self.n_sites
         out = np.zeros((dim, dim), dtype=complex)
         for support, mat in self.terms:
-            out += embed_operator(mat, list(support), dims)
+            _add_embedded(out, mat, support, dims)
         return out
 
     def norm_bound(self) -> float:

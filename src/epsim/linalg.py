@@ -13,6 +13,8 @@ exponentiates (Hamiltonians and their local terms).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import limits
@@ -126,26 +128,27 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
 
 
 def embed_operator(op: np.ndarray, support, dims) -> np.ndarray:
-    """Embed an operator on ``support`` into the full product space.
+    """``op`` on the full product space of ``dims``, its tensor factors on the
+    distinct sites that ``support`` lists, in that order (any site order)."""
+    return _add_embedded(np.zeros((math.prod(dims),) * 2, dtype=complex), op, support, list(dims))
 
-    ``support`` must be sorted and contiguous-free is allowed: the operator's
-    factors are routed to the listed site positions of ``dims``.
-    """
-    op = as_matrix(op)
-    dims = list(dims)
-    support = list(support)
+
+def _add_embedded(out: np.ndarray, op: np.ndarray, support, dims) -> np.ndarray:
+    """out += embed_operator(op, support, dims); returns ``out``, which must be a
+    C-contiguous complex128 (D, D) array, as :func:`embed_operator` and
+    ``LocalHamiltonian.dense`` make it.  A view of ``out`` takes the support's
+    row axes, its column axes, then per other site one axis of stride row +
+    column stride, its diagonal: no kron."""
+    op, n = as_matrix(op), len(dims)
+    if len(set(support)) < len(support) or not all(0 <= s < n for s in support):
+        raise ShapeError(f"support {list(support)} must list distinct sites of 0..{n - 1}")
     d_sup = [dims[s] for s in support]
-    if op.shape != (int(np.prod(d_sup)), int(np.prod(d_sup))):
-        raise ShapeError(
-            f"operator shape {op.shape} does not match support dims {d_sup}"
-        )
-    n = len(dims)
-    rest = [i for i in range(n) if i not in support]
-    t = np.kron(op, np.eye(int(np.prod([dims[i] for i in rest])) or 1))
-    # t is ordered (support..., rest...); permute back to site order.
-    order = support + rest
-    t = t.reshape([dims[i] for i in order] * 2)
-    perm = [order.index(i) for i in range(n)]
-    t = t.transpose(perm + [p + n for p in perm])
-    full = int(np.prod(dims))
-    return t.reshape(full, full)
+    if op.shape != (math.prod(d_sup),) * 2:
+        raise ShapeError(f"operator shape {op.shape} does not match support dims {d_sup}")
+    st = out.reshape(dims * 2).strides  # n row strides, then n column strides
+    rest = [q for q in range(n) if q not in support]
+    view = np.ndarray(d_sup * 2 + [dims[q] for q in rest], complex, out, strides=[
+        *(st[s] for s in support), *(st[n + s] for s in support),
+        *(st[q] + st[n + q] for q in rest)])
+    view += op.reshape(d_sup * 2 + [1] * len(rest))
+    return out

@@ -103,10 +103,11 @@ def circuit_expectation(psi: MPS, circuit: BrickworkCircuit, ops):
     return expectation(_evolve(psi.to_statevector(), circuit, dims), ops, dims)
 
 
-def thermal_exact(a: np.ndarray, h: LocalHamiltonian, beta: float) -> float:
-    """Tr(A e^{-beta H}) by eigendecomposition (unnormalized); the dense H
-    is size-guarded by LocalHamiltonian.dense()."""
-    return float(np.real(np.trace(np.asarray(a, complex) @ matrix_exp(h.dense(), -beta))))
+def thermal_exact(a: np.ndarray, h: LocalHamiltonian, beta: float):
+    """Tr(A e^{-beta H}) by eigendecomposition (unnormalized), per A of a
+    stack (..., D, D) from one dense H, size-guarded by its dense()."""
+    rho = np.asarray(a, complex) @ matrix_exp(h.dense(), -beta)
+    return np.real(np.trace(rho, axis1=-2, axis2=-1))[()]
 
 
 def entropy_exact(rho: np.ndarray) -> float:

@@ -90,25 +90,35 @@ def draw_groups(rng, n_cases: int, draw):
             yield key, cases, values
 
 
+def kraus_groups(rng, n_cases: int, draw):
+    """:func:`draw_groups` of ``draw(rng)`` -> ((d_in, d_out), (k, z, *rest)),
+    z the Gaussian of a Haar unitary on C^{d_out k}.  Yields (case indices,
+    Kraus sets (B, k_max, d_out, d_in), *rest stacked) per group, a case's
+    set zero-padded past its own k: zero operators change no sum A^dag A,
+    Choi matrix or Kraus action."""
+    for (d_in, d_out), cases, values in draw_groups(rng, n_cases, draw):
+        ks = np.array([v[0] for v in values])
+        kraus = np.zeros((len(cases), ks.max(), d_out, d_in), dtype=complex)
+        for k in np.unique(ks):
+            z = np.stack([v[1] for v in values if v[0] == k])
+            kraus[ks == k, :k] = kraus_from_unitary(unitary_from_gaussian(z), d_in, d_out)
+        yield cases, kraus, *(np.stack(x) for x in zip(*(v[2:] for v in values)))
+
+
 def random_duality_groups(rng, n_cases: int, max_dim: int, n_states: int):
-    """Random channels, each with ``n_states`` random density matrices,
-    drawn case by case (the dims, the Gaussian of the channel's Haar unitary
-    on C^{d_out k}, then each state's Gaussian), then finished as stacks
-    grouped by (d_in, d_out, raised n_kraus) (see :func:`draw_groups`).
-    Yields (case indices, Kraus sets (B, k, d_out, d_in), states
-    (B, n_states, d_in, d_in)) per group."""
+    """Random channels, each with ``n_states`` random density matrices, drawn
+    case by case (the dims, the Gaussian of the channel's Haar unitary, then
+    each state's Gaussian).  Yields (case indices, Kraus sets, states (B,
+    n_states, d_in, d_in)) per (d_in, d_out) as :func:`kraus_groups` does."""
 
     def draw(rng):
         d_in = int(rng.integers(2, max_dim + 1))
         d_out = int(rng.integers(2, max_dim + 1))
         n_kraus = kraus_count(d_in, d_out, int(rng.integers(1, 4)))
         z = gaussian(rng, (d_out * n_kraus,) * 2)
-        a = gaussians(rng, n_states, (d_in, d_in))
-        return (d_in, d_out, n_kraus), (z, a)
+        return (d_in, d_out), (n_kraus, z, gaussians(rng, n_states, (d_in, d_in)))
 
-    for (d_in, d_out, _), cases, draws in draw_groups(rng, n_cases, draw):
-        z, a = map(np.stack, zip(*draws))
-        kraus = kraus_from_unitary(unitary_from_gaussian(z), d_in, d_out)
+    for cases, kraus, a in kraus_groups(rng, n_cases, draw):
         yield cases, kraus, density_from_gaussian(a)
 
 

@@ -27,7 +27,7 @@ from .rand import (
     gaussians,
     haar_unitary,
     kraus_count,
-    kraus_from_unitary,
+    kraus_groups,
     random_canonical_mps,
     random_density,
     random_duality_groups,
@@ -102,7 +102,10 @@ def suite_duality() -> list:
     worst_choi = 0.0
     for _, kraus, states in random_duality_groups(np.random.default_rng(2030), 6, 3, 2):
         for k, rhos in zip(kraus, states):
-            phi = ch.Channel(tuple(k))
+            # Dropping the exactly-zero operators drops the group's padding.  An
+            # own operator that is exactly zero would go too; the rest is still
+            # a Kraus set of the same channel, which is all these checks need.
+            phi = ch.Channel(tuple(k[np.any(k != 0, axis=(-2, -1))]))
             u, anc = phi.stinespring()
             ancilla = np.zeros((len(u) // phi.in_dim,) * 2)
             ancilla[0, 0] = 1.0  # the input enters as rho (x) |0><0|
@@ -133,16 +136,13 @@ def _measurement_draw(rng):
     n_kraus = kraus_count(d_in, d_out, int(rng.integers(1, 4)))
     z = gaussian(rng, (d_out * n_kraus,) * 2)
     a = gaussian(rng, (d_in, d_in))
-    return (d_in, d_out, n_kraus), (z, a, gaussian(rng, (d_out, d_out)))
+    return (d_in, d_out), (n_kraus, z, a, gaussian(rng, (d_out, d_out)))
 
 
 def _measurement_groups(rng, n_cases):
-    """Random (channel, state, observable) cases grouped by (d_in, d_out,
-    raised n_kraus), each group finished as stacks.  Yields (case indices,
-    Kraus sets, states, Hermitian observables) per group."""
-    for (d_in, d_out, _), cases, draws in draw_groups(rng, n_cases, _measurement_draw):
-        z, a, m = map(np.stack, zip(*draws))
-        kraus = kraus_from_unitary(unitary_from_gaussian(z), d_in, d_out)
+    """Random (channel, state, observable) cases as :func:`rand.kraus_groups`
+    stacks: (case indices, Kraus sets, states, Hermitian observables)."""
+    for cases, kraus, a, m in kraus_groups(rng, n_cases, _measurement_draw):
         obs = (m + np.conj(np.swapaxes(m, -1, -2))) / 2
         yield cases, kraus, density_from_gaussian(a), obs
 

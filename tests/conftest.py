@@ -29,6 +29,25 @@ def per_case_gaussian(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def kron_embed(op, support, dims):
+    """The kron-and-transpose embedding: op (x) 1 on (support, rest), then
+    the factors permuted back to site order."""
+    n = len(dims)
+    rest = [i for i in range(n) if i not in support]
+    t = np.kron(op, np.eye(int(np.prod([dims[i] for i in rest]))))
+    order = list(support) + rest
+    t = t.reshape([dims[i] for i in order] * 2)
+    perm = [order.index(i) for i in range(n)]
+    full = int(np.prod(dims))
+    return t.transpose(perm + [p + n for p in perm]).reshape(full, full)
+
+
+def bitwise_equal(a, b):
+    """Equal entries, and equal sign bits on both parts, so -0.0 != 0.0."""
+    return (np.array_equal(a, b)
+            and all(np.array_equal(np.signbit(f(a)), np.signbit(f(b))) for f in (np.real, np.imag)))
+
+
 def dense_expectation(psi, ops, dims):
     """Brute-force <psi| (x)_n O_n |psi> with identities at unlisted sites."""
     from epsim.linalg import embed_operator

@@ -208,6 +208,22 @@ def test_moments_trotter_step_past_half_pi_refused_before_the_step(monkeypatch):
         alg.extract_moments(h, random_state(1, 4), 4, mode="trotter", trotter_step=step)
 
 
+def test_trotter_spectrum_takes_the_callers_norm_bound(monkeypatch):
+    # Each call prices ||H|| once and hands it to _spectrum's pi/2 refusal.
+    calls = []
+    norm_bound = ham.LocalHamiltonian.norm_bound
+    monkeypatch.setattr(ham.LocalHamiltonian, "norm_bound",
+                        lambda self: calls.append(1) or norm_bound(self))
+    h = ham.build_tfim(3, 1.0, 0.5)
+    alg.extract_moments(h, random_state(1, 8), 4, mode="trotter", trotter_step=1e-3)
+    assert len(calls) == 1
+    calls.clear()
+    a = embed_operator(PAULI["Z"], [0], [2] * 3)
+    alg.thermal_value(alg.ThermalJob(observable=a, hamiltonian=h, beta=0.5, epsilon=1e-3,
+                                     mode="trotter"))
+    assert len(calls) == 1
+
+
 def test_moments_reject_bad_grid():
     h = ham.build_tfim(2, 1.0, 0.5)
     a = random_state(2, 4)
@@ -635,6 +651,40 @@ def test_transition_amplitude_shot_mode():
     want = np.conj(phi) @ u @ psi
     est = alg.transition_amplitude(phi, u, psi, shots=400000, seed=17)
     assert abs(est.value - want) < 5 * est.stderr + 1e-12
+
+
+@pytest.mark.parametrize("shots", [None, 1000])
+def test_both_amplitude_entry_points_keep_their_checks(shots):
+    rng = np.random.default_rng(15)
+    u, a = haar_unitary(rng, 2), random_state(rng, 2)
+    skewed = np.array([[1.0, 0.1], [0.0, 1.0]])
+    with pytest.raises(ShapeError, match="^hadamard_test needs a unitary operator$"):
+        alg.hadamard_test(skewed, a, shots, 1)
+    with pytest.raises(ShapeError, match="^state vector must be normalized$"):
+        alg.hadamard_test(u, 2 * a, shots, 1)
+    with pytest.raises(ShapeError, match="^transition_amplitude needs a unitary U$"):
+        alg.transition_amplitude(a, skewed, PLUS, shots, 1)
+    with pytest.raises(ShapeError, match="^state vector must be normalized$"):
+        alg.transition_amplitude(2 * a, u, PLUS, shots, 1)
+    with pytest.raises(ShapeError, match="^state vector must be normalized$"):
+        alg.transition_amplitude(a, u, 2 * PLUS, shots, 1)
+    if shots:
+        with pytest.raises(ShapeError, match="^shots must be in 1.."):
+            alg.transition_amplitude(a, u, PLUS, 0, 1)
+
+
+def test_shot_mode_transition_amplitude_checks_u_and_the_states_once(monkeypatch):
+    rng = np.random.default_rng(16)
+    u, phi, psi = haar_unitary(rng, 4), random_state(rng, 4), random_state(rng, 4)
+    want = alg.transition_amplitude(phi, u, psi, shots=100, seed=3)
+    calls = []
+    for name in ("is_unitary", "_check_state"):
+        check = getattr(alg, name)
+        monkeypatch.setattr(alg, name, lambda x, check=check, name=name: calls.append(name)
+                            or check(x))
+    got = alg.transition_amplitude(phi, u, psi, shots=100, seed=3)
+    assert calls == ["is_unitary", "_check_state", "_check_state"]
+    assert got == want
 
 
 # --- two-unitary decomposition

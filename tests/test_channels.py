@@ -201,7 +201,9 @@ def test_measurement_groups_draw_in_per_case_order():
     for cases, kraus, rho, obs in verify._measurement_groups(grouped, 30):
         for b, case in enumerate(cases):
             ref = want[case]
-            np.testing.assert_allclose(kraus[b], ref[0], rtol=0, atol=1e-13)
+            k = len(ref[0])
+            np.testing.assert_allclose(kraus[b, :k], ref[0], rtol=0, atol=1e-13)
+            assert not kraus[b, k:].any()  # the padding is exactly zero
             np.testing.assert_allclose(rho[b], ref[1], rtol=0, atol=1e-13)
             np.testing.assert_allclose(obs[b], ref[2], rtol=0, atol=1e-13)
             seen.append(case)
@@ -404,7 +406,9 @@ def test_duality_groups_draw_in_per_case_order(monkeypatch, chunk):
     for cases, kraus, states in random_duality_groups(seed, 40, 4, 3):
         for b, case in enumerate(cases):
             ref_kraus, ref_states = want[case]
-            np.testing.assert_allclose(kraus[b], np.stack(ref_kraus), rtol=0, atol=1e-13)
+            k = len(ref_kraus)
+            np.testing.assert_allclose(kraus[b, :k], np.stack(ref_kraus), rtol=0, atol=1e-13)
+            assert not kraus[b, k:].any()  # the padding is exactly zero
             np.testing.assert_allclose(states[b], np.stack(ref_states), rtol=0, atol=1e-13)
             seen.append(case)
     assert sorted(seen) == list(range(40))
@@ -432,11 +436,36 @@ def test_duality_group_draws_match_per_case_loop(monkeypatch, chunk):
         z = per_case_gaussian(rng, (d_out * k,) * 2)
         keys.append((d_in, d_out, k))
         draws.append((z, np.stack([per_case_gaussian(rng, (d_in, d_in)) for _ in range(3)])))
-    seen = []
-    for cases, kraus, states in random_duality_groups(35, 40, 4, 3):
-        d_in, d_out, _ = keys[cases[0]]
-        z, a = (np.stack(x) for x in zip(*(draws[c] for c in cases)))
-        assert np.array_equal(kraus, kraus_from_unitary(unitary_from_gaussian(z), d_in, d_out))
-        assert np.array_equal(states, density_from_gaussian(a))
+    grouped = np.random.default_rng(35)
+    seen, padded = [], 0
+    for cases, kraus, states in random_duality_groups(grouped, 40, 4, 3):
+        assert cases == sorted(cases)
+        assert len({keys[c][:2] for c in cases}) == 1  # one stack per (d_in, d_out)
+        assert kraus.shape[1] == max(keys[c][2] for c in cases)
+        for b, case in enumerate(cases):
+            d_in, d_out, k = keys[case]
+            z, a = draws[case]
+            own = kraus_from_unitary(unitary_from_gaussian(z[None]), d_in, d_out)[0]
+            assert np.array_equal(kraus[b, :k], own)
+            assert np.array_equal(kraus[b, k:], np.zeros_like(kraus[b, k:]))
+            assert np.array_equal(states[b], density_from_gaussian(a))
+            padded += k < kraus.shape[1]
         seen += cases
     assert sorted(seen) == list(range(40))
+    assert padded  # some stack mixes Kraus counts
+    assert grouped.random() == rng.random()
+
+
+def test_padded_duality_stack_names_the_invalid_case():
+    for cases, kraus, states in random_duality_groups(35, 40, 4, 3):
+        ks = np.any(kraus != 0, axis=(-2, -1)).sum(axis=-1)
+        if len(set(ks)) > 1:
+            break
+    b = int(np.flatnonzero(ks < kraus.shape[1])[-1])  # a padded case, not the first
+    assert b > 0
+    readout, roundtrip = ch.duality_residuals(kraus, states, cases)
+    assert max(readout.max(), roundtrip.max()) < 1e-12
+    bad = kraus.copy()
+    bad[b] *= 1.1
+    with pytest.raises(ShapeError, match=f"^case {cases[b]}: Kraus operators are not trace"):
+        ch.duality_residuals(bad, states, cases)

@@ -487,6 +487,22 @@ def test_thermal_tfim6_at_cli_order(tmp_path, capsys, mode):
     assert abs(report["value"] - want) < 1e-3
 
 
+def test_normalized_thermal_oracle_exponentiates_once(tmp_path, capsys, monkeypatch):
+    h = build_tfim(4, 1.0, 0.8)
+    (tmp_path / "tfim4.json").write_text(json.dumps(h.to_dict()))
+    config = {"task": "thermal", "model_file": "tfim4.json", "normalized": True,
+              "observable": {"site": 2, "pauli": "X"}, "beta": 0.5, "epsilon": 1e-3}
+    (tmp_path / "job.json").write_text(json.dumps(config))
+    a = embed_operator(PAULI["X"], [2], [2] * 4)
+    want = oracle.thermal_exact(a, h, 0.5) / oracle.thermal_exact(np.eye(16), h, 0.5)
+    exps = []
+    matrix_exp = oracle.matrix_exp
+    monkeypatch.setattr(oracle, "matrix_exp", lambda *args: exps.append(1) or matrix_exp(*args))
+    code, out = run_cli(["run", "--config", str(tmp_path / "job.json")], capsys)
+    assert code == 0 and json.loads(out)["oracle"] == want
+    assert len(exps) == 1
+
+
 @pytest.mark.parametrize("mode", ["exact", "trotter"])
 def test_thermal_past_dense_guard_refuses_before_any_dense_array(tmp_path, capsys, monkeypatch,
                                                                  mode):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import PAULI
+from conftest import PAULI, bitwise_equal, kron_embed
 from epsim import hamiltonians as ham
 from epsim import oracle
 from epsim.errors import ShapeError, SizeGuardError
@@ -34,6 +34,42 @@ def test_dense_size_guard():
     h = ham.build_tfim(13, 1.0, 1.0)
     with pytest.raises(SizeGuardError):
         h.dense()
+
+
+def kron_dense(h):
+    """H summed term by term onto zeros from the kron-and-transpose embedding."""
+    dims = [h.phys_dim] * h.n_sites
+    out = np.zeros((h.phys_dim**h.n_sites,) * 2, dtype=complex)
+    for support, mat in h.terms:
+        out += kron_embed(mat, support, dims)
+    return out
+
+
+def random_local(rng, n, d, n_terms):
+    """Hermitian terms on random supports of one to three sites, in any order;
+    some of them real."""
+    terms = []
+    for _ in range(n_terms):
+        support = tuple(int(s) for s in rng.permutation(n)[: int(rng.integers(1, min(n, 3) + 1))])
+        shape = (d ** len(support),) * 2
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        m = (m + dagger(m)) / 2
+        terms.append((support, m.real + 0j if rng.random() < 0.3 else m))
+    return ham.LocalHamiltonian(n, d, tuple(terms))
+
+
+def test_dense_matches_kron_reference_bitwise():
+    models = [ham.build_tfim(n, j, h) for n in range(2, 7)
+              for j, h in ((1.0, 1.0), (0.7, -0.3), (-1.2, 0.0))]
+    models += [ham.build_heisenberg(n, j) for n in range(2, 7) for j in (1.0, -0.4)]
+    models += [ham.centered(h)[0] for h in models[:10]]
+    rng = np.random.default_rng(41)
+    models += [random_local(rng, int(rng.integers(2, 6)), 2, int(rng.integers(1, 7)))
+               for _ in range(40)]
+    models += [random_local(rng, int(rng.integers(2, 4)), 3, int(rng.integers(1, 5)))
+               for _ in range(20)]
+    for h in models:
+        assert bitwise_equal(h.dense(), kron_dense(h))
 
 
 def test_exact_unitary():

@@ -4,6 +4,7 @@ import pytest
 from epsim import linalg
 from epsim.errors import ShapeError
 from epsim.rand import random_density
+from conftest import bitwise_equal, kron_embed
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -70,3 +71,45 @@ def test_embed_operator_places_factors():
     two = linalg.embed_operator(np.kron(sz, sz), [0, 2], [2, 2, 2])
     expect = np.kron(sz, np.kron(np.eye(2), sz))
     assert np.allclose(two, expect)
+
+
+EMBED_CASES = [
+    ([2, 2, 2], [1]),
+    ([2, 2, 2, 2], [0, 2]),  # non-contiguous
+    ([2, 2, 2, 2], [3, 1]),  # unsorted
+    ([2, 2, 2, 2, 2], [4, 0, 2]),
+    ([3, 2, 4], [2, 0]),  # mixed site dims
+    ([2, 3, 2, 3], [3, 0]),
+    ([3, 1, 2], [1]),  # a one-dimensional site
+    ([2, 3], []),  # a scalar times the identity
+    ([2, 2, 3], [0, 1, 2]),
+]
+
+
+@pytest.mark.parametrize("dims, support", EMBED_CASES)
+def test_embed_operator_matches_kron_reference(dims, support):
+    rng = np.random.default_rng(len(dims) + 7 * len(support))
+    size = int(np.prod([dims[s] for s in support]))
+    op = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    got = linalg.embed_operator(op, support, dims)
+    want = kron_embed(op, support, dims)
+    assert np.array_equal(got, want)
+    # The kron writes -0.0 where a negative entry meets the identity's zeros;
+    # the embedding writes only the support's entries into zeros, so its
+    # signs are those of the reference added onto zeros.
+    assert bitwise_equal(got, np.zeros_like(want) + want)
+    out = rng.normal(size=got.shape) + 1j * rng.normal(size=got.shape)
+    want_sum = out + want
+    linalg._add_embedded(out, op, support, dims)
+    assert bitwise_equal(out, want_sum)
+
+
+@pytest.mark.parametrize("size, support, text", [
+    (4, [1, 1], r"^support \[1, 1\] must list distinct sites of 0..2$"),
+    (4, [0, 3], r"^support \[0, 3\] must list distinct sites of 0..2$"),
+    (2, [-1], r"^support \[-1\] must list distinct sites of 0..2$"),
+    (3, [0], r"^operator shape \(3, 3\) does not match support dims \[2\]$"),
+])
+def test_embed_operator_refuses_bad_supports(size, support, text):
+    with pytest.raises(ShapeError, match=text):
+        linalg.embed_operator(np.eye(size), support, [2, 2, 2])

@@ -107,6 +107,21 @@ def test_thermal_exact_consistency():
     assert oracle.thermal_exact(np.eye(4), h, 0.0) == pytest.approx(4.0)
 
 
+def test_thermal_exact_takes_a_stack_from_one_dense_build(monkeypatch):
+    h = build_tfim(3, 1.0, 0.7)
+    rng = np.random.default_rng(9)
+    m = rng.normal(size=(2, 8, 8)) + 1j * rng.normal(size=(2, 8, 8))
+    a = np.concatenate([m + np.conj(np.swapaxes(m, -1, -2)), np.eye(8)[None]])
+    singles = [oracle.thermal_exact(x, h, 0.4) for x in a]
+    assert all(isinstance(x, float) for x in singles)
+    builds = []
+    dense = type(h).dense
+    monkeypatch.setattr(type(h), "dense", lambda self: builds.append(1) or dense(self))
+    stacked = oracle.thermal_exact(a, h, 0.4)
+    assert stacked.shape == (3,) and np.array_equal(stacked, singles)
+    assert len(builds) == 1
+
+
 def test_entropy_exact():
     assert oracle.entropy_exact(np.eye(4) / 4) == pytest.approx(np.log(4))
     pure = np.zeros((4, 4), dtype=complex)
