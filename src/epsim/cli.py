@@ -288,10 +288,7 @@ def _run_dynamics(config: ExperimentConfig) -> dict:
         splits = config["partition_splits"]
         if splits is None:
             splits = [max(1, circuit.n_sites // 2)]
-        value, probs = net.evaluate_regions(
-            network, net.column_partition(network, splits)
-        )
-        extra["region_probs"] = [float(p) for p in probs]
+        value = net.evaluate_regions(network, net.column_partition(network, splits))
     else:
         res = net.evaluate_sampled(network, config["shots"], config.seed, config["strategy"])
         value = res.estimate

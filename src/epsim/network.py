@@ -1,16 +1,18 @@
 """Brickwork circuits compiled into channel networks on the bond space.
 
 ``build_network`` turns an initial MPS, a brickwork circuit, and a product
-observable into a two-dimensional lattice of tensors: the state row, one
-row of two-site gate halves per circuit layer (each gate split through the
+observable into a two-dimensional lattice of tensors: the state row, the
+gate halves of each circuit layer (each gate split through the
 operator-Schmidt decomposition of its Choi vector), the observable row at
-the conjugation interface, and the mirrored conjugate rows.  Horizontal
-wires carry bond (entanglement) indices, vertical wires carry physical
-indices.  Evaluation then happens entirely on the entanglement space:
+the conjugation interface, and the mirrored conjugate rows.  Only the gates
+of the observables' causal cone are in the lattice (see
+:class:`ChannelNetwork`).  Horizontal wires carry bond (entanglement)
+indices: the state rows' bonds, closed through a boundary node, and each
+gate's bond between its two halves.  Vertical wires carry physical indices
+from the state row through the gate halves on their site to the
+observable row.  Evaluation then happens entirely on the entanglement space:
 
-* :func:`evaluate_exact` contracts the lattice in one greedy pairwise
-  pass, where each gate outside the observables' causal cone is an identity
-  (see :class:`ChannelNetwork`),
+* :func:`evaluate_exact` contracts the lattice in one greedy pairwise pass,
 * :func:`evaluate_regions` contracts disjoint node regions independently
   and joins them along the cut wires,
 * :func:`evaluate_sampled` simulates the heralded-measurement realization,
@@ -22,14 +24,14 @@ indices.  Evaluation then happens entirely on the entanglement space:
   into one chain of d x d channels per site (a traced wire is
   Omega + (1 - Omega) = I, which cuts it).
 
-The circuit's gates are split by :func:`split_gates`, one stacked SVD per
+The cone's gates are split by :func:`split_gates`, one stacked SVD per
 network; :func:`compile_gate` is its call for one gate.  Everything about a
 network but its tensors (node kinds, grid positions, trailing shapes and the
 leg table, the wire id on each node axis) depends only on its layout key: N,
-d, the state's bond dimensions and each gate's site and operator-Schmidt
-rank.  It is built once per key by the cached :func:`_layout` and shared by
-every network with that key; the leg table is the only description of the
-wires.
+d, the state's bond dimensions and each kept gate's site and
+operator-Schmidt rank.  It is built once per key by the cached
+:func:`_layout` and shared by every network with that key; the leg table is
+the only description of the wires.
 
 An MPS stack (with one circuit or a circuit stack, and (d, d) or stacked
 observables) compiles into one network whose node tensors carry its batch
@@ -234,23 +236,19 @@ class NetLayout(NamedTuple):
 @functools.lru_cache(maxsize=256)
 def _layout(key) -> NetLayout:
     """The cached layout of one key.  Node ids run: state row (then its
-    boundary), gate rows by layer, the observable row, conjugate gate rows by
-    layer, conjugate state row (then its boundary).  Wire ids count the
-    horizontal wires (state rows, then gate rows) and then the vertical
-    chains column by column; each is written into the leg table at both of
-    its ends."""
+    boundary), the kept gates' halves by layer (left then right, sites
+    ascending), the observable row, the conjugate halves in the same order,
+    conjugate state row (then its boundary).  Wire ids count the state rows'
+    bond wires, the gates' bond wires and then the vertical wires column by
+    column; each is written into the leg table at both of its ends."""
     n, d, bonds, gate_ranks = key
     nl = len(gate_ranks)
     obs_row = nl + 1
     last_row = 2 * nl + 2
     state = [(d, bonds[c], bonds[c + 1]) for c in range(n)]
-    # Gate tensors have axes (bond_l, bond_r, out, in).
-    gate_rows = []
-    for layer in gate_ranks:
-        row = [(1, 1, d, d)] * n
-        for site, rank in layer:
-            row[site], row[site + 1] = (1, rank, d, d), (rank, 1, d, d)
-        gate_rows.append(row)
+    # Gate halves have axes (bond, out, in).
+    halves = [(l, site + side, (rank, d, d)) for l, layer in enumerate(gate_ranks)
+              for site, rank in layer for side in (0, 1)]
     kinds, rows, cols, shapes, grid = [], [], [], [], {}
 
     def add(kind, row, col, shape):
@@ -263,14 +261,12 @@ def _layout(key) -> NetLayout:
     for c in range(n):
         add("state", 0, c, state[c])
     add("boundary", 0, n, (1, 1))
-    for l in range(nl):
-        for c in range(n):
-            add("gate", l + 1, c, gate_rows[l][c])
+    for l, c, shape in halves:
+        add("gate", l + 1, c, shape)
     for c in range(n):
         add("obs", obs_row, c, (d, d))  # legs (ket, conj)
-    for l in range(nl):
-        for c in range(n):
-            add("gate*", last_row - 1 - l, c, gate_rows[l][c])
+    for l, c, shape in halves:
+        add("gate*", last_row - 1 - l, c, shape)
     for c in range(n):
         add("state*", last_row, c, state[c])
     add("boundary*", last_row, n, (1, 1))
@@ -283,51 +279,66 @@ def _layout(key) -> NetLayout:
         for nid, axis in ends:
             legs[nid][axis] = wid
 
-    # Horizontal wires: state rows close through the boundary node,
-    # gate rows wrap their (dimension-1) outer edges.
+    # Horizontal wires: state rows close through the boundary node, and the
+    # two halves of a gate share its bond.
     for row in (0, last_row):
         bnd = grid[(row, n)]
         for c in range(n - 1):
             wire((grid[(row, c)], 2), (grid[(row, c + 1)], 1))
         wire((grid[(row, n - 1)], 2), (bnd, 0))
         wire((bnd, 1), (grid[(row, 0)], 1))
-    for row in list(range(1, nl + 1)) + list(range(obs_row + 1, last_row)):
-        for c in range(n - 1):
-            wire((grid[(row, c)], 1), (grid[(row, c + 1)], 0))
-        wire((grid[(row, n - 1)], 1), (grid[(row, 0)], 0))
+    for l, layer in enumerate(gate_ranks):
+        for row in (l + 1, last_row - 1 - l):
+            for site, _ in layer:
+                wire((grid[(row, site)], 0), (grid[(row, site + 1)], 0))
 
-    # Vertical wires: physical index chains through the rows.  State axis 0
-    # and obs axes 0/1 carry the physical legs.
+    # Vertical wires: physical index chains from the state row through each
+    # gate half on the column to the observable row, straight past a layer
+    # with no half there.  State axis 0 and obs axes 0/1 carry the physical legs.
     for c in range(n):
-        ket_chain = [(grid[(0, c)], 0)]  # state phys
-        for l in range(nl):
-            nid = grid[(l + 1, c)]
-            ket_chain += [(nid, 3), (nid, 2)]  # in, out
-        ket_chain.append((grid[(obs_row, c)], 0))
-        for i in range(0, len(ket_chain) - 1, 2):
-            wire(ket_chain[i], ket_chain[i + 1])
-        conj_chain = [(grid[(last_row, c)], 0)]
-        for l in range(nl):
-            nid = grid[(last_row - 1 - l, c)]
-            conj_chain += [(nid, 3), (nid, 2)]
-        conj_chain.append((grid[(obs_row, c)], 1))
-        for i in range(0, len(conj_chain) - 1, 2):
-            wire(conj_chain[i], conj_chain[i + 1])
+        for end, gate_rows, obs_axis in ((0, range(1, obs_row), 0),
+                                         (last_row, range(last_row - 1, obs_row, -1), 1)):
+            chain = [(grid[(end, c)], 0)]
+            for row in gate_rows:
+                if (row, c) in grid:
+                    chain += [(grid[(row, c)], 2), (grid[(row, c)], 1)]  # in, out
+            chain.append((grid[(obs_row, c)], obs_axis))
+            for i in range(0, len(chain), 2):
+                wire(chain[i], chain[i + 1])
 
     legs = tuple(map(tuple, legs))
     return NetLayout(key, tuple(kinds), tuple(rows), tuple(cols), legs,
                      tuple(zip(shapes, legs)))
 
 
+def _gate_pairs(circuit: BrickworkCircuit, take) -> dict:
+    """{(layer, site): GateChannelPair} in layer order of the circuit's gates
+    for which ``take((layer, site))`` holds, split by one :func:`split_gates`
+    call.  Each pair has its gate's largest rank over a stack: the terms past
+    a case's own rank are zero."""
+    every = [(l, site) for l, layer in enumerate(circuit.layers) for site, _ in layer]
+    index = [g for g, pos in enumerate(every) if take(pos)]
+    if not index:
+        return {}
+    where = [every[g] for g in index]
+    left, right, ranks = split_gates(circuit.gates[..., index, :, :],
+                                     [f"layer {l}, site {site}" for l, site in where])
+    ranks = ranks.reshape(-1, len(where)).max(axis=0)
+    return {pos: GateChannelPair(left[..., g, :rank, :, :], right[..., g, :rank, :, :], rank)
+            for g, (pos, rank) in enumerate(zip(where, ranks.tolist()))}
+
+
 class ChannelNetwork:
     """The compiled lattice; see the module docstring for the layout.
 
     ``tensors`` holds one array per node id, batch axes first; kinds, grid
-    positions, trailing shapes and legs live in the shared ``layout``.
-    A gate outside the backward light cone of the observed sites (the
-    causal cone) meets its conjugate through identities, U^dag U = 1, so its
-    nodes hold the rank-1 identity halves of an absent gate and it leaves the
-    layout key; ``gates_pruned`` counts them.  ``gate_pairs`` keeps every gate.
+    positions, trailing shapes and legs live in the shared ``layout``.  Only
+    the backward light cone of the observed sites (the causal cone) is
+    built: a gate outside it meets its conjugate through identities, U^dag U
+    = 1, so it has no nodes, its site's vertical wire runs past its layer,
+    and it leaves the layout key.  Node ids count only the contracted nodes.
+    ``gate_pairs`` holds the split of each kept gate, ``gates_pruned``
+    counts the others.
     """
 
     def __init__(self, psi: MPS, circuit: BrickworkCircuit, observables: dict):
@@ -337,40 +348,26 @@ class ChannelNetwork:
         self.batch_shape = batch = psi.batch_shape
         self.d = d = circuit.phys_dim
         n = circuit.n_sites
-        self.gate_pairs = {}  # (layer, site) -> GateChannelPair
         cone, kept = set(observables), set()
         for l in reversed(range(circuit.n_layers)):
             hit = [site for site, _ in circuit.layers[l] if {site, site + 1} & cone]
             kept.update((l, site) for site in hit)
             cone.update(site + side for site in hit for side in (0, 1))
-        ident = np.broadcast_to(np.eye(d, dtype=complex), batch + (1, 1, d, d))
-        rows = [[ident] * n for _ in circuit.layers]
-        where = [(l, site) for l, layer in enumerate(circuit.layers) for site, _ in layer]
-        self.gates_pruned = len(where) - len(kept)
-        if where:
-            left, right, ranks = split_gates(
-                circuit.gates, [f"layer {l}, site {site}" for l, site in where]
-            )
-            # The largest rank over the stack: terms past a case's own are zero.
-            ranks = ranks.reshape(-1, len(where)).max(axis=0)
-            for g, ((l, site), rank) in enumerate(zip(where, ranks.tolist())):
-                pair = GateChannelPair(left[..., g, :rank, :, :], right[..., g, :rank, :, :], rank)
-                self.gate_pairs[(l, site)] = pair
-                if (l, site) in kept:
-                    rows[l][site] = pair.left_ops[..., None, :, :, :]
-                    rows[l][site + 1] = pair.right_ops[..., None, :, :]
+        self.gate_pairs = _gate_pairs(circuit, kept.__contains__)
+        self.gates_pruned = circuit.gates.shape[-3] - len(kept)
         self.layout = _layout((
             n, d, tuple(t.shape[-2] for t in psi.tensors) + (psi.tensors[-1].shape[-1],),
             tuple(tuple((site, self.gate_pairs[(l, site)].bond_dim) for site, _ in layer
                         if (l, site) in kept) for l, layer in enumerate(circuit.layers)),
         ))
         # In node-id order; see _layout.
-        gates = [t for row in rows for t in row]
-        eye = ident[..., 0, 0, :, :]
+        halves = [ops for pair in self.gate_pairs.values()
+                  for ops in (pair.left_ops, pair.right_ops)]
+        eye = np.eye(d, dtype=complex)
         self.tensors = [
-            *psi.tensors, psi.boundary, *gates,
+            *psi.tensors, psi.boundary, *halves,
             *(observables.get(c, eye).swapaxes(-1, -2) for c in range(n)),
-            *(t if t is ident else t.conj() for t in gates),
+            *(t.conj() for t in halves),
             *(t.conj() for t in psi.tensors), psi.boundary.conj(),
         ]
         if batch:  # a shared circuit or observable, per case
@@ -462,13 +459,10 @@ class NetworkPartition:
 def evaluate_regions(net: ChannelNetwork, partition: NetworkPartition):
     """Contract each region independently, then join along cut wires.
 
-    Returns (value, region_probs): the joined value is partition independent;
-    the per-region Frobenius weights are diagnostics of the heralded
-    branch mass each region carries.  One network gives a complex and a
-    list; a stack gives an array of its batch shape and a (batch...,
-    regions) array of weights.  Every region and the join are planned, and
-    a chunk's batch x each plan's largest step checked against the size
-    guard, before the first step runs.
+    The joined value is partition independent.  One network gives a
+    complex; a stack gives an array of its batch shape.  Every region and
+    the join are planned, and a chunk's batch x each plan's largest step
+    checked against the size guard, before the first step runs.
     """
     partition.validate(net)
     plans, join = _region_plans(net.layout.key, partition.regions)
@@ -477,12 +471,11 @@ def evaluate_regions(net: ChannelNetwork, partition: NetworkPartition):
     for p in filter(None, plans):
         _guard(size * p.peak, "region contraction")
     _guard(size * join.peak, "region join")
-    values, probs = zip(*(_join_regions(tensors, batch, partition.regions, plans, join)
-                          for tensors, batch in chunks))
+    values = [_join_regions(tensors, batch, partition.regions, plans, join)
+              for tensors, batch in chunks]
     if not net.batch_shape:
-        return complex(values[0].reshape(())), probs[0].tolist()
-    return (np.concatenate(values).reshape(net.batch_shape),
-            np.concatenate(probs).reshape(net.batch_shape + (-1,)))
+        return complex(values[0].reshape(()))
+    return np.concatenate(values).reshape(net.batch_shape)
 
 
 @functools.lru_cache(maxsize=128)
@@ -502,21 +495,11 @@ def _region_plans(key, regions) -> tuple:
 
 
 def _join_regions(tensors, batch, regions, plans, join):
-    """(joined value, region weights) of one chunk's node tensors; its
-    region tensors are freed on return, before the next chunk's are built."""
+    """The joined value of one chunk's node tensors; its region tensors are
+    freed on return, before the next chunk's are built."""
     parts = [_execute(p, [tensors[nid] for nid in region], batch) if p else tensors[region[0]]
              for p, region in zip(plans, regions)]
-    weights = np.stack([_weight(t, len(batch)) for t in parts], -1)
-    return _execute(join, parts, batch), weights
-
-
-def _weight(tensor, nb):
-    """Squared Frobenius norm per case (``nb`` batch axes first): one dot over
-    its (re, im) entries, read in memory order so a permuted result is not copied."""
-    rest = sorted(range(nb, tensor.ndim), key=lambda k: -tensor.strides[k])
-    x = tensor.transpose((*range(nb), *rest)).reshape(tensor.shape[:nb] + (-1,))
-    x = np.ascontiguousarray(x).view(np.float64)
-    return np.einsum("...i,...i->...", x, x)
+    return _execute(join, parts, batch)
 
 
 def singleton_partition(net: ChannelNetwork) -> NetworkPartition:
@@ -588,11 +571,14 @@ def branch_distribution(net: ChannelNetwork, strategy: str = "postselect"):
             items[nid] = (np.einsum("ko,co->okc", vecs.conj(), vecs),
                           (("out", col), *layout.legs[nid]))
     exact = _contract_group(items, "branch distribution")
+    # The protocol runs every gate: those outside the cone are split here.
+    pairs = dict(sorted({**net.gate_pairs, **_gate_pairs(
+        net.circuit, lambda pos: pos not in net.gate_pairs)}.items()))
     scale = abs(net.psi.boundary[0, 0]) ** 2 * math.prod(t.shape[2] for t in tensors[:-1])
-    scale *= math.prod(pair.bond_dim * d * d for pair in net.gate_pairs.values())
+    scale *= math.prod(pair.bond_dim * d * d for pair in pairs.values())
     rows = [exact.real.reshape(-1) / scale]
     # Gate halves as (site, stacked Kraus set), in layer order.
-    halves = [(site + side, ops) for (_, site), pair in net.gate_pairs.items()
+    halves = [(site + side, ops) for (_, site), pair in pairs.items()
               for side, ops in enumerate((pair.left_ops, pair.right_ops))]
     if strategy == "corrected":
         rhos = [np.einsum("alr,blr->ab", t, t.conj()) for t in tensors]

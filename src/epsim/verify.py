@@ -256,7 +256,7 @@ def suite_network() -> list:
         worst_exact = max(worst_exact, float(np.max(np.abs(got - want))))
         t0 = time.perf_counter()
         for part in _partitions(network):
-            values, _ = net.evaluate_regions(network, part)
+            values = net.evaluate_regions(network, part)
             worst_regions = max(worst_regions, float(np.max(np.abs(values - got))))
         regions_s += time.perf_counter() - t0
     exact_s = time.perf_counter() - start - regions_s

@@ -177,7 +177,6 @@ def test_dynamics_sampled_and_regions(workdir, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["abs_error"] < 1e-8
-    assert len(report["region_probs"]) == 2
     # Z on site 0 sees the layer-0 gate on (0, 1) only; resources count all three.
     assert report["gates_pruned"] == 2 and report["resources"]["total_gates"] == 4
 

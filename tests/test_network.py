@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -99,8 +101,9 @@ def test_stacked_gate_checks_name_the_offending_gate(monkeypatch):
     monkeypatch.setattr(network, "svd", bent_svd)
     circ = network.BrickworkCircuit(4, (((0, gates[0]), (2, gates[1])), ((1, gates[2]),)))
     psi = mps.from_statevector(random_state(rng, 16), [2] * 4)
+    # Only the causal cone's gates are split; Z on site 1 keeps all three.
     with pytest.raises(ShapeError, match="^layer 1, site 1: gate split failed to recombine$"):
-        network.build_network(psi, circ, [])
+        network.build_network(psi, circ, [(1, PAULI["Z"])])
     with pytest.raises(ShapeError, match="^gate split failed to recombine$"):
         network.compile_gate(gates[0])
 
@@ -218,8 +221,8 @@ def test_exact_contraction_size_guard(monkeypatch):
     import re
     import tracemalloc
 
-    # A full-rank N=16 state: the first greedy step joins the two middle
-    # state tensors into a 2^16-entry result, far above the lowered guard.
+    # A full-rank N=16 state: the plan's largest step holds 2^16 entries,
+    # far above the lowered guard.
     rng = np.random.default_rng(99)
     net, *_ = random_net(rng, 16, 1, obs_sites=(8,))
     monkeypatch.setattr(limits, "CONTRACTION_GUARD", 2**10)
@@ -265,11 +268,13 @@ def whole_cone(psi, circ, obs):
 def assert_pruned_matches_whole_cone(psi, circ, obs, partitions):
     pruned = network.build_network(psi, circ, obs.items())
     full = whole_cone(psi, circ, obs)
-    assert pruned.gate_pairs.keys() == full.gate_pairs.keys()
+    assert pruned.gate_pairs.keys() <= full.gate_pairs.keys()
+    assert len(pruned.gate_pairs) + pruned.gates_pruned == len(full.gate_pairs)
     assert np.max(np.abs(network.evaluate_exact(pruned) - network.evaluate_exact(full))) <= 1e-14
-    for part in partitions(pruned):
-        got = network.evaluate_regions(pruned, part)[0]
-        assert np.max(np.abs(got - network.evaluate_regions(full, part)[0])) <= 1e-14
+    # Node ids count only the contracted nodes, so each network has its own partitions.
+    for part, whole in zip(partitions(pruned), partitions(full)):
+        got = network.evaluate_regions(pruned, part)
+        assert np.max(np.abs(got - network.evaluate_regions(full, whole))) <= 1e-14
     return pruned.gates_pruned
 
 
@@ -300,7 +305,8 @@ def test_pruned_values_match_the_whole_cone_on_bench_dynamics_shapes():
             lambda net: [network.column_partition(net, split)]) > 0
 
 
-def test_cone_keeps_the_gates_that_reach_the_observed_sites():
+def test_cone_keeps_the_gates_that_reach_the_observed_sites(monkeypatch):
+    svd = network.svd
     rng = np.random.default_rng(42)
     # Layer 0: gates on (0, 1), (2, 3), (4, 5); layer 1: (1, 2), (3, 4).
     circ = random_brickwork(rng, 6, 2)
@@ -309,10 +315,13 @@ def test_cone_keeps_the_gates_that_reach_the_observed_sites():
                       ({2: PAULI["Z"]}, {(1, 1), (0, 0), (0, 2)}),
                       ({0: PAULI["Z"], 5: PAULI["X"]}, {(0, 0), (0, 4)}),
                       ({}, set())):
+        split = []
+        monkeypatch.setattr(network, "svd", lambda m: split.append(len(m)) or svd(m))
         net = network.build_network(psi, circ, obs.items())
         ranks = {(l, site) for l, layer in enumerate(net.layout.key[3]) for site, _ in layer}
         assert ranks == kept and net.gates_pruned == 5 - len(kept)
-        assert len(net.gate_pairs) == 5
+        # Only the kept gates are split.
+        assert net.gate_pairs.keys() == kept and split == ([len(kept)] if kept else [])
         want = oracle_value(psi, circ, obs.items())
         assert abs(network.evaluate_exact(net) - want) < 1e-12
 
@@ -326,6 +335,61 @@ def test_pruned_z_mid_at_n32_is_accepted():
     assert net.gates_pruned == 124 - 36
     value = network.evaluate_exact(net)
     assert abs(value.imag) < 1e-12 and abs(value) <= 1 + 1e-12
+
+
+def assert_cone_only(net):
+    """Each kept gate is two (rank, d, d) halves per side, joined by a bond
+    wire of dim > 1 (every gate here has rank 4): no identity node of a
+    pruned gate and no unit wire on a gate row."""
+    lay = net.layout
+    gates = [shape for kind, (shape, _) in zip(lay.kinds, lay.signature) if kind.startswith("gate")]
+    assert len(gates) == 4 * len(net.gate_pairs)
+    assert all(len(shape) == 3 and shape[0] > 1 and shape[1:] == (net.d, net.d) for shape in gates)
+
+
+def test_cone_only_graphs_plan_few_steps():
+    # The bench dynamics shapes planned 1084 steps while pruned gates kept
+    # identity nodes and gate rows kept unit ring wires.
+    rng = np.random.default_rng(41)
+    steps = 0
+    for evaluator, n, layers, sites, splits in _bench_dynamics_jobs():
+        psi = mps.from_statevector(random_state(rng, 2**n), [2] * n)
+        net = network.build_network(psi, random_brickwork(rng, n, layers),
+                                    [(s, PAULI["Z"]) for s in sites])
+        assert_cone_only(net)
+        if evaluator == "exact":
+            steps += len(contract._plan(net.layout.signature).steps)
+        else:
+            part = network.column_partition(net, list(splits or [n // 2]))
+            plans, join = network._region_plans(net.layout.key, part.regions)
+            steps += sum(len(p.steps) for p in plans if p) + len(join.steps)
+    assert steps <= 700
+    for _, states, circ, obs in verify._network_groups(np.random.default_rng(2026), 100):
+        assert_cone_only(network.build_network(
+            mps.from_statevector(states, [2] * circ.n_sites), circ, obs.items()))
+
+
+# (Z sites, N): (priced MACs, peak entries) of the greedy plans on chi = 8,
+# L = 8 networks when pruned gates kept identity nodes and the greedy scored
+# a pair by result size minus input sizes.
+CHI8_L8_PLANS = {
+    ("mid", 16): (457919656, 2**21), ("mid", 20): (669954352, 2**20),
+    ("mid", 24): (392949232, 2**19), ("mid", 32): (392978608, 2**19),
+    ("spread", 16): (87212872, 2**19), ("spread", 20): (2494733832, 2**22),
+    ("spread", 24): (95394920, 2**18), ("spread", 32): (670322408, 2**20),
+}
+
+
+def test_chi8_l8_plans_price_no_more_than_before():
+    for (where, n), (macs, peak) in CHI8_L8_PLANS.items():
+        rng = np.random.default_rng(5)
+        psi = random_canonical_mps(rng, n, 8)
+        circ = random_brickwork(rng, n, 8)
+        sites = [n // 2] if where == "mid" else [0, n // 2, n - 1]
+        net = network.build_network(psi, circ, [(s, PAULI["Z"]) for s in sites])
+        plan = contract._make_plan(net.layout.signature)
+        priced = sum(math.prod(out_shape) * inner for *_, inner, out_shape, _ in plan.steps)
+        assert priced <= macs and plan.peak <= peak, (where, n, priced, plan.peak)
 
 
 # --- region evaluation
@@ -342,10 +406,7 @@ def test_regions_match_exact():
         network.column_partition(net, [1, 3]),
         network.singleton_partition(net),
     ):
-        value, probs = network.evaluate_regions(net, part)
-        assert abs(value - exact) < 1e-10
-        assert len(probs) == len(part.regions)
-        assert all(p >= 0 for p in probs)
+        assert abs(network.evaluate_regions(net, part) - exact) < 1e-10
 
 
 def test_regions_cli_default_split_wide_network():
@@ -353,7 +414,7 @@ def test_regions_cli_default_split_wide_network():
     # intermediate and refused.
     rng = np.random.default_rng(31)
     net, psi, circ, obs = random_net(rng, 10, 3, obs_sites=(5,))
-    value, _ = network.evaluate_regions(net, network.column_partition(net, [5]))
+    value = network.evaluate_regions(net, network.column_partition(net, [5]))
     assert abs(value - oracle_value(psi, circ, obs)) < 1e-8
 
 
@@ -402,11 +463,9 @@ def assert_stack_matches_singles(stack, singles, partitions):
     assert got.shape == (len(singles),)
     assert np.max(np.abs(got - [network.evaluate_exact(x) for x in singles])) <= 1e-14
     for part in partitions:
-        values, probs = network.evaluate_regions(stack, part)
+        values = network.evaluate_regions(stack, part)
         each = [network.evaluate_regions(x, part) for x in singles]
-        assert probs.shape == (len(singles), len(part.regions))
-        assert np.max(np.abs(values - [v for v, _ in each])) <= 1e-14
-        np.testing.assert_allclose(probs, [p for _, p in each], rtol=1e-14, atol=0)
+        assert values.shape == (len(singles),) and np.max(np.abs(values - each)) <= 1e-14
 
 
 def test_stacked_evaluation_matches_unstacked_on_verify_groups():
@@ -448,11 +507,7 @@ def test_batch_of_one_equals_no_batch():
     assert one.batch_shape == (1,) and one.layout.key == net.layout.key
     assert network.evaluate_exact(one)[0] == network.evaluate_exact(net)
     for part in verify._partitions(net):
-        values, probs = network.evaluate_regions(one, part)
-        value, single = network.evaluate_regions(net, part)
-        assert values[0] == value
-        # Weights sum each tensor in memory order, which stacking may change.
-        np.testing.assert_allclose(probs[0], single, rtol=1e-15, atol=0)
+        assert network.evaluate_regions(one, part)[0] == network.evaluate_regions(net, part)
 
 
 def test_stack_inputs_must_share_one_batch_shape():
@@ -500,7 +555,7 @@ def test_circuit_stack_names_the_case_and_gate(monkeypatch):
     monkeypatch.setattr(network, "svd", bent_svd)
     psi = mps.from_statevector(np.stack([random_state(rng, 16) for _ in range(4)]), [2] * 4)
     with pytest.raises(ShapeError, match="^case 3: layer 1, site 1: gate split failed"):
-        network.build_network(psi, circ, [])
+        network.build_network(psi, circ, [(1, PAULI["Z"])])  # a cone of every gate
 
 
 def test_chunked_stack_equals_one_chunk(monkeypatch):
@@ -512,8 +567,7 @@ def test_chunked_stack_equals_one_chunk(monkeypatch):
     monkeypatch.setattr(limits, "STACK_BUDGET", peak * (cases // 3))
     assert len(network._chunks(stack, peak)) >= 3
     assert np.array_equal(network.evaluate_exact(stack), whole[0])
-    values, probs = network.evaluate_regions(stack, part)
-    assert np.array_equal(values, whole[1][0]) and np.array_equal(probs, whole[1][1])
+    assert np.array_equal(network.evaluate_regions(stack, part), whole[1])
 
 
 def test_sampling_refuses_a_stack():
@@ -628,10 +682,10 @@ def test_contract_group_rejects_mismatched_wire():
 
 
 def test_steps_carry_no_unit_axes():
-    # On a chi = 1 state, 600 of the network's 2116 legs have dim 1, and one
-    # planned step has 66 axes (numpy allows 64), 22 of them of dim > 1.  The
-    # reference contracts the network with its unit legs squeezed out of the
-    # signature, which the greedy pairs differently.
+    # On a chi = 1 state, 100 of the network's 856 legs (its bonds and
+    # boundary wires) have dim 1.  The reference contracts the network with
+    # its unit legs squeezed out of the signature, which the greedy pairs
+    # differently.
     rng = np.random.default_rng(5)
     psi = random_canonical_mps(rng, 24, 1)
     circ = random_brickwork(rng, 24, 10)
@@ -694,7 +748,7 @@ def test_default_split_region_join_copies_at_most_one_operand():
     assert [p.peak for p in plans] == [2**18, 2**18]
     copied = [op for step in join.steps for op in step[2:4] if op[0] is not None]
     assert len(copied) <= 1
-    value, _ = network.evaluate_regions(net, part)
+    value = network.evaluate_regions(net, part)
     assert abs(value - oracle_value(psi, circ, obs)) < 1e-8
 
 
@@ -764,9 +818,9 @@ def _ket_graph(net: ChannelNetwork):
     for c in range(n):
         legs[c][0] = chain[c] = (next(labels), 0)
     nodes = list(zip(net.psi.tensors, legs)) + caps
-    for l, layer in enumerate(net.circuit.layers):
-        for site, _ in layer:
-            pair = net.gate_pairs[(l, site)]
+    for layer in net.circuit.layers:
+        for site, gate in layer:  # every gate, outside the cone too
+            pair = network.compile_gate(gate)
             bond = wire(pair.bond_dim, "h")
             for side, ops in enumerate((pair.left_ops, pair.right_ops)):
                 c = site + side
@@ -841,6 +895,18 @@ def test_branch_table_matches_dense_reference(n_wires):
     else:
         n = n_wires - 2
         net, *_ = random_net(rng, n, 1, obs_sites=(0, n - 1))
+    assert_cells_match_dense(net, n_wires)
+
+
+def test_branch_table_runs_the_gates_outside_the_cone():
+    # N=3, L=1, Z on site 2: the one gate, on (0, 1), is outside the cone, so
+    # the network does not split it, but the protocol still runs it.
+    net, *_ = random_net(np.random.default_rng(46), 3, 1, obs_sites=(2,))
+    assert net.gates_pruned == 1 and not net.gate_pairs
+    assert_cells_match_dense(net, 5)
+
+
+def assert_cells_match_dense(net, n_wires):
     dense = dense_branch_table(net)
     sampled = _ket_graph(net)[1]
     assert len(sampled) == n_wires
