@@ -327,7 +327,6 @@ def _run_thermal(config: ExperimentConfig) -> dict:
         "stderr": None,
         "oracle": want,
         "budget": res.budget,
-        "moments_condition": res.moments_condition,
         "order": res.order,
         "resources": None,
     }

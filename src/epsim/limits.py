@@ -16,7 +16,7 @@ STATEVECTOR_GUARD = 2**20  # MPS.to_statevector per state: 16 MiB of complex128
 DENSE_DIM_GUARD = 2**12  # side of a dense Hamiltonian or Choi matrix: 256 MiB, an eigh of seconds
 MAX_TERMS = 10**4  # terms of a LocalHamiltonian, each embedded into a dense H once
 MAX_SUPPORT = 4  # sites of one Hamiltonian term, so a term is at most d^4 x d^4
-MAX_ORDER = 64  # orders of thermal_value's one fit: its rounding grows as 1.43^s, 2e-6 at 64
+MAX_ORDER = 64  # thermal_value orders and cached transforms: rounding grows as 1.43^s, 2e-6 at 64
 MAX_DUALITY_CASES = 10**6  # duality-check cases: about 30 us each, so at most about 30 s
 MAX_SHOTS = 2**53  # a shot count: counts divide exactly in float64 up to 2^53; 8x fits int64
 
@@ -30,7 +30,7 @@ DENSITY_TOL = 1e-8  # a measured state: past it no density matrix; past PSD_CLAM
 EIGVEC_TOL = 1e-8  # ||U v - <v|U|v> v|| of the controlled-swap estimate's eigenvector
 MODULAR_TOL = 1e-6  # |Tr e^{-H} - 1| of a modular Hamiltonian, its state's normalization
 MIN_OVERLAP = 1e-3  # |<b|phi>|, |<b|psi>| of a reference state b; 1/overlap scales the error
-MAX_CONDITION = 1e12  # condition number of the moment fit: past it the solve loses 12 digits
+MAX_CONDITION = 1e12  # condition number of extract_moments' fit: past it the solve loses 12 digits
 
 # Cutoffs below which a number counts as zero.
 ZERO_TOL = 1e-12  # gate-split and Choi ranks, a zero vector, a phase entry, a lost sample mass

@@ -71,11 +71,10 @@ def kraus_from_unitary(u: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
 _GROUP_CHUNK = 512
 
 
-def draw_groups(rng, n_cases: int, draw):
+def _chunks(rng, n_cases: int, draw):
     """Call ``draw(rng)``, which returns (key, value), once per case in case
-    order, and group the values by key.  Yields (key, case indices, values)
-    per group, in order of each group's first case.  Cases are grouped
-    within consecutive chunks of ``_GROUP_CHUNK``, so memory stays bounded."""
+    order; per consecutive chunk of ``_GROUP_CHUNK`` cases, yield {key:
+    (case indices, values)} in order of each group's first case."""
     rng = rng_from(rng)
     for start in range(0, n_cases, _GROUP_CHUNK):
         groups = {}
@@ -84,25 +83,47 @@ def draw_groups(rng, n_cases: int, draw):
             cases, values = groups.setdefault(key, ([], []))
             cases.append(case)
             values.append(value)
-        while groups:  # handed out one by one, so a finished group can be freed
+        yield groups
+
+
+def draw_groups(rng, n_cases: int, draw):
+    """The groups of :func:`_chunks` one by one, as (key, case indices,
+    values), so memory stays bounded and a finished group can be freed."""
+    for groups in _chunks(rng, n_cases, draw):
+        while groups:
             key = next(iter(groups))
             cases, values = groups.pop(key)
             yield key, cases, values
 
 
 def kraus_groups(rng, n_cases: int, draw):
-    """:func:`draw_groups` of ``draw(rng)`` -> ((d_in, d_out), (k, z, *rest)),
-    z the Gaussian of a Haar unitary on C^{d_out k}.  Yields (case indices,
-    Kraus sets (B, k_max, d_out, d_in), *rest stacked) per group, a case's
-    set zero-padded past its own k: zero operators change no sum A^dag A,
-    Choi matrix or Kraus action."""
-    for (d_in, d_out), cases, values in draw_groups(rng, n_cases, draw):
-        ks = np.array([v[0] for v in values])
-        kraus = np.zeros((len(cases), ks.max(), d_out, d_in), dtype=complex)
-        for k in np.unique(ks):
-            z = np.stack([v[1] for v in values if v[0] == k])
-            kraus[ks == k, :k] = kraus_from_unitary(unitary_from_gaussian(z), d_in, d_out)
-        yield cases, kraus, *(np.stack(x) for x in zip(*(v[2:] for v in values)))
+    """The groups of ``draw(rng)`` -> ((d_in, d_out), (k, z, *rest)) as
+    :func:`draw_groups` hands them out, z = ``rng.normal(size=(2, d_out k,
+    d_out k))``: the real and imaginary parts of the Gaussian of a Haar
+    unitary on C^{d_out k}.  Each chunk combines them and runs one stacked QR
+    per unitary size, which factors each matrix as a QR of its own would.
+    Yields (case indices, Kraus sets (B, k_max, d_out, d_in), *rest stacked)
+    per group, a case's set zero-padded past its own k: zero operators change
+    no sum A^dag A, Choi matrix or Kraus action."""
+    for groups in _chunks(rng, n_cases, draw):
+        by_size = {}
+        for (_, d_out), (_, values) in groups.items():
+            for v in values:
+                by_size.setdefault(d_out * v[0], []).append(v[1])
+        unitaries = {}
+        for size, zs in by_size.items():
+            z = np.stack(zs)
+            unitaries[size] = unitary_from_gaussian(z[:, 0] + 1j * z[:, 1])
+        used = dict.fromkeys(unitaries, 0)
+        for (d_in, d_out), (cases, values) in groups.items():
+            ks = np.array([v[0] for v in values])
+            kraus = np.zeros((len(cases), ks.max(), d_out, d_in), dtype=complex)
+            for k in np.unique(ks):
+                size, n = d_out * k, int(np.count_nonzero(ks == k))
+                u = unitaries[size][used[size]:used[size] + n]
+                kraus[ks == k, :k] = kraus_from_unitary(u, d_in, d_out)
+                used[size] += n
+            yield cases, kraus, *(np.stack(x) for x in zip(*(v[2:] for v in values)))
 
 
 def random_duality_groups(rng, n_cases: int, max_dim: int, n_states: int):
@@ -111,15 +132,15 @@ def random_duality_groups(rng, n_cases: int, max_dim: int, n_states: int):
     each state's Gaussian).  Yields (case indices, Kraus sets, states (B,
     n_states, d_in, d_in)) per (d_in, d_out) as :func:`kraus_groups` does."""
 
-    def draw(rng):
+    def draw(rng):  # raw normals in gaussian()'s order, combined per chunk or group below
         d_in = int(rng.integers(2, max_dim + 1))
         d_out = int(rng.integers(2, max_dim + 1))
         n_kraus = kraus_count(d_in, d_out, int(rng.integers(1, 4)))
-        z = gaussian(rng, (d_out * n_kraus,) * 2)
-        return (d_in, d_out), (n_kraus, z, gaussians(rng, n_states, (d_in, d_in)))
+        z = rng.normal(size=(2,) + (d_out * n_kraus,) * 2)
+        return (d_in, d_out), (n_kraus, z, rng.normal(size=(n_states, 2, d_in, d_in)))
 
     for cases, kraus, a in kraus_groups(rng, n_cases, draw):
-        yield cases, kraus, density_from_gaussian(a)
+        yield cases, kraus, density_from_gaussian(a[:, :, 0] + 1j * a[:, :, 1])
 
 
 def random_canonical_mps(rng, n_sites: int, chi: int):

@@ -134,7 +134,7 @@ def _measurement_draw(rng):
     d_in = int(rng.integers(2, 4))
     d_out = int(rng.integers(2, 4))
     n_kraus = kraus_count(d_in, d_out, int(rng.integers(1, 4)))
-    z = gaussian(rng, (d_out * n_kraus,) * 2)
+    z = rng.normal(size=(2,) + (d_out * n_kraus,) * 2)
     a = gaussian(rng, (d_in, d_in))
     return (d_in, d_out), (n_kraus, z, a, gaussian(rng, (d_out, d_out)))
 
@@ -391,6 +391,28 @@ def suite_thermal() -> list:
         worst = max(worst, abs(got - oracle.entropy_exact(rho)))
     out.append(_check("thermal", "modular-entropy", worst, 1e-2, time.perf_counter() - t0,
                       note="20 random two-qubit states"))
+
+    # Moments of order n scale as ||H||^n, so each error is relative to that.
+    # The default grid leaves up to 2.8e-4 at order 8 here (7.4e-4 on the
+    # worst of seeds 2032-2061); the threshold is 10x the first.
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(2032)
+    worst = 0.0
+    for build in (lambda n: ham.build_tfim(n, 1.0, 1.0),
+                  lambda n: ham.build_heisenberg(n, 1.0)):
+        for n in (2, 3):
+            h = build(n)
+            dense = h.dense()
+            powers = np.stack([np.linalg.matrix_power(dense, k) for k in range(8)])
+            scale = max(1.0, h.norm_bound()) ** np.arange(8)
+            for _ in range(3):
+                a = random_state(rng, 2**n)
+                want = np.einsum("i,nij,j->n", a.conj(), powers, a)
+                got = alg.extract_moments(h, a, 8).moments
+                worst = max(worst, float(np.max(np.abs(got - want) / scale)))
+    out.append(_check("thermal", "moment-extraction", worst, 3e-3, time.perf_counter() - t0,
+                      note="TFIM+Heisenberg, N<=3, 3 states each, order 8: "
+                           "|m_n - <a|H^n|a>| / max(1, ||H||)^n"))
     return out
 
 

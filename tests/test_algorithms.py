@@ -6,7 +6,7 @@ import pytest
 from conftest import PAULI
 from epsim import algorithms as alg
 from epsim import hamiltonians as ham
-from epsim import oracle
+from epsim import limits, oracle
 from epsim.errors import (
     BudgetError,
     PositivityError,
@@ -418,22 +418,38 @@ def test_thermal_heisenberg_n3_at_tight_epsilon_is_answered(eps):
     assert abs(res.value - oracle.thermal_exact(a, h, 1.0)) <= sum(res.budget.values()) <= eps
 
 
-def test_thermal_value_fits_once(monkeypatch):
-    fits = []
-    fit = alg._fit_moments
+def test_thermal_value_runs_no_solve(monkeypatch):
+    # The interpolant comes from the cached transform: no fit, no least squares.
+    def refuse(*args, **kwargs):
+        raise AssertionError("thermal_value ran a linear solve")
 
-    def counted(*args):
-        fits.append(1)
-        return fit(*args)
+    monkeypatch.setattr(alg, "_fit_moments", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    alg._chebyshev_transform.cache_clear()
+    h = ham.build_tfim(4, 1.0, 0.7)
+    a = embed_operator(PAULI["X"], [0], [2] * 4)
+    want = oracle.thermal_exact(np.stack([a, np.eye(16)]), h, 0.5)
+    orders = []
+    for mode, normalized in (("exact", False), ("trotter", True), ("exact", False)):
+        res = alg.thermal_value(alg.ThermalJob(observable=a, hamiltonian=h, beta=0.5,
+                                               epsilon=1e-3, mode=mode), normalized=normalized)
+        assert abs(res.value - (want[0] / want[1] if normalized else want[0])) < 1e-3
+        orders.append(res.order)
+    info = alg._chebyshev_transform.cache_info()
+    assert info.maxsize == limits.MAX_ORDER
+    assert info.misses == len(set(orders)) and info.hits == 3 - info.misses  # once per order
 
-    monkeypatch.setattr(alg, "_fit_moments", counted)
-    h = ham.build_heisenberg(5, 1.0)
-    for mode, normalized in (("exact", False), ("trotter", True)):
-        a = embed_operator(PAULI["Z"], [0], [2] * 5)
-        fits.clear()
-        alg.thermal_value(alg.ThermalJob(observable=a, hamiltonian=h, beta=0.5, epsilon=1e-3,
-                                         mode=mode), normalized=normalized)
-        assert len(fits) == 1
+
+def test_chebyshev_transform_matches_the_least_squares_fit():
+    # On the same samples at the first-kind points, the closed form gives the
+    # coefficients the column-scaled least squares solve gives.
+    rng = np.random.default_rng(33)
+    for order in range(1, limits.MAX_ORDER + 1):
+        x, transform = alg._chebyshev_transform(order)
+        f = rng.normal(size=(order, 3)) + 1j * rng.normal(size=(order, 3))
+        want, _ = alg._fit_moments(tuple(x), 1.0, order, f)
+        assert np.max(np.abs(transform @ f - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("mode", ["exact", "trotter"])

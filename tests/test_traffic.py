@@ -9,11 +9,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 # (file, qualname) of the functions no benchmark job enters.
 ALLOWED = {
-    # Traced by name in bench/tracing.py (compile_gate, extract_moments),
-    # and the moments of the MomentSet that extract_moments returns.
+    # Traced by name in bench/tracing.py.
     ("network.py", "compile_gate"),
-    ("algorithms.py", "extract_moments"),
-    ("algorithms.py", "MomentSet.moments"),
     # Input-file writers: the tests write the files the CLI reads.
     ("mps.py", "MPS.to_dict"),
     ("network.py", "BrickworkCircuit.to_dict"),
